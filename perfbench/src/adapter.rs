@@ -1,8 +1,7 @@
 //! The one module through which the benchmark calls the engine and the
 //! twin service.
 //!
-//! Every fleet run, checkpoint operation, scenario-matrix run and wire
-//! round trip the benchmark makes goes through a function here, so a
+//! Every fleet run, checkpoint operation and wire round trip the benchmark makes goes through a function here, so a
 //! change to the engine's run surface (collapsing the `FleetSimulation`
 //! entry points, deleting a precision mode) is a one-place edit in the
 //! benchmark. Only [`FleetPrecision::Full`] is ever requested.
@@ -16,7 +15,6 @@ use handover_sim::fleet::{
     CandidateMode, FleetPrecision, FleetResult, FleetSimulation, HomogeneousFleet, UeOutcome,
     UeSpec,
 };
-use handover_sim::matrix::{MatrixResult, ScenarioMatrix};
 use handover_sim::{FleetCheckpoint, SimConfig, TrafficConfig};
 use std::io::{Read, Write};
 use std::time::Instant;
@@ -90,11 +88,6 @@ pub fn run_outcomes(
     seed: u64,
 ) -> Result<Vec<UeOutcome>, String> {
     run_ids(engine, spec, ids, seed).map(|r| r.outcomes)
-}
-
-/// Run every cell of a scenario matrix.
-pub fn run_matrix(matrix: &ScenarioMatrix) -> Result<MatrixResult, String> {
-    matrix.try_run().map_err(|e| e.to_string())
 }
 
 /// Freeze a run after `step` lockstep steps (a bound past every walk's

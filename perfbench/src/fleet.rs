@@ -1,16 +1,14 @@
-//! The two batch workloads: `fleet_fuzzy_edge` (one streamed fleet run
-//! per pass) and `matrix_hysteresis_dense` (one scenario-matrix run per
-//! pass).
+//! The `fleet_fuzzy_edge` workload: one streamed fleet run per pass.
 
 use crate::adapter;
 use crate::layers::{self, Population};
-use crate::probe::{median, ms};
+use crate::probe::{median, ms, CpuInstant};
 use crate::report::Run;
 use crate::traced::TracedSpec;
-use crate::workloads::{self as wl, Digest, Sizes, Workload};
+use crate::workloads::{self as wl, Digest, Sizes};
 use fuzzylogic::CompiledFis;
-use handover_core::{build_paper_flc, FleetSummary};
-use handover_sim::fleet::CandidateMode;
+use handover_core::build_paper_flc;
+use handover_sim::fleet::FleetSimulation;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -27,7 +25,8 @@ pub fn compile_flc() {
 
 /// Set-up timings spread over a run: one batch before the first pass and
 /// one after every pass, so their median samples the same machine states
-/// the passes do rather than one moment at start-up.
+/// the passes do rather than one moment at start-up. Timed on the process
+/// CPU clock, like the passes.
 pub struct SetupSampler<F: FnMut()> {
     setup: F,
     times: Vec<f64>,
@@ -47,7 +46,7 @@ impl<F: FnMut()> SetupSampler<F> {
     /// Time `n` more repetitions.
     pub fn sample(&mut self, n: usize) {
         for _ in 0..n {
-            let t = Instant::now();
+            let t = CpuInstant::now();
             (self.setup)();
             self.times.push(t.elapsed().as_secs_f64());
         }
@@ -60,133 +59,102 @@ impl<F: FnMut()> SetupSampler<F> {
     }
 }
 
-/// One pass of a batch workload: the digests it produced (one per
-/// population) and its wall time.
+/// One pass of the fleet: the digest it produced, its wall time and its
+/// process CPU time.
 struct Pass {
-    digests: Vec<Digest>,
+    digest: Digest,
     elapsed: Duration,
+    cpu: Duration,
 }
 
-impl Pass {
-    fn steps(&self) -> u64 {
-        self.digests.iter().map(|d| d.steps).sum()
-    }
-}
-
-/// Run one untraced pass of a batch workload on `workers` fleet workers.
-fn pass(workload: Workload, sizes: &Sizes, seed: u64, workers: usize) -> Result<Pass, String> {
+/// Run one untraced pass of the fleet on `workers` fleet workers.
+fn pass(sizes: &Sizes, seed: u64, workers: usize) -> Result<Pass, String> {
     let t = Instant::now();
-    let digests = match workload {
-        Workload::FleetFuzzyEdge => {
-            let engine = adapter::fleet_engine(&wl::measurement_config(), workers, wl::EDGE_SET);
-            let spec = wl::fleet_spec(sizes, seed);
-            vec![Digest::of(&adapter::run_streamed(
-                &engine,
-                &spec,
-                sizes.fleet_ues,
-                seed,
-            )?)]
-        }
-        Workload::MatrixHysteresisDense => adapter::run_matrix(&wl::matrix(sizes, seed, workers))?
-            .cells
-            .iter()
-            .map(|c| Digest::of(&c.summary))
-            .collect(),
-        Workload::TwinSessionLoop => unreachable!("the twin is not a batch workload"),
-    };
+    let cpu = CpuInstant::now();
+    let engine = adapter::fleet_engine(&wl::measurement_config(), workers, wl::EDGE_SET);
+    let spec = wl::fleet_spec(sizes, seed);
+    let summary = adapter::run_streamed(&engine, &spec, sizes.fleet_ues, seed)?;
+    let cpu = cpu.elapsed();
     Ok(Pass {
-        digests,
+        digest: Digest::of(&summary),
         elapsed: t.elapsed(),
+        cpu,
     })
 }
 
-/// Output checks of one pass: sizes, load accounting and ranges.
-fn check_digests(run: &mut Run, digests: &[Digest], ues: u64, expected_cells: usize) {
-    run.check(digests.len() == expected_cells, || {
-        format!("{} populations, expected {expected_cells}", digests.len())
-    });
-    let handovers: u64 = digests.iter().map(|d| d.handovers).sum();
-    run.check(handovers > 0, || "no population handed over at all".into());
-    for d in digests {
-        let hd_sum = f64::from_bits(d.hd_sum_bits);
-        let sane = d.ues == ues
-            && d.steps > 0
-            && d.ping_pongs <= d.handovers
-            && d.outage_steps <= d.steps
-            && hd_sum.is_finite()
-            && hd_sum >= 0.0;
-        run.check(sane, || format!("implausible digest {d:?} for {ues} UEs"));
-    }
+/// Output checks of one pass: size, load accounting and ranges.
+fn check_digest(run: &mut Run, d: &Digest, ues: u64) {
+    let hd_sum = f64::from_bits(d.hd_sum_bits);
+    let sane = d.ues == ues
+        && d.steps > 0
+        && d.handovers > 0
+        && d.ping_pongs <= d.handovers
+        && d.outage_steps <= d.steps
+        && hd_sum.is_finite()
+        && hd_sum >= 0.0;
+    run.check(sane, || format!("implausible digest {d:?} for {ues} UEs"));
 }
 
-/// The untraced run: set-up, timed passes, output checks.
-pub fn timed(run: &mut Run, workload: Workload, sizes: &Sizes, seed: u64, seconds: f64) {
+/// The untraced run: set-up, a warm-up pass, timed passes, output
+/// checks.
+pub fn timed(run: &mut Run, sizes: &Sizes, seed: u64, seconds: f64) {
     let mut setup = SetupSampler::new(|| {
         compile_flc();
-        match workload {
-            Workload::FleetFuzzyEdge => {
-                black_box(adapter::fleet_engine(
-                    &wl::measurement_config(),
-                    1,
-                    wl::EDGE_SET,
-                ));
-                black_box(wl::fleet_spec(sizes, seed));
-            }
-            _ => {
-                black_box(wl::matrix(sizes, seed, 1));
-            }
-        }
+        black_box(adapter::fleet_engine(
+            &wl::measurement_config(),
+            1,
+            wl::EDGE_SET,
+        ));
+        black_box(wl::fleet_spec(sizes, seed));
     });
 
-    let (ues, cells) = match workload {
-        Workload::FleetFuzzyEdge => (sizes.fleet_ues, 1),
-        _ => (sizes.matrix_ues, 4),
-    };
     let start = Instant::now();
+    // The first pass warms the allocator and caches up; it is checked
+    // like every other pass but not timed.
+    let Some(first) = run.op(pass(sizes, seed, 1)) else {
+        return;
+    };
+    check_digest(run, &first.digest, sizes.fleet_ues);
     let mut passes: Vec<Pass> = Vec::new();
     while passes.len() < sizes.min_passes || start.elapsed().as_secs_f64() < seconds {
-        let Some(p) = run.op(pass(workload, sizes, seed, 1)) else {
+        let Some(p) = run.op(pass(sizes, seed, 1)) else {
             break;
         };
-        if let Some(first) = passes.first() {
-            let same = p.digests == first.digests;
-            run.check(same, || {
-                format!(
-                    "pass digests differ: {:?} vs {:?}",
-                    p.digests, first.digests
-                )
-            });
-        } else {
-            check_digests(run, &p.digests, ues, cells);
-        }
+        run.check(p.digest == first.digest, || {
+            format!("pass digests differ: {:?} vs {:?}", p.digest, first.digest)
+        });
         passes.push(p);
         setup.sample(SETUP_PER_PASS);
     }
     setup.record(run);
-    let Some(first) = passes.first() else { return };
-    if let Some(recorded) = wl::recorded_digests(workload, seed).filter(|_| sizes.recorded) {
-        let same = recorded == first.digests;
-        run.check(same, || {
+    if passes.is_empty() {
+        return;
+    }
+    if let Some(recorded) = wl::recorded_digest(seed).filter(|_| sizes.recorded) {
+        run.check(recorded == first.digest, || {
             format!(
-                "digest {:?} differs from the recorded {:?}",
-                first.digests, recorded
+                "digest {:?} differs from the recorded {recorded:?}",
+                first.digest
             )
         });
     }
-    if workload == Workload::FleetFuzzyEdge {
-        cross_check_streamed(run, sizes, seed);
-    }
-    note_digests(run, &first.digests);
+    cross_check_streamed(run, sizes, seed);
+    note_digest(run, &first.digest);
 
     // Every pass does the same work, so throughput is the pass's steps
-    // over the median pass time.
-    let pass_ms: Vec<f64> = passes.iter().map(|p| ms(p.elapsed)).collect();
+    // over the median pass CPU time; wall times go to the detail line.
+    let pass_ms: Vec<f64> = passes.iter().map(|p| ms(p.cpu)).collect();
+    let wall_ms: Vec<f64> = passes.iter().map(|p| ms(p.elapsed)).collect();
     let median_ms = median(&pass_ms);
-    run.note("pass_ms", format!("{pass_ms:.0?}"));
-    run.metric("ue_steps_per_s", first.steps() as f64 / median_ms / 1e3);
-    run.metric("advance_p50_ms", median_ms);
-    run.samples("ue_steps_per_s", passes.len());
-    run.samples("advance_p50_ms", passes.len());
+    run.note("pass_cpu_ms", format!("{pass_ms:.0?}"));
+    run.note("pass_wall_ms", format!("{wall_ms:.0?}"));
+    run.metric(
+        "ue_steps_per_cpu_s",
+        first.digest.steps as f64 / median_ms / 1e3,
+    );
+    run.metric("advance_cpu_p50_ms", median_ms);
+    run.samples("ue_steps_per_cpu_s", passes.len());
+    run.samples("advance_cpu_p50_ms", passes.len());
 }
 
 /// The streamed aggregate of a small prefix of the fleet must equal the
@@ -205,60 +173,45 @@ fn cross_check_streamed(run: &mut Run, sizes: &Sizes, seed: u64) {
     }
 }
 
-fn note_digests(run: &mut Run, digests: &[Digest]) {
-    for (i, d) in digests.iter().enumerate() {
-        run.note(
-            &format!("digest.{i}"),
-            format!(
-                "ues={} steps={} handovers={} ping_pongs={} outage_steps={} mean_hd={:.6} \
-                 hd_count={} hd_sum_bits={:#018x}",
-                d.ues,
-                d.steps,
-                d.handovers,
-                d.ping_pongs,
-                d.outage_steps,
-                f64::from_bits(d.hd_sum_bits) / d.hd_count.max(1) as f64,
-                d.hd_count,
-                d.hd_sum_bits
-            ),
-        );
+fn note_digest(run: &mut Run, d: &Digest) {
+    run.note(
+        "digest",
+        format!(
+            "ues={} steps={} handovers={} ping_pongs={} outage_steps={} mean_hd={:.6} \
+             hd_count={} hd_sum_bits={:#018x}",
+            d.ues,
+            d.steps,
+            d.handovers,
+            d.ping_pongs,
+            d.outage_steps,
+            f64::from_bits(d.hd_sum_bits) / d.hd_count.max(1) as f64,
+            d.hd_count,
+            d.hd_sum_bits
+        ),
+    );
+}
+
+/// The fleet's population, as the replay sees it.
+pub fn population(sizes: &Sizes, seed: u64) -> Population {
+    Population {
+        cfg: wl::measurement_config(),
+        spec: wl::fleet_spec(sizes, seed),
+        seed,
+        candidate: wl::EDGE_SET,
+        chunk_size: FleetSimulation::DEFAULT_CHUNK_SIZE,
+        n_ues: sizes.fleet_ues,
     }
 }
 
-/// The populations of a batch workload, as the replay sees them.
-pub fn populations(workload: Workload, sizes: &Sizes, seed: u64) -> Vec<Population> {
-    match workload {
-        Workload::FleetFuzzyEdge => vec![Population {
-            cfg: wl::measurement_config(),
-            spec: wl::fleet_spec(sizes, seed),
-            seed,
-            candidate: wl::EDGE_SET,
-            chunk_size: handover_sim::fleet::FleetSimulation::DEFAULT_CHUNK_SIZE,
-            n_ues: sizes.fleet_ues,
-        }],
-        _ => wl::matrix_cells(sizes, seed)
-            .into_iter()
-            .map(|cell| Population {
-                cfg: cell.cfg,
-                spec: cell.spec,
-                seed: cell.seed,
-                candidate: CandidateMode::All,
-                chunk_size: handover_sim::fleet::FleetSimulation::DEFAULT_CHUNK_SIZE,
-                n_ues: sizes.matrix_ues,
-            })
-            .collect(),
-    }
-}
-
-/// The traced run: untraced pass, the same pass through the traced
-/// wrappers, then the layer replay.
-pub fn traced(run: &mut Run, workload: Workload, sizes: &Sizes, seed: u64) {
-    let Some(untraced) = run.op(pass(workload, sizes, seed, 1)) else {
+/// The traced run: untraced pass, the same pass on more workers and
+/// through the traced wrappers, then the layer replay.
+pub fn traced(run: &mut Run, sizes: &Sizes, seed: u64) {
+    let Some(untraced) = run.op(pass(sizes, seed, 1)) else {
         return;
     };
     // Worker scaling: the same pass on more workers, same results.
-    if let Some(scaled) = run.op(pass(workload, sizes, seed, wl::SCALING_WORKERS)) {
-        run.check(scaled.digests == untraced.digests, || {
+    if let Some(scaled) = run.op(pass(sizes, seed, wl::SCALING_WORKERS)) {
+        run.check(scaled.digest == untraced.digest, || {
             "results depend on the worker count".into()
         });
         run.metric(
@@ -266,54 +219,33 @@ pub fn traced(run: &mut Run, workload: Workload, sizes: &Sizes, seed: u64) {
             untraced.elapsed.as_secs_f64() / scaled.elapsed.as_secs_f64(),
         );
     }
-    let mut total = FleetSummary::default();
-    for d in &untraced.digests {
-        total.steps += d.steps;
-        total.handovers += d.handovers;
-        total.ping_pongs += d.ping_pongs;
-    }
-    layers::statistics(run, &total);
+    layers::statistics(
+        run,
+        &handover_core::FleetSummary {
+            steps: untraced.digest.steps,
+            handovers: untraced.digest.handovers,
+            ping_pongs: untraced.digest.ping_pongs,
+            ..Default::default()
+        },
+    );
 
     // The same work through the traced population wrapper.
-    let pops = populations(workload, sizes, seed);
+    let pop = population(sizes, seed);
+    let engine = adapter::fleet_engine(&pop.cfg, wl::TIMED_THREADS, pop.candidate);
+    let spec = TracedSpec::new(&pop.spec);
     let t = Instant::now();
-    let mut traced_digests = Vec::new();
-    let mut spans = Vec::new();
-    for pop in &pops {
-        let engine = adapter::fleet_engine(&pop.cfg, wl::TIMED_THREADS, pop.candidate);
-        let spec = TracedSpec::new(&pop.spec);
-        let summary = match workload {
-            Workload::FleetFuzzyEdge => {
-                run.op(adapter::run_streamed(&engine, &spec, pop.n_ues, pop.seed))
-            }
-            _ => {
-                let ids: Vec<u64> = (0..pop.n_ues).collect();
-                run.op(adapter::run_ids(&engine, &spec, &ids, pop.seed))
-                    .map(|r| r.summary)
-            }
-        };
-        if let Some(s) = summary {
-            traced_digests.push(Digest::of(&s));
-        }
-        spans.push(spec);
-    }
+    let summary = run.op(adapter::run_streamed(&engine, &spec, pop.n_ues, pop.seed));
     let traced_elapsed = t.elapsed();
-    // Also proves the hand-built matrix cells mirror the matrix's own.
-    run.check(traced_digests == untraced.digests, || {
-        format!(
-            "traced digests {traced_digests:?} != untraced {:?}",
-            untraced.digests
-        )
-    });
+    if let Some(s) = summary {
+        run.check(Digest::of(&s) == untraced.digest, || {
+            format!("traced digest {s:?} != untraced {:?}", untraced.digest)
+        });
+    }
     run.metric(
         "trace.overhead",
         traced_elapsed.as_secs_f64() / untraced.elapsed.as_secs_f64(),
     );
-    let merged = crate::traced::CallbackSpans::default();
-    for s in &spans {
-        merged.absorb(s.spans());
-    }
-    layers::callback_metrics(run, &merged);
+    layers::callback_metrics(run, spec.spans());
 
-    layers::replay_metrics(run, &pops, sizes.replay_ues);
+    layers::replay_metrics(run, &[pop], sizes.replay_ues);
 }

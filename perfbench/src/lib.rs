@@ -1,4 +1,4 @@
-//! The fuzzy-handover benchmark: three workloads, end-to-end metrics
+//! The fuzzy-handover benchmark: two workloads, end-to-end metrics
 //! measured with tracing off, and a separate traced run that splits the
 //! cost by layer. See `README.md` for the metrics and workloads.
 
@@ -21,8 +21,8 @@ pub fn run(workload: Workload, sizes: &Sizes, seed: u64, seconds: f64, trace: bo
     match (workload, trace) {
         (Workload::TwinSessionLoop, false) => twin::timed(&mut run, sizes, seed, seconds),
         (Workload::TwinSessionLoop, true) => twin::traced(&mut run, sizes, seed),
-        (w, false) => fleet::timed(&mut run, w, sizes, seed, seconds),
-        (w, true) => fleet::traced(&mut run, w, sizes, seed),
+        (Workload::FleetFuzzyEdge, false) => fleet::timed(&mut run, sizes, seed, seconds),
+        (Workload::FleetFuzzyEdge, true) => fleet::traced(&mut run, sizes, seed),
     }
     if trace {
         // Layers the workload never calls read exactly zero.

@@ -11,8 +11,8 @@
 
 use perfbench::workloads::{Sizes, Workload};
 
-const USAGE: &str = "usage: perfbench --workload <fleet_fuzzy_edge|matrix_hysteresis_dense|\
-twin_session_loop> --seed <n> --seconds <s> --trace <0|1> [--smoke]";
+const USAGE: &str = "usage: perfbench --workload <fleet_fuzzy_edge|twin_session_loop> \
+--seed <n> --seconds <s> --trace <0|1> [--smoke]";
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()

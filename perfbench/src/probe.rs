@@ -109,6 +109,48 @@ impl Probe {
     }
 }
 
+/// A reading of this process's CPU clock (`CLOCK_PROCESS_CPUTIME_ID`):
+/// the processor time every thread of the process has used, ended threads
+/// included. Unlike wall time it leaves out the time the processors ran
+/// something else: other processes, and on a virtual machine whose kernel
+/// accounts steal time, other guests. On a shared host it therefore
+/// measures the program's own work, which is what the timed runs report.
+#[derive(Debug, Clone, Copy)]
+pub struct CpuInstant(Duration);
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+compile_error!("perfbench reads the 64-bit Linux process CPU clock and /proc");
+
+impl CpuInstant {
+    /// The process's CPU time so far.
+    pub fn now() -> CpuInstant {
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: std::ffi::c_long,
+            tv_nsec: std::ffi::c_long,
+        }
+        extern "C" {
+            fn clock_gettime(clock: std::ffi::c_int, ts: *mut Timespec) -> std::ffi::c_int;
+        }
+        const CLOCK_PROCESS_CPUTIME_ID: std::ffi::c_int = 2;
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` is a live, writable `struct timespec` (on 64-bit
+        // Linux, `time_t` and `long` are both `c_long`) and the clock id is
+        // valid.
+        let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+        assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+        CpuInstant(Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32))
+    }
+
+    /// CPU time the process has used since this reading.
+    pub fn elapsed(self) -> Duration {
+        CpuInstant::now().0.saturating_sub(self.0)
+    }
+}
+
 /// Median of a sample, the mean of the two middle values for an even
 /// count (0 for an empty one).
 pub fn median(values: &[f64]) -> f64 {
@@ -168,5 +210,21 @@ mod tests {
         assert_eq!(probe.calls("x"), 2);
         assert_eq!(probe.net_ns("x"), 130.0);
         assert_eq!(probe.net_ns("missing"), 0.0);
+    }
+
+    #[test]
+    fn cpu_clock_counts_work_not_sleep() {
+        let t = CpuInstant::now();
+        std::thread::sleep(Duration::from_millis(50));
+        let slept = t.elapsed();
+        let t = CpuInstant::now();
+        let wall = Instant::now();
+        let mut x = 0u64;
+        while wall.elapsed() < Duration::from_millis(50) {
+            x = std::hint::black_box(x.wrapping_add(1));
+        }
+        let busy = t.elapsed();
+        assert!(slept < Duration::from_millis(25), "sleep used {slept:?}");
+        assert!(busy > slept, "busy {busy:?} vs sleep {slept:?}");
     }
 }

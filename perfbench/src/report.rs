@@ -8,9 +8,9 @@ use std::fmt::Write as _;
 /// End-to-end metrics (tracing off), every workload.
 pub const END_TO_END: [(&str, &str); 4] = [
     ("setup_s", "s"),
-    ("ue_steps_per_s", "Msteps/s"),
+    ("ue_steps_per_cpu_s", "Msteps/s"),
     ("peak_rss_mib", "MiB"),
-    ("advance_p50_ms", "ms"),
+    ("advance_cpu_p50_ms", "ms"),
 ];
 
 /// The twin request kinds the server and wire metrics are split by.
@@ -101,14 +101,6 @@ pub fn structurally_zero(workload: Workload, name: &str) -> bool {
         // Fuzzy controllers are driven through `as_fuzzy`, never `decide`.
         Workload::FleetFuzzyEdge => {
             twin_only.iter().any(|p| name.starts_with(p)) || name == "engine.decide_ns_per_call"
-        }
-        // Dense measurement never queries the neighbour index; hysteresis
-        // has no pre-gate and no FLC.
-        Workload::MatrixHysteresisDense => {
-            twin_only.iter().any(|p| name.starts_with(p))
-                || name.starts_with("geometry.")
-                || name.starts_with("fuzzylogic.")
-                || name.starts_with("core.pregate")
         }
         // The tenant measures densely and runs the fuzzy controller.
         // The twin server runs on a one-worker budget.
@@ -398,7 +390,7 @@ mod tests {
     fn validation_flags_zero_missing_and_extra_metrics() {
         let mut run = Run::default();
         run.metric("setup_s", 0.5);
-        run.metric("ue_steps_per_s", 0.0);
+        run.metric("ue_steps_per_cpu_s", 0.0);
         run.metric("peak_rss_mib", f64::NAN);
         run.metric("bogus", 1.0);
         run.validate(Workload::FleetFuzzyEdge, false);

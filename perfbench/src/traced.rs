@@ -66,21 +66,6 @@ pub struct CallbackSpans {
     pub notify: CallbackSpan,
 }
 
-impl CallbackSpans {
-    /// Add another run's spans into these.
-    pub fn absorb(&self, other: &CallbackSpans) {
-        for (mine, theirs) in [
-            (&self.trajectory, &other.trajectory),
-            (&self.policy, &other.policy),
-            (&self.decide, &other.decide),
-            (&self.notify, &other.notify),
-        ] {
-            mine.ns.fetch_add(theirs.ns(), Ordering::Relaxed);
-            mine.calls.fetch_add(theirs.calls(), Ordering::Relaxed);
-        }
-    }
-}
-
 /// A population whose callbacks are timed.
 pub struct TracedSpec<'a> {
     inner: &'a dyn UeSpec,

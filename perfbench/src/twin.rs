@@ -10,7 +10,7 @@
 use crate::adapter;
 use crate::fleet::{compile_flc, SetupSampler, SETUP_PER_PASS};
 use crate::layers::{self, Population};
-use crate::probe::{median, ms, percentile};
+use crate::probe::{median, ms, percentile, CpuInstant};
 use crate::report::{Run, KINDS};
 use crate::traced::TracedSpec;
 use crate::workloads::{self as wl, Digest, Sizes};
@@ -63,22 +63,26 @@ trait Endpoint {
     fn call(&mut self, request: Request) -> Result<Response, String>;
 }
 
-/// The real client over the in-process pipe, timing each round trip.
+/// The real client over the in-process pipe, timing each round trip on
+/// the wall clock, and each advance also on the process CPU clock
+/// (client and server threads together).
 struct Wire<'a> {
     server: &'a mut InProcessServer,
     latencies: &'a mut BTreeMap<Kind, Vec<f64>>,
-    advance_s: f64,
+    advance_cpu_ms: &'a mut Vec<f64>,
 }
 
 impl Endpoint for Wire<'_> {
     fn call(&mut self, request: Request) -> Result<Response, String> {
         let kind = Kind::of(&request);
         let t = Instant::now();
+        let cpu = CpuInstant::now();
         let response = adapter::request(self.server, &request);
+        let cpu = cpu.elapsed();
         let elapsed = t.elapsed();
         self.latencies.entry(kind).or_default().push(ms(elapsed));
         if kind == Kind::Advance {
-            self.advance_s += elapsed.as_secs_f64();
+            self.advance_cpu_ms.push(ms(cpu));
         }
         response
     }
@@ -141,7 +145,6 @@ impl Endpoint for Replayed {
 /// What one tenant's life produced.
 struct SessionOutcome {
     result: FleetResult,
-    advances: usize,
     first_snapshot_bytes: usize,
 }
 
@@ -221,7 +224,6 @@ fn drive(
     run.succeeded(ok + 3);
     Ok(SessionOutcome {
         result,
-        advances: step as usize,
         first_snapshot_bytes,
     })
 }
@@ -265,46 +267,53 @@ fn check_result(run: &mut Run, got: &FleetResult, want: &FleetResult) {
 
 /// What the tenants of one connection produced.
 struct LoopOutcome {
-    /// Round-trip latencies by request kind, ms.
+    /// Round-trip wall latencies by request kind, ms.
     latencies: BTreeMap<Kind, Vec<f64>>,
+    /// Process CPU time of each `AdvanceTo` round trip, ms.
+    advance_cpu_ms: Vec<f64>,
     /// The first tenant's outcome.
     first: SessionOutcome,
     /// UE-steps advanced over all tenants.
     steps: u64,
-    /// Time spent in `AdvanceTo` round trips, seconds.
-    advance_s: f64,
 }
 
 /// Run tenants on one connection until the time is up and enough
-/// advances were made, calling `between` after each tenant.
+/// advances were made, calling `between` after each tenant. With
+/// `warm_up`, the first tenant's timings are dropped: it fills the
+/// allocator and caches, and its result is still checked.
 fn session_loop(
     run: &mut Run,
     config: &SessionConfig,
     sizes: &Sizes,
     seconds: f64,
+    warm_up: bool,
     between: &mut dyn FnMut(),
 ) -> Option<LoopOutcome> {
     let mut server = adapter::spawn_server();
     let mut latencies: BTreeMap<Kind, Vec<f64>> = BTreeMap::new();
+    let mut advance_cpu_ms = Vec::new();
     let mut first: Option<SessionOutcome> = None;
     let mut steps = 0u64;
-    let mut advances = 0usize;
-    let mut advance_s = 0.0;
     let start = Instant::now();
-    while advances < sizes.twin_min_advances || start.elapsed().as_secs_f64() < seconds {
+    while advance_cpu_ms.len() < sizes.twin_min_advances || start.elapsed().as_secs_f64() < seconds
+    {
         let mut wire = Wire {
             server: &mut server,
             latencies: &mut latencies,
-            advance_s: 0.0,
+            advance_cpu_ms: &mut advance_cpu_ms,
         };
         let outcome = drive(&mut wire, config, sizes, run);
-        advance_s += wire.advance_s;
         let Some(outcome) = run.op(outcome) else {
             break;
         };
         steps += outcome.result.summary.steps;
-        advances += outcome.advances;
         match &first {
+            None if warm_up => {
+                latencies.clear();
+                advance_cpu_ms.clear();
+                steps = 0;
+                first = Some(outcome);
+            }
             None => first = Some(outcome),
             Some(f) => run.check(f.result == outcome.result, || {
                 "tenants of one run produced different results".into()
@@ -315,9 +324,9 @@ fn session_loop(
     run.op(adapter::stop_server(server));
     first.map(|first| LoopOutcome {
         latencies,
+        advance_cpu_ms,
         first,
         steps,
-        advance_s,
     })
 }
 
@@ -336,7 +345,7 @@ pub fn timed(run: &mut Run, sizes: &Sizes, seed: u64, seconds: f64) {
         );
         setup_ok &= spawned.is_ok() && adapter::stop_server(server).is_ok();
     });
-    let looped = session_loop(run, &config, sizes, seconds, &mut || {
+    let looped = session_loop(run, &config, sizes, seconds, true, &mut || {
         setup.sample(SETUP_PER_PASS)
     });
     setup.record(run);
@@ -344,9 +353,9 @@ pub fn timed(run: &mut Run, sizes: &Sizes, seed: u64, seconds: f64) {
     run.check(setup_ok, || "set-up could not spawn the tenant".into());
     let Some(LoopOutcome {
         latencies,
+        advance_cpu_ms: advance,
         first,
         steps,
-        advance_s,
     }) = looped
     else {
         return;
@@ -354,14 +363,16 @@ pub fn timed(run: &mut Run, sizes: &Sizes, seed: u64, seconds: f64) {
     if let Some(want) = run.op(reference(&config, sizes)) {
         check_result(run, &first.result, &want);
     }
-    let advance = latencies.get(&Kind::Advance).cloned().unwrap_or_default();
     run.check(advance.len() >= sizes.twin_min_advances, || {
         format!("only {} advances", advance.len())
     });
-    run.metric("ue_steps_per_s", steps as f64 / advance_s / 1e6);
-    run.metric("advance_p50_ms", median(&advance));
-    run.samples("advance_p50_ms", advance.len());
-    run.samples("ue_steps_per_s", advance.len());
+    let advance_cpu_s: f64 = advance.iter().sum::<f64>() / 1e3;
+    run.metric("ue_steps_per_cpu_s", steps as f64 / advance_cpu_s / 1e6);
+    run.metric("advance_cpu_p50_ms", median(&advance));
+    run.samples("advance_cpu_p50_ms", advance.len());
+    run.samples("ue_steps_per_cpu_s", advance.len());
+    let wall = latencies.get(&Kind::Advance).cloned().unwrap_or_default();
+    run.note("advance_wall_p50_ms", median(&wall));
     run.note("twin.snapshot_bytes", first.first_snapshot_bytes);
     run.note(
         "twin.digest",
@@ -371,14 +382,14 @@ pub fn timed(run: &mut Run, sizes: &Sizes, seed: u64, seconds: f64) {
 
 /// The traced run: latencies of the real loop, the traced replay of the
 /// same requests, the session and checkpoint layers driven directly, the
-/// traffic replay, and the engine half shared with the batch workloads.
+/// traffic replay, and the engine half shared with the fleet workload.
 pub fn traced(run: &mut Run, sizes: &Sizes, seed: u64) {
     let config = wl::twin_config(sizes, seed);
 
     // The real loop: one tenant over the threaded server.
     let Some(LoopOutcome {
         latencies, first, ..
-    }) = session_loop(run, &config, sizes, 0.0, &mut || {})
+    }) = session_loop(run, &config, sizes, 0.0, false, &mut || {})
     else {
         return;
     };

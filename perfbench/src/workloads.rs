@@ -1,9 +1,8 @@
-//! The three workloads: their configurations, sizes and the digests
+//! The two workloads: their configurations, sizes and the digests
 //! recorded for them.
 
 use handover_server::SessionConfig;
 use handover_sim::fleet::{CandidateMode, FleetMobility, HomogeneousFleet, PolicyKind};
-use handover_sim::matrix::ScenarioMatrix;
 use handover_sim::{SimConfig, TrafficConfig};
 use mobility::RandomWalk;
 use radiolink::{MeasurementNoise, ShadowingConfig};
@@ -14,26 +13,18 @@ pub enum Workload {
     /// `run_streamed` of a random-walk fleet, fuzzy policy, edge-set
     /// measurement, one worker (the `fleet_scale` command).
     FleetFuzzyEdge,
-    /// The scenario matrix over the four standard mobility models,
-    /// 4 dB hysteresis, dense measurement, one worker.
-    MatrixHysteresisDense,
     /// One client driving one twin-server tenant step by step.
     TwinSessionLoop,
 }
 
 impl Workload {
     /// Every workload, in `BENCHMARK.json` order.
-    pub const ALL: [Workload; 3] = [
-        Workload::FleetFuzzyEdge,
-        Workload::MatrixHysteresisDense,
-        Workload::TwinSessionLoop,
-    ];
+    pub const ALL: [Workload; 2] = [Workload::FleetFuzzyEdge, Workload::TwinSessionLoop];
 
     /// The workload's command-line name.
     pub fn name(self) -> &'static str {
         match self {
             Workload::FleetFuzzyEdge => "fleet_fuzzy_edge",
-            Workload::MatrixHysteresisDense => "matrix_hysteresis_dense",
             Workload::TwinSessionLoop => "twin_session_loop",
         }
     }
@@ -66,10 +57,6 @@ pub struct Sizes {
     pub fleet_ues: u64,
     /// Random-walk segments per fleet UE.
     pub fleet_walks: usize,
-    /// UEs per matrix cell.
-    pub matrix_ues: u64,
-    /// Movement legs per matrix UE.
-    pub matrix_segments: usize,
     /// UEs of the twin tenant.
     pub twin_ues: u64,
     /// Random-walk segments per twin UE.
@@ -80,7 +67,8 @@ pub struct Sizes {
     pub twin_min_advances: usize,
     /// UEs per population replayed layer by layer in the traced run.
     pub replay_ues: u64,
-    /// Timed engine passes a fleet run must make at least.
+    /// Timed engine passes a fleet run must make at least, after its
+    /// untimed warm-up pass.
     pub min_passes: usize,
     /// Whether [`recorded_digests`] apply (they were taken at these
     /// sizes).
@@ -93,8 +81,6 @@ impl Sizes {
         Sizes {
             fleet_ues: 20_000,
             fleet_walks: 30,
-            matrix_ues: 10_000,
-            matrix_segments: 6,
             twin_ues: 500,
             twin_walks: 64,
             twin_swap_step: 48,
@@ -110,8 +96,6 @@ impl Sizes {
         Sizes {
             fleet_ues: 300,
             fleet_walks: 8,
-            matrix_ues: 150,
-            matrix_segments: 4,
             twin_ues: 40,
             twin_walks: 10,
             twin_swap_step: 6,
@@ -143,78 +127,8 @@ pub fn fleet_spec(sizes: &Sizes, seed: u64) -> HomogeneousFleet {
     }
 }
 
-/// The matrix workload's sweep on `workers` fleet workers.
-pub fn matrix(sizes: &Sizes, seed: u64, workers: usize) -> ScenarioMatrix {
-    ScenarioMatrix {
-        base: measurement_config(),
-        ue_counts: vec![sizes.matrix_ues],
-        mobilities: FleetMobility::standard_four(sizes.matrix_segments),
-        speeds_kmh: vec![MATRIX_SPEED_KMH],
-        policies: vec![MATRIX_POLICY],
-        traffics: vec![None],
-        dynamics: vec![None],
-        base_seed: seed,
-        workers,
-        matrix_workers: 1,
-        candidate_mode: CandidateMode::All,
-    }
-}
-
-/// Speed of every matrix cell, km/h.
-pub const MATRIX_SPEED_KMH: f64 = 30.0;
-
-/// Policy of every matrix cell.
-pub const MATRIX_POLICY: PolicyKind = PolicyKind::Hysteresis { margin_db: 4.0 };
-
 /// The policy the twin tenant swaps to mid-run.
 pub const TWIN_SWAP_POLICY: PolicyKind = PolicyKind::Hysteresis { margin_db: 4.0 };
-
-/// One matrix cell run by hand: its simulation config and population.
-/// Mirrors `ScenarioMatrix`'s cell derivation (speed override and the
-/// SplitMix64 cell seed); the traced run checks the mirror against the
-/// matrix's own result.
-pub struct MatrixCell {
-    /// The cell's simulation config.
-    pub cfg: SimConfig,
-    /// The cell's population.
-    pub spec: HomogeneousFleet,
-    /// The cell's measurement seed.
-    pub seed: u64,
-}
-
-/// The matrix workload's cells, in sweep order.
-pub fn matrix_cells(sizes: &Sizes, seed: u64) -> Vec<MatrixCell> {
-    let m = matrix(sizes, seed, 1);
-    let mut cfg = m.base.clone();
-    cfg.speed_kmh = MATRIX_SPEED_KMH;
-    let cell_radius_km = cfg.layout.cell_radius_km();
-    m.mobilities
-        .iter()
-        .enumerate()
-        .map(|(index, &mobility)| {
-            let cell_seed = matrix_cell_seed(seed, index as u64);
-            MatrixCell {
-                cfg: cfg.clone(),
-                spec: HomogeneousFleet {
-                    mobility,
-                    policy: MATRIX_POLICY,
-                    trajectory_seed: cell_seed,
-                    cell_radius_km,
-                },
-                seed: cell_seed,
-            }
-        })
-        .collect()
-}
-
-/// The scenario matrix's per-cell seed (SplitMix64 finalizer over the
-/// master seed and the cell index).
-fn matrix_cell_seed(base_seed: u64, cell_index: u64) -> u64 {
-    let mut z = base_seed ^ cell_index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The twin tenant: a random-walk population under the fuzzy policy with
 /// an observational traffic plane (no load feedback).
@@ -273,97 +187,30 @@ impl Digest {
     }
 }
 
-/// Digests recorded for the benchmark sizes, by workload and seed:
-/// seed 7 is the default (`fleet_scale`'s default seed), seed 11 is held
-/// out. The matrix has one digest per cell, in sweep order.
-pub fn recorded_digests(workload: Workload, seed: u64) -> Option<Vec<Digest>> {
-    let d = |ues, steps, handovers, ping_pongs, outage_steps, hd_count, hd_sum_bits| Digest {
-        ues,
-        steps,
-        handovers,
-        ping_pongs,
-        outage_steps,
-        hd_count,
-        hd_sum_bits,
-    };
-    let digests = match (workload, seed) {
+/// The fleet workload's digest recorded for the benchmark sizes: seed 7
+/// is the default (`fleet_scale`'s default seed), seed 11 is held out.
+pub fn recorded_digest(seed: u64) -> Option<Digest> {
+    match seed {
         // `fleet_scale --ues 20000 --walks 30 --workers 1 --precision full
         // --candidate edge` prints the same tallies and mean_hd=0.560841.
-        (Workload::FleetFuzzyEdge, 7) => {
-            vec![d(
-                20_000,
-                919_806,
-                140_455,
-                59_419,
-                8_734,
-                606_846,
-                0x4114_c5e1_a862_e84d,
-            )]
-        }
-        (Workload::FleetFuzzyEdge, 11) => {
-            vec![d(
-                20_000,
-                921_578,
-                140_444,
-                59_459,
-                8_684,
-                607_103,
-                0x4114_c751_def3_102b,
-            )]
-        }
-        (Workload::MatrixHysteresisDense, 7) => vec![
-            d(
-                10_000,
-                100_044,
-                1_959,
-                141,
-                101,
-                1_959,
-                0x409e_9c00_0000_0000,
-            ),
-            d(
-                10_000,
-                99_887,
-                10_085,
-                10,
-                890,
-                10_085,
-                0x40c3_b280_0000_0000,
-            ),
-            d(10_000, 70_000, 5, 0, 0, 5, 0x4014_0000_0000_0000),
-            d(
-                10_000,
-                437_807,
-                65_175,
-                7_172,
-                6_956,
-                65_175,
-                0x40ef_d2e0_0000_0000,
-            ),
-        ],
-        (Workload::MatrixHysteresisDense, 11) => vec![
-            d(10_000, 99_985, 1_956, 130, 90, 1_956, 0x409e_9000_0000_0000),
-            d(
-                10_000,
-                99_986,
-                10_080,
-                12,
-                862,
-                10_080,
-                0x40c3_b000_0000_0000,
-            ),
-            d(10_000, 70_000, 9, 0, 0, 9, 0x4022_0000_0000_0000),
-            d(
-                10_000,
-                437_338,
-                65_186,
-                7_064,
-                7_094,
-                65_186,
-                0x40ef_d440_0000_0000,
-            ),
-        ],
-        _ => return None,
-    };
-    Some(digests)
+        7 => Some(Digest {
+            ues: 20_000,
+            steps: 919_806,
+            handovers: 140_455,
+            ping_pongs: 59_419,
+            outage_steps: 8_734,
+            hd_count: 606_846,
+            hd_sum_bits: 0x4114_c5e1_a862_e84d,
+        }),
+        11 => Some(Digest {
+            ues: 20_000,
+            steps: 921_578,
+            handovers: 140_444,
+            ping_pongs: 59_459,
+            outage_steps: 8_684,
+            hd_count: 607_103,
+            hd_sum_bits: 0x4114_c751_def3_102b,
+        }),
+        _ => None,
+    }
 }

@@ -4,11 +4,11 @@
 //! engine's own work.
 
 use perfbench::adapter;
-use perfbench::fleet::populations;
+use perfbench::fleet::population;
 use perfbench::layers::Population;
 use perfbench::probe::Probe;
 use perfbench::replay::{parity, replay, ReplayConfig};
-use perfbench::workloads::{self as wl, Sizes, Workload};
+use perfbench::workloads::{self as wl, Sizes};
 
 /// UEs replayed per population (kept small: tests may run unoptimized).
 const SAMPLE: u64 = 24;
@@ -36,23 +36,8 @@ fn check(pop: &Population) -> u64 {
 #[test]
 fn fleet_fuzzy_edge_replay_matches_the_engine() {
     for seed in [7, 11] {
-        let pops = populations(Workload::FleetFuzzyEdge, &Sizes::full(), seed);
-        assert!(
-            pops.iter().map(check).sum::<u64>() > 0,
-            "the sample hands over"
-        );
-    }
-}
-
-#[test]
-fn matrix_hysteresis_dense_replay_matches_the_engine() {
-    for seed in [7, 11] {
-        let pops = populations(Workload::MatrixHysteresisDense, &Sizes::full(), seed);
-        assert_eq!(pops.len(), 4, "one population per mobility model");
-        assert!(
-            pops.iter().map(check).sum::<u64>() > 0,
-            "the samples hand over"
-        );
+        let pop = population(&Sizes::full(), seed);
+        assert!(check(&pop) > 0, "the sample hands over");
     }
 }
 
@@ -72,7 +57,7 @@ fn twin_tenant_replay_matches_the_engine() {
 
 #[test]
 fn a_wrong_hd_sum_bit_breaks_parity() {
-    let pop = &populations(Workload::FleetFuzzyEdge, &Sizes::smoke(), 7)[0];
+    let pop = &population(&Sizes::smoke(), 7);
     let ids = wl::replay_ids(pop.n_ues, 8);
     let engine = adapter::run_outcomes(&pop.engine(), &pop.spec, &ids, pop.seed).unwrap();
     let rc = ReplayConfig {

@@ -3,6 +3,7 @@
 //! `BENCHMARK.json` declares, with its units.
 
 use perfbench::report::{per_layer, END_TO_END};
+use perfbench::workloads::Workload;
 use std::process::Command;
 
 fn run(workload: &str, trace: bool) -> String {
@@ -72,12 +73,6 @@ fn fleet_fuzzy_edge_smoke() {
 }
 
 #[test]
-fn matrix_hysteresis_dense_smoke() {
-    check("matrix_hysteresis_dense", false);
-    check("matrix_hysteresis_dense", true);
-}
-
-#[test]
 fn twin_session_loop_smoke() {
     check("twin_session_loop", false);
     check("twin_session_loop", true);
@@ -99,6 +94,23 @@ fn benchmark_json_declares_exactly_these_metrics() {
         json.matches("\"unit\": ").count(),
         all.len(),
         "BENCHMARK.json has extra metrics"
+    );
+}
+
+#[test]
+fn benchmark_json_declares_exactly_these_workloads() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
+    let Ok(json) = std::fs::read_to_string(path) else {
+        return;
+    };
+    for workload in Workload::ALL {
+        let decl = format!("{{\"name\": \"{}\", \"why\": ", workload.name());
+        assert!(json.contains(&decl), "BENCHMARK.json lacks {decl}");
+    }
+    assert_eq!(
+        json.matches("\"why\": ").count(),
+        Workload::ALL.len(),
+        "BENCHMARK.json has extra workloads"
     );
 }
 
