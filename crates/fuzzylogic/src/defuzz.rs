@@ -1,7 +1,8 @@
 //! Defuzzification: reducing an output fuzzy set to a crisp value.
 
-use crate::fuzzyset::{grid_x, slice_area, slice_first_moment, slice_height, SampledSet};
+use crate::fuzzyset::{grid_x, slice_area, slice_area_moment, slice_height, SampledSet};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Defuzzification strategy.
 ///
@@ -49,13 +50,10 @@ impl Defuzzifier {
         }
         match self {
             Defuzzifier::Centroid => {
-                let area = slice_area(min, max, mu);
-                if area <= 0.0 {
+                centroid_over(min, max, mu, 0..mu.len(), |i| grid_x(min, max, mu.len(), i))
                     // Degenerate: positive height but measure-zero area
                     // (single non-zero sample); fall back to mean-of-max.
-                    return Defuzzifier::MeanOfMax.defuzzify_slice(min, max, mu);
-                }
-                Some(slice_first_moment(min, max, mu) / area)
+                    .or_else(|| Defuzzifier::MeanOfMax.defuzzify_slice(min, max, mu))
             }
             Defuzzifier::Bisector => {
                 let total = slice_area(min, max, mu);
@@ -95,6 +93,24 @@ impl Defuzzifier {
         Defuzzifier::SmallestOfMax,
         Defuzzifier::LargestOfMax,
     ];
+}
+
+/// Centroid `∫ x μ dx / ∫ μ dx` of a curve that is `+0.0` outside `support`
+/// (see [`slice_area_moment`] for the arguments and why a narrow support
+/// gives the same bits as the full one). `None` when the area is `<= 0`;
+/// [`Defuzzifier::Centroid`] then falls back to mean-of-max.
+pub(crate) fn centroid_over(
+    min: f64,
+    max: f64,
+    mu: &[f64],
+    support: Range<usize>,
+    x: impl Fn(usize) -> f64,
+) -> Option<f64> {
+    let (area, moment) = slice_area_moment(min, max, mu, support, x);
+    if area <= 0.0 {
+        return None;
+    }
+    Some(moment / area)
 }
 
 /// Iterator over grid positions whose membership ties the maximum (within a

@@ -18,21 +18,75 @@
 //! [`CompiledFis::evaluate`] performs **zero heap allocations** — verified
 //! by a counting-allocator test in the workspace test suite.
 //!
-//! The compiled plan is **bit-identical** to the interpreted engine: it
-//! runs the same fuzzify → fire → imply/aggregate → defuzzify arithmetic in
-//! the same order on the same grid coordinates ([`grid_x`] is shared by
-//! both paths), so `CompiledFis::evaluate` and [`Fis::evaluate`] return the
-//! same `f64` bits for every input. A property test pins this.
+//! # Sparse evaluation, bit-identical to the interpreted engine
+//!
+//! [`Fis::evaluate`] imply/aggregates every fired consequent over all
+//! `resolution` samples and then scans the whole curve for its height, area
+//! and first moment. With the paper's Ruspini partitions at most 8 of the 64
+//! rules fire and each output term is non-zero on a fraction of the
+//! universe, so most of that work adds zeros. The compiled plan skips it,
+//! and every skip is exact — `CompiledFis::evaluate` returns the same `f64`
+//! bits as [`Fis::evaluate`] for every input, as property tests pin:
+//!
+//! 1. **Precomputed supports and grid.** At compile time each pre-sampled
+//!    row records its support `[s, e)`: the samples outside it are exactly
+//!    `+0.0`. Each output also gets a table of grid coordinates built with
+//!    the same [`grid_x`] expression the interpreted engine evaluates per
+//!    sample, so the table holds the same bits without a division per
+//!    sample at run time.
+//! 2. **Imply/aggregate over the support only.** Outside a row's support the
+//!    sample is `+0.0`, so the update is `agg(acc, clamp(imp(w, +0.0)))` with
+//!    `0 < w`: `imp` gives `+0.0` (`min(w, 0)`, `w · 0`), and `agg(acc, +0.0)`
+//!    is `acc` for every [`Aggregation`] (`max(acc, 0)`, `min(acc + 0, 1)`,
+//!    `acc + 0 - acc · 0`) because `acc` is built from clamped values and is
+//!    never negative, `-0.0` or above 1. The operator pair is matched once
+//!    per row, outside the sample loop.
+//! 3. **Merged consequents under `Max` aggregation.** Consequents that share
+//!    a row fold into one strength `W = max w` before any sample is read:
+//!    both implications are non-decreasing in `w`, so
+//!    `max_k clamp(imp(w_k, s)) = clamp(imp(max_k w_k, s))` exactly — `max`
+//!    selects one of its operands and no rounding is involved. At most 4
+//!    row passes replace the paper FLC's 8 rule passes.
+//! 4. **One fused centroid pass over the union support.** The area and the
+//!    first moment are summed together, left to right, over the union of
+//!    the fired supports only (`slice_area_moment` in `fuzzyset.rs`, the
+//!    same code the interpreted engine sums the whole grid with). The
+//!    skipped terms are signed zeros, whose only possible effect is the sign
+//!    of a zero partial sum; each skipped run is replaced by its last term,
+//!    which has exactly that effect, and the kept terms are never
+//!    reassociated. No height scan is needed: every sample is finite and
+//!    `>= +0.0`, so a positive area implies a positive height, and a
+//!    non-positive area (zero height, or one lone sample) falls back to the
+//!    full defuzzifier, which checks the height itself. Other defuzzifiers
+//!    zero the rest of the curve and read all of it.
+//! 5. **Zero gate on AND rules.** When every hedge of an `And` rule maps `0`
+//!    to `0`, one raw membership `<= 0` makes the rule's t-norm fold a zero —
+//!    `T(a, 0) = T(0, a) = 0` holds exactly for every [`TNorm`](crate::TNorm)
+//!    — and a strength `<= 0` is skipped by steps 3–5 whatever its sign, so
+//!    the rule can get firing `0` without the fold. Each input term carries
+//!    the bitset of gated rules that read it; evaluation clears the sets of
+//!    the terms at `<= 0` from the live-rule bitset and folds only the rules
+//!    left (about 8 of the paper's 64).
+//!
+//! Levers 2–4 need every sample of an output to be `+0.0` or positive and
+//! every firing strength to be a number. An output with a negative, `-0.0`
+//! or NaN sample, or an evaluation with a NaN strength — only a malformed
+//! membership function, such as a zero-width Gaussian, yields one — runs
+//! densely instead: every consequent the interpreted engine applies
+//! (`!(w <= 0)`), over the whole grid, in table order, then the shared
+//! defuzzifier.
 //!
 //! Because the plan is immutable and `Send + Sync`, many consumers (e.g.
 //! thousands of per-UE handover controllers) can share one plan behind an
 //! `Arc` while each owns only a small scratch.
 
+use crate::defuzz::{centroid_over, Defuzzifier};
 use crate::engine::mamdani::{EngineConfig, Fis, NoFirePolicy};
 use crate::error::{FuzzyError, Result};
 use crate::fuzzyset::grid_x;
 use crate::hedge::Hedge;
 use crate::membership::Mf;
+use crate::norms::{Aggregation, Implication};
 use crate::rule::Connective;
 
 /// Sentinel membership index for antecedents whose variable/term index does
@@ -79,6 +133,13 @@ pub struct CompiledFis {
     antecedents: Vec<FlatAntecedent>,
     connectives: Vec<Connective>,
     weights: Vec<f64>,
+    /// Rule bitsets of `rule_words` words each (bit `r` is rule `r`).
+    /// `gates[t]` holds the zero-gated rules — `And` rules whose hedges all
+    /// map 0 to 0 — with an antecedent on input term `t`: a membership
+    /// `<= 0` on `t` zeroes their firing strength (module docs, lever 5).
+    gates: Vec<u64>,
+    /// Every rule, as the bitset evaluation starts from.
+    all_rules: Vec<u64>,
     /// Universe bounds per output.
     output_bounds: Vec<(f64, f64)>,
     /// `cons_offsets[o]..cons_offsets[o + 1]` delimits output `o`'s
@@ -86,9 +147,19 @@ pub struct CompiledFis {
     /// exact aggregation order of the interpreted engine.
     cons_offsets: Vec<u32>,
     consequents: Vec<FlatConsequent>,
+    /// `row_offsets[o]..row_offsets[o + 1]` delimits output `o`'s rows.
+    row_offsets: Vec<u32>,
     /// Pre-sampled output-term shapes: row `k` holds `resolution` samples
     /// of one output term's MF over its variable's universe.
     samples: Vec<f64>,
+    /// Per row: the range `[s, e)` outside which its samples are exactly
+    /// `+0.0` (`(0, 0)` for an all-zero row).
+    supports: Vec<(usize, usize)>,
+    /// Per output: every sample is `+0.0` or positive, so the sparse levers
+    /// apply; otherwise the output is evaluated densely (module docs).
+    sparse: Vec<bool>,
+    /// Per output, `resolution` grid coordinates from [`grid_x`].
+    grid: Vec<f64>,
     config: EngineConfig,
 }
 
@@ -113,19 +184,28 @@ impl CompiledFis {
         let mut antecedents = Vec::new();
         let mut connectives = Vec::with_capacity(rules.len());
         let mut weights = Vec::with_capacity(rules.len());
+        let rule_words = rules.len().div_ceil(64);
+        let mut all_rules = vec![0u64; rule_words];
+        let mut gates = vec![0u64; input_mfs.len() * rule_words];
         ant_offsets.push(0);
-        for rule in rules {
+        for (r, rule) in rules.iter().enumerate() {
+            let (word, bit) = (r / 64, 1u64 << (r % 64));
+            all_rules[word] |= bit;
+            // A membership `<= 0` reaches the hedge as +0.0 or -0.0.
+            let gated = rule.connective == Connective::And
+                && rule
+                    .antecedents
+                    .iter()
+                    .all(|a| a.hedge.apply(0.0) == 0.0 && a.hedge.apply(-0.0) == 0.0);
             for a in &rule.antecedents {
-                let in_range = a.var < fis.inputs().len()
-                    && a.term < fis.inputs()[a.var].term_count();
-                antecedents.push(FlatAntecedent {
-                    mu_index: if in_range {
-                        input_offsets[a.var] + a.term as u32
-                    } else {
-                        NO_MEMBERSHIP
-                    },
-                    hedge: a.hedge,
-                });
+                let in_range =
+                    a.var < fis.inputs().len() && a.term < fis.inputs()[a.var].term_count();
+                let mu_index =
+                    if in_range { input_offsets[a.var] + a.term as u32 } else { NO_MEMBERSHIP };
+                if gated && in_range {
+                    gates[mu_index as usize * rule_words + word] |= bit;
+                }
+                antecedents.push(FlatAntecedent { mu_index, hedge: a.hedge });
             }
             ant_offsets.push(antecedents.len() as u32);
             connectives.push(rule.connective);
@@ -137,12 +217,20 @@ impl CompiledFis {
         // the interpreted engine's `SampledSet` grid.
         let mut output_bounds = Vec::with_capacity(fis.outputs().len());
         let mut cons_offsets = Vec::with_capacity(fis.outputs().len() + 1);
+        let mut row_offsets = Vec::with_capacity(fis.outputs().len() + 1);
         let mut consequents = Vec::new();
         let mut samples = Vec::new();
+        let mut supports = Vec::new();
+        let mut sparse = Vec::with_capacity(fis.outputs().len());
+        let mut grid = Vec::with_capacity(fis.outputs().len() * res);
         cons_offsets.push(0);
+        row_offsets.push(0);
         let mut row_of = Vec::new(); // (output, term) -> row, built lazily
         for (oi, var) in fis.outputs().iter().enumerate() {
             output_bounds.push((var.min, var.max));
+            grid.extend((0..res).map(|i| grid_x(var.min, var.max, res, i)));
+            let xs = &grid[oi * res..];
+            let mut clean = true;
             for (ri, rule) in rules.iter().enumerate() {
                 for cons in rule.consequents.iter().filter(|c| c.var == oi) {
                     let key = (oi, cons.term);
@@ -151,8 +239,21 @@ impl CompiledFis {
                         None => {
                             let row = (samples.len() / res) as u32;
                             let mf = var.terms()[cons.term].mf;
-                            samples
-                                .extend((0..res).map(|i| mf.eval(grid_x(var.min, var.max, res, i))));
+                            samples.extend(xs.iter().map(|&x| mf.eval(x)));
+                            // The support spans the samples that are not
+                            // +0.0; the output stays sparse while every
+                            // sample is +0.0 or positive.
+                            let sampled = &samples[row as usize * res..];
+                            let nonzero = |v: &f64| v.to_bits() != 0;
+                            let first = sampled.iter().position(nonzero);
+                            let last = sampled.iter().rposition(nonzero);
+                            supports.push(match (first, last) {
+                                (Some(s), Some(e)) => (s, e + 1),
+                                _ => (0, 0),
+                            });
+                            clean &= sampled
+                                .iter()
+                                .fold(true, |c, &v| c & (v >= 0.0) & v.is_sign_positive());
                             row_of.push((key, row));
                             row
                         }
@@ -161,6 +262,8 @@ impl CompiledFis {
                 }
             }
             cons_offsets.push(consequents.len() as u32);
+            row_offsets.push((samples.len() / res) as u32);
+            sparse.push(clean);
         }
 
         CompiledFis {
@@ -172,10 +275,16 @@ impl CompiledFis {
             antecedents,
             connectives,
             weights,
+            gates,
+            all_rules,
             output_bounds,
             cons_offsets,
             consequents,
+            row_offsets,
             samples,
+            supports,
+            sparse,
+            grid,
             config,
         }
     }
@@ -229,10 +338,12 @@ impl CompiledFis {
     ///
     /// Bit-identical to [`Fis::evaluate`] on the source system.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `outputs.len()` differs from [`CompiledFis::n_outputs`]
-    /// (a caller bug, unlike data-dependent errors which are returned).
+    /// [`FuzzyError::InputArity`] / [`FuzzyError::NonFiniteInput`] on bad
+    /// inputs, [`FuzzyError::OutputArity`] when `outputs.len()` differs from
+    /// [`CompiledFis::n_outputs`], and [`FuzzyError::NoRuleFired`] under
+    /// [`NoFirePolicy::Error`].
     pub fn evaluate(
         &self,
         crisp: &[f64],
@@ -247,65 +358,138 @@ impl CompiledFis {
                 return Err(FuzzyError::NonFiniteInput { index: i, value: x });
             }
         }
-        assert_eq!(
-            outputs.len(),
-            self.n_outputs(),
-            "output buffer must have one slot per declared output"
-        );
+        if outputs.len() != self.n_outputs() {
+            return Err(FuzzyError::OutputArity { expected: self.n_outputs(), got: outputs.len() });
+        }
         scratch.prepare(self);
+        let EvalScratch { memberships, live, firing, row_strength, mu } = scratch;
 
         // Step 1 — fuzzify (clamp to the universe, then every term MF).
         for (v, &(lo, hi)) in self.input_bounds.iter().enumerate() {
             let x = crisp[v].clamp(lo, hi);
-            let start = self.input_offsets[v] as usize;
-            let end = self.input_offsets[v + 1] as usize;
-            for k in start..end {
-                scratch.memberships[k] = self.input_mfs[k].eval(x);
+            let terms = self.input_offsets[v] as usize..self.input_offsets[v + 1] as usize;
+            for (m, mf) in memberships[terms.clone()].iter_mut().zip(&self.input_mfs[terms]) {
+                *m = mf.eval(x);
             }
         }
 
-        // Step 2 — firing strengths.
-        for r in 0..self.n_rules() {
-            let clauses =
-                &self.antecedents[self.ant_offsets[r] as usize..self.ant_offsets[r + 1] as usize];
-            let degrees = clauses.iter().map(|a| {
-                let mu = if a.mu_index == NO_MEMBERSHIP {
-                    0.0
-                } else {
-                    scratch.memberships[a.mu_index as usize]
+        // Step 2 — firing strengths. A membership `<= 0` clears every
+        // zero-gated rule on its term from the live set (lever 5); only the
+        // live rules are folded, the rest keep firing 0.
+        let words = self.all_rules.len();
+        let live = &mut live[..words];
+        live.copy_from_slice(&self.all_rules);
+        for (t, &m) in memberships[..self.input_mfs.len()].iter().enumerate() {
+            let zero = if m <= 0.0 { u64::MAX } else { 0 };
+            for (l, &g) in live.iter_mut().zip(&self.gates[t * words..][..words]) {
+                *l &= !(g & zero);
+            }
+        }
+        let degree = |a: &FlatAntecedent| {
+            if a.mu_index == NO_MEMBERSHIP {
+                0.0
+            } else {
+                memberships[a.mu_index as usize]
+            }
+        };
+        firing[..self.n_rules()].fill(0.0);
+        let mut nan_firing = false;
+        for (word, &bits) in live.iter().enumerate() {
+            let mut rest = bits;
+            while rest != 0 {
+                let r = word * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let clauses = &self.antecedents
+                    [self.ant_offsets[r] as usize..self.ant_offsets[r + 1] as usize];
+                let degrees = clauses.iter().map(|a| a.hedge.apply(degree(a)));
+                let strength = match self.connectives[r] {
+                    Connective::And => self.config.and.fold(degrees),
+                    Connective::Or => self.config.or.fold(degrees),
                 };
-                a.hedge.apply(mu)
-            });
-            let strength = match self.connectives[r] {
-                Connective::And => self.config.and.fold(degrees),
-                Connective::Or => self.config.or.fold(degrees),
-            };
-            scratch.firing[r] = strength * self.weights[r];
+                firing[r] = strength * self.weights[r];
+                nan_firing |= firing[r].is_nan();
+            }
         }
 
-        // Steps 3–5 — imply/aggregate from the pre-sampled rows, then
-        // defuzzify the scratch curve in place.
+        // Steps 3–5 — imply/aggregate the fired rows over their supports,
+        // then defuzzify the scratch curve in place. A NaN strength, or an
+        // output with a sample that is not `+0.0` or positive, takes the
+        // dense path (module docs).
         let res = self.config.resolution;
+        let (imp, agg) = (self.config.implication, self.config.aggregation);
+        let mu = &mut mu[..res];
         for (oi, out) in outputs.iter_mut().enumerate() {
             let (lo, hi) = self.output_bounds[oi];
-            let mu = &mut scratch.mu[..res];
-            mu.fill(0.0);
             let table = &self.consequents
                 [self.cons_offsets[oi] as usize..self.cons_offsets[oi + 1] as usize];
-            for cons in table {
-                let w = scratch.firing[cons.rule as usize];
-                if w <= 0.0 {
-                    continue;
+            let rows = self.row_offsets[oi] as usize..self.row_offsets[oi + 1] as usize;
+            let dense = nan_firing || !self.sparse[oi];
+            let merge = !dense && agg == Aggregation::Max;
+            let support = |k: usize| if dense { (0, res) } else { self.supports[k] };
+            let fires = |w: f64| w > 0.0 || w.is_nan();
+
+            // The union of the fired supports, after merging the strengths
+            // per row (lever 3).
+            let (mut s, mut e) = (res, 0);
+            let mut widen = |k: usize| {
+                let (a, b) = support(k);
+                if a < b {
+                    s = s.min(a);
+                    e = e.max(b);
                 }
-                let row = &self.samples[cons.row as usize * res..][..res];
-                let implication = self.config.implication;
-                let aggregation = self.config.aggregation;
-                for (slot, &sample) in mu.iter_mut().zip(row) {
-                    *slot =
-                        aggregation.apply(*slot, implication.apply(w, sample).clamp(0.0, 1.0));
+            };
+            if merge {
+                row_strength[rows.clone()].fill(0.0);
+                for c in table.iter().filter(|c| firing[c.rule as usize] > 0.0) {
+                    let k = c.row as usize;
+                    row_strength[k] = row_strength[k].max(firing[c.rule as usize]);
+                }
+                rows.clone().filter(|&k| row_strength[k] > 0.0).for_each(&mut widen);
+            } else {
+                table.iter().filter(|c| fires(firing[c.rule as usize])).for_each(|c| {
+                    widen(c.row as usize);
+                });
+            }
+
+            if s < e {
+                mu[s..e].fill(0.0);
+                let mut pass = |k: usize, w: f64| {
+                    let (a, b) = support(k);
+                    let row = &self.samples[k * res..][a..b];
+                    imply_aggregate(&mut mu[a..b], row, w, imp, agg);
+                };
+                if merge {
+                    for k in rows.clone().filter(|&k| row_strength[k] > 0.0) {
+                        pass(k, row_strength[k]);
+                    }
+                } else {
+                    for c in table.iter().filter(|c| fires(firing[c.rule as usize])) {
+                        pass(c.row as usize, firing[c.rule as usize]);
+                    }
                 }
             }
-            *out = match self.config.defuzzifier.defuzzify_slice(lo, hi, mu) {
+
+            // Nothing fired: the curve is all +0.0. The sparse centroid
+            // needs no height scan (lever 4).
+            let value = if s >= e {
+                None
+            } else {
+                let xs = &self.grid[oi * res..][..res];
+                let sparse_centroid = match self.config.defuzzifier {
+                    Defuzzifier::Centroid if !dense => {
+                        centroid_over(lo, hi, mu, s..e, |i| xs[i])
+                    }
+                    _ => None,
+                };
+                sparse_centroid.or_else(|| {
+                    // Every other defuzzifier, the dense path and the
+                    // centroid's fallback read the whole curve.
+                    mu[..s].fill(0.0);
+                    mu[e..].fill(0.0);
+                    self.config.defuzzifier.defuzzify_slice(lo, hi, mu)
+                })
+            };
+            *out = match value {
                 Some(v) => v,
                 None => match self.config.no_fire {
                     NoFirePolicy::Error => return Err(FuzzyError::NoRuleFired),
@@ -318,11 +502,14 @@ impl CompiledFis {
 
     /// Single-output convenience: evaluate and return the one crisp output.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the system declares more than one output.
+    /// [`FuzzyError::NotSingleOutput`] when the system declares more than
+    /// one output, otherwise as [`CompiledFis::evaluate`].
     pub fn evaluate_one(&self, crisp: &[f64], scratch: &mut EvalScratch) -> Result<f64> {
-        assert_eq!(self.n_outputs(), 1, "evaluate_one requires a single-output system");
+        if self.n_outputs() != 1 {
+            return Err(FuzzyError::NotSingleOutput { outputs: self.n_outputs() });
+        }
         let mut out = [0.0f64];
         self.evaluate(crisp, scratch, &mut out)?;
         Ok(out[0])
@@ -337,10 +524,12 @@ impl CompiledFis {
     /// amortises scratch reuse and keeps the plan's tables cache-hot across
     /// rows. Stops at the first row that fails.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `inputs.len()` is not a multiple of the input arity or
-    /// `outputs` does not hold exactly one output row per input row.
+    /// [`FuzzyError::RaggedBatch`] when `inputs.len()` is not a multiple of
+    /// the input arity, [`FuzzyError::OutputArity`] when `outputs` does not
+    /// hold exactly one output row per input row, and otherwise the first
+    /// failing row's error from [`CompiledFis::evaluate`].
     pub fn evaluate_batch(
         &self,
         inputs: &[f64],
@@ -349,9 +538,13 @@ impl CompiledFis {
     ) -> Result<()> {
         let ni = self.n_inputs();
         let no = self.n_outputs();
-        assert_eq!(inputs.len() % ni, 0, "inputs must be whole rows of {ni} values");
+        if inputs.len() % ni != 0 {
+            return Err(FuzzyError::RaggedBatch { len: inputs.len(), arity: ni });
+        }
         let rows = inputs.len() / ni;
-        assert_eq!(outputs.len(), rows * no, "outputs must hold {no} values per input row");
+        if outputs.len() != rows * no {
+            return Err(FuzzyError::OutputArity { expected: rows * no, got: outputs.len() });
+        }
         for r in 0..rows {
             self.evaluate(
                 &inputs[r * ni..(r + 1) * ni],
@@ -363,17 +556,42 @@ impl CompiledFis {
     }
 }
 
+/// `mu[i] = agg(mu[i], clamp(imp(w, row[i])))` over one row's support — the
+/// interpreted engine's per-sample update, with the operator pair matched
+/// once so each arm compiles to its own loop.
+fn imply_aggregate(mu: &mut [f64], row: &[f64], w: f64, imp: Implication, agg: Aggregation) {
+    #[inline(always)]
+    fn pass(mu: &mut [f64], row: &[f64], w: f64, imp: Implication, agg: Aggregation) {
+        for (slot, &sample) in mu.iter_mut().zip(row) {
+            *slot = agg.apply(*slot, imp.apply(w, sample).clamp(0.0, 1.0));
+        }
+    }
+    use Aggregation as A;
+    use Implication as I;
+    match (imp, agg) {
+        (I::Min, A::Max) => pass(mu, row, w, I::Min, A::Max),
+        (I::Min, A::BoundedSum) => pass(mu, row, w, I::Min, A::BoundedSum),
+        (I::Min, A::ProbabilisticSum) => pass(mu, row, w, I::Min, A::ProbabilisticSum),
+        (I::Product, A::Max) => pass(mu, row, w, I::Product, A::Max),
+        (I::Product, A::BoundedSum) => pass(mu, row, w, I::Product, A::BoundedSum),
+        (I::Product, A::ProbabilisticSum) => pass(mu, row, w, I::Product, A::ProbabilisticSum),
+    }
+}
+
 /// Reusable working memory for [`CompiledFis`] evaluation.
 ///
-/// Holds the fuzzified membership degrees, the per-rule firing strengths
-/// and the aggregated output curve. Buffers grow to the plan's dimensions
-/// on first use and are reused (never freed, never reallocated) afterwards,
-/// which is what makes the evaluation loop allocation-free. A scratch may
-/// be reused across different plans; it simply grows to the largest.
+/// Holds the fuzzified membership degrees, the live-rule bitset, the
+/// per-rule firing strengths, the per-row merged strengths and the
+/// aggregated output curve. Buffers grow to the plan's dimensions on first
+/// use and are reused (never freed, never reallocated) afterwards, which is
+/// what makes the evaluation loop allocation-free. A scratch may be reused
+/// across different plans; it simply grows to the largest.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     memberships: Vec<f64>,
+    live: Vec<u64>,
     firing: Vec<f64>,
+    row_strength: Vec<f64>,
     mu: Vec<f64>,
 }
 
@@ -390,6 +608,12 @@ impl EvalScratch {
         }
         if self.firing.len() < fis.n_rules() {
             self.firing.resize(fis.n_rules(), 0.0);
+        }
+        if self.live.len() < fis.all_rules.len() {
+            self.live.resize(fis.all_rules.len(), 0);
+        }
+        if self.row_strength.len() < fis.supports.len() {
+            self.row_strength.resize(fis.supports.len(), 0.0);
         }
         if self.mu.len() < fis.config.resolution {
             self.mu.resize(fis.config.resolution, 0.0);
@@ -512,6 +736,56 @@ mod tests {
             plan.evaluate(&[f64::NAN, 1.0], &mut scratch, &mut out),
             Err(FuzzyError::NonFiniteInput { index: 0, .. })
         ));
+    }
+
+    #[test]
+    fn wrong_output_buffer_is_a_typed_error() {
+        let plan = tipper().compile();
+        let mut scratch = plan.scratch();
+        assert_eq!(
+            plan.evaluate(&[1.0, 2.0], &mut scratch, &mut [0.0; 2]),
+            Err(FuzzyError::OutputArity { expected: 1, got: 2 })
+        );
+        assert_eq!(
+            plan.evaluate(&[1.0, 2.0], &mut scratch, &mut []),
+            Err(FuzzyError::OutputArity { expected: 1, got: 0 })
+        );
+        // A batch of three rows needs three output slots.
+        assert_eq!(
+            plan.evaluate_batch(&[1.0; 6], &mut [0.0; 2], &mut scratch),
+            Err(FuzzyError::OutputArity { expected: 3, got: 2 })
+        );
+    }
+
+    #[test]
+    fn ragged_batch_is_a_typed_error() {
+        let plan = tipper().compile();
+        let mut scratch = plan.scratch();
+        assert_eq!(
+            plan.evaluate_batch(&[1.0; 5], &mut [0.0; 2], &mut scratch),
+            Err(FuzzyError::RaggedBatch { len: 5, arity: 2 })
+        );
+    }
+
+    #[test]
+    fn evaluate_one_on_a_multi_output_system_is_a_typed_error() {
+        let x = LinguisticVariable::new("x", 0.0, 1.0).with_term("lo", Mf::left_shoulder(0.0, 1.0));
+        let y1 = LinguisticVariable::new("y1", 0.0, 1.0).with_term("a", Mf::triangular(0.0, 0.5, 1.0));
+        let y2 = LinguisticVariable::new("y2", 0.0, 1.0).with_term("b", Mf::triangular(0.0, 0.5, 1.0));
+        let plan = FisBuilder::new("dual")
+            .input(x)
+            .output(y1)
+            .output(y2)
+            .rule_str("IF x IS lo THEN y1 IS a AND y2 IS b")
+            .unwrap()
+            .build()
+            .unwrap()
+            .compile();
+        let mut scratch = plan.scratch();
+        assert_eq!(
+            plan.evaluate_one(&[0.3], &mut scratch),
+            Err(FuzzyError::NotSingleOutput { outputs: 2 })
+        );
     }
 
     #[test]

@@ -49,6 +49,29 @@ pub enum FuzzyError {
         /// Number of inputs supplied by the caller.
         got: usize,
     },
+    /// An output buffer did not hold exactly one slot per output value
+    /// ([`CompiledFis::evaluate`](crate::CompiledFis::evaluate) and
+    /// [`CompiledFis::evaluate_batch`](crate::CompiledFis::evaluate_batch)).
+    OutputArity {
+        /// Number of slots the call writes.
+        expected: usize,
+        /// Length of the buffer supplied by the caller.
+        got: usize,
+    },
+    /// A single-output entry point
+    /// ([`CompiledFis::evaluate_one`](crate::CompiledFis::evaluate_one)) was
+    /// called on a system that declares several outputs.
+    NotSingleOutput {
+        /// Number of outputs the system declares.
+        outputs: usize,
+    },
+    /// A row-major input batch was not a whole number of rows.
+    RaggedBatch {
+        /// Length of the supplied input slice.
+        len: usize,
+        /// Number of inputs per row.
+        arity: usize,
+    },
     /// An input value was not a finite number.
     NonFiniteInput {
         /// Index of the offending input.
@@ -112,6 +135,15 @@ impl fmt::Display for FuzzyError {
             FuzzyError::InputArity { expected, got } => {
                 write!(f, "expected {expected} crisp inputs, got {got}")
             }
+            FuzzyError::OutputArity { expected, got } => {
+                write!(f, "expected an output buffer of {expected} slots, got {got}")
+            }
+            FuzzyError::NotSingleOutput { outputs } => {
+                write!(f, "single-output evaluation of a system with {outputs} outputs")
+            }
+            FuzzyError::RaggedBatch { len, arity } => {
+                write!(f, "an input batch of {len} values is not whole rows of {arity}")
+            }
             FuzzyError::NonFiniteInput { index, value } => {
                 write!(f, "input #{index} is not finite ({value})")
             }
@@ -158,6 +190,18 @@ mod tests {
                 "variable `speed` has no term `warp`",
             ),
             (FuzzyError::InputArity { expected: 3, got: 1 }, "expected 3 crisp inputs, got 1"),
+            (
+                FuzzyError::OutputArity { expected: 2, got: 1 },
+                "expected an output buffer of 2 slots, got 1",
+            ),
+            (
+                FuzzyError::NotSingleOutput { outputs: 2 },
+                "single-output evaluation of a system with 2 outputs",
+            ),
+            (
+                FuzzyError::RaggedBatch { len: 7, arity: 3 },
+                "an input batch of 7 values is not whole rows of 3",
+            ),
             (FuzzyError::EmptyRuleSet, "the rule set is empty"),
             (FuzzyError::NoRuleFired, "no rule fired for the given inputs"),
         ];

@@ -30,25 +30,72 @@ pub(crate) fn slice_height(mu: &[f64]) -> f64 {
 }
 
 /// Trapezoidal-rule area of a sampled curve over `[min, max]` (`mu.len()`
-/// must be ≥ 2). The one implementation behind [`SampledSet::area`] and
-/// the slice-based defuzzifiers.
+/// must be ≥ 2). Used by [`SampledSet::area`] and the bisector.
 pub(crate) fn slice_area(min: f64, max: f64, mu: &[f64]) -> f64 {
-    let n = mu.len();
-    let dx = (max - min) / (n - 1) as f64;
-    let interior: f64 = mu[1..n - 1].iter().sum();
-    dx * (0.5 * (mu[0] + mu[n - 1]) + interior)
+    slice_area_moment(min, max, mu, 0..mu.len(), |i| grid_x(min, max, mu.len(), i)).0
 }
 
 /// Trapezoidal-rule first moment `∫ x μ(x) dx` of a sampled curve over
-/// `[min, max]` (`mu.len()` must be ≥ 2). The one implementation behind
-/// [`SampledSet::first_moment`] and the slice-based defuzzifiers.
+/// `[min, max]` (`mu.len()` must be ≥ 2). Used by
+/// [`SampledSet::first_moment`].
 pub(crate) fn slice_first_moment(min: f64, max: f64, mu: &[f64]) -> f64 {
+    slice_area_moment(min, max, mu, 0..mu.len(), |i| grid_x(min, max, mu.len(), i)).1
+}
+
+/// Trapezoidal-rule area and first moment of a sampled curve over
+/// `[min, max]`, in one pass over its `support` — the one implementation
+/// behind [`slice_area`], [`slice_first_moment`], the centroid and the
+/// compiled engine's sparse centroid.
+///
+/// `mu.len()` (≥ 2) is the grid size; `mu` is read only inside `support`
+/// and taken to be `+0.0` outside it (those slots may hold stale data).
+/// `x(i)` is the grid coordinate of sample `i`, i.e.
+/// [`grid_x`]`(min, max, mu.len(), i)` or a table built from it.
+///
+/// With `support` the full grid these are the plain trapezoid sums, term by
+/// term and left to right exactly like `Iterator::sum`. With a narrower
+/// support the result has the same bits. The interior terms outside the
+/// support are `+0.0` (area) and `+0.0 · xᵢ` (moment). A run of such terms
+/// changes a partial sum only when that sum is a zero, and then only its
+/// sign: to `+0.0` iff some term of the run is `+0.0`. The grid is
+/// non-decreasing, so a run's signs go `−` then `+`, and its last term
+/// alone has exactly the run's effect. Each skipped run is therefore
+/// replaced by its last term, and the summed terms keep their order.
+pub(crate) fn slice_area_moment(
+    min: f64,
+    max: f64,
+    mu: &[f64],
+    support: std::ops::Range<usize>,
+    x: impl Fn(usize) -> f64,
+) -> (f64, f64) {
     let n = mu.len();
+    let at = |i: usize| if support.contains(&i) { mu[i] } else { 0.0 };
+    // The interior 1..n-1 splits into a skipped run [1, a), the summed
+    // terms [a, b) and a skipped run [b, n - 1).
+    let a = support.start.clamp(1, n - 1);
+    let b = support.end.clamp(a, n - 1);
+    // Start from the neutral element `Iterator::sum` starts from, so the
+    // full-support case is bit-identical to summing with it.
+    let mut area: f64 = std::iter::empty::<f64>().sum();
+    let mut moment = area;
+    if a > 1 {
+        area += 0.0;
+        moment += 0.0 * x(a - 1);
+    }
+    for (i, &m) in mu.iter().enumerate().take(b).skip(a) {
+        area += m;
+        moment += m * x(i);
+    }
+    if b < n - 1 {
+        area += 0.0;
+        moment += 0.0 * x(n - 2);
+    }
     let dx = (max - min) / (n - 1) as f64;
-    let ends = 0.5
-        * (mu[0] * grid_x(min, max, n, 0) + mu[n - 1] * grid_x(min, max, n, n - 1));
-    let interior: f64 = (1..n - 1).map(|i| mu[i] * grid_x(min, max, n, i)).sum();
-    dx * (ends + interior)
+    let (first, last) = (at(0), at(n - 1));
+    (
+        dx * (0.5 * (first + last) + area),
+        dx * (0.5 * (first * x(0) + last * x(n - 1)) + moment),
+    )
 }
 
 /// A fuzzy set represented by membership degrees sampled on a uniform grid.
@@ -247,6 +294,52 @@ mod tests {
         assert!((s.height() - 1.0).abs() < 1e-9);
         assert!((s.area() - 1.0).abs() < 1e-6);
         assert!((s.first_moment() / s.area() - 1.0).abs() < 1e-6);
+    }
+
+    /// The ranged sums equal the full-grid sums bit for bit, including the
+    /// sign of a zero moment: `mu` below is denormal, so every interior
+    /// moment term underflows to `-0.0` while the area stays positive, and
+    /// only the skipped `+0.0 · x` terms right of 0 make the full-grid
+    /// moment `+0.0` (the endpoint half-term is `0.5 · (-5e-324) = -0.0`).
+    #[test]
+    fn ranged_sums_match_full_sums_bitwise() {
+        let (min, max, n) = (-1.0, 1.0, 201);
+        let unit = f64::from_bits(1);
+        let mut mu = vec![0.0; n];
+        mu[0] = unit;
+        mu[98] = 24.0 * unit;
+        mu[99] = 49.0 * unit;
+        let x = |i: usize| grid_x(min, max, n, i);
+        let full = slice_area_moment(min, max, &mu, 0..n, x);
+        assert!(full.0 > 0.0 && full.1 == 0.0 && full.1.is_sign_positive(), "{full:?}");
+        // Stale data outside the support must not be read.
+        let mut stale = mu.clone();
+        stale[100..].fill(f64::NAN);
+        let ranged = slice_area_moment(min, max, &stale, 0..100, x);
+        assert_eq!((full.0.to_bits(), full.1.to_bits()), (ranged.0.to_bits(), ranged.1.to_bits()));
+
+        // Every sub-range that covers the non-zero samples, on curves that
+        // are zero at x = 0, straddle it, or sit on one side.
+        let mut curves = vec![mu];
+        for (s, e) in [(40, 60), (95, 106), (100, 101), (0, 1), (200, 201), (120, 180)] {
+            let mut c = vec![0.0; n];
+            for (k, slot) in c[s..e].iter_mut().enumerate() {
+                *slot = (k as f64 + 1.0) / (e - s) as f64;
+            }
+            curves.push(c);
+        }
+        for c in &curves {
+            let full = slice_area_moment(min, max, c, 0..n, x);
+            let first = c.iter().position(|&m| m != 0.0).unwrap();
+            let last = c.iter().rposition(|&m| m != 0.0).unwrap() + 1;
+            for s in [0, first / 2, first] {
+                for e in [last, (last + n) / 2, n] {
+                    let ranged = slice_area_moment(min, max, c, s..e, x);
+                    assert_eq!(full.0.to_bits(), ranged.0.to_bits(), "area over {s}..{e}");
+                    assert_eq!(full.1.to_bits(), ranged.1.to_bits(), "moment over {s}..{e}");
+                }
+            }
+        }
     }
 
     #[test]

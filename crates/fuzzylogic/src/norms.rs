@@ -208,6 +208,10 @@ mod tests {
             for &a in &SAMPLES {
                 assert!((t.apply(a, 1.0) - a).abs() < 1e-12, "{t:?} identity at {a}");
                 assert_eq!(t.apply(a, 0.0), 0.0, "{t:?} annihilator at {a}");
+                // Both sides and both zeros: the compiled engine's zero gate
+                // relies on a zero degree anywhere in a fold giving 0.
+                assert_eq!(t.apply(0.0, a), 0.0, "{t:?} left annihilator at {a}");
+                assert_eq!(t.apply(a, -0.0), 0.0, "{t:?} annihilator -0 at {a}");
             }
         }
     }

@@ -8,12 +8,21 @@
 //!   golden byte.
 //! * The batch entry point equals the scalar path bit for bit.
 //! * The paper LUT's absolute HD error stays under its documented bound.
+//! * Every path of the sparse evaluator (supports, merged consequents, the
+//!   zero gate, the ranged centroid, the dense fallback) is swept
+//!   deterministically: the paper FLC over every membership breakpoint
+//!   ±1 ulp, and a non-paper system over every operator combination.
 
 use fuzzy_handover::core::flc::{
     build_flc_with, paper_flc_lut, paper_flc_plan, FlcProfile, CSSP_RANGE, DMB_RANGE, SSN_RANGE,
     PAPER_LUT_MAX_ABS_ERROR,
 };
-use fuzzy_handover::fuzzy::{CompiledFis, Defuzzifier, EvalScratch, Fis};
+use fuzzy_handover::fuzzy::engine::mamdani::NoFirePolicy;
+use fuzzy_handover::fuzzy::{
+    Aggregation, Antecedent, CompiledFis, Connective, Consequent, Defuzzifier, EngineConfig,
+    EvalScratch, Fis, FisBuilder, FuzzyError, Hedge, Implication, LinguisticVariable, Mf, Rule,
+    SNorm, TNorm,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -129,4 +138,296 @@ fn paper_lut_dense_offgrid_sweep_within_bound() {
         "48³ off-grid sweep found error {worst} above the documented bound {PAPER_LUT_MAX_ABS_ERROR}"
     );
     assert!(worst > 0.0, "trilinear interpolation of a kinked surface is not exact");
+}
+
+/// `x` and its two neighbouring doubles (one ulp below and above).
+fn with_ulp_neighbours(x: f64) -> [f64; 3] {
+    if x == 0.0 {
+        let tiny = f64::from_bits(1);
+        return [-tiny, x, tiny];
+    }
+    [f64::from_bits(x.to_bits() - 1), x, f64::from_bits(x.to_bits() + 1)]
+}
+
+/// Every finite breakpoint (support and core ends) of every term of input
+/// `v`, plus the universe edges, each with its ±1 ulp neighbours.
+fn breakpoint_axis(fis: &Fis, v: usize) -> Vec<f64> {
+    let var = &fis.inputs()[v];
+    let mut points = vec![var.min, var.max];
+    for term in var.terms() {
+        let ((s0, s1), (c0, c1)) = (term.mf.support(), term.mf.core());
+        points.extend([s0, s1, c0, c1].into_iter().filter(|x| x.is_finite()));
+    }
+    let mut axis: Vec<f64> = points.into_iter().flat_map(with_ulp_neighbours).collect();
+    axis.sort_by(f64::total_cmp);
+    axis.dedup();
+    axis
+}
+
+/// Outcome of one evaluation as comparable bits (`Err` kept as is).
+fn outcome_bits(r: Result<f64, FuzzyError>) -> Result<u64, FuzzyError> {
+    r.map(f64::to_bits)
+}
+
+/// Lever coverage on the paper FLC: at a breakpoint a membership is exactly
+/// 0 (the zero gate), a row's support starts or ends, and at the corners no
+/// rule but the shoulders fires. Compiled must equal interpreted bit for
+/// bit on every point of the breakpoint grid, for both profiles.
+#[test]
+fn paper_flc_breakpoint_sweep_is_bit_identical() {
+    for profile in [FlcProfile::Paper, FlcProfile::Product] {
+        let fis = build_flc_with(profile, Defuzzifier::Centroid);
+        let plan = fis.compile();
+        let mut scratch = EvalScratch::new();
+        let axes: Vec<Vec<f64>> = (0..3).map(|v| breakpoint_axis(&fis, v)).collect();
+        for &cssp in &axes[0] {
+            for &ssn in &axes[1] {
+                for &dmb in &axes[2] {
+                    let x = [cssp, ssn, dmb];
+                    let interpreted = fis.evaluate(&x).map(|o| o[0]);
+                    let compiled = plan.evaluate_one(&x, &mut scratch);
+                    assert_eq!(
+                        outcome_bits(interpreted),
+                        outcome_bits(compiled),
+                        "{profile:?} drifted at {x:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The paper FLC at every defuzzifier over the breakpoints of one input at
+/// a time (the others at their own breakpoints' midpoints).
+#[test]
+fn paper_flc_breakpoints_for_every_defuzzifier() {
+    for defuzz in Defuzzifier::ALL {
+        let fis = build_flc_with(FlcProfile::Paper, defuzz);
+        let plan = fis.compile();
+        let mut scratch = EvalScratch::new();
+        let centre = [-3.5, -99.0, 0.55];
+        for v in 0..3 {
+            for x in breakpoint_axis(&fis, v) {
+                let mut input = centre;
+                input[v] = x;
+                assert_eq!(
+                    outcome_bits(fis.evaluate(&input).map(|o| o[0])),
+                    outcome_bits(plan.evaluate_one(&input, &mut scratch)),
+                    "{defuzz:?} drifted at {input:?}"
+                );
+            }
+        }
+    }
+}
+
+/// A non-paper system that reaches every branch of the sparse evaluator:
+///
+/// * `y` spans negative and positive values, so skipped moment terms are
+///   `-0.0` on the left and `+0.0` on the right;
+/// * `mid` is a Gaussian with full support (clipping to it is a no-op),
+///   `spike` is non-zero on one sample only (at x = 0), `far` lies outside
+///   the universe (an all-zero row);
+/// * `b IS zero` is a full-support Gaussian antecedent (never gated);
+/// * rule 3 is an `Or` rule, rule 4 has a `Not` hedge (hedge(0) = 1, so
+///   its rule must not be gated), rule 7 has weight 0, rules 1 and 8 share
+///   the `lo` row (merged under `Max`);
+/// * rules 9 and 10 get an antecedent whose term index does not resolve
+///   (read as degree 0) — the builder rejects those, a deserialised system
+///   does not.
+fn sweep_system() -> Fis {
+    let a = LinguisticVariable::new("a", 0.0, 10.0)
+        .with_term("low", Mf::left_shoulder(2.0, 5.0))
+        .with_term("mid", Mf::triangular(2.0, 5.0, 8.0))
+        .with_term("high", Mf::right_shoulder(5.0, 8.0));
+    let b = LinguisticVariable::new("b", -5.0, 5.0)
+        .with_term("neg", Mf::trapezoidal(-5.0, -5.0, -2.0, 0.0))
+        .with_term("zero", Mf::gaussian(0.0, 1.5))
+        .with_term("pos", Mf::triangular(0.0, 5.0, 5.0));
+    let y = LinguisticVariable::new("y", -1.0, 1.0)
+        .with_term("lo", Mf::triangular(-1.0, -0.6, -0.2))
+        .with_term("mid", Mf::gaussian(0.0, 0.35))
+        .with_term("hi", Mf::trapezoidal(0.2, 0.6, 1.0, 1.0))
+        .with_term("far", Mf::triangular(2.0, 3.0, 4.0))
+        .with_term("spike", Mf::triangular(-0.01, 0.0, 0.01));
+    let (lo, mid, hi, far, spike) = (0, 1, 2, 3, 4);
+    let ant = Antecedent::new;
+    let rule = |ants: Vec<Antecedent>, conn: Connective, term: usize| {
+        Rule::new(ants, conn, vec![Consequent::new(0, term)])
+    };
+    let and = Connective::And;
+    // The only antecedent with this hedge; re-pointed below.
+    let marked = Antecedent::hedged(0, 0, Hedge::Intensify);
+    let fis = FisBuilder::new("sweep")
+        .input(a)
+        .input(b)
+        .output(y)
+        .rule(rule(vec![ant(0, 0), ant(1, 0)], and, lo))
+        .rule(rule(vec![ant(0, 1), ant(1, 1)], and, mid))
+        .rule(rule(vec![ant(0, 2), ant(1, 2)], Connective::Or, hi))
+        .rule(rule(vec![Antecedent::hedged(0, 0, Hedge::Not), ant(1, 2)], and, hi))
+        .rule(rule(vec![Antecedent::hedged(0, 2, Hedge::Very)], and, far))
+        .rule(rule(vec![ant(0, 1), ant(1, 0)], and, spike))
+        .rule(rule(vec![ant(0, 0)], and, mid).with_weight(0.0))
+        .rule(rule(vec![Antecedent::hedged(0, 1, Hedge::Somewhat), ant(1, 1)], and, lo))
+        .rule(rule(vec![marked, ant(1, 1)], and, hi))
+        .rule(rule(vec![marked, ant(1, 2)], Connective::Or, mid))
+        .resolution(201)
+        .build()
+        .unwrap();
+    // Re-point the two marked antecedents at a term that does not exist.
+    let json = serde_json::to_string(&fis).unwrap();
+    let marker = serde_json::to_string(&marked).unwrap();
+    assert_eq!(json.matches(&marker).count(), 2, "{marker} must mark exactly two antecedents");
+    let unresolved = marker.replace("\"term\":0", "\"term\":99");
+    assert_ne!(unresolved, marker, "unexpected antecedent encoding {marker}");
+    let fis: Fis = serde_json::from_str(&json.replace(&marker, &unresolved)).unwrap();
+    for r in [8, 9] {
+        assert_eq!(fis.rules().rules()[r].antecedents[0].term, 99, "rule {r} unresolved");
+    }
+    fis
+}
+
+/// Every `TNorm` × `SNorm` × `Implication` × `Aggregation` × `Defuzzifier`
+/// combination on [`sweep_system`], over inputs on and between the
+/// breakpoints and outside both universes.
+#[test]
+fn every_operator_combination_is_bit_identical() {
+    let base = sweep_system();
+    let a_axis = [-3.0, 0.0, 2.0, 3.3, 5.0, 6.1, 8.0, 10.0];
+    let b_axis = [-5.0, -2.0, -0.7, 0.0, 1.2, 5.0, 7.0];
+    let mut scratch = EvalScratch::new();
+    let mut checked = 0usize;
+    for and in TNorm::ALL {
+        for or in SNorm::ALL {
+            for implication in [Implication::Min, Implication::Product] {
+                for aggregation in
+                    [Aggregation::Max, Aggregation::BoundedSum, Aggregation::ProbabilisticSum]
+                {
+                    for defuzzifier in Defuzzifier::ALL {
+                        let fis = base.clone().with_config(EngineConfig {
+                            and,
+                            or,
+                            implication,
+                            aggregation,
+                            defuzzifier,
+                            resolution: 201,
+                            no_fire: NoFirePolicy::Error,
+                        });
+                        let plan = fis.compile();
+                        for &a in &a_axis {
+                            for &b in &b_axis {
+                                let x = [a, b];
+                                assert_eq!(
+                                    outcome_bits(fis.evaluate(&x).map(|o| o[0])),
+                                    outcome_bits(plan.evaluate_one(&x, &mut scratch)),
+                                    "{and:?}/{or:?}/{implication:?}/{aggregation:?}/\
+                                     {defuzzifier:?} drifted at {x:?}"
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 6 * 6 * 2 * 3 * 5 * a_axis.len() * b_axis.len());
+}
+
+/// A one-sample output term fired alone: the area comes from the single
+/// sample at x = 0 and the first moment is exactly zero, so the centroid's
+/// sign of zero rests on the skipped `-0.0`/`+0.0` moment terms either
+/// side of the support.
+#[test]
+fn single_sample_term_keeps_the_sign_of_a_zero_centroid() {
+    let x = LinguisticVariable::new("x", 0.0, 1.0).with_term("on", Mf::right_shoulder(0.2, 0.8));
+    let y = LinguisticVariable::new("y", -1.0, 1.0)
+        .with_term("spike", Mf::triangular(-0.01, 0.0, 0.01));
+    for implication in [Implication::Min, Implication::Product] {
+        for defuzzifier in Defuzzifier::ALL {
+            let fis = FisBuilder::new("spike")
+                .input(x.clone())
+                .output(y.clone())
+                .rule_str("IF x IS on THEN y IS spike")
+                .unwrap()
+                .implication(implication)
+                .defuzzifier(defuzzifier)
+                .resolution(201)
+                .no_fire(NoFirePolicy::UniverseMidpoint)
+                .build()
+                .unwrap();
+            let plan = fis.compile();
+            let mut scratch = EvalScratch::new();
+            for input in [0.0, 0.3, 0.5, 1.0] {
+                let interpreted = fis.evaluate(&[input]).unwrap()[0];
+                let compiled = plan.evaluate_one(&[input], &mut scratch).unwrap();
+                assert_eq!(
+                    interpreted.to_bits(),
+                    compiled.to_bits(),
+                    "{implication:?}/{defuzzifier:?} drifted at {input}"
+                );
+            }
+            if defuzzifier == Defuzzifier::Centroid {
+                let fired = plan.evaluate_one(&[1.0], &mut scratch).unwrap();
+                assert_eq!(fired.to_bits(), 0.0f64.to_bits(), "centroid of the spike is +0.0");
+            }
+        }
+    }
+}
+
+/// Malformed membership functions (a zero-width Gaussian evaluates to NaN
+/// at its mean) take the compiled plan's dense fallback: a NaN output
+/// sample, or a NaN firing strength from a NaN input membership.
+#[test]
+fn malformed_membership_functions_take_the_dense_path() {
+    let nan_at_zero = Mf::Gaussian { mean: 0.0, sigma: 0.0 };
+    let build = |input_mf: Mf, output_mf: Mf, and: TNorm, ops: (Implication, Aggregation)| {
+        let x = LinguisticVariable::new("x", -1.0, 1.0)
+            .with_term("t", input_mf)
+            .with_term("left", Mf::left_shoulder(-0.5, 0.0));
+        let y = LinguisticVariable::new("y", -1.0, 1.0)
+            .with_term("u", output_mf)
+            .with_term("v", Mf::triangular(-1.0, -0.5, 0.0));
+        FisBuilder::new("malformed")
+            .input(x)
+            .output(y)
+            .rule_str("IF x IS t THEN y IS u")
+            .unwrap()
+            .rule_str("IF x IS left THEN y IS v")
+            .unwrap()
+            .and(and)
+            .implication(ops.0)
+            .aggregation(ops.1)
+            .resolution(101)
+            .no_fire(NoFirePolicy::UniverseMidpoint)
+            .build()
+            .unwrap()
+    };
+    let well_formed = Mf::triangular(-0.5, 0.0, 0.5);
+    let mfs =
+        [(well_formed, nan_at_zero), (nan_at_zero, well_formed), (nan_at_zero, nan_at_zero)];
+    // The product t-norm carries a NaN membership into the firing strength
+    // (the minimum drops it); product implication with probabilistic-sum
+    // aggregation carries a NaN sample into the output curve.
+    for and in [TNorm::Min, TNorm::Product] {
+        for implication in [Implication::Min, Implication::Product] {
+            for aggregation in
+                [Aggregation::Max, Aggregation::BoundedSum, Aggregation::ProbabilisticSum]
+            {
+                for (input_mf, output_mf) in mfs {
+                    let fis = build(input_mf, output_mf, and, (implication, aggregation));
+                    let plan = fis.compile();
+                    let mut scratch = EvalScratch::new();
+                    for x in [-1.0, -0.6, -0.25, 0.0, 0.2, 1.0] {
+                        assert_eq!(
+                            outcome_bits(fis.evaluate(&[x]).map(|o| o[0])),
+                            outcome_bits(plan.evaluate_one(&[x], &mut scratch)),
+                            "{and:?}/{implication:?}/{aggregation:?} with {input_mf:?} -> \
+                             {output_mf:?} drifted at {x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -114,6 +114,20 @@ fn decision_plane_allocation_budget() {
     });
     assert_eq!(batch_allocs, 0, "evaluate_batch must not allocate");
 
+    // --- A scratch from `CompiledFis::scratch` is sized up front, so even
+    // its first evaluation allocates nothing: every buffer (memberships,
+    // live-rule bitset, firing strengths, per-row merged strengths, output
+    // curve) is grown in one place. One fresh scratch per measured run.
+    let mut fresh: Vec<EvalScratch> = (0..3).map(|_| plan.scratch()).collect();
+    let first_call_allocs = min_allocations_of(0, || {
+        let mut presized = fresh.pop().expect("one fresh scratch per run");
+        plan.evaluate(&INPUTS[2], &mut presized, &mut out).unwrap();
+    });
+    assert_eq!(
+        first_call_allocs, 0,
+        "the first evaluation on a CompiledFis::scratch() must not allocate"
+    );
+
     // --- The LUT plane: allocation-free by construction.
     let lut = paper_flc_lut();
     let lut_allocs = min_allocations_of(0, || {
