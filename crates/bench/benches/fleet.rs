@@ -1,7 +1,7 @@
 //! Fleet-engine throughput: chunked multi-UE stepping, worker scaling,
 //! the scenario-matrix acceptance run (10k UEs × the four standard
 //! mobility models, per-cell load histograms in the output tables),
-//! the memory-bounded streaming/precision/edge-set paths, the
+//! the memory-bounded streaming and edge-set paths, the
 //! checkpoint freeze/resume cycle, and the dynamic-workload plane
 //! (churn + tide + failures + service classes) against its static
 //! baseline.
@@ -9,7 +9,7 @@
 use cellgeom::Axial;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use handover_sim::fleet::{
-    CandidateMode, FleetMobility, FleetPrecision, FleetSimulation, HomogeneousFleet, PolicyKind,
+    CandidateMode, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
 use handover_sim::matrix::ScenarioMatrix;
 use handover_sim::{
@@ -42,8 +42,9 @@ fn bench_fleet_sizes(c: &mut Criterion) {
     g.sample_size(10);
     for n_ues in [100u64, 1_000] {
         let fleet = FleetSimulation::new(fleet_config());
-        g.bench_with_input(BenchmarkId::new("ues", n_ues), &n_ues, |b, &n| {
-            b.iter(|| black_box(fleet.run(&spec, n, 7)))
+        let ids: Vec<u64> = (0..n_ues).collect();
+        g.bench_with_input(BenchmarkId::new("ues", n_ues), &ids, |b, ids| {
+            b.iter(|| black_box(fleet.try_run_ids(&spec, ids, 7).expect("fleet run")))
         });
     }
     g.finish();
@@ -52,12 +53,13 @@ fn bench_fleet_sizes(c: &mut Criterion) {
 fn bench_worker_scaling(c: &mut Criterion) {
     let spec = walk_spec();
     const UES: u64 = 2_000;
+    let ids: Vec<u64> = (0..UES).collect();
     let mut g = c.benchmark_group("fleet/worker_scaling_2k_ues");
     g.sample_size(10);
     for workers in [1usize, 2, 4, 8] {
         let fleet = FleetSimulation::new(fleet_config()).with_workers(workers);
         g.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
-            b.iter(|| black_box(fleet.run(&spec, UES, 7)))
+            b.iter(|| black_box(fleet.try_run_ids(&spec, &ids, 7).expect("fleet run")))
         });
     }
     g.finish();
@@ -112,19 +114,22 @@ fn bench_scenario_matrix_10k(c: &mut Criterion) {
 }
 
 /// The 10×-scale lanes on the same 2k-UE walk: dense baseline, the
-/// streaming aggregator (no per-UE outcome vector), the f32 compact
-/// storage lanes, and the edge-set refinement of `Nearest(k)`. The
+/// streaming aggregator (no per-UE outcome vector), and the edge-set
+/// refinement of `Nearest(k)`. The
 /// streamed/edge acceptance assertions run once against the dense
 /// baseline.
 fn bench_scaled_paths(c: &mut Criterion) {
     const UES: u64 = 2_000;
     let spec = walk_spec();
+    let ids: Vec<u64> = (0..UES).collect();
     let mut g = c.benchmark_group("fleet/scaled_paths_2k_ues");
     g.sample_size(10);
 
     let dense = FleetSimulation::new(fleet_config()).with_workers(4);
-    let baseline = dense.run(&spec, UES, 7);
-    g.bench_function("dense", |b| b.iter(|| black_box(dense.run(&spec, UES, 7))));
+    let baseline = dense.try_run_ids(&spec, &ids, 7).expect("dense run");
+    g.bench_function("dense", |b| {
+        b.iter(|| black_box(dense.try_run_ids(&spec, &ids, 7).expect("dense run")))
+    });
 
     let streamed = dense.clone();
     let stream_summary = streamed.run_streamed(&spec, UES, 7).expect("streamed run");
@@ -133,21 +138,19 @@ fn bench_scaled_paths(c: &mut Criterion) {
         b.iter(|| black_box(streamed.run_streamed(&spec, UES, 7).expect("streamed run")))
     });
 
-    let compact = FleetSimulation::new(fleet_config())
-        .with_workers(4)
-        .with_precision(FleetPrecision::Compact);
-    g.bench_function("compact_f32", |b| b.iter(|| black_box(compact.run(&spec, UES, 7))));
-
     let edge = FleetSimulation::new(fleet_config())
         .with_workers(4)
         .with_candidate_mode(CandidateMode::EdgeSet { k: 7, margin_db: 6.0 });
-    assert_eq!(edge.run(&spec, UES, 7).summary.steps, baseline.summary.steps);
-    g.bench_function("edge_set_k7_m6", |b| b.iter(|| black_box(edge.run(&spec, UES, 7))));
+    let edge_run = edge.try_run_ids(&spec, &ids, 7).expect("edge-set run");
+    assert_eq!(edge_run.summary.steps, baseline.summary.steps);
+    g.bench_function("edge_set_k7_m6", |b| {
+        b.iter(|| black_box(edge.try_run_ids(&spec, &ids, 7).expect("edge-set run")))
+    });
 
     g.finish();
 }
 
-/// Checkpoint cost: freezing a 2k-UE fleet mid-run (`run_partial`),
+/// Checkpoint cost: freezing a 2k-UE fleet mid-run (`advance`),
 /// serializing the snapshot, and resuming it to completion. The
 /// bit-identity acceptance assertion runs once.
 fn bench_checkpoint_cycle(c: &mut Criterion) {
@@ -157,23 +160,31 @@ fn bench_checkpoint_cycle(c: &mut Criterion) {
     let fleet = FleetSimulation::new(fleet_config()).with_workers(4);
     let ids: Vec<u64> = (0..UES).collect();
 
-    let cp = fleet.run_partial(&spec, &ids, 7, SNAP_STEP).expect("partial run");
+    let cp = fleet
+        .advance(&spec, None, &ids, 7, SNAP_STEP)
+        .expect("partial run");
     assert_eq!(
-        fleet.resume(&spec, &cp).expect("resume"),
-        fleet.run_ids(&spec, &ids, 7),
+        fleet.try_resume(&spec, &cp).expect("resume"),
+        fleet.try_run_ids(&spec, &ids, 7).expect("fleet run"),
         "resume ≡ uninterrupted"
     );
 
     let mut g = c.benchmark_group("fleet/checkpoint_2k_ues");
     g.sample_size(10);
     g.bench_function("freeze", |b| {
-        b.iter(|| black_box(fleet.run_partial(&spec, &ids, 7, SNAP_STEP).expect("partial run")))
+        b.iter(|| {
+            black_box(
+                fleet
+                    .advance(&spec, None, &ids, 7, SNAP_STEP)
+                    .expect("partial run"),
+            )
+        })
     });
     g.bench_function("serialize", |b| {
         b.iter(|| black_box(serde_json::to_string(&cp).expect("serialize")))
     });
     g.bench_function("resume", |b| {
-        b.iter(|| black_box(fleet.resume(&spec, &cp).expect("resume")))
+        b.iter(|| black_box(fleet.try_resume(&spec, &cp).expect("resume")))
     });
     g.finish();
 }
@@ -182,7 +193,7 @@ fn bench_checkpoint_cycle(c: &mut Criterion) {
 /// with no faults attached — once at the default checkpoint cadence
 /// (seal + write-verify every 16 steps) and once with the cadence
 /// pushed past the run horizon (no snapshot ever taken), against the
-/// plain `run_ids` baseline. The bit-identity acceptance assertion runs
+/// plain `try_run_ids` baseline. The bit-identity acceptance assertion runs
 /// once.
 fn bench_supervised_overhead(c: &mut Criterion) {
     use handover_sim::resilience::RetryPolicy;
@@ -191,7 +202,7 @@ fn bench_supervised_overhead(c: &mut Criterion) {
     let fleet = FleetSimulation::new(fleet_config()).with_workers(4);
     let ids: Vec<u64> = (0..UES).collect();
 
-    let clean = fleet.run_ids(&spec, &ids, 7);
+    let clean = fleet.try_run_ids(&spec, &ids, 7).expect("fleet run");
     let cadence_on = RetryPolicy { checkpoint_cadence: 4, ..RetryPolicy::default() };
     let cadence_off = RetryPolicy { checkpoint_cadence: 1_000_000, ..RetryPolicy::default() };
     let supervised = fleet.run_supervised(&spec, &ids, 7, &cadence_on).expect("supervised");
@@ -201,7 +212,7 @@ fn bench_supervised_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet/supervised_2k_ues");
     g.sample_size(10);
     g.bench_function("unsupervised", |b| {
-        b.iter(|| black_box(fleet.run_ids(&spec, &ids, 7)))
+        b.iter(|| black_box(fleet.try_run_ids(&spec, &ids, 7).expect("fleet run")))
     });
     g.bench_function("supervised_cadence4", |b| {
         b.iter(|| black_box(fleet.run_supervised(&spec, &ids, 7, &cadence_on).expect("ok")))
@@ -250,34 +261,39 @@ fn bench_dynamic_fleet(c: &mut Criterion) {
         }),
     };
 
+    let ids: Vec<u64> = (0..UES).collect();
     let mut g = c.benchmark_group("fleet/dynamic_2k_ues");
     g.sample_size(10);
 
     let baseline = FleetSimulation::new(fleet_config()).with_workers(4).with_traffic(traffic);
     g.bench_function("static_traffic", |b| {
-        b.iter(|| black_box(baseline.run(&spec, UES, 7)))
+        b.iter(|| black_box(baseline.try_run_ids(&spec, &ids, 7).expect("fleet run")))
     });
 
     let engine_side = DynamicsConfig { tide: None, services: None, ..dynamics.clone() };
     let churned = FleetSimulation::new(fleet_config())
         .with_workers(4)
         .with_dynamics(engine_side);
-    let result = churned.run(&spec, UES, 7);
+    let result = churned.try_run_ids(&spec, &ids, 7).expect("fleet run");
     let report = result.dynamics.as_ref().expect("dynamic report attached");
     assert!(report.departures > 0, "churn must retire UEs");
     assert_eq!(result.cell_load.total(), result.summary.steps, "histogram conserved");
-    g.bench_function("churn_failures", |b| b.iter(|| black_box(churned.run(&spec, UES, 7))));
+    g.bench_function("churn_failures", |b| {
+        b.iter(|| black_box(churned.try_run_ids(&spec, &ids, 7).expect("fleet run")))
+    });
 
     let city = FleetSimulation::new(fleet_config())
         .with_workers(4)
         .with_traffic(traffic)
         .with_dynamics(dynamics);
-    let result = city.run(&spec, UES, 7);
+    let result = city.try_run_ids(&spec, &ids, 7).expect("fleet run");
     assert!(
         result.dynamics.as_ref().and_then(|d| d.traffic.as_ref()).is_some(),
         "full city workload carries the dropped-Erlang breakdown"
     );
-    g.bench_function("full_city", |b| b.iter(|| black_box(city.run(&spec, UES, 7))));
+    g.bench_function("full_city", |b| {
+        b.iter(|| black_box(city.try_run_ids(&spec, &ids, 7).expect("fleet run")))
+    });
 
     g.finish();
 }

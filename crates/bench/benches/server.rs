@@ -35,8 +35,7 @@ fn bench_session_vs_batch(c: &mut Criterion) {
     let engine = FleetSimulation::new(config.sim.clone())
         .with_workers(4)
         .with_chunk_size(config.chunk_size)
-        .with_candidate_mode(config.candidate_mode)
-        .with_precision(config.precision);
+        .with_candidate_mode(config.candidate_mode);
     let spec = HomogeneousFleet {
         mobility: config.mobility,
         policy: config.policy,
@@ -45,7 +44,9 @@ fn bench_session_vs_batch(c: &mut Criterion) {
     };
     let ids: Vec<u64> = (0..UES).collect();
 
-    let batch = engine.run_ids(&spec, &ids, config.base_seed);
+    let batch = engine
+        .try_run_ids(&spec, &ids, config.base_seed)
+        .expect("fleet run");
     let mut session = Session::spawn(config.clone(), 4).expect("valid config");
     let incremental = session.run_to_completion().expect("session completes");
     assert_eq!(incremental, &batch, "the service must not change the bytes");
@@ -53,7 +54,13 @@ fn bench_session_vs_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("server");
     g.sample_size(10);
     g.bench_function("batch_500_ues", |b| {
-        b.iter(|| black_box(engine.run_ids(&spec, &ids, config.base_seed)))
+        b.iter(|| {
+            black_box(
+                engine
+                    .try_run_ids(&spec, &ids, config.base_seed)
+                    .expect("fleet run"),
+            )
+        })
     });
     g.bench_function("session_segments_500_ues", |b| {
         b.iter(|| {

@@ -101,18 +101,21 @@ fn bench_erlang_replay_10k(c: &mut Criterion) {
 /// load-feedback mode driving a load-aware policy.
 fn bench_fleet_overhead(c: &mut Criterion) {
     const UES: u64 = 2_000;
+    let ids: Vec<u64> = (0..UES).collect();
     let mut g = c.benchmark_group("traffic/fleet_2k_overhead");
     g.sample_size(10);
 
     let bare = FleetSimulation::new(fleet_config()).with_workers(4);
     let spec = walk_spec(PolicyKind::Fuzzy);
-    g.bench_function("bare", |b| b.iter(|| black_box(bare.run(&spec, UES, 7))));
+    g.bench_function("bare", |b| {
+        b.iter(|| black_box(bare.try_run_ids(&spec, &ids, 7).expect("fleet run")))
+    });
 
     let passive = FleetSimulation::new(fleet_config())
         .with_workers(4)
         .with_traffic(demo_traffic());
     g.bench_function("passive_traffic", |b| {
-        b.iter(|| black_box(passive.run(&spec, UES, 7)))
+        b.iter(|| black_box(passive.try_run_ids(&spec, &ids, 7).expect("fleet run")))
     });
 
     let feedback = FleetSimulation::new(fleet_config())
@@ -120,7 +123,7 @@ fn bench_fleet_overhead(c: &mut Criterion) {
         .with_traffic(demo_traffic().with_load_feedback());
     let aware = walk_spec(PolicyKind::LoadHysteresis { margin_db: 4.0, load_bias_db: 8.0 });
     g.bench_function("load_feedback", |b| {
-        b.iter(|| black_box(feedback.run(&aware, UES, 7)))
+        b.iter(|| black_box(feedback.try_run_ids(&aware, &ids, 7).expect("fleet run")))
     });
 
     g.finish();

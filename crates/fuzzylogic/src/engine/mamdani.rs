@@ -208,7 +208,7 @@ impl Fis {
     ///
     /// The plain path runs through a thread-local scratch buffer, so after
     /// the first call on a thread the only per-call heap allocation is the
-    /// returned output vector; use [`CompiledFis`](crate::CompiledFis) for
+    /// returned output vector; use [`CompiledFis`] for
     /// a strictly allocation-free hot path. Results are bit-identical to
     /// [`Fis::evaluate_with_trace`].
     pub fn evaluate(&self, crisp: &[f64]) -> Result<Vec<f64>> {

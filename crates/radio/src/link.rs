@@ -248,25 +248,20 @@ impl CompiledBsRadio {
         self.budget_from_horizontal(bs_pos.distance(ms_pos), &|d| self.loss.loss_db(d))
     }
 
-    /// The block-loop driver behind both batched entry points: per-BS
+    /// The block-loop driver behind the batched entry point: per-BS
     /// constants live in locals (registers), the interior is branch-free
     /// (the path-loss `match` is dispatched once per batch, not per
     /// sample), positions stream through [`BUDGET_BLOCK`]-wide blocks
     /// with a vectorizable geometry pass, and the remainder drains
     /// through a scalar tail loop.
     #[inline(always)]
-    fn fill_batch_with<T, L, C>(
+    fn fill_batch_with<L: Fn(f64) -> f64>(
         &self,
         bs_pos: Vec2,
         ms_positions: &[Vec2],
-        out: &mut [T],
+        out: &mut [f64],
         loss_db: L,
-        convert: C,
-    ) where
-        T: Copy,
-        L: Fn(f64) -> f64,
-        C: Fn(f64) -> T,
-    {
+    ) {
         let mut horiz = [0.0f64; BUDGET_BLOCK];
         let mut pos_blocks = ms_positions.chunks_exact(BUDGET_BLOCK);
         let mut out_blocks = out.chunks_exact_mut(BUDGET_BLOCK);
@@ -277,38 +272,12 @@ impl CompiledBsRadio {
             }
             // Budget pass: the transcendental tail of the expression.
             for (slot, &h) in slots.iter_mut().zip(horiz.iter()) {
-                *slot = convert(self.budget_from_horizontal(h, &loss_db));
+                *slot = self.budget_from_horizontal(h, &loss_db);
             }
         }
         // Tail loop for the remainder.
         for (slot, &ms) in out_blocks.into_remainder().iter_mut().zip(pos_blocks.remainder()) {
-            *slot = convert(self.budget_from_horizontal(bs_pos.distance(ms), &loss_db));
-        }
-    }
-
-    /// Dispatch the path-loss variant once and run the block driver with
-    /// a monomorphized (hence branch-free-interior) loss closure. Each
-    /// closure calls [`CompiledPathLoss::loss_db`] on the known variant,
-    /// so there is exactly one source of truth for the loss expression.
-    #[inline(always)]
-    fn dispatch_batch<T, C>(&self, bs_pos: Vec2, ms_positions: &[Vec2], out: &mut [T], convert: C)
-    where
-        T: Copy,
-        C: Fn(f64) -> T + Copy,
-    {
-        match self.loss {
-            loss @ CompiledPathLoss::Reference { .. } => {
-                self.fill_batch_with(bs_pos, ms_positions, out, move |d| loss.loss_db(d), convert)
-            }
-            loss @ CompiledPathLoss::FreeSpace { .. } => {
-                self.fill_batch_with(bs_pos, ms_positions, out, move |d| loss.loss_db(d), convert)
-            }
-            loss @ CompiledPathLoss::TwoRay { .. } => {
-                self.fill_batch_with(bs_pos, ms_positions, out, move |d| loss.loss_db(d), convert)
-            }
-            loss @ CompiledPathLoss::Hata { .. } => {
-                self.fill_batch_with(bs_pos, ms_positions, out, move |d| loss.loss_db(d), convert)
-            }
+            *slot = self.budget_from_horizontal(bs_pos.distance(ms), &loss_db);
         }
     }
 
@@ -317,6 +286,11 @@ impl CompiledBsRadio {
     /// and bit-identical to the scalar call per position (same
     /// per-sample expression; the block structure only reorders
     /// independent elements' evaluation, never an element's own math).
+    ///
+    /// The path-loss variant is dispatched once and the block driver runs
+    /// with a monomorphized (hence branch-free-interior) loss closure.
+    /// Each closure calls the compiled path loss on the known variant, so
+    /// there is exactly one source of truth for the loss expression.
     pub fn received_power_dbm_batch(
         &self,
         bs_pos: Vec2,
@@ -328,28 +302,20 @@ impl CompiledBsRadio {
             out.len(),
             "output buffer length must match the position count"
         );
-        self.dispatch_batch(bs_pos, ms_positions, out, |v| v);
-    }
-
-    /// Compact-precision batch: compute each sample in full `f64` (the
-    /// exact expression of [`CompiledBsRadio::received_power_dbm`]) and
-    /// store it rounded to `f32`. This is the fleet engine's
-    /// `FleetPrecision::Compact` storage lane — it halves the RSS-matrix
-    /// footprint at the cost of ~7 decimal digits, so it is *not*
-    /// bit-identical to the `f64` path and stays behind an explicit
-    /// opt-in.
-    pub fn received_power_dbm_batch_f32(
-        &self,
-        bs_pos: Vec2,
-        ms_positions: &[Vec2],
-        out: &mut [f32],
-    ) {
-        assert_eq!(
-            ms_positions.len(),
-            out.len(),
-            "output buffer length must match the position count"
-        );
-        self.dispatch_batch(bs_pos, ms_positions, out, |v| v as f32);
+        match self.loss {
+            loss @ CompiledPathLoss::Reference { .. } => {
+                self.fill_batch_with(bs_pos, ms_positions, out, move |d| loss.loss_db(d))
+            }
+            loss @ CompiledPathLoss::FreeSpace { .. } => {
+                self.fill_batch_with(bs_pos, ms_positions, out, move |d| loss.loss_db(d))
+            }
+            loss @ CompiledPathLoss::TwoRay { .. } => {
+                self.fill_batch_with(bs_pos, ms_positions, out, move |d| loss.loss_db(d))
+            }
+            loss @ CompiledPathLoss::Hata { .. } => {
+                self.fill_batch_with(bs_pos, ms_positions, out, move |d| loss.loss_db(d))
+            }
+        }
     }
 }
 
@@ -508,30 +474,6 @@ mod tests {
         for (r, f) in reference.iter().zip(&fast) {
             assert_eq!(r.to_bits(), f.to_bits());
         }
-    }
-
-    #[test]
-    fn compiled_f32_batch_is_rounded_f64() {
-        let bs = BsRadio::paper_default();
-        let compiled = bs.compiled();
-        let bs_pos = Vec2::new(0.4, 0.9);
-        let positions: Vec<Vec2> = (0..53)
-            .map(|k| Vec2::from_polar(0.07 + 0.13 * k as f64, 0.29 * k as f64))
-            .collect();
-        let mut compact = vec![0.0f32; positions.len()];
-        compiled.received_power_dbm_batch_f32(bs_pos, &positions, &mut compact);
-        for (p, &c) in positions.iter().zip(&compact) {
-            let full = compiled.received_power_dbm(bs_pos, *p);
-            assert_eq!(c.to_bits(), (full as f32).to_bits(), "at {p:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer length")]
-    fn compiled_f32_batch_length_mismatch_rejected() {
-        let compiled = BsRadio::paper_default().compiled();
-        let mut out = [0.0f32; 2];
-        compiled.received_power_dbm_batch_f32(Vec2::ZERO, &[Vec2::ZERO], &mut out);
     }
 
     #[test]

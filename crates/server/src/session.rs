@@ -10,7 +10,7 @@
 //! [`FleetCheckpoint`], so a session driven by *any* interleaving of
 //! [`Session::advance_to`] / [`Session::sealed`] / [`Session::hydrate`]
 //! calls produces results **bit-identical** to the equivalent batch
-//! [`FleetSimulation::run_ids`] — every `f64` included (pinned by
+//! [`FleetSimulation::try_run_ids`] — every `f64` included (pinned by
 //! `tests/server_session.rs`).
 //!
 //! Policy hot-swaps keep that contract: a swap takes effect exactly at
@@ -19,14 +19,14 @@
 //! policy is rebuilt from the *new* spec and fed the old policy's
 //! checkpoint (implementations ignore foreign variants), so replaying
 //! the log from scratch — or the equivalent manual
-//! `run_partial(old spec, swap_step)` → `resume(new spec)` chain — is
+//! `advance(old spec, swap_step)` → `try_resume(new spec)` chain — is
 //! bit-identical.
 
 use handover_core::twin::{CellLoadReport, SessionStatus, UePhase, UeTwinReport};
 use handover_sim::checkpoint::{seal_payload, unseal_payload, CheckpointError};
 use handover_sim::fleet::{
-    CandidateMode, FleetError, FleetMobility, FleetPrecision, FleetResult, FleetSimulation,
-    HomogeneousFleet, PolicyKind,
+    CandidateMode, FleetError, FleetMobility, FleetResult, FleetSimulation, HomogeneousFleet,
+    PolicyKind,
 };
 use handover_sim::resilience::{ConfigError, RetryPolicy, Supervisor, SupervisorReport};
 use handover_sim::{DynamicsConfig, FleetCheckpoint, SimConfig, TrafficConfig};
@@ -35,8 +35,10 @@ use std::fmt;
 
 /// Version tag of the sealed session snapshot payload (independent of
 /// the sealed *container* version and the inner fleet checkpoint
-/// version, which guard their own layers).
-pub const SESSION_SNAPSHOT_VERSION: u32 = 1;
+/// version, which guard their own layers). Version 2 dropped the
+/// config's `precision` field; the deserializer ignores unknown fields,
+/// so without the bump a version-1 snapshot would hydrate silently.
+pub const SESSION_SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a session operation failed. The wire layer flattens these into
 /// [`ServerError`](crate::server::ServerError) messages; in-process
@@ -120,8 +122,6 @@ pub struct SessionConfig {
     pub cell_radius_km: f64,
     /// Candidate measurement mode.
     pub candidate_mode: CandidateMode,
-    /// Mean-RSS storage precision.
-    pub precision: FleetPrecision,
     /// Per-worker chunk size.
     pub chunk_size: usize,
     /// Supervision parameters (checkpoint cadence, retries, backoff).
@@ -149,7 +149,6 @@ impl SessionConfig {
             trajectory_seed: base_seed ^ 0x5EED,
             cell_radius_km: 1.0,
             candidate_mode: CandidateMode::All,
-            precision: FleetPrecision::Full,
             chunk_size: 256,
             retry: RetryPolicy::default(),
         }
@@ -197,8 +196,7 @@ impl SessionConfig {
         let mut engine = FleetSimulation::new(self.sim.clone())
             .with_workers(workers)
             .with_chunk_size(self.chunk_size)
-            .with_candidate_mode(self.candidate_mode)
-            .with_precision(self.precision);
+            .with_candidate_mode(self.candidate_mode);
         if let Some(traffic) = self.traffic {
             engine = engine.with_traffic(traffic);
         }
@@ -400,7 +398,7 @@ impl Session {
     /// Hot-swap the handover policy at the session's current step — a
     /// segment boundary by construction. The swap is recorded in the
     /// session log; replaying the log (or the equivalent manual
-    /// `run_partial`/`resume` chain) is bit-identical. Rejected once
+    /// `advance`/`try_resume` chain) is bit-identical. Rejected once
     /// the session is complete.
     pub fn swap_policy(&mut self, policy: PolicyKind) -> Result<PolicySwap, SessionError> {
         if self.result.is_some() {

@@ -12,9 +12,9 @@
 //!
 //! The contract, pinned by `tests/fleet_props.rs` and the
 //! `tests/golden_fleet/` golden: for any step bound `k`,
-//! [`FleetSimulation::run_partial`](crate::fleet::FleetSimulation::run_partial)
+//! [`FleetSimulation::advance`](crate::fleet::FleetSimulation::advance)
 //! to step `k` followed by
-//! [`FleetSimulation::resume`](crate::fleet::FleetSimulation::resume)
+//! [`FleetSimulation::try_resume`](crate::fleet::FleetSimulation::try_resume)
 //! produces the same [`FleetResult`](crate::fleet::FleetResult) — every
 //! `f64` bit included — as the uninterrupted run, for any worker count
 //! and chunk size on either side of the snapshot.
@@ -314,9 +314,9 @@ pub struct UeCheckpoint {
 
 /// A frozen mid-run fleet pass; see the module docs for the resume
 /// contract. Produced by
-/// [`FleetSimulation::run_partial`](crate::fleet::FleetSimulation::run_partial),
-/// consumed by
-/// [`FleetSimulation::resume`](crate::fleet::FleetSimulation::resume).
+/// [`FleetSimulation::advance`](crate::fleet::FleetSimulation::advance),
+/// consumed by `advance` (to a later bound) and
+/// [`FleetSimulation::try_resume`](crate::fleet::FleetSimulation::try_resume).
 /// Serializes with serde; both halves are sorted by UE id, so the bytes
 /// are invariant to the worker count and chunk size that produced them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -355,7 +355,8 @@ impl UeState {
     /// Advance one measurement step. `means_dbm[k]` is the mean (pre-fade,
     /// pre-noise) received power from the layout's `k`-th BS at
     /// `point.pos` — computed by the caller, scalar for single runs and
-    /// batched per (BS, UE-chunk) for fleets.
+    /// batched per (BS, UE-chunk) for fleets. `normals` is the caller's
+    /// gaussian scratch (see [`UeState::begin_step`]).
     pub(crate) fn step(
         &mut self,
         cfg: &SimConfig,
@@ -363,71 +364,36 @@ impl UeState {
         means_dbm: &[f64],
         point: TracePoint,
         policy: &mut dyn HandoverPolicy,
+        normals: &mut Vec<f64>,
     ) -> StepOutcome {
-        let report = self.begin_step(cfg, candidates, means_dbm, point);
+        let report = self.begin_step(cfg, candidates, means_dbm, point, normals);
         let decision = policy.decide(&report);
         self.finish_step(cfg, &report, decision, point, policy)
     }
 
-    /// The measurement half of a step: advance the shadowing processes and
-    /// the RNG, measure every BS, pick the strongest neighbour and build
-    /// the report. The fleet engine calls this for a whole chunk before
-    /// deciding, so the FLC stage can run batched between the halves;
-    /// [`UeState::step`] composes the same halves for the scalar path, so
-    /// the two orderings draw identical per-UE random streams.
-    pub(crate) fn begin_step(
-        &mut self,
-        cfg: &SimConfig,
-        candidates: &CandidateTable,
-        means_dbm: &[f64],
-        point: TracePoint,
-    ) -> MeasurementReport {
-        let cells = cfg.layout.cells();
-        debug_assert_eq!(means_dbm.len(), cells.len());
-        let delta = point.cum_km - self.prev_cum;
-        self.prev_cum = point.cum_km;
-        // Compiled measurement plane: one batched shadowing update (same
-        // draws, slot order) and one batched noise pass. Measuring all
-        // cells keeps every filter's sample stream contiguous across
-        // handovers.
-        self.shadow.advance_all(delta, &mut self.rng);
-        self.measured.clear();
-        self.measured
-            .extend(means_dbm.iter().zip(self.shadow.values()).map(|(&m, &s)| m + s));
-        cfg.noise.apply_slice(&mut self.measured, &mut self.rng);
-        if !self.passthrough_smoothing {
-            for (value, smoother) in self.measured.iter_mut().zip(&mut self.smoothers) {
-                *value = smoother.push(*value);
-            }
-        }
-        self.report_from_measured(cfg, candidates, point)
-    }
-
-    /// The fused measurement half: bit-identical to
-    /// [`UeState::begin_step`], but the whole step's gaussian budget —
-    /// one shadowing innovation per cell (σ_shadow > 0) plus one noise
-    /// draw per cell (σ_noise > 0) — is bulk-generated in a *single*
-    /// [`standard_normal_fill`] pass into the caller's scratch buffer,
-    /// and shadowing update, mean+shadow+noise combine and (optional)
-    /// smoothing then run as branch-free slice passes. The fleet engine's
-    /// dense path calls this with its per-chunk arena scratch.
+    /// The measurement half of a step: advance the shadowing processes
+    /// and the RNG, measure every BS, pick the strongest neighbour and
+    /// build the report. The fleet engine calls this for a whole chunk
+    /// before deciding, so the FLC stage can run batched between the
+    /// halves; [`UeState::step`] composes the same halves for single
+    /// runs, so both draw identical per-UE random streams.
     ///
-    /// ## Bit-identity and the buffer-sizing rule
+    /// The whole step's gaussian budget — one shadowing innovation per
+    /// cell (σ_shadow > 0), then one noise draw per cell (σ_noise > 0) —
+    /// is bulk-generated in a *single* [`standard_normal_fill`] pass into
+    /// the caller's `normals` scratch; the shadowing update, the
+    /// `(mean + shadow) + σ·noise` combine and the optional smoothing
+    /// then run as slice passes. Each gaussian consumes exactly two
+    /// `u64`s, so the bulk fill draws the same stream, in the same order,
+    /// as advancing the shadowing lane and then applying the noise one
+    /// stage at a time.
     ///
-    /// `begin_step` draws n shadowing innovations (via
-    /// `ShadowingLane::advance_all`) and then n noise gaussians (via
-    /// `MeasurementNoise::apply_slice`), each gaussian consuming exactly
-    /// two `u64`s — so one bulk fill of `shadow_draws + noise_draws`
-    /// gaussians consumes the identical RNG stream in the identical
-    /// order, and each output value evaluates the identical expression
-    /// (`(mean + shadow) + σ·noise` is precisely `apply_slice`'s add-back
-    /// on `begin_step`'s sum). The scratch is resized to exactly that
-    /// draw count, which depends only on the `SimConfig` sigmas — never
-    /// on step number, UE, or chunk — so checkpoint/resume boundaries
-    /// cannot change how many draws any UE makes. The buffer holds only
-    /// within-step scratch; nothing in it survives the call, so it is
+    /// The scratch is resized to exactly the draw count, which depends
+    /// only on the `SimConfig` sigmas — never on step number, UE, or
+    /// chunk — so checkpoint/resume boundaries cannot change how many
+    /// draws any UE makes. Nothing in it survives the call, so it is
     /// (correctly) absent from [`UeState::snapshot`].
-    pub(crate) fn begin_step_fused(
+    pub(crate) fn begin_step(
         &mut self,
         cfg: &SimConfig,
         candidates: &CandidateTable,
@@ -466,7 +432,8 @@ impl UeState {
                 *value = smoother.push(*value);
             }
         }
-        self.report_from_measured(cfg, candidates, point)
+        self.report(cfg, candidates, point, None)
+            .expect("layouts have at least two cells")
     }
 
     /// The neighbour-pruned measurement half: like
@@ -536,75 +503,44 @@ impl UeState {
                 }
             }
         }
-        self.report_from_measured(cfg, candidates, point)
+        self.report(cfg, candidates, point, None)
+            .expect("layouts have at least two cells")
     }
 
-    /// Build the step's report from the `measured` buffer: serving
-    /// reading, strongest (speed-penalised) neighbour, distances.
-    fn report_from_measured(
+    /// Build the step's report from the `measured` buffer: the serving
+    /// reading (no speed penalty: the paper applies the 2 dB/10 km/h rule
+    /// to the neighbour reading), the strongest speed-penalised candidate
+    /// of the serving cell, and both distances. Must be called after
+    /// [`UeState::begin_step`] / [`UeState::begin_step_pruned`] populated
+    /// `measured` for this step; both always measure the whole candidate
+    /// table.
+    ///
+    /// `down` is the fleet engine's BS-failure mask: a masked candidate
+    /// is never picked, while the serving reading is reported as-is,
+    /// down or not (a failed BS radiates nothing the UE can decide on,
+    /// but the report shape stays intact). `None` only when `down` masks
+    /// every candidate — no handover target exists this step, and the
+    /// caller forces a Stay.
+    pub(crate) fn report(
         &self,
         cfg: &SimConfig,
         candidates: &CandidateTable,
         point: TracePoint,
-    ) -> MeasurementReport {
-        let cells = cfg.layout.cells();
-        // Serving measurement (no speed penalty: the paper applies the
-        // 2 dB/10 km/h rule to the neighbour reading).
-        let serving = cells[self.serving_idx];
-        let serving_rss = self.measured[self.serving_idx];
-
-        // Strongest neighbour among the precomputed candidates.
-        let penalty = speed_penalty_db(cfg.speed_kmh);
-        let (neighbor_idx, neighbor_rss) = candidates
-            .of(self.serving_idx)
-            .iter()
-            .map(|&k| (k, self.measured[k] - penalty))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("RSS is finite"))
-            .expect("layouts have at least two cells");
-        let neighbor = cells[neighbor_idx];
-
-        MeasurementReport {
-            serving,
-            serving_rss_dbm: serving_rss,
-            neighbor,
-            neighbor_rss_dbm: neighbor_rss,
-            distance_to_serving_km: cfg.layout.distance_to_bs(serving, point.pos),
-            distance_to_neighbor_km: cfg.layout.distance_to_bs(neighbor, point.pos),
-        }
-    }
-
-    /// Rebuild the current step's report with the neighbour restricted
-    /// to *live* cells: the strongest measured, speed-penalised
-    /// candidate with `!down[k]` (the serving reading is reported
-    /// as-is, down or not — a failed BS radiates nothing the UE can
-    /// decide on, but the report shape stays intact). `None` when every
-    /// measured candidate of the serving cell is down, in which case
-    /// the caller forces a Stay: no handover target exists this step.
-    /// Must be called after [`UeState::begin_step`] /
-    /// [`UeState::begin_step_pruned`] populated `measured` for this
-    /// step. Used only by the fleet engine's BS-failure plane — the
-    /// static path never reaches it.
-    pub(crate) fn report_excluding(
-        &self,
-        cfg: &SimConfig,
-        candidates: &CandidateTable,
-        point: TracePoint,
-        down: &[bool],
+        down: Option<&[bool]>,
     ) -> Option<MeasurementReport> {
         let cells = cfg.layout.cells();
         let serving = cells[self.serving_idx];
-        let serving_rss = self.measured[self.serving_idx];
         let penalty = speed_penalty_db(cfg.speed_kmh);
         let (neighbor_idx, neighbor_rss) = candidates
             .of(self.serving_idx)
             .iter()
-            .filter(|&&k| !down[k] && self.measured[k] != f64::NEG_INFINITY)
+            .filter(|&&k| down.map_or(true, |down| !down[k]))
             .map(|&k| (k, self.measured[k] - penalty))
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("RSS is finite"))?;
         let neighbor = cells[neighbor_idx];
         Some(MeasurementReport {
             serving,
-            serving_rss_dbm: serving_rss,
+            serving_rss_dbm: self.measured[self.serving_idx],
             neighbor,
             neighbor_rss_dbm: neighbor_rss,
             distance_to_serving_km: cfg.layout.distance_to_bs(serving, point.pos),
@@ -739,11 +675,12 @@ impl Simulation {
         let cfg = &self.config;
         let mut ue = UeState::new(cfg, trajectory.start(), seed);
         let mut means = vec![0.0; cfg.layout.len()];
+        let mut normals = Vec::with_capacity(2 * cfg.layout.len());
         let mut steps = Vec::new();
 
         for (idx, point) in trajectory.resample_iter(cfg.sample_spacing_km).enumerate() {
             self.mean_rss_all(point.pos, &mut means);
-            let out = ue.step(cfg, &self.candidates, &means, point, policy);
+            let out = ue.step(cfg, &self.candidates, &means, point, policy, &mut normals);
             steps.push(StepRecord {
                 step: idx,
                 cum_km: point.cum_km,

@@ -4,27 +4,22 @@
 //! ## Architecture
 //!
 //! * **Struct-of-arrays UE store** — each worker holds its chunk of UEs
-//!   as parallel vectors (trajectory cursor, [`UeState`] with position /
-//!   serving cell / smoother + shadowing state, policy, tally), never the
-//!   whole fleet, so memory stays proportional to
-//!   `workers × chunk_size`, not to the fleet size. Retired [`UeState`]s
-//!   are recycled through a per-worker arena ([`UeState::reset`] reuses
-//!   every allocation), so a million-UE run performs a bounded number of
-//!   state allocations.
+//!   as parallel vectors (trajectory cursor, per-UE engine state with
+//!   position / serving cell / smoother + shadowing state, policy,
+//!   tally), never the whole fleet, so memory stays proportional to
+//!   `workers × chunk_size`, not to the fleet size. Retired UE states are
+//!   recycled through a per-worker arena (reset in place, every
+//!   allocation reused), so a million-UE run performs a bounded number
+//!   of state allocations.
 //! * **Compiled measurement plane** — per measurement step the mean path
 //!   loss is computed per (BS, UE-chunk) through the compiled link budget
 //!   ([`radiolink::CompiledBsRadio`], every position-independent term
-//!   folded once per run), per-UE shadowing advances through a batched
-//!   [`radiolink::ShadowingLane`] and noise through
-//!   [`radiolink::MeasurementNoise::apply_slice`] — all bit-identical to
-//!   the scalar path [`Simulation::run`] uses. The opt-in
-//!   [`CandidateMode::Nearest`] prunes the dense `cells × chunk` sweep to
-//!   the cells near each UE, and [`CandidateMode::EdgeSet`] further
-//!   restricts the full sweep to *cell-edge* UEs (see its docs).
-//! * **Opt-in storage precision** — [`FleetPrecision::Compact`] stores
-//!   the dense mean-RSS matrix in `f32` lanes (half the hot arena) while
-//!   keeping every accumulator and decision in `f64`; the default
-//!   [`FleetPrecision::Full`] path is byte-pinned by the goldens.
+//!   folded once per run), and each UE's shadowing and noise draws come
+//!   from one bulk gaussian fill — the same measurement kernel
+//!   [`Simulation::run`] uses, so both paths are bit-identical. The
+//!   opt-in [`CandidateMode::Nearest`] prunes the dense `cells × chunk`
+//!   sweep to the cells near each UE, and [`CandidateMode::EdgeSet`]
+//!   further restricts the full sweep to *cell-edge* UEs (see its docs).
 //! * **Per-UE deterministic RNG streams** — UE `i`'s measurement
 //!   randomness is seeded with [`ue_seed`]`(base_seed, i)`. UE 0 uses
 //!   `base_seed` exactly, which is what makes a 1-UE fleet reproduce
@@ -36,20 +31,22 @@
 //!   Because every UE owns its stream and the merge sorts outcomes by UE
 //!   id before folding the `f64` aggregates, the result is bit-identical
 //!   for any worker count, chunk size, or UE submission order. Worker
-//!   panics are caught and surfaced as [`FleetError::WorkerPanic`]
-//!   through the `try_*` entry points.
-//! * **Checkpoint/restore** — [`FleetSimulation::run_partial`] freezes a
-//!   pass after a fixed number of lockstep steps into a serializable
-//!   [`FleetCheckpoint`] (per-UE engine + policy + RNG stream state);
-//!   [`FleetSimulation::resume`] continues it to completion,
-//!   bit-identically to the uninterrupted run, for any worker count and
-//!   chunk size on either side of the snapshot.
+//!   panics are caught and surfaced as [`FleetError::WorkerPanic`].
+//! * **One fallible run surface** — [`FleetSimulation::try_run_ids`]
+//!   runs an id set to completion; [`FleetSimulation::advance`] freezes
+//!   a fresh run, or continues a [`FleetCheckpoint`] (per-UE engine +
+//!   policy + RNG stream state), up to a lockstep step bound;
+//!   [`FleetSimulation::try_resume`] finishes a checkpoint. Any chain of
+//!   `advance` bounds ending in `try_resume` is bit-identical to the
+//!   uninterrupted run, for any worker count and chunk size on every
+//!   segment. [`FleetSimulation::run_supervised`] builds recovery on
+//!   top of them.
 //! * **Streaming aggregation** — [`FleetSimulation::run_streamed`]
 //!   generates UE ids lazily and folds each chunk's outcomes into a
 //!   running [`FleetSummary`] + load histogram instead of materializing
 //!   the per-UE outcome vector, so fleet size no longer bounds memory;
 //!   the `f64` HD sum is still folded in global UE-id order, keeping the
-//!   aggregate bit-identical to [`FleetSimulation::run`].
+//!   aggregate bit-identical to [`FleetSimulation::try_run_ids`].
 //!
 //! [`CellLayout`]: cellgeom::CellLayout
 
@@ -78,13 +75,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
-/// One worker's share of a fleet pass: its UE outcomes, its partial
-/// serving-load histogram, (traffic plane only) its serving-cell traces,
-/// and (bounded passes only) the UEs still live at the step bound.
-type WorkerPart = (Vec<UeOutcome>, CellLoadHistogram, Vec<UeTrace>, Vec<UeCheckpoint>);
-
-/// Errors surfaced by the fallible fleet entry points
-/// ([`FleetSimulation::try_run`] and friends) and the supervised runner
+/// Errors surfaced by the fleet entry points
+/// ([`FleetSimulation::try_run_ids`] and friends) and the supervised runner
 /// ([`FleetSimulation::run_supervised`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetError {
@@ -224,7 +216,7 @@ pub enum CandidateMode {
     /// best handover candidate's by more than `margin_db`, the UE is
     /// classified *interior* and measures only its serving cell and
     /// candidate table (the exact set its policy reads; see
-    /// `report_from_measured`). Interior classification uses mean path
+    /// `UeState::report`). Interior classification uses mean path
     /// loss only — no RNG draws — so it is deterministic and
     /// worker/chunk/order-invariant like everything else.
     ///
@@ -281,23 +273,14 @@ impl CandidateMode {
     }
 }
 
-/// Numeric storage precision of the fleet measurement plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Numeric storage precision of the fleet measurement plane. The engine
+/// stores and computes every mean RSS in `f64`; `Full` is the only
+/// precision, kept as a type only for [`FleetSimulation::with_precision`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetPrecision {
-    /// Full `f64` mean-RSS storage — the default, byte-pinned path; every
-    /// golden report runs under it.
+    /// Full `f64` mean-RSS storage, byte-pinned by every golden report.
     #[default]
     Full,
-    /// `f32` storage lanes with `f64` accumulators: the dense
-    /// `cells × chunk` mean-RSS matrix is computed and stored in single
-    /// precision (halving the largest per-worker buffer) and each mean is
-    /// widened back to `f64` before shadowing, noise and decisions; the
-    /// pruned modes round their scalar means through `f32` the same way.
-    /// Opt-in: results differ from [`FleetPrecision::Full`] only by the
-    /// sub-µdB rounding of the mean path loss — all accumulation
-    /// (HD sums, tallies) stays `f64`, and the mode keeps the full
-    /// worker/chunk/order-invariance contract.
-    Compact,
 }
 
 /// The measurement-RNG seed of UE `ue_id` in a fleet seeded with
@@ -468,7 +451,7 @@ pub struct HomogeneousFleet {
     /// Policy kind shared by all UEs.
     pub policy: PolicyKind,
     /// Base seed of the trajectory streams (independent of the
-    /// measurement `base_seed` passed to [`FleetSimulation::run`]).
+    /// measurement `base_seed` passed to [`FleetSimulation::try_run_ids`]).
     pub trajectory_seed: u64,
     /// Cell radius for the fuzzy controller's DMB normalisation.
     pub cell_radius_km: f64,
@@ -600,7 +583,7 @@ pub struct FleetResult {
 /// the fleet summary and load histogram of a run whose per-UE outcomes
 /// were folded on the fly instead of materialized. `summary` (every
 /// `f64` bit included) and `cell_load` equal those of the corresponding
-/// [`FleetSimulation::run`].
+/// [`FleetSimulation::try_run_ids`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetStreamSummary {
     /// Fleet-level aggregate, bit-identical to
@@ -610,27 +593,118 @@ pub struct FleetStreamSummary {
     pub cell_load: CellLoadHistogram,
 }
 
-/// Which UEs a fleet pass steps: a fresh id set, or the live half of a
+/// Which UEs a fleet pass steps: an explicit id set, the ids `0..n`
+/// generated lazily (no id vector ever exists), or the live half of a
 /// checkpoint (plus the lockstep step it stopped at).
 #[derive(Clone, Copy)]
 enum PassSource<'a> {
-    Fresh(&'a [u64]),
+    Ids(&'a [u64]),
+    Range(u64),
     Restored(&'a [UeCheckpoint], u64),
 }
 
-/// One chunk's worth of a [`PassSource`].
+impl PassSource<'_> {
+    fn len(&self) -> u64 {
+        match *self {
+            PassSource::Ids(ids) => ids.len() as u64,
+            PassSource::Range(n) => n,
+            PassSource::Restored(live, _) => live.len() as u64,
+        }
+    }
+}
+
+/// One chunk's worth of a [`PassSource`]; restored UEs carry the
+/// lockstep step their checkpoint stopped at.
 #[derive(Clone, Copy)]
 enum ChunkUes<'a> {
     Fresh(&'a [u64]),
-    Restored(&'a [&'a UeCheckpoint]),
+    Restored(&'a [&'a UeCheckpoint], u64),
 }
 
-/// The merged output of one fleet pass; every vector ascends by UE id.
-struct PassOutput {
+/// What a pass keeps of every UE that finishes.
+#[derive(Clone, Copy, PartialEq)]
+enum PassSink {
+    /// Keep every outcome and, with `traces`, every serving-cell trace.
+    Collect { traces: bool },
+    /// Fold each chunk's outcomes into integer tallies plus
+    /// `(ue_id, hd_sum)` parts, so memory stays `O(workers × chunk)`.
+    Fold,
+}
+
+/// The parameters every chunk of one pass shares.
+#[derive(Clone, Copy)]
+struct PassParams<'a> {
+    base_seed: u64,
+    sink: PassSink,
+    /// Frozen occupancy timeline handed to every policy (load-feedback
+    /// pass).
+    load_field: Option<&'a Arc<LoadField>>,
+    /// Lockstep step at which still-live UEs are frozen (checkpointing).
+    max_steps: Option<u64>,
+}
+
+impl PassParams<'_> {
+    /// An unbounded pass without a load field that collects outcomes.
+    fn collect(base_seed: u64, traces: bool) -> Self {
+        PassParams {
+            base_seed,
+            sink: PassSink::Collect { traces },
+            load_field: None,
+            max_steps: None,
+        }
+    }
+}
+
+/// One worker's share of a fleet pass, and after the merge the whole
+/// pass, with every vector ascending by UE id.
+struct PassPart {
     outcomes: Vec<UeOutcome>,
     cell_load: CellLoadHistogram,
     traces: Vec<UeTrace>,
+    /// UEs still live at the step bound.
     live: Vec<UeCheckpoint>,
+    /// [`PassSink::Fold`]: integer tallies of the folded outcomes. The
+    /// `f64` HD sum is summed from `hd_parts` in UE-id order after the
+    /// merge, so the fold order matches the collected run's.
+    tally: FleetSummary,
+    hd_parts: Vec<(u64, f64)>,
+}
+
+impl PassPart {
+    fn new(cells: &[Axial]) -> Self {
+        PassPart {
+            outcomes: Vec::new(),
+            cell_load: CellLoadHistogram::new(cells.iter().copied()),
+            traces: Vec::new(),
+            live: Vec::new(),
+            tally: FleetSummary::default(),
+            hd_parts: Vec::new(),
+        }
+    }
+
+    /// Fold the collected outcomes into the tallies and drop them. UEs
+    /// without HD observations add a literal `+0.0` to the HD sum, which
+    /// cannot change any bit of a non-negative sum, so they leave no part.
+    fn fold_outcomes(&mut self) {
+        for o in self.outcomes.drain(..) {
+            self.tally.absorb(&FleetSummary {
+                hd_sum: 0.0,
+                ..o.summary()
+            });
+            if o.hd_count > 0 {
+                self.hd_parts.push((o.ue_id, o.hd_sum));
+            }
+        }
+    }
+
+    fn merge(&mut self, part: PassPart) {
+        self.outcomes.extend(part.outcomes);
+        self.cell_load.merge(&part.cell_load);
+        self.traces.extend(part.traces);
+        self.live.extend(part.live);
+        self.tally.absorb(&part.tally);
+        self.hd_parts.extend(part.hd_parts);
+    }
 }
 
 /// Per-worker scratch arena: every buffer a chunk needs, allocated once
@@ -643,17 +717,15 @@ struct ChunkArena {
     active_idx: Vec<usize>,
     positions: Vec<cellgeom::Vec2>,
     points: Vec<mobility::TracePoint>,
-    /// Dense mean-RSS matrix, `cells × active` ([`FleetPrecision::Full`]).
+    /// Dense mean-RSS matrix, `cells × active`.
     rss_matrix: Vec<f64>,
-    /// Dense mean-RSS matrix in f32 lanes ([`FleetPrecision::Compact`]).
-    rss_matrix_f32: Vec<f32>,
     /// Per-cell means of the UE currently being measured.
     means: Vec<f64>,
-    /// Gaussian scratch for the fused begin-step measurement kernel.
+    /// Gaussian scratch for the measurement kernel.
     ///
     /// Sized once for the worst case (shadowing + noise both active:
     /// `2 × n_cells` draws per UE-step) so the per-step resize inside
-    /// [`UeState::begin_step_fused`] never reallocates. The *used*
+    /// [`UeState::begin_step`] never reallocates. The *used*
     /// length depends only on the [`SimConfig`] sigmas — never on the
     /// step index, UE id, or chunk layout — so a run resumed from a
     /// checkpoint consumes exactly the same RNG draws as an unbroken
@@ -676,7 +748,6 @@ impl ChunkArena {
             positions: Vec::new(),
             points: Vec::new(),
             rss_matrix: Vec::new(),
-            rss_matrix_f32: Vec::new(),
             means: vec![0.0; n_cells],
             rng_scratch: Vec::with_capacity(2 * n_cells),
             subset: Vec::with_capacity(n_cells),
@@ -698,7 +769,6 @@ pub struct FleetSimulation {
     workers: usize,
     chunk_size: usize,
     candidate_mode: CandidateMode,
-    precision: FleetPrecision,
     traffic: Option<TrafficConfig>,
     dynamics: Option<DynamicsConfig>,
     /// Armed chaos harness (testing only; `None` in production). The
@@ -712,14 +782,13 @@ impl FleetSimulation {
     pub const DEFAULT_CHUNK_SIZE: usize = 128;
 
     /// Build a fleet engine (1 worker, default chunk size, dense
-    /// [`CandidateMode::All`] measurement, [`FleetPrecision::Full`]).
+    /// [`CandidateMode::All`] measurement).
     pub fn new(config: SimConfig) -> Self {
         FleetSimulation {
             sim: Simulation::new(config),
             workers: 1,
             chunk_size: Self::DEFAULT_CHUNK_SIZE,
             candidate_mode: CandidateMode::All,
-            precision: FleetPrecision::Full,
             traffic: None,
             dynamics: None,
             fault: None,
@@ -780,18 +849,12 @@ impl FleetSimulation {
         self.candidate_mode
     }
 
-    /// Select the measurement-plane storage precision (see
-    /// [`FleetPrecision`]). The default [`FleetPrecision::Full`] path is
-    /// the byte-pinned one.
+    /// A no-op: [`FleetPrecision::Full`] is the only precision. Kept
+    /// only because the benchmark adapter (`perfbench/src/adapter.rs`)
+    /// still calls it.
     #[must_use]
-    pub fn with_precision(mut self, precision: FleetPrecision) -> Self {
-        self.precision = precision;
+    pub fn with_precision(self, _precision: FleetPrecision) -> Self {
         self
-    }
-
-    /// The active storage precision.
-    pub fn precision(&self) -> FleetPrecision {
-        self.precision
     }
 
     /// Attach the cell-load traffic plane (see [`crate::traffic`]): the
@@ -875,29 +938,18 @@ impl FleetSimulation {
         Ok(())
     }
 
-    /// Run UEs `0..n_ues`. Panics if a worker panics; see
-    /// [`FleetSimulation::try_run`] for the fallible form.
-    pub fn run(&self, spec: &dyn UeSpec, n_ues: u64, base_seed: u64) -> FleetResult {
-        self.try_run(spec, n_ues, base_seed).unwrap_or_else(|err| panic!("{err}"))
+    /// Whether runs on this engine record serving-cell traces: a traffic
+    /// or dynamics plane is attached.
+    fn tracing(&self) -> bool {
+        self.traffic.is_some() || self.dynamics.is_some()
     }
 
-    /// Fallible form of [`FleetSimulation::run`]: worker panics surface
-    /// as [`FleetError::WorkerPanic`] instead of unwinding the caller.
-    pub fn try_run(
-        &self,
-        spec: &dyn UeSpec,
-        n_ues: u64,
-        base_seed: u64,
-    ) -> Result<FleetResult, FleetError> {
-        let ids: Vec<u64> = (0..n_ues).collect();
-        self.try_run_ids(spec, &ids, base_seed)
-    }
-
-    /// Run an explicit UE id set (ids should be distinct; each UE's
-    /// result depends only on its own id, and the merge orders outcomes
-    /// by id, so any permutation of `ids` produces the same result).
-    /// Panics if a worker panics; see [`FleetSimulation::try_run_ids`]
-    /// for the fallible form.
+    /// Run an explicit UE id set to completion (ids should be distinct;
+    /// each UE's result depends only on its own id, and the merge orders
+    /// outcomes by id, so any permutation of `ids` produces the same
+    /// result). A worker panic surfaces as [`FleetError::WorkerPanic`]
+    /// with its original message, an invalid plane as
+    /// [`FleetError::InvalidConfig`].
     ///
     /// With a traffic plane attached ([`FleetSimulation::with_traffic`])
     /// the run additionally replays every UE's call sessions against the
@@ -906,11 +958,6 @@ impl FleetSimulation {
     /// the first pass's occupancy timeline injected into every policy
     /// (delayed load reports), and the returned fleet metrics and
     /// [`TrafficReport`] are those of the fed-back pass.
-    pub fn run_ids(&self, spec: &dyn UeSpec, ids: &[u64], base_seed: u64) -> FleetResult {
-        self.try_run_ids(spec, ids, base_seed).unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible form of [`FleetSimulation::run_ids`].
     pub fn try_run_ids(
         &self,
         spec: &dyn UeSpec,
@@ -918,69 +965,83 @@ impl FleetSimulation {
         base_seed: u64,
     ) -> Result<FleetResult, FleetError> {
         self.validate_planes()?;
-        let record = self.traffic.is_some() || self.dynamics.is_some();
-        let pass = self.pass(spec, PassSource::Fresh(ids), base_seed, record, None, None)?;
+        let params = PassParams::collect(base_seed, self.tracing());
+        let pass = self.pass(spec, PassSource::Ids(ids), params)?;
         debug_assert!(pass.live.is_empty(), "unbounded passes run every UE to completion");
         let result = assemble(pass.outcomes, pass.cell_load);
         self.apply_traffic(spec, ids, base_seed, result, pass.traces)
     }
 
-    /// Freeze a fleet pass after `max_steps` lockstep steps: UEs whose
-    /// walks end earlier finish normally, every other UE is suspended
-    /// with its complete engine + policy + RNG-stream state, and the
-    /// whole pass comes back as a serializable [`FleetCheckpoint`].
-    /// [`FleetSimulation::resume`] continues it bit-identically to the
-    /// uninterrupted [`FleetSimulation::run_ids`] — for any worker count
-    /// and chunk size on either side, because the snapshot is sorted by
-    /// UE id and each UE's state is self-contained.
+    /// Run a fleet up to the lockstep step `target_step` and freeze it:
+    /// start fresh from `ids` and `base_seed` (`from` is `None`) or
+    /// continue an existing snapshot (`ids` and `base_seed` then come
+    /// from the snapshot). UEs whose walks end earlier finish normally;
+    /// every other UE is suspended with its complete engine + policy +
+    /// RNG-stream state, and the whole run comes back as a serializable
+    /// [`FleetCheckpoint`]. A bound at or before the snapshot's step
+    /// returns the snapshot unchanged.
     ///
-    /// With a traffic plane the pass records serving-cell traces into
+    /// Any chain of `advance` bounds finished by
+    /// [`FleetSimulation::try_resume`] is bit-identical to the
+    /// uninterrupted [`FleetSimulation::try_run_ids`], for any worker
+    /// count and chunk size on every segment, because the snapshot is
+    /// sorted by UE id and each UE's state is self-contained (pinned by
+    /// `tests/resilience_props.rs`). This is the segment primitive of
+    /// [`FleetSimulation::run_supervised`] and of the `handover-server`
+    /// sessions.
+    ///
+    /// With a traffic plane the run records serving-cell traces into
     /// the snapshot; the traffic replay itself (and the load-feedback
-    /// second pass, if configured) runs at resume time, once the traces
+    /// second pass, if configured) runs in `try_resume`, once the traces
     /// are complete.
-    pub fn run_partial(
+    pub fn advance(
         &self,
         spec: &dyn UeSpec,
+        from: Option<&FleetCheckpoint>,
         ids: &[u64],
         base_seed: u64,
-        max_steps: u64,
+        target_step: u64,
     ) -> Result<FleetCheckpoint, FleetError> {
         self.validate_planes()?;
-        let tracing = self.traffic.is_some() || self.dynamics.is_some();
-        let out =
-            self.pass(spec, PassSource::Fresh(ids), base_seed, tracing, None, Some(max_steps))?;
+        let (source, base_seed, tracing) = match from {
+            None => (PassSource::Ids(ids), base_seed, self.tracing()),
+            Some(cp) => {
+                self.check_checkpoint(cp)?;
+                if target_step <= cp.step {
+                    return Ok(cp.clone());
+                }
+                (
+                    PassSource::Restored(&cp.live, cp.step),
+                    cp.base_seed,
+                    cp.tracing,
+                )
+            }
+        };
+        let params = PassParams {
+            max_steps: Some(target_step),
+            ..PassParams::collect(base_seed, tracing)
+        };
+        let mut out = self.pass(spec, source, params)?;
+        let live = std::mem::take(&mut out.live);
+        let (finished, finished_traces, cell_load) = after_checkpoint(from, out);
         Ok(FleetCheckpoint {
             version: CHECKPOINT_VERSION,
-            step: max_steps,
+            step: target_step,
             base_seed,
-            finished: out.outcomes,
-            finished_traces: out.traces,
-            live: out.live,
-            cell_load: out.cell_load,
+            finished,
+            finished_traces,
+            live,
+            cell_load,
             tracing,
         })
     }
 
-    /// Continue a [`FleetSimulation::run_partial`] snapshot to
-    /// completion. The engine must be configured like the one that took
-    /// the snapshot (same [`SimConfig`], candidate mode, precision and
-    /// traffic plane — worker count and chunk size are free); the spec
-    /// must be the same deterministic population. Panics if the snapshot
-    /// version or tracing mode does not match.
-    pub fn resume(
-        &self,
-        spec: &dyn UeSpec,
-        cp: &FleetCheckpoint,
-    ) -> Result<FleetResult, FleetError> {
-        if let Err(err) = self.check_checkpoint(cp) {
-            panic!("{err}");
-        }
-        self.resume_inner(spec, cp)
-    }
-
-    /// Fully fallible form of [`FleetSimulation::resume`]: an
-    /// incompatible or invalid snapshot surfaces as
-    /// [`FleetError::CorruptCheckpoint`] instead of a panic.
+    /// Finish a [`FleetSimulation::advance`] snapshot. The engine must
+    /// be configured like the one that took the snapshot (same
+    /// [`SimConfig`], candidate mode and planes; worker count and chunk
+    /// size are free), and the spec must be the same deterministic
+    /// population. An incompatible or invalid snapshot surfaces as
+    /// [`FleetError::CorruptCheckpoint`].
     pub fn try_resume(
         &self,
         spec: &dyn UeSpec,
@@ -988,14 +1049,23 @@ impl FleetSimulation {
     ) -> Result<FleetResult, FleetError> {
         self.validate_planes()?;
         self.check_checkpoint(cp)?;
-        self.resume_inner(spec, cp)
+        let params = PassParams::collect(cp.base_seed, cp.tracing);
+        let out = self.pass(spec, PassSource::Restored(&cp.live, cp.step), params)?;
+        debug_assert!(
+            out.live.is_empty(),
+            "unbounded passes run every UE to completion"
+        );
+        let (outcomes, traces, cell_load) = after_checkpoint(Some(cp), out);
+        let ids: Vec<u64> = outcomes.iter().map(|o| o.ue_id).collect();
+        let result = assemble(outcomes, cell_load);
+        self.apply_traffic(spec, &ids, cp.base_seed, result, traces)
     }
 
     /// Snapshot-vs-engine compatibility: version + shape invariants
     /// ([`FleetCheckpoint::try_validate`]) and the tracing plane.
     pub(crate) fn check_checkpoint(&self, cp: &FleetCheckpoint) -> Result<(), CheckpointError> {
         cp.try_validate()?;
-        let engine_tracing = self.traffic.is_some() || self.dynamics.is_some();
+        let engine_tracing = self.tracing();
         if cp.tracing != engine_tracing {
             return Err(CheckpointError::PlaneMismatch {
                 checkpoint_tracing: cp.tracing,
@@ -1005,222 +1075,47 @@ impl FleetSimulation {
         Ok(())
     }
 
-    fn resume_inner(
-        &self,
-        spec: &dyn UeSpec,
-        cp: &FleetCheckpoint,
-    ) -> Result<FleetResult, FleetError> {
-        let out = self.pass(
-            spec,
-            PassSource::Restored(&cp.live, cp.step),
-            cp.base_seed,
-            cp.tracing,
-            None,
-            None,
-        )?;
-        debug_assert!(out.live.is_empty());
-        let mut outcomes = cp.finished.clone();
-        outcomes.extend(out.outcomes);
-        outcomes.sort_by_key(|o| o.ue_id);
-        let mut traces = cp.finished_traces.clone();
-        traces.extend(out.traces);
-        traces.sort_by_key(|t| t.ue_id);
-        let mut cell_load = cp.cell_load.clone();
-        cell_load.merge(&out.cell_load);
-        let ids: Vec<u64> = outcomes.iter().map(|o| o.ue_id).collect();
-        let result = assemble(outcomes, cell_load);
-        self.apply_traffic(spec, &ids, cp.base_seed, result, traces)
-    }
-
-    /// Continue a snapshot up to a *later* step bound, producing the
-    /// checkpoint [`FleetSimulation::run_partial`] would have produced
-    /// at that bound directly — the segment primitive of
-    /// [`FleetSimulation::run_supervised`]. Chaining
-    /// `run_partial(c) → resume_partial(2c) → … → resume` is
-    /// bit-identical to the uninterrupted run for any cadence and any
-    /// worker/chunk shape on every segment (pinned by
-    /// `tests/resilience_props.rs`). A bound at or before the
-    /// snapshot's step returns the snapshot unchanged.
-    pub fn resume_partial(
-        &self,
-        spec: &dyn UeSpec,
-        cp: &FleetCheckpoint,
-        max_steps: u64,
-    ) -> Result<FleetCheckpoint, FleetError> {
-        self.validate_planes()?;
-        self.check_checkpoint(cp)?;
-        if max_steps <= cp.step {
-            return Ok(cp.clone());
-        }
-        let out = self.pass(
-            spec,
-            PassSource::Restored(&cp.live, cp.step),
-            cp.base_seed,
-            cp.tracing,
-            None,
-            Some(max_steps),
-        )?;
-        let mut finished = cp.finished.clone();
-        finished.extend(out.outcomes);
-        finished.sort_by_key(|o| o.ue_id);
-        let mut finished_traces = cp.finished_traces.clone();
-        finished_traces.extend(out.traces);
-        finished_traces.sort_by_key(|t| t.ue_id);
-        let mut cell_load = cp.cell_load.clone();
-        cell_load.merge(&out.cell_load);
-        Ok(FleetCheckpoint {
-            version: CHECKPOINT_VERSION,
-            step: max_steps,
-            base_seed: cp.base_seed,
-            finished,
-            finished_traces,
-            live: out.live,
-            cell_load,
-            tracing: cp.tracing,
-        })
-    }
-
-    /// One incremental slice of a fleet run: start fresh (`from` is
-    /// `None` ⇒ [`FleetSimulation::run_partial`]) or continue an
-    /// existing snapshot (`Some` ⇒ [`FleetSimulation::resume_partial`];
-    /// `ids` and `base_seed` are then taken from the snapshot) up to
-    /// `target_step`. This is the session primitive of the
-    /// `handover-server` crate: a run driven by *any* sequence of
-    /// `advance` bounds is bit-identical to the uninterrupted batch run
-    /// — the PR 6 chaining contract, re-stated as one entry point.
-    pub fn advance(
-        &self,
-        spec: &dyn UeSpec,
-        from: Option<&FleetCheckpoint>,
-        ids: &[u64],
-        base_seed: u64,
-        target_step: u64,
-    ) -> Result<FleetCheckpoint, FleetError> {
-        match from {
-            None => self.run_partial(spec, ids, base_seed, target_step),
-            Some(cp) => self.resume_partial(spec, cp, target_step),
-        }
-    }
-
     /// Run UEs `0..n_ues` and fold every chunk's outcomes into a running
     /// aggregate instead of materializing the per-UE outcome vector — the
-    /// memory-bounded path for million-UE fleets: peak memory is
-    /// `O(workers × chunk_size)`, independent of `n_ues`, and no
-    /// `UEs × cells` structure ever exists (each worker holds one
-    /// `cells × chunk` matrix).
+    /// memory-bounded path for million-UE fleets: ids are generated
+    /// lazily, peak memory is `O(workers × chunk_size)`, independent of
+    /// `n_ues`, and no `UEs × cells` structure ever exists (each worker
+    /// holds one `cells × chunk` matrix).
     ///
     /// The returned [`FleetStreamSummary`] is bit-identical to the
-    /// `summary`/`cell_load` of [`FleetSimulation::run`]: integer tallies
-    /// commute, and the `f64` HD sum is re-folded in global UE-id order
-    /// at the merge (skipping UEs with no HD observations, which add a
-    /// literal `+0.0` and cannot change any bit of a non-negative sum).
+    /// `summary`/`cell_load` of [`FleetSimulation::try_run_ids`] over the
+    /// same ids: integer tallies commute, and the `f64` HD sum is
+    /// re-folded in global UE-id order at the merge.
     ///
-    /// Panics if a traffic plane is attached: traces would rematerialize
-    /// per-UE state, defeating the point — use [`FleetSimulation::run`]
-    /// for traffic studies. A dynamic-workload plane is allowed: churn
-    /// and BS failures act inside the engine loop and the streamed
-    /// `summary`/`cell_load` stay bit-identical to [`FleetSimulation::run`]
-    /// with the same dynamics, but no [`DynamicReport`] is produced (it
-    /// is derived from traces) and tide/service classes — traffic-replay
-    /// features — are inert here.
+    /// A traffic plane is rejected with [`FleetError::InvalidConfig`]
+    /// ([`ConfigError::StreamedTraffic`]): traces would rematerialize
+    /// per-UE state, defeating the point — use
+    /// [`FleetSimulation::try_run_ids`] for traffic studies. A
+    /// dynamic-workload plane is allowed: churn and BS failures act
+    /// inside the engine loop and the streamed `summary`/`cell_load`
+    /// stay bit-identical to the collected run with the same dynamics,
+    /// but no [`DynamicReport`] is produced (it is derived from traces)
+    /// and tide/service classes — traffic-replay features — are inert
+    /// here.
     pub fn run_streamed(
         &self,
         spec: &dyn UeSpec,
         n_ues: u64,
         base_seed: u64,
     ) -> Result<FleetStreamSummary, FleetError> {
-        assert!(
-            self.traffic.is_none(),
-            "the streaming path has no traffic plane (serving-cell traces would \
-             materialize per-UE state); use run/run_ids for traffic studies"
-        );
+        if self.traffic.is_some() {
+            return Err(FleetError::InvalidConfig(ConfigError::StreamedTraffic));
+        }
         self.validate_planes()?;
-        let workers = (self.workers.max(1) as u64).min(n_ues.max(1)) as usize;
-        type StreamPart = (FleetSummary, CellLoadHistogram, Vec<(u64, f64)>);
-        let collected: Mutex<Vec<Result<StreamPart, String>>> =
-            Mutex::new(Vec::with_capacity(workers));
-
-        crossbeam::scope(|scope| {
-            for w in 0..workers {
-                let collected = &collected;
-                scope.spawn(move |_| {
-                    let part = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let cells = self.config().layout.cells();
-                        let mut arena = ChunkArena::new(cells.len());
-                        let mut load = CellLoadHistogram::new(cells.iter().copied());
-                        let mut summary = FleetSummary::default();
-                        let mut hd_parts: Vec<(u64, f64)> = Vec::new();
-                        let mut chunk_ids: Vec<u64> = Vec::with_capacity(self.chunk_size);
-                        let mut chunk_out: Vec<UeOutcome> = Vec::with_capacity(self.chunk_size);
-                        // Lazy round-robin id generation: worker w owns
-                        // ids w, w+workers, w+2·workers, … — the same
-                        // shard run_ids would hand it, without the id
-                        // vector ever existing.
-                        let mut next = w as u64;
-                        while next < n_ues {
-                            chunk_ids.clear();
-                            while chunk_ids.len() < self.chunk_size && next < n_ues {
-                                chunk_ids.push(next);
-                                next += workers as u64;
-                            }
-                            chunk_out.clear();
-                            self.simulate_chunk(
-                                spec,
-                                ChunkUes::Fresh(&chunk_ids),
-                                base_seed,
-                                None,
-                                0,
-                                None,
-                                &mut arena,
-                                &mut load,
-                                &mut chunk_out,
-                                None,
-                                None,
-                            );
-                            for o in chunk_out.drain(..) {
-                                // Integer tallies fold immediately; the
-                                // f64 HD sum is deferred to the id-ordered
-                                // merge so the fold order matches run().
-                                summary.ues += 1;
-                                summary.steps += o.steps;
-                                summary.handovers += o.handovers;
-                                summary.ping_pongs += o.ping_pongs;
-                                summary.outage_steps += o.outage_steps;
-                                summary.hd_count += o.hd_count;
-                                if o.hd_count > 0 {
-                                    hd_parts.push((o.ue_id, o.hd_sum));
-                                }
-                            }
-                        }
-                        (summary, load, hd_parts)
-                    }));
-                    collected.lock().push(part.map_err(|p| panic_message(p.as_ref())));
-                });
-            }
+        let params = PassParams {
+            sink: PassSink::Fold,
+            ..PassParams::collect(base_seed, false)
+        };
+        let out = self.pass(spec, PassSource::Range(n_ues), params)?;
+        Ok(FleetStreamSummary {
+            summary: out.tally,
+            cell_load: out.cell_load,
         })
-        // invariant: worker closures wrap their bodies in catch_unwind,
-        // so the scope's join cannot observe a panicked thread.
-        .expect("fleet worker panics are caught inside the workers");
-
-        let mut cell_load = CellLoadHistogram::new(self.config().layout.cells().iter().copied());
-        let mut summary = FleetSummary::default();
-        let mut hd_parts: Vec<(u64, f64)> = Vec::new();
-        for part in collected.into_inner() {
-            let (s, load, parts) = part.map_err(FleetError::WorkerPanic)?;
-            summary.ues += s.ues;
-            summary.steps += s.steps;
-            summary.handovers += s.handovers;
-            summary.ping_pongs += s.ping_pongs;
-            summary.outage_steps += s.outage_steps;
-            summary.hd_count += s.hd_count;
-            cell_load.merge(&load);
-            hd_parts.extend(parts);
-        }
-        hd_parts.sort_unstable_by_key(|&(id, _)| id);
-        for &(_, hd) in &hd_parts {
-            summary.hd_sum += hd;
-        }
-        Ok(FleetStreamSummary { summary, cell_load })
     }
 
     /// The replay half of a run: derive the dynamic-workload report from
@@ -1235,129 +1130,99 @@ impl FleetSimulation {
         mut result: FleetResult,
         traces: Vec<UeTrace>,
     ) -> Result<FleetResult, FleetError> {
-        if self.dynamics.is_some() {
-            result.dynamics = Some(dynamic_report(&traces, &result.cell_load, None));
-        }
         let Some(traffic) = &self.traffic else {
+            if self.dynamics.is_some() {
+                result.dynamics = Some(dynamic_report(&traces, &result.cell_load, None));
+            }
             return Ok(result);
         };
         let cells = self.config().layout.cells();
-        match &self.dynamics {
+        let replay = |traces: &[UeTrace]| match &self.dynamics {
             None => {
-                let (report, field) = replay_traffic(traffic, cells, &traces, base_seed);
-                if !traffic.load_feedback {
-                    result.traffic = Some(report);
-                    return Ok(result);
-                }
-                let field = Arc::new(field);
-                let fed =
-                    self.pass(spec, PassSource::Fresh(ids), base_seed, true, Some(&field), None)?;
-                let (fed_report, _) = replay_traffic(traffic, cells, &fed.traces, base_seed);
-                let mut fed_result = assemble(fed.outcomes, fed.cell_load);
-                fed_result.traffic = Some(fed_report);
-                Ok(fed_result)
+                let (report, field) = replay_traffic(traffic, cells, traces, base_seed);
+                (report, field, None)
             }
             Some(dynamics) => {
                 let (report, field, stats) =
-                    replay_traffic_dynamic(traffic, cells, &traces, base_seed, dynamics);
-                if !traffic.load_feedback {
-                    result.traffic = Some(report);
-                    result.dynamics = Some(dynamic_report(&traces, &result.cell_load, Some(stats)));
-                    return Ok(result);
-                }
-                let field = Arc::new(field);
-                let fed =
-                    self.pass(spec, PassSource::Fresh(ids), base_seed, true, Some(&field), None)?;
-                let (fed_report, _, fed_stats) =
-                    replay_traffic_dynamic(traffic, cells, &fed.traces, base_seed, dynamics);
-                let mut fed_result = assemble(fed.outcomes, fed.cell_load);
-                fed_result.traffic = Some(fed_report);
-                fed_result.dynamics =
-                    Some(dynamic_report(&fed.traces, &fed_result.cell_load, Some(fed_stats)));
-                Ok(fed_result)
+                    replay_traffic_dynamic(traffic, cells, traces, base_seed, dynamics);
+                (report, field, Some(stats))
             }
+        };
+        let (report, field, stats) = replay(&traces);
+        let (mut result, traces, report, stats) = if traffic.load_feedback {
+            let field = Arc::new(field);
+            let params = PassParams {
+                load_field: Some(&field),
+                ..PassParams::collect(base_seed, true)
+            };
+            let fed = self.pass(spec, PassSource::Ids(ids), params)?;
+            let (fed_report, _, fed_stats) = replay(&fed.traces);
+            (
+                assemble(fed.outcomes, fed.cell_load),
+                fed.traces,
+                fed_report,
+                fed_stats,
+            )
+        } else {
+            (result, traces, report, stats)
+        };
+        result.traffic = Some(report);
+        if self.dynamics.is_some() {
+            result.dynamics = Some(dynamic_report(&traces, &result.cell_load, stats));
         }
+        Ok(result)
     }
 
-    /// One fleet pass: the sharded parallel stepping, optionally
-    /// recording serving-cell traces (traffic plane), optionally
-    /// injecting a frozen occupancy field (load-feedback pass), and
-    /// optionally stopping at a lockstep step bound (checkpointing).
-    /// Every output vector comes back sorted by UE id.
+    /// One fleet pass: the sharded parallel stepping of `source` under
+    /// `params`. Each worker steps a static round-robin shard (entries
+    /// `w, w + workers, …`, independent of scheduling) cut lazily into
+    /// chunks, and catches its own panics so they surface as
+    /// [`FleetError::WorkerPanic`] with the original message instead of
+    /// crossbeam's opaque scope error. Every output vector comes back
+    /// sorted by UE id, and a [`PassSink::Fold`] pass has its HD sum
+    /// folded in UE-id order.
     fn pass(
         &self,
         spec: &dyn UeSpec,
         source: PassSource<'_>,
-        base_seed: u64,
-        record_traces: bool,
-        load_field: Option<&Arc<LoadField>>,
-        max_steps: Option<u64>,
-    ) -> Result<PassOutput, FleetError> {
-        let n_total = match source {
-            PassSource::Fresh(ids) => ids.len(),
-            PassSource::Restored(live, _) => live.len(),
-        };
-        let workers = self.workers.clamp(1, n_total.max(1));
-        let collected: Mutex<Vec<Result<WorkerPart, String>>> =
+        params: PassParams<'_>,
+    ) -> Result<PassPart, FleetError> {
+        let cells = self.config().layout.cells();
+        let workers = (self.workers as u64).clamp(1, source.len().max(1)) as usize;
+        let collected: Mutex<Vec<Result<PassPart, String>>> =
             Mutex::new(Vec::with_capacity(workers));
 
         crossbeam::scope(|scope| {
             for w in 0..workers {
                 let collected = &collected;
                 scope.spawn(move |_| {
-                    // Catch panics inside the worker so they surface as a
-                    // FleetError with the original message, instead of
-                    // crossbeam's opaque scope error.
                     let part = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let cells = self.config().layout.cells();
                         let mut arena = ChunkArena::new(cells.len());
-                        let mut outcomes = Vec::new();
-                        let mut load = CellLoadHistogram::new(cells.iter().copied());
-                        let mut traces = Vec::new();
-                        let mut live_out = Vec::new();
-                        // Static round-robin shard, independent of
-                        // scheduling.
-                        match source {
-                            PassSource::Fresh(ids) => {
-                                let shard: Vec<u64> =
-                                    ids.iter().copied().skip(w).step_by(workers).collect();
-                                for chunk in shard.chunks(self.chunk_size) {
-                                    self.simulate_chunk(
-                                        spec,
-                                        ChunkUes::Fresh(chunk),
-                                        base_seed,
-                                        load_field,
-                                        0,
-                                        max_steps,
-                                        &mut arena,
-                                        &mut load,
-                                        &mut outcomes,
-                                        record_traces.then_some(&mut traces),
-                                        max_steps.is_some().then_some(&mut live_out),
-                                    );
-                                }
+                        let mut part = PassPart::new(cells);
+                        let mut step_chunk = |chunk: ChunkUes<'_>| {
+                            self.simulate_chunk(spec, chunk, params, &mut arena, &mut part);
+                            if params.sink == PassSink::Fold {
+                                part.fold_outcomes();
                             }
-                            PassSource::Restored(live, start_step) => {
-                                let shard: Vec<&UeCheckpoint> =
-                                    live.iter().skip(w).step_by(workers).collect();
-                                for chunk in shard.chunks(self.chunk_size) {
-                                    self.simulate_chunk(
-                                        spec,
-                                        ChunkUes::Restored(chunk),
-                                        base_seed,
-                                        load_field,
-                                        start_step,
-                                        max_steps,
-                                        &mut arena,
-                                        &mut load,
-                                        &mut outcomes,
-                                        record_traces.then_some(&mut traces),
-                                        max_steps.is_some().then_some(&mut live_out),
-                                    );
-                                }
+                        };
+                        let size = self.chunk_size;
+                        match source {
+                            PassSource::Ids(ids) => {
+                                let shard = ids.iter().copied().skip(w).step_by(workers);
+                                for_each_chunk(shard, size, |c| step_chunk(ChunkUes::Fresh(c)));
+                            }
+                            PassSource::Range(n) => {
+                                let shard = (w as u64..n).step_by(workers);
+                                for_each_chunk(shard, size, |c| step_chunk(ChunkUes::Fresh(c)));
+                            }
+                            PassSource::Restored(live, start) => {
+                                let shard = live.iter().skip(w).step_by(workers);
+                                for_each_chunk(shard, size, |c| {
+                                    step_chunk(ChunkUes::Restored(c, start))
+                                });
                             }
                         }
-                        (outcomes, load, traces, live_out)
+                        part
                     }));
                     collected.lock().push(part.map_err(|p| panic_message(p.as_ref())));
                 });
@@ -1367,57 +1232,56 @@ impl FleetSimulation {
         // so the scope's join cannot observe a panicked thread.
         .expect("fleet worker panics are caught inside the workers");
 
-        let mut cell_load = CellLoadHistogram::new(self.config().layout.cells().iter().copied());
-        let mut outcomes: Vec<UeOutcome> = Vec::with_capacity(n_total);
-        let mut traces: Vec<UeTrace> = Vec::new();
-        let mut live: Vec<UeCheckpoint> = Vec::new();
+        let mut out = PassPart::new(cells);
         for part in collected.into_inner() {
-            let (part_outcomes, load, part_traces, part_live) =
-                part.map_err(FleetError::WorkerPanic)?;
-            outcomes.extend(part_outcomes);
-            cell_load.merge(&load);
-            traces.extend(part_traces);
-            live.extend(part_live);
+            out.merge(part.map_err(FleetError::WorkerPanic)?);
         }
         // UE-id order makes the f64 summary folds independent of the
         // sharding and of the submission order of `ids` — and gives the
         // traffic replay its deterministic event order.
-        outcomes.sort_by_key(|o| o.ue_id);
-        traces.sort_by_key(|t| t.ue_id);
-        live.sort_by_key(|l| l.ue_id);
-        Ok(PassOutput { outcomes, cell_load, traces, live })
+        out.outcomes.sort_by_key(|o| o.ue_id);
+        out.traces.sort_by_key(|t| t.ue_id);
+        out.live.sort_by_key(|l| l.ue_id);
+        out.hd_parts.sort_unstable_by_key(|&(id, _)| id);
+        for &(_, hd) in &out.hd_parts {
+            out.tally.hd_sum += hd;
+        }
+        Ok(out)
     }
 
     /// Step one chunk of UEs in lockstep, batching the mean RSS
     /// evaluation per (BS, chunk) and the fuzzy FLC evaluation per chunk
-    /// at every step. With `traces` the chunk also records every UE's
-    /// per-step serving cell (traffic plane); with `load_field` it hands
-    /// every policy the frozen occupancy timeline before stepping. With
-    /// `max_steps` the chunk stops at that lockstep step and exports the
-    /// still-live UEs into `live_out`; `start_step` > 0 resumes restored
-    /// UEs mid-walk (fast-forwarding their trajectory cursors).
-    #[allow(clippy::too_many_arguments)]
+    /// at every step, and push every finished UE into `part`. A
+    /// collecting pass with traces also records every UE's per-step
+    /// serving cell (traffic plane); a load field is handed to every
+    /// policy before stepping. With a step bound the chunk stops at that
+    /// lockstep step and exports the still-live UEs into `part.live`;
+    /// restored UEs resume mid-walk (fast-forwarding their trajectory
+    /// cursors).
     fn simulate_chunk(
         &self,
         spec: &dyn UeSpec,
         chunk: ChunkUes<'_>,
-        base_seed: u64,
-        load_field: Option<&Arc<LoadField>>,
-        start_step: u64,
-        max_steps: Option<u64>,
+        params: PassParams<'_>,
         arena: &mut ChunkArena,
-        load: &mut CellLoadHistogram,
-        out: &mut Vec<UeOutcome>,
-        mut traces: Option<&mut Vec<UeTrace>>,
-        mut live_out: Option<&mut Vec<UeCheckpoint>>,
+        part: &mut PassPart,
     ) {
+        let PassParams {
+            base_seed,
+            sink,
+            load_field,
+            max_steps,
+        } = params;
         let cfg = self.config();
         let cells = cfg.layout.cells();
         let compiled = self.sim.compiled_radio();
         let bs_positions = self.sim.bs_positions();
         let prune_plan = self.candidate_mode.plan(cells.len());
-        let compact = self.precision == FleetPrecision::Compact;
-        let tracing = traces.is_some();
+        let tracing = sink == PassSink::Collect { traces: true };
+        let start_step = match chunk {
+            ChunkUes::Fresh(_) => 0,
+            ChunkUes::Restored(_, start) => start,
+        };
 
         // Split the arena into independent buffers so each phase can
         // borrow exactly what it needs.
@@ -1428,7 +1292,6 @@ impl FleetSimulation {
             positions,
             points,
             rss_matrix,
-            rss_matrix_f32,
             means,
             rng_scratch,
             subset,
@@ -1440,21 +1303,13 @@ impl FleetSimulation {
         } = arena;
         debug_assert_eq!(means.len(), cells.len(), "arena sized for this layout");
 
-        // The scalar mean of one (BS, position) pair, rounded through
-        // the f32 storage lane under FleetPrecision::Compact so the
-        // pruned modes see the exact numbers the dense f32 matrix holds.
-        let mean_at = |slot: usize, pos: cellgeom::Vec2| -> f64 {
-            let v = compiled.received_power_dbm(bs_positions[slot], pos);
-            if compact {
-                f64::from(v as f32)
-            } else {
-                v
-            }
-        };
+        // The scalar mean of one (BS, position) pair (pruned modes).
+        let mean_at =
+            |slot: usize, pos: cellgeom::Vec2| compiled.received_power_dbm(bs_positions[slot], pos);
 
         let ids: Vec<u64> = match chunk {
             ChunkUes::Fresh(ids) => ids.to_vec(),
-            ChunkUes::Restored(live) => live.iter().map(|cp| cp.ue_id).collect(),
+            ChunkUes::Restored(live, _) => live.iter().map(|cp| cp.ue_id).collect(),
         };
         let n = ids.len();
 
@@ -1497,34 +1352,17 @@ impl FleetSimulation {
             .iter()
             .map(|t| t.resample_iter(cfg.sample_spacing_km))
             .collect();
-        // Restored UEs have already consumed as many measurement points
-        // as they took steps; fast-forward the regenerated cursors to
-        // match (a live UE's cursor yields at least that many points by
-        // construction). Without churn every live UE has taken exactly
-        // `start_step` steps; with churn a late arrival has taken fewer
-        // (and a not-yet-arrived UE none), which `cp.engine.steps`
-        // captures per UE.
-        if let ChunkUes::Restored(live) = chunk {
-            for (cursor, cp) in cursors.iter_mut().zip(live) {
-                for _ in 0..cp.engine.steps {
-                    if cursor.next().is_none() {
-                        break;
-                    }
-                }
-            }
-        }
         let mut policies: Vec<Box<dyn HandoverPolicy + Send>> =
             ids.iter().map(|&id| spec.policy(id)).collect();
-        if let ChunkUes::Restored(live) = chunk {
-            for (policy, cp) in policies.iter_mut().zip(live) {
-                policy.restore_policy_checkpoint(&cp.policy);
-            }
-        }
-        if let Some(field) = load_field {
-            for policy in &mut policies {
-                policy.set_load_field(field);
-            }
-        }
+        let mut hd_sums = vec![0.0f64; n];
+        let mut hd_counts = vec![0u64; n];
+        let mut travelled = vec![0.0f64; n];
+        // Per-UE serving-cell traces for the traffic plane, run-length
+        // encoded as (step, cell) change points + a step counter (empty
+        // and untouched unless tracing).
+        let mut trace_bufs: Vec<Vec<(u64, u32)>> =
+            if tracing { vec![Vec::new(); n] } else { Vec::new() };
+        let mut trace_steps: Vec<u64> = if tracing { vec![0; n] } else { Vec::new() };
         let mut ues: Vec<Option<UeState>> = match chunk {
             ChunkUes::Fresh(_) => ids
                 .iter()
@@ -1543,29 +1381,38 @@ impl FleetSimulation {
                     })
                 })
                 .collect(),
-            ChunkUes::Restored(live) => live
+            ChunkUes::Restored(live, _) => live
                 .iter()
-                .map(|cp| Some(UeState::from_snapshot(cfg, &cp.engine)))
+                .enumerate()
+                .map(|(i, cp)| {
+                    // Restored UEs have already consumed as many
+                    // measurement points as they took steps;
+                    // fast-forward the regenerated cursors to match (a
+                    // live UE's cursor yields at least that many points
+                    // by construction). Without churn every live UE has
+                    // taken exactly `start_step` steps; with churn a late
+                    // arrival has taken fewer (and a not-yet-arrived UE
+                    // none), which `cp.engine.steps` captures per UE.
+                    for _ in 0..cp.engine.steps {
+                        if cursors[i].next().is_none() {
+                            break;
+                        }
+                    }
+                    policies[i].restore_policy_checkpoint(&cp.policy);
+                    hd_sums[i] = cp.hd_sum;
+                    hd_counts[i] = cp.hd_count;
+                    travelled[i] = cp.travelled_km;
+                    if tracing {
+                        trace_bufs[i] = cp.trace_changes.clone();
+                        trace_steps[i] = cp.trace_steps;
+                    }
+                    Some(UeState::from_snapshot(cfg, &cp.engine))
+                })
                 .collect(),
         };
-        let mut hd_sums = vec![0.0f64; n];
-        let mut hd_counts = vec![0u64; n];
-        let mut travelled = vec![0.0f64; n];
-        // Per-UE serving-cell traces for the traffic plane, run-length
-        // encoded as (step, cell) change points + a step counter (empty
-        // and untouched unless tracing).
-        let mut trace_bufs: Vec<Vec<(u64, u32)>> =
-            if tracing { vec![Vec::new(); n] } else { Vec::new() };
-        let mut trace_steps: Vec<u64> = if tracing { vec![0; n] } else { Vec::new() };
-        if let ChunkUes::Restored(live) = chunk {
-            for (i, cp) in live.iter().enumerate() {
-                hd_sums[i] = cp.hd_sum;
-                hd_counts[i] = cp.hd_count;
-                travelled[i] = cp.travelled_km;
-                if tracing {
-                    trace_bufs[i] = cp.trace_changes.clone();
-                    trace_steps[i] = cp.trace_steps;
-                }
+        if let Some(field) = load_field {
+            for policy in &mut policies {
+                policy.set_load_field(field);
             }
         }
 
@@ -1594,22 +1441,20 @@ impl FleetSimulation {
                 if step >= bound {
                     for i in 0..n {
                         let Some(state) = ues[i].take() else { continue };
-                        if let Some(sink) = live_out.as_deref_mut() {
-                            sink.push(UeCheckpoint {
-                                ue_id: ids[i],
-                                engine: state.snapshot(),
-                                policy: policies[i].policy_checkpoint(),
-                                hd_sum: hd_sums[i],
-                                hd_count: hd_counts[i],
-                                travelled_km: travelled[i],
-                                trace_steps: if tracing { trace_steps[i] } else { 0 },
-                                trace_changes: if tracing {
-                                    std::mem::take(&mut trace_bufs[i])
-                                } else {
-                                    Vec::new()
-                                },
-                            });
-                        }
+                        part.live.push(UeCheckpoint {
+                            ue_id: ids[i],
+                            engine: state.snapshot(),
+                            policy: policies[i].policy_checkpoint(),
+                            hd_sum: hd_sums[i],
+                            hd_count: hd_counts[i],
+                            travelled_km: travelled[i],
+                            trace_steps: if tracing { trace_steps[i] } else { 0 },
+                            trace_changes: if tracing {
+                                std::mem::take(&mut trace_bufs[i])
+                            } else {
+                                Vec::new()
+                            },
+                        });
                         spare.push(state);
                     }
                     break;
@@ -1626,37 +1471,17 @@ impl FleetSimulation {
             points.clear();
             let mut pending_arrivals = 0usize;
             for i in 0..n {
-                if ues[i].is_none() {
-                    continue;
-                }
+                let Some(state) = &ues[i] else { continue };
+                let mut departed = false;
                 if let Some(windows) = &churn_windows {
                     let (arrival, lifetime) = windows[i];
                     if step < arrival {
                         pending_arrivals += 1;
                         continue;
                     }
-                    if ues[i].as_ref().expect("UE is live").step_count() as u64 >= lifetime {
-                        let state = ues[i].take().expect("UE is live");
-                        out.push(finish_ue(
-                            cfg,
-                            ids[i],
-                            &state,
-                            hd_sums[i],
-                            hd_counts[i],
-                            travelled[i],
-                        ));
-                        spare.push(state);
-                        if let Some(sink) = traces.as_deref_mut() {
-                            sink.push(UeTrace {
-                                ue_id: ids[i],
-                                steps: trace_steps[i],
-                                changes: std::mem::take(&mut trace_bufs[i]),
-                            });
-                        }
-                        continue;
-                    }
+                    departed = state.step_count() as u64 >= lifetime;
                 }
-                match cursors[i].next() {
+                match if departed { None } else { cursors[i].next() } {
                     Some(p) => {
                         active_idx.push(i);
                         positions.push(p.pos);
@@ -1664,7 +1489,7 @@ impl FleetSimulation {
                     }
                     None => {
                         let state = ues[i].take().expect("UE is live");
-                        out.push(finish_ue(
+                        part.outcomes.push(finish_ue(
                             cfg,
                             ids[i],
                             &state,
@@ -1673,8 +1498,8 @@ impl FleetSimulation {
                             travelled[i],
                         ));
                         spare.push(state);
-                        if let Some(sink) = traces.as_deref_mut() {
-                            sink.push(UeTrace {
+                        if tracing {
+                            part.traces.push(UeTrace {
                                 ue_id: ids[i],
                                 steps: trace_steps[i],
                                 changes: std::mem::take(&mut trace_bufs[i]),
@@ -1711,9 +1536,8 @@ impl FleetSimulation {
                 };
 
             // Batched mean RSS (dense mode only): one (BS × chunk) pass
-            // per cell through the compiled link budget, into f64 or f32
-            // storage lanes per the precision setting. The buffer is only
-            // resized when the active count changes — every slot is
+            // per cell through the compiled link budget. The buffer is
+            // only resized when the active count changes — every slot is
             // overwritten below, so no zero-fill churn.
             if matches!(prune_plan, PrunePlan::Dense) {
                 // Chaos harness: a scripted allocation failure in the
@@ -1722,24 +1546,13 @@ impl FleetSimulation {
                 if let Some(injector) = &self.fault {
                     injector.check_arena_grow(step);
                 }
-                if compact {
-                    rss_matrix_f32.resize(cells.len() * a, 0.0);
-                    for (k, &bs_pos) in bs_positions.iter().enumerate() {
-                        compiled.received_power_dbm_batch_f32(
-                            bs_pos,
-                            positions,
-                            &mut rss_matrix_f32[k * a..(k + 1) * a],
-                        );
-                    }
-                } else {
-                    rss_matrix.resize(cells.len() * a, 0.0);
-                    for (k, &bs_pos) in bs_positions.iter().enumerate() {
-                        compiled.received_power_dbm_batch(
-                            bs_pos,
-                            positions,
-                            &mut rss_matrix[k * a..(k + 1) * a],
-                        );
-                    }
+                rss_matrix.resize(cells.len() * a, 0.0);
+                for (k, &bs_pos) in bs_positions.iter().enumerate() {
+                    compiled.received_power_dbm_batch(
+                        bs_pos,
+                        positions,
+                        &mut rss_matrix[k * a..(k + 1) * a],
+                    );
                 }
             }
 
@@ -1756,22 +1569,10 @@ impl FleetSimulation {
                 let ue = ues[i].as_mut().expect("UE is live");
                 let report = match prune_plan {
                     PrunePlan::Dense => {
-                        if compact {
-                            for (k, slot) in means.iter_mut().enumerate() {
-                                *slot = f64::from(rss_matrix_f32[k * a + j]);
-                            }
-                        } else {
-                            for (k, slot) in means.iter_mut().enumerate() {
-                                *slot = rss_matrix[k * a + j];
-                            }
+                        for (k, slot) in means.iter_mut().enumerate() {
+                            *slot = rss_matrix[k * a + j];
                         }
-                        ue.begin_step_fused(
-                            cfg,
-                            self.sim.candidates(),
-                            means,
-                            points[j],
-                            rng_scratch,
-                        )
+                        ue.begin_step(cfg, self.sim.candidates(), means, points[j], rng_scratch)
                     }
                     PrunePlan::Pruned { k, edge_margin_db } => {
                         let pos = positions[j];
@@ -1844,7 +1645,7 @@ impl FleetSimulation {
                     let candidate_down =
                         self.sim.candidates().of(serving_idx).iter().any(|&k| down[k]);
                     if serving_down || candidate_down {
-                        match ue.report_excluding(cfg, self.sim.candidates(), points[j], down) {
+                        match ue.report(cfg, self.sim.candidates(), points[j], Some(down)) {
                             Some(live_report) => {
                                 report = live_report;
                                 if serving_down {
@@ -1923,7 +1724,7 @@ impl FleetSimulation {
                 let ue = ues[i].as_mut().expect("UE is live");
                 let outcome =
                     ue.finish_step(cfg, &reports[j], decision, points[j], policies[i].as_mut());
-                load.record_index(outcome.serving_after_idx);
+                part.cell_load.record_index(outcome.serving_after_idx);
                 if tracing {
                     // Change points are recorded at the *global* lockstep
                     // step: without churn it equals the per-UE step
@@ -1945,6 +1746,42 @@ impl FleetSimulation {
             step += 1;
         }
     }
+}
+
+/// Feed `items` to `f` in consecutive chunks of `chunk_size` (the last
+/// one possibly shorter) through one reused buffer.
+fn for_each_chunk<T>(items: impl Iterator<Item = T>, chunk_size: usize, mut f: impl FnMut(&[T])) {
+    let mut buf = Vec::with_capacity(chunk_size);
+    for item in items {
+        buf.push(item);
+        if buf.len() == chunk_size {
+            f(&buf);
+            buf.clear();
+        }
+    }
+    if !buf.is_empty() {
+        f(&buf);
+    }
+}
+
+/// A pass's finished UEs merged with those of the checkpoint it
+/// continued, if any: outcomes, traces and serving load, id-sorted.
+fn after_checkpoint(
+    from: Option<&FleetCheckpoint>,
+    out: PassPart,
+) -> (Vec<UeOutcome>, Vec<UeTrace>, CellLoadHistogram) {
+    let Some(cp) = from else {
+        return (out.outcomes, out.traces, out.cell_load);
+    };
+    let mut outcomes = cp.finished.clone();
+    outcomes.extend(out.outcomes);
+    outcomes.sort_by_key(|o| o.ue_id);
+    let mut traces = cp.finished_traces.clone();
+    traces.extend(out.traces);
+    traces.sort_by_key(|t| t.ue_id);
+    let mut cell_load = cp.cell_load.clone();
+    cell_load.merge(&out.cell_load);
+    (outcomes, traces, cell_load)
 }
 
 /// Narrow a layout cell index to the `u32` the pruned-subset buffers
@@ -2088,6 +1925,11 @@ mod tests {
         }
     }
 
+    /// The UE ids `0..n`.
+    fn ue_ids(n: u64) -> Vec<u64> {
+        (0..n).collect()
+    }
+
     fn demo_traffic() -> TrafficConfig {
         TrafficConfig {
             channels_per_cell: 4,
@@ -2131,7 +1973,7 @@ mod tests {
         let spec = SingleUe { trajectory: walk.clone(), make_policy: make };
 
         let fleet = FleetSimulation::new(cfg.clone());
-        let result = fleet.run(&spec, 1, 77);
+        let result = fleet.try_run_ids(&spec, &ue_ids(1), 77).unwrap();
 
         let sim = Simulation::new(cfg.clone());
         let mut policy = PolicyKind::Fuzzy.build(2.0);
@@ -2147,13 +1989,16 @@ mod tests {
     #[test]
     fn worker_count_and_chunk_size_do_not_change_results() {
         let spec = fuzzy_walk_spec(5);
-        let reference = FleetSimulation::new(noisy_config()).run(&spec, 40, 9);
+        let reference = FleetSimulation::new(noisy_config())
+            .try_run_ids(&spec, &ue_ids(40), 9)
+            .unwrap();
         for workers in [2, 3, 8] {
             for chunk in [1, 7, 64] {
                 let got = FleetSimulation::new(noisy_config())
                     .with_workers(workers)
                     .with_chunk_size(chunk)
-                    .run(&spec, 40, 9);
+                    .try_run_ids(&spec, &ue_ids(40), 9)
+                    .unwrap();
                 assert_eq!(reference, got, "workers={workers} chunk={chunk}");
             }
         }
@@ -2168,16 +2013,19 @@ mod tests {
         shuffled.reverse();
         shuffled.swap(3, 17);
         shuffled.rotate_left(11);
-        assert_eq!(fleet.run_ids(&spec, &forward, 4), fleet.run_ids(&spec, &shuffled, 4));
+        assert_eq!(
+            fleet.try_run_ids(&spec, &forward, 4).unwrap(),
+            fleet.try_run_ids(&spec, &shuffled, 4).unwrap()
+        );
     }
 
     #[test]
     fn fleet_reruns_are_deterministic_and_seeds_matter() {
         let spec = fuzzy_walk_spec(1);
         let fleet = FleetSimulation::new(noisy_config()).with_workers(4);
-        let a = fleet.run(&spec, 25, 100);
-        let b = fleet.run(&spec, 25, 100);
-        let c = fleet.run(&spec, 25, 101);
+        let a = fleet.try_run_ids(&spec, &ue_ids(25), 100).unwrap();
+        let b = fleet.try_run_ids(&spec, &ue_ids(25), 100).unwrap();
+        let c = fleet.try_run_ids(&spec, &ue_ids(25), 101).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c, "the measurement base seed reaches every UE");
     }
@@ -2185,7 +2033,10 @@ mod tests {
     #[test]
     fn cell_load_accounts_every_ue_step() {
         let spec = fuzzy_walk_spec(2);
-        let result = FleetSimulation::new(noisy_config()).with_workers(3).run(&spec, 50, 8);
+        let result = FleetSimulation::new(noisy_config())
+            .with_workers(3)
+            .try_run_ids(&spec, &ue_ids(50), 8)
+            .unwrap();
         let total_steps: u64 = result.outcomes.iter().map(|o| o.steps).sum();
         assert_eq!(result.cell_load.total(), total_steps);
         assert_eq!(result.summary.steps, total_steps);
@@ -2198,7 +2049,10 @@ mod tests {
     #[test]
     fn outcomes_are_sorted_by_ue_id() {
         let spec = fuzzy_walk_spec(6);
-        let result = FleetSimulation::new(noisy_config()).with_workers(5).run(&spec, 23, 1);
+        let result = FleetSimulation::new(noisy_config())
+            .with_workers(5)
+            .try_run_ids(&spec, &ue_ids(23), 1)
+            .unwrap();
         let ids: Vec<u64> = result.outcomes.iter().map(|o| o.ue_id).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
@@ -2209,7 +2063,9 @@ mod tests {
     #[test]
     fn empty_fleet_is_a_benign_no_op() {
         let spec = fuzzy_walk_spec(0);
-        let result = FleetSimulation::new(noisy_config()).run(&spec, 0, 0);
+        let result = FleetSimulation::new(noisy_config())
+            .try_run_ids(&spec, &ue_ids(0), 0)
+            .unwrap();
         assert!(result.outcomes.is_empty());
         assert_eq!(result.summary, FleetSummary::default());
         assert_eq!(result.cell_load.total(), 0);
@@ -2223,7 +2079,9 @@ mod tests {
             policy: PolicyKind::Threshold { threshold_dbm: -500.0 },
             ..fuzzy_walk_spec(4)
         };
-        let result = FleetSimulation::new(noisy_config()).run(&spec, 10, 2);
+        let result = FleetSimulation::new(noisy_config())
+            .try_run_ids(&spec, &ue_ids(10), 2)
+            .unwrap();
         assert_eq!(result.summary.handovers, 0);
         assert_eq!(result.summary.mean_hd(), None, "no FLC data is None, never NaN");
         assert!(result.summary.steps > 0);
@@ -2239,8 +2097,8 @@ mod tests {
             ..fuzzy
         };
         let fleet = FleetSimulation::new(noisy_config()).with_workers(4);
-        let f = fleet.run(&fuzzy, 60, 5).summary;
-        let n = fleet.run(&naive, 60, 5).summary;
+        let f = fleet.try_run_ids(&fuzzy, &ue_ids(60), 5).unwrap().summary;
+        let n = fleet.try_run_ids(&naive, &ue_ids(60), 5).unwrap().summary;
         assert!(
             f.handovers < n.handovers,
             "fuzzy ({}) hands over less than naive ({})",
@@ -2259,7 +2117,10 @@ mod tests {
             trajectory: Trajectory::new(vec![cellgeom::Vec2::new(0.2, 0.1)]),
             make_policy: make,
         };
-        let result = FleetSimulation::new(noisy_config()).with_workers(2).run(&spec, 12, 1);
+        let result = FleetSimulation::new(noisy_config())
+            .with_workers(2)
+            .try_run_ids(&spec, &ue_ids(12), 1)
+            .unwrap();
         assert_eq!(result.summary.steps, 12);
         assert_eq!(result.summary.handovers, 0);
         assert_eq!(result.cell_load.count(Axial::ORIGIN), 12);
@@ -2279,8 +2140,14 @@ mod tests {
         let exact_spec = fuzzy_walk_spec(12);
         let lut_spec = HomogeneousFleet { policy: PolicyKind::FuzzyLut, ..exact_spec };
         let fleet = FleetSimulation::new(noisy_config()).with_workers(3);
-        let exact = fleet.run(&exact_spec, 40, 5).summary;
-        let lut = fleet.run(&lut_spec, 40, 5).summary;
+        let exact = fleet
+            .try_run_ids(&exact_spec, &ue_ids(40), 5)
+            .unwrap()
+            .summary;
+        let lut = fleet
+            .try_run_ids(&lut_spec, &ue_ids(40), 5)
+            .unwrap()
+            .summary;
         assert_eq!(exact.steps, lut.steps, "gates and walks are identical");
         let per_ue_gap =
             (exact.handovers as f64 - lut.handovers as f64).abs() / exact.ues as f64;
@@ -2322,13 +2189,13 @@ mod tests {
             }
         }
         let fleet = FleetSimulation::new(noisy_config()).with_chunk_size(6);
-        let mixed = fleet.run(&Mixed, 18, 9);
+        let mixed = fleet.try_run_ids(&Mixed, &ue_ids(18), 9).unwrap();
         for (kind, residue) in [
             (PolicyKind::Fuzzy, 0),
             (PolicyKind::FuzzyLut, 1),
             (PolicyKind::Hysteresis { margin_db: 4.0 }, 2),
         ] {
-            let uniform = fleet.run(&Uniform(kind), 18, 9);
+            let uniform = fleet.try_run_ids(&Uniform(kind), &ue_ids(18), 9).unwrap();
             for (m, u) in mixed.outcomes.iter().zip(&uniform.outcomes) {
                 if m.ue_id % 3 == residue {
                     assert_eq!(m, u, "{} UE {} drifted in the mixed chunk", kind.label(), m.ue_id);
@@ -2340,7 +2207,9 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let spec = fuzzy_walk_spec(9);
-        let result = FleetSimulation::new(noisy_config()).run(&spec, 3, 6);
+        let result = FleetSimulation::new(noisy_config())
+            .try_run_ids(&spec, &ue_ids(3), 6)
+            .unwrap();
         let back: FleetResult =
             serde_json::from_str(&serde_json::to_string(&result).unwrap()).unwrap();
         assert_eq!(result, back);
@@ -2352,11 +2221,15 @@ mod tests {
         // outcomes / summary / cell load are bit-identical to the
         // traffic-free run, and only `traffic` is added.
         let spec = fuzzy_walk_spec(21);
-        let bare = FleetSimulation::new(noisy_config()).with_workers(3).run(&spec, 30, 7);
+        let bare = FleetSimulation::new(noisy_config())
+            .with_workers(3)
+            .try_run_ids(&spec, &ue_ids(30), 7)
+            .unwrap();
         let traffic = FleetSimulation::new(noisy_config())
             .with_workers(3)
             .with_traffic(demo_traffic())
-            .run(&spec, 30, 7);
+            .try_run_ids(&spec, &ue_ids(30), 7)
+            .unwrap();
         assert_eq!(bare.outcomes, traffic.outcomes);
         assert_eq!(bare.summary, traffic.summary);
         assert_eq!(bare.cell_load, traffic.cell_load);
@@ -2372,13 +2245,15 @@ mod tests {
         let spec = fuzzy_walk_spec(13);
         let reference = FleetSimulation::new(noisy_config())
             .with_traffic(demo_traffic())
-            .run(&spec, 40, 3);
+            .try_run_ids(&spec, &ue_ids(40), 3)
+            .unwrap();
         for (workers, chunk) in [(2, 1), (3, 7), (8, 64)] {
             let got = FleetSimulation::new(noisy_config())
                 .with_traffic(demo_traffic())
                 .with_workers(workers)
                 .with_chunk_size(chunk)
-                .run(&spec, 40, 3);
+                .try_run_ids(&spec, &ue_ids(40), 3)
+                .unwrap();
             assert_eq!(reference, got, "workers={workers} chunk={chunk}");
         }
     }
@@ -2408,10 +2283,12 @@ mod tests {
 
         let fed_aware = FleetSimulation::new(noisy_config())
             .with_traffic(congested)
-            .run(&aware, 60, 5);
+            .try_run_ids(&aware, &ue_ids(60), 5)
+            .unwrap();
         let passive_aware = FleetSimulation::new(noisy_config())
             .with_traffic(passive)
-            .run(&aware, 60, 5);
+            .try_run_ids(&aware, &ue_ids(60), 5)
+            .unwrap();
         assert_ne!(
             fed_aware.outcomes, passive_aware.outcomes,
             "occupancy feedback must reach load-aware decisions"
@@ -2419,10 +2296,12 @@ mod tests {
 
         let fed_blind = FleetSimulation::new(noisy_config())
             .with_traffic(congested)
-            .run(&blind, 60, 5);
+            .try_run_ids(&blind, &ue_ids(60), 5)
+            .unwrap();
         let passive_blind = FleetSimulation::new(noisy_config())
             .with_traffic(passive)
-            .run(&blind, 60, 5);
+            .try_run_ids(&blind, &ue_ids(60), 5)
+            .unwrap();
         assert_eq!(
             fed_blind.outcomes, passive_blind.outcomes,
             "load-blind policies ignore the field"
@@ -2441,8 +2320,8 @@ mod tests {
         };
         let fleet = FleetSimulation::new(noisy_config()).with_workers(2);
         assert_eq!(
-            fleet.run(&aware, 25, 4).outcomes,
-            fleet.run(&plain, 25, 4).outcomes,
+            fleet.try_run_ids(&aware, &ue_ids(25), 4).unwrap().outcomes,
+            fleet.try_run_ids(&plain, &ue_ids(25), 4).unwrap().outcomes,
             "no field ⇒ the bias never engages"
         );
     }
@@ -2464,7 +2343,8 @@ mod tests {
             FleetSimulation::new(noisy_config())
                 .with_traffic(congested)
                 .with_workers(workers)
-                .run(&spec, 30, 9)
+                .try_run_ids(&spec, &ue_ids(30), 9)
+                .unwrap()
         };
         let a = mk(1);
         assert_eq!(a, mk(1));
@@ -2481,7 +2361,9 @@ mod tests {
                 trajectory_seed: 2,
                 cell_radius_km: 2.0,
             };
-            let result = FleetSimulation::new(noisy_config()).run(&spec, 8, 3);
+            let result = FleetSimulation::new(noisy_config())
+                .try_run_ids(&spec, &ue_ids(8), 3)
+                .unwrap();
             assert_eq!(result.outcomes.len(), 8, "{}", mobility.label());
             assert!(result.summary.steps > 0, "{}", mobility.label());
         }
@@ -2509,7 +2391,7 @@ mod tests {
     fn worker_panics_surface_as_fleet_errors() {
         let err = FleetSimulation::new(noisy_config())
             .with_workers(2)
-            .try_run(&panicking_spec(), 4, 1)
+            .try_run_ids(&panicking_spec(), &ue_ids(4), 1)
             .unwrap_err();
         match err {
             FleetError::WorkerPanic(msg) => {
@@ -2520,45 +2402,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "on purpose")]
-    fn run_panics_on_worker_panic() {
-        let _ = FleetSimulation::new(noisy_config()).run(&panicking_spec(), 2, 1);
-    }
-
-    #[test]
-    fn try_run_matches_run() {
-        let spec = fuzzy_walk_spec(5);
-        let fleet = FleetSimulation::new(noisy_config()).with_workers(2);
-        assert_eq!(fleet.try_run(&spec, 12, 3).unwrap(), fleet.run(&spec, 12, 3));
-    }
-
-    #[test]
-    fn compact_precision_is_deterministic_and_close_to_full() {
-        let spec = fuzzy_walk_spec(5);
-        let full = FleetSimulation::new(noisy_config()).run(&spec, 40, 9);
-        let compact = FleetSimulation::new(noisy_config())
-            .with_precision(FleetPrecision::Compact)
-            .run(&spec, 40, 9);
-        // Same walks, so identical step counts; the f32 mean rounding may
-        // flip a handful of near-threshold decisions, nothing more.
-        assert_eq!(full.summary.steps, compact.summary.steps);
-        let per_ue_gap = (full.summary.handovers as f64 - compact.summary.handovers as f64)
-            .abs()
-            / full.summary.ues as f64;
-        assert!(
-            per_ue_gap < 0.5,
-            "compact drifted: {} vs {} handovers",
-            full.summary.handovers,
-            compact.summary.handovers
-        );
-        // The compact path keeps the full invariance contract.
-        for (workers, chunk) in [(3, 7), (8, 1)] {
-            let again = FleetSimulation::new(noisy_config())
-                .with_precision(FleetPrecision::Compact)
-                .with_workers(workers)
-                .with_chunk_size(chunk)
-                .run(&spec, 40, 9);
-            assert_eq!(compact, again, "workers={workers} chunk={chunk}");
+    fn streamed_worker_panics_surface_as_fleet_errors() {
+        let err = FleetSimulation::new(noisy_config())
+            .with_workers(2)
+            .run_streamed(&panicking_spec(), 4, 1)
+            .unwrap_err();
+        match err {
+            FleetError::WorkerPanic(msg) => {
+                assert!(
+                    msg.contains("on purpose"),
+                    "original panic message is preserved: {msg}"
+                );
+            }
+            other => panic!("expected WorkerPanic, got {other:?}"),
         }
     }
 
@@ -2569,10 +2425,12 @@ mod tests {
         let spec = fuzzy_walk_spec(7);
         let nearest = FleetSimulation::new(noisy_config())
             .with_candidate_mode(CandidateMode::Nearest(9))
-            .run(&spec, 30, 4);
+            .try_run_ids(&spec, &ue_ids(30), 4)
+            .unwrap();
         let edge = FleetSimulation::new(noisy_config())
             .with_candidate_mode(CandidateMode::EdgeSet { k: 9, margin_db: f64::INFINITY })
-            .run(&spec, 30, 4);
+            .try_run_ids(&spec, &ue_ids(30), 4)
+            .unwrap();
         assert_eq!(nearest, edge);
     }
 
@@ -2580,17 +2438,22 @@ mod tests {
     fn edge_set_interior_fast_path_is_deterministic_and_sane() {
         let spec = fuzzy_walk_spec(7);
         let mode = CandidateMode::EdgeSet { k: 9, margin_db: 6.0 };
-        let reference =
-            FleetSimulation::new(noisy_config()).with_candidate_mode(mode).run(&spec, 30, 4);
+        let reference = FleetSimulation::new(noisy_config())
+            .with_candidate_mode(mode)
+            .try_run_ids(&spec, &ue_ids(30), 4)
+            .unwrap();
         for (workers, chunk) in [(2, 5), (4, 64)] {
             let got = FleetSimulation::new(noisy_config())
                 .with_candidate_mode(mode)
                 .with_workers(workers)
                 .with_chunk_size(chunk)
-                .run(&spec, 30, 4);
+                .try_run_ids(&spec, &ue_ids(30), 4)
+                .unwrap();
             assert_eq!(reference, got, "workers={workers} chunk={chunk}");
         }
-        let dense = FleetSimulation::new(noisy_config()).run(&spec, 30, 4);
+        let dense = FleetSimulation::new(noisy_config())
+            .try_run_ids(&spec, &ue_ids(30), 4)
+            .unwrap();
         assert_eq!(reference.summary.steps, dense.summary.steps, "same walks, same steps");
         assert!(reference.summary.handovers > 0, "edge UEs still hand over");
     }
@@ -2600,13 +2463,13 @@ mod tests {
         let spec = fuzzy_walk_spec(11);
         let fleet = FleetSimulation::new(noisy_config()).with_workers(2).with_chunk_size(5);
         let ids: Vec<u64> = (0..20).collect();
-        let full = fleet.run_ids(&spec, &ids, 6);
+        let full = fleet.try_run_ids(&spec, &ids, 6).unwrap();
         // Bounds before, inside and past every walk (10_000 ⇒ the
         // snapshot holds only finished UEs).
         for k in [0, 1, 5, 13, 10_000] {
-            let cp = fleet.run_partial(&spec, &ids, 6, k).unwrap();
+            let cp = fleet.advance(&spec, None, &ids, 6, k).unwrap();
             assert_eq!(cp.ue_count(), ids.len(), "snapshot at step {k} covers the fleet");
-            let resumed = fleet.resume(&spec, &cp).unwrap();
+            let resumed = fleet.try_resume(&spec, &cp).unwrap();
             assert_eq!(full, resumed, "snapshot at step {k}");
             for (a, b) in full.outcomes.iter().zip(&resumed.outcomes) {
                 assert_eq!(
@@ -2623,22 +2486,25 @@ mod tests {
     fn checkpoint_is_worker_and_chunk_invariant() {
         let spec = fuzzy_walk_spec(3);
         let ids: Vec<u64> = (0..15).collect();
-        let reference =
-            FleetSimulation::new(noisy_config()).run_partial(&spec, &ids, 2, 4).unwrap();
+        let reference = FleetSimulation::new(noisy_config())
+            .advance(&spec, None, &ids, 2, 4)
+            .unwrap();
         for (workers, chunk) in [(2, 1), (3, 7), (8, 64)] {
             let cp = FleetSimulation::new(noisy_config())
                 .with_workers(workers)
                 .with_chunk_size(chunk)
-                .run_partial(&spec, &ids, 2, 4)
+                .advance(&spec, None, &ids, 2, 4)
                 .unwrap();
             assert_eq!(reference, cp, "workers={workers} chunk={chunk}");
         }
         // And the resume side is free to use a different pool shape.
-        let full = FleetSimulation::new(noisy_config()).run_ids(&spec, &ids, 2);
+        let full = FleetSimulation::new(noisy_config())
+            .try_run_ids(&spec, &ids, 2)
+            .unwrap();
         let resumed = FleetSimulation::new(noisy_config())
             .with_workers(5)
             .with_chunk_size(3)
-            .resume(&spec, &reference)
+            .try_resume(&spec, &reference)
             .unwrap();
         assert_eq!(full, resumed);
     }
@@ -2648,10 +2514,10 @@ mod tests {
         let spec = fuzzy_walk_spec(21);
         let mk = || FleetSimulation::new(noisy_config()).with_workers(3).with_traffic(demo_traffic());
         let ids: Vec<u64> = (0..30).collect();
-        let full = mk().run_ids(&spec, &ids, 7);
-        let cp = mk().run_partial(&spec, &ids, 7, 6).unwrap();
+        let full = mk().try_run_ids(&spec, &ids, 7).unwrap();
+        let cp = mk().advance(&spec, None, &ids, 7, 6).unwrap();
         assert!(cp.tracing, "traffic engines checkpoint their traces");
-        let resumed = mk().resume(&spec, &cp).unwrap();
+        let resumed = mk().try_resume(&spec, &cp).unwrap();
         assert_eq!(full, resumed);
         assert!(resumed.traffic.is_some(), "the replay runs at resume time");
     }
@@ -2671,12 +2537,12 @@ mod tests {
         };
         let mk = || FleetSimulation::new(noisy_config()).with_traffic(congested);
         let ids: Vec<u64> = (0..30).collect();
-        let full = mk().run_ids(&spec, &ids, 5);
+        let full = mk().try_run_ids(&spec, &ids, 5).unwrap();
         // The checkpoint freezes the first (load-blind) pass; resume
         // finishes it, replays traffic and reruns the fed pass — landing
         // on the uninterrupted result exactly.
-        let cp = mk().run_partial(&spec, &ids, 5, 8).unwrap();
-        let resumed = mk().with_workers(4).resume(&spec, &cp).unwrap();
+        let cp = mk().advance(&spec, None, &ids, 5, 8).unwrap();
+        let resumed = mk().with_workers(4).try_resume(&spec, &cp).unwrap();
         assert_eq!(full, resumed);
     }
 
@@ -2690,9 +2556,9 @@ mod tests {
             [CandidateMode::Nearest(7), CandidateMode::EdgeSet { k: 7, margin_db: 4.0 }]
         {
             let mk = || FleetSimulation::new(noisy_config()).with_candidate_mode(mode);
-            let full = mk().run_ids(&spec, &ids, 8);
-            let cp = mk().run_partial(&spec, &ids, 8, 5).unwrap();
-            let resumed = mk().with_workers(3).resume(&spec, &cp).unwrap();
+            let full = mk().try_run_ids(&spec, &ids, 8).unwrap();
+            let cp = mk().advance(&spec, None, &ids, 8, 5).unwrap();
+            let resumed = mk().with_workers(3).try_resume(&spec, &cp).unwrap();
             assert_eq!(full, resumed, "{}", mode.label());
         }
     }
@@ -2702,12 +2568,15 @@ mod tests {
         let spec = fuzzy_walk_spec(2);
         let ids: Vec<u64> = (0..8).collect();
         let fleet = FleetSimulation::new(noisy_config());
-        let cp = fleet.run_partial(&spec, &ids, 3, 4).unwrap();
+        let cp = fleet.advance(&spec, None, &ids, 3, 4).unwrap();
         assert!(!cp.live.is_empty(), "mid-run snapshots carry live UEs");
         let back: FleetCheckpoint =
             serde_json::from_str(&serde_json::to_string(&cp).unwrap()).unwrap();
         assert_eq!(cp, back);
-        assert_eq!(fleet.resume(&spec, &cp).unwrap(), fleet.resume(&spec, &back).unwrap());
+        assert_eq!(
+            fleet.try_resume(&spec, &cp).unwrap(),
+            fleet.try_resume(&spec, &back).unwrap()
+        );
     }
 
     #[test]
@@ -2715,16 +2584,22 @@ mod tests {
     fn resume_rejects_mismatched_traffic_plane() {
         let spec = fuzzy_walk_spec(1);
         let ids: Vec<u64> = (0..4).collect();
-        let cp = FleetSimulation::new(noisy_config()).run_partial(&spec, &ids, 2, 3).unwrap();
-        let _ = FleetSimulation::new(noisy_config())
+        let cp = FleetSimulation::new(noisy_config())
+            .advance(&spec, None, &ids, 2, 3)
+            .unwrap();
+        // The typed PlaneMismatch error names both tracing flags.
+        FleetSimulation::new(noisy_config())
             .with_traffic(demo_traffic())
-            .resume(&spec, &cp);
+            .try_resume(&spec, &cp)
+            .unwrap();
     }
 
     #[test]
     fn streamed_summary_matches_dense_bit_for_bit() {
         let spec = fuzzy_walk_spec(5);
-        let dense = FleetSimulation::new(noisy_config()).run(&spec, 40, 9);
+        let dense = FleetSimulation::new(noisy_config())
+            .try_run_ids(&spec, &ue_ids(40), 9)
+            .unwrap();
         for workers in [1, 3] {
             let streamed = FleetSimulation::new(noisy_config())
                 .with_workers(workers)
@@ -2742,11 +2617,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no traffic plane")]
     fn streamed_rejects_traffic_plane() {
         let spec = fuzzy_walk_spec(1);
-        let _ = FleetSimulation::new(noisy_config())
+        let err = FleetSimulation::new(noisy_config())
             .with_traffic(demo_traffic())
-            .run_streamed(&spec, 4, 1);
+            .run_streamed(&spec, 4, 1)
+            .unwrap_err();
+        assert_eq!(err, FleetError::InvalidConfig(ConfigError::StreamedTraffic));
+        assert!(err.to_string().contains("no traffic plane"), "{err}");
     }
 }

@@ -28,8 +28,8 @@
 //!   (config, seed, step) on its own domain-separated stream, so
 //!   "feature off" is bit-identical to the static engine.
 //! * [`checkpoint`] — compact fleet snapshots: freeze a mid-run fleet
-//!   pass ([`fleet::FleetSimulation::run_partial`]) and resume it
-//!   bit-identically ([`fleet::FleetSimulation::resume`]), plus the
+//!   pass ([`fleet::FleetSimulation::advance`]) and resume it
+//!   bit-identically ([`fleet::FleetSimulation::try_resume`]), plus the
 //!   checksummed sealed container ([`checkpoint::FleetCheckpoint::seal`])
 //!   that detects bit-rot and truncation on restore.
 //! * [`resilience`] — the fault-tolerance plane: the typed

@@ -189,7 +189,8 @@ impl ScenarioMatrix {
             trajectory_seed: spec.seed,
             cell_radius_km,
         };
-        let result = fleet.try_run(&ue_spec, spec.ue_count, spec.seed)?;
+        let ids: Vec<u64> = (0..spec.ue_count).collect();
+        let result = fleet.try_run_ids(&ue_spec, &ids, spec.seed)?;
         Ok(MatrixCellResult {
             ue_count: spec.ue_count,
             mobility: spec.mobility.label().to_string(),

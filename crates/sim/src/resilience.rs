@@ -26,7 +26,7 @@
 //! The headline contract, pinned by `tests/resilience_props.rs`: for
 //! any scripted [`FaultPlan`] of recoverable faults, the supervised
 //! result is **bit-identical** to the fault-free
-//! [`FleetSimulation::run_ids`] — every `f64` included. Recovery never
+//! [`FleetSimulation::try_run_ids`] — every `f64` included. Recovery never
 //! changes the answer, because every segment is replayed from a
 //! checksummed snapshot whose resume path is itself bit-identical
 //! (the PR 6 contract), and corrupted snapshots are always *detected*
@@ -121,6 +121,9 @@ pub enum ConfigError {
         /// The missing cell.
         cell: cellgeom::Axial,
     },
+    /// A traffic plane on [`FleetSimulation::run_streamed`], whose
+    /// serving-cell traces would materialize per-UE state.
+    StreamedTraffic,
 }
 
 impl fmt::Display for ConfigError {
@@ -154,6 +157,11 @@ impl fmt::Display for ConfigError {
             ConfigError::UnknownCell { what, cell } => {
                 write!(f, "{what} cell {cell:?} is not in the layout")
             }
+            ConfigError::StreamedTraffic => write!(
+                f,
+                "the streaming path has no traffic plane (serving-cell traces would \
+                 materialize per-UE state); use try_run_ids for traffic studies"
+            ),
         }
     }
 }
@@ -507,7 +515,7 @@ pub struct SupervisorReport {
 #[derive(Debug, Clone)]
 pub struct SupervisedRun {
     /// The fleet result — bit-identical to the fault-free
-    /// [`FleetSimulation::run_ids`].
+    /// [`FleetSimulation::try_run_ids`].
     pub result: FleetResult,
     /// What the supervisor did to get there.
     pub report: SupervisorReport,
@@ -544,7 +552,7 @@ impl SupervisorReport {
 /// pinned by `tests/resilience_props.rs` / `tests/server_session.rs`):
 /// for any sequence of `advance_to` bounds and any recoverable fault
 /// schedule, [`Supervisor::finish`] returns a result bit-identical to
-/// the fault-free batch [`FleetSimulation::run_ids`].
+/// the fault-free batch [`FleetSimulation::try_run_ids`].
 #[derive(Debug)]
 pub struct Supervisor {
     engine: FleetSimulation,
@@ -745,10 +753,9 @@ impl Supervisor {
                 }
                 None => self.policy.checkpoint_cadence.min(target_step),
             };
-            let attempt = match &self.current {
-                Some(cp) => self.engine.resume_partial(spec, cp, bound),
-                None => self.engine.run_partial(spec, ids, base_seed, bound),
-            };
+            let attempt = self
+                .engine
+                .advance(spec, self.current.as_ref(), ids, base_seed, bound);
             match self.watchdog(attempt) {
                 Ok(cp) => self.accept_snapshot(cp),
                 Err(err) => self.handle_failure(err)?,
@@ -794,7 +801,7 @@ impl FleetSimulation {
     /// degrade the worker count after repeated stalls.
     ///
     /// The result is **bit-identical** to the fault-free
-    /// [`FleetSimulation::run_ids`] for any recoverable fault schedule,
+    /// [`FleetSimulation::try_run_ids`] for any recoverable fault schedule,
     /// any cadence and any worker/chunk shape — recovery replays from
     /// snapshots whose resume path is itself bit-identical, and the
     /// checksummed seal format guarantees corrupted snapshots are

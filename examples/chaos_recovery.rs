@@ -34,7 +34,10 @@ fn main() {
     const SEED: u64 = 42;
 
     // --- The reference: a clean, unsupervised run ----------------------
-    let clean = FleetSimulation::new(cfg.clone()).with_workers(4).run_ids(&spec, &ids, SEED);
+    let clean = FleetSimulation::new(cfg.clone())
+        .with_workers(4)
+        .try_run_ids(&spec, &ids, SEED)
+        .expect("clean run");
     println!(
         "clean run      : {} UEs, {} steps, {:.3} handovers/UE",
         clean.summary.ues,

@@ -77,12 +77,14 @@ fn main() {
     };
 
     // --- The 10k-UE city run -------------------------------------------
+    let ids: Vec<u64> = (0..10_000).collect();
     let run = || {
         FleetSimulation::new(cfg.clone())
             .with_workers(8)
             .with_traffic(traffic)
             .with_dynamics(city_dynamics())
-            .run(&spec, 10_000, 0xC17)
+            .try_run_ids(&spec, &ids, 0xC17)
+            .expect("city run")
     };
     let result = run();
     let s = &result.summary;

@@ -35,7 +35,8 @@ fn main() {
         trajectory_seed: 1,
         cell_radius_km: cfg.layout.cell_radius_km(),
     };
-    let result = fleet.run(&spec, 2_000, 42);
+    let ids: Vec<u64> = (0..2_000).collect();
+    let result = fleet.try_run_ids(&spec, &ids, 42).expect("fleet run");
     let s = &result.summary;
     println!("fleet of {} UEs, {} total measurement steps", s.ues, s.steps);
     println!("  handovers/UE : {:.3}", s.handovers_per_ue());
@@ -56,7 +57,10 @@ fn main() {
     let pruned = FleetSimulation::new(cfg.clone())
         .with_workers(4)
         .with_candidate_mode(CandidateMode::Nearest(7));
-    let p = pruned.run(&spec, 2_000, 42).summary;
+    let p = pruned
+        .try_run_ids(&spec, &ids, 42)
+        .expect("pruned run")
+        .summary;
     println!(
         "same fleet, CandidateMode::Nearest(7): {:.3} handovers/UE, {:.3} ping-pong \
          (the 7 index-nearest of 19 cells measured per UE-step, plus the serving \
@@ -76,7 +80,8 @@ fn main() {
     let loaded = FleetSimulation::new(cfg.clone())
         .with_workers(4)
         .with_traffic(traffic)
-        .run(&spec, 2_000, 42);
+        .try_run_ids(&spec, &ids, 42)
+        .expect("traffic run");
     let report = loaded.traffic.expect("traffic plane ran");
     println!(
         "same fleet under call traffic ({} chan/cell, {} guard, {:.2} E offered per UE):",

@@ -13,7 +13,7 @@
 //!   query cells/UE → policy hot-swap → checkpoint → drop → hydrate →
 //!   run to completion), then assert the served result is
 //!   **bit-identical** to the equivalent in-process batch
-//!   `run_partial` → `try_resume` chain.
+//!   `advance` → `try_resume` chain.
 //!
 //! Flags: `--socket PATH` (default under the temp dir), `--workers N`
 //! (default 4), `--ues N` (default 24), `--walks N` (default 6),
@@ -178,7 +178,6 @@ fn demo(opts: &Opts) -> Result<(), Box<dyn Error>> {
         .with_workers(opts.workers)
         .with_chunk_size(config.chunk_size)
         .with_candidate_mode(config.candidate_mode)
-        .with_precision(config.precision)
         .with_traffic(traffic);
     let ids: Vec<u64> = (0..opts.ues).collect();
     let spec = |policy| HomogeneousFleet {
@@ -187,11 +186,11 @@ fn demo(opts: &Opts) -> Result<(), Box<dyn Error>> {
         trajectory_seed: config.trajectory_seed,
         cell_radius_km: config.cell_radius_km,
     };
-    let cp = engine.run_partial(&spec(PolicyKind::Fuzzy), &ids, opts.seed, swap.step)?;
+    let cp = engine.advance(&spec(PolicyKind::Fuzzy), None, &ids, opts.seed, swap.step)?;
     let batch = engine.try_resume(&spec(PolicyKind::Hysteresis { margin_db: 4.0 }), &cp)?;
     assert_eq!(
         served, batch,
-        "served lifecycle result differs from the batch run_partial→resume chain"
+        "served lifecycle result differs from the batch advance→try_resume chain"
     );
     println!(
         "demo: served result is bit-identical to the batch chain \

@@ -75,6 +75,7 @@ fn walkers(policy: PolicyKind) -> HomogeneousFleet {
 /// protection on a mobile fleet.
 fn guard_channel_sweep() {
     println!("Guard-channel sweep (800 UEs, 3 channels/cell, hysteresis walkers)");
+    let ids: Vec<u64> = (0..800).collect();
     println!("{:>6}  {:>9}  {:>9}  {:>8}  {:>8}", "guard", "P(block)", "P(drop)", "blocked", "dropped");
     for guard in [0u32, 1, 2] {
         let traffic = TrafficConfig {
@@ -87,7 +88,12 @@ fn guard_channel_sweep() {
         let result = FleetSimulation::new(congested_config())
             .with_workers(4)
             .with_traffic(traffic)
-            .run(&walkers(PolicyKind::Hysteresis { margin_db: 4.0 }), 800, 42);
+            .try_run_ids(
+                &walkers(PolicyKind::Hysteresis { margin_db: 4.0 }),
+                &ids,
+                42,
+            )
+            .expect("guard-channel run");
         let report = result.traffic.expect("traffic plane ran");
         println!(
             "{guard:>6}  {:>9.4}  {:>9.4}  {:>8}  {:>8}",
@@ -105,6 +111,7 @@ fn guard_channel_sweep() {
 /// mid-call relocations.
 fn load_aware_handover() {
     println!("Load-aware handover (800 UEs, 2 channels/cell, feedback on)");
+    let ids: Vec<u64> = (0..800).collect();
     let traffic = TrafficConfig {
         channels_per_cell: 2,
         guard_channels: 0,
@@ -120,7 +127,9 @@ fn load_aware_handover() {
             PolicyKind::LoadHysteresis { margin_db: 4.0, load_bias_db: 8.0 },
         ),
     ] {
-        let result = fleet.run(&walkers(policy), 800, 42);
+        let result = fleet
+            .try_run_ids(&walkers(policy), &ids, 42)
+            .expect("load-aware run");
         let report = result.traffic.expect("traffic plane ran");
         let (peak_cell, peak_erlangs) = report.peak_cell().expect("cells exist");
         println!("  {name}");

@@ -53,7 +53,7 @@ fn sealed_fleet(seed: u64) -> Vec<u8> {
     };
     let ids: Vec<u64> = (0..6).collect();
     FleetSimulation::new(cfg)
-        .run_partial(&spec, &ids, seed, 5)
+        .advance(&spec, None, &ids, seed, 5)
         .expect("valid partial run")
         .seal()
 }

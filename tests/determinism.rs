@@ -11,6 +11,11 @@ use fuzzy_handover::sim::fleet::{
 use fuzzy_handover::sim::monte_carlo::{run_repetitions, run_repetitions_parallel};
 use fuzzy_handover::sim::{Scenario, SimConfig, Simulation, SCENARIO_A_SEED, SCENARIO_B_SEED};
 
+/// The UE ids `0..n`.
+fn ue_ids(n: u64) -> Vec<u64> {
+    (0..n).collect()
+}
+
 fn paper_policy() -> FuzzyHandoverController {
     let cell_radius = SimConfig::paper_default().layout.cell_radius_km();
     FuzzyHandoverController::new(ControllerConfig::paper_default(cell_radius))
@@ -87,8 +92,12 @@ fn fleet_spec() -> HomogeneousFleet {
 #[test]
 fn fleet_reruns_are_bit_identical() {
     let fleet = FleetSimulation::new(fleet_config()).with_workers(4);
-    let first = fleet.run(&fleet_spec(), 64, 12);
-    let second = fleet.run(&fleet_spec(), 64, 12);
+    let first = fleet
+        .try_run_ids(&fleet_spec(), &ue_ids(64), 12)
+        .expect("fleet run");
+    let second = fleet
+        .try_run_ids(&fleet_spec(), &ue_ids(64), 12)
+        .expect("fleet run");
     assert_eq!(first, second, "fleet rerun diverged");
     assert_eq!(first.summary.ues, 64);
     assert!(first.summary.steps > 0);
@@ -99,13 +108,16 @@ fn fleet_reruns_are_bit_identical() {
 /// same contract the parallel Monte-Carlo established.
 #[test]
 fn parallel_fleet_matches_single_worker() {
-    let reference = FleetSimulation::new(fleet_config()).run(&fleet_spec(), 48, 99);
+    let reference = FleetSimulation::new(fleet_config())
+        .try_run_ids(&fleet_spec(), &ue_ids(48), 99)
+        .expect("fleet run");
     for workers in [2, 3, 5, 8, 16] {
         for chunk in [1, 16, 256] {
             let sharded = FleetSimulation::new(fleet_config())
                 .with_workers(workers)
                 .with_chunk_size(chunk)
-                .run(&fleet_spec(), 48, 99);
+                .try_run_ids(&fleet_spec(), &ue_ids(48), 99)
+                .expect("fleet run");
             assert_eq!(
                 reference, sharded,
                 "fleet diverged with {workers} workers, chunk {chunk}"

@@ -28,6 +28,11 @@ use fuzzy_handover::sim::{
     CellOutage, DynamicsConfig, ServiceMix, ServiceParams, SimConfig, TidalWave, TrafficConfig,
 };
 
+/// The UE ids `0..n`.
+fn ue_ids(n: u64) -> Vec<u64> {
+    (0..n).collect()
+}
+
 fn noisy_config() -> SimConfig {
     let mut cfg = SimConfig::paper_default();
     cfg.shadowing = ShadowingConfig { sigma_db: 4.0, decorrelation_km: 0.05 };
@@ -94,13 +99,15 @@ fn inert_dynamics_is_bitwise_invisible_to_the_fleet() {
                     .with_candidate_mode(mode)
                     .with_workers(workers)
                     .with_chunk_size(chunk)
-                    .run(&ue_spec, 24, 91);
+                    .try_run_ids(&ue_spec, &ue_ids(24), 91)
+                    .expect("fleet run");
                 let dynamic = FleetSimulation::new(noisy_config())
                     .with_candidate_mode(mode)
                     .with_workers(workers)
                     .with_chunk_size(chunk)
                     .with_dynamics(DynamicsConfig::none())
-                    .run(&ue_spec, 24, 91);
+                    .try_run_ids(&ue_spec, &ue_ids(24), 91)
+                    .expect("fleet run");
                 let ctx = format!(
                     "policy={} mode={} workers={workers} chunk={chunk}",
                     policy.label(),
@@ -121,18 +128,23 @@ fn inert_dynamics_is_bitwise_invisible_to_the_fleet() {
 fn flat_tide_normalizes_away() {
     let ue_spec = spec(PolicyKind::Fuzzy);
     let flat = TidalWave { period_steps: 96, amplitude: 0.0, phase_per_q: 0.25 };
-    let bare = FleetSimulation::new(noisy_config()).run(&ue_spec, 20, 33);
+    let bare = FleetSimulation::new(noisy_config())
+        .try_run_ids(&ue_spec, &ue_ids(20), 33)
+        .expect("fleet run");
     let tide_only = FleetSimulation::new(noisy_config())
         .with_dynamics(DynamicsConfig { tide: Some(flat), ..DynamicsConfig::none() })
-        .run(&ue_spec, 20, 33);
+        .try_run_ids(&ue_spec, &ue_ids(20), 33)
+        .expect("fleet run");
     assert_eq!(bare, tide_only, "a flat tide alone is the static engine");
 
     let with_failures = FleetSimulation::new(noisy_config())
         .with_dynamics(far_failures())
-        .run(&ue_spec, 20, 33);
+        .try_run_ids(&ue_spec, &ue_ids(20), 33)
+        .expect("fleet run");
     let with_failures_and_flat_tide = FleetSimulation::new(noisy_config())
         .with_dynamics(DynamicsConfig { tide: Some(flat), ..far_failures() })
-        .run(&ue_spec, 20, 33);
+        .try_run_ids(&ue_spec, &ue_ids(20), 33)
+        .expect("fleet run");
     assert_eq!(with_failures, with_failures_and_flat_tide);
 }
 
@@ -149,12 +161,14 @@ fn out_of_horizon_failures_are_engine_invisible() {
             let bare = FleetSimulation::new(noisy_config())
                 .with_candidate_mode(mode)
                 .with_traffic(passive_traffic())
-                .run(&ue_spec, 24, 91);
+                .try_run_ids(&ue_spec, &ue_ids(24), 91)
+                .expect("fleet run");
             let dynamic = FleetSimulation::new(noisy_config())
                 .with_candidate_mode(mode)
                 .with_traffic(passive_traffic())
                 .with_dynamics(far_failures())
-                .run(&ue_spec, 24, 91);
+                .try_run_ids(&ue_spec, &ue_ids(24), 91)
+                .expect("fleet run");
             let ctx = format!("policy={} mode={}", policy.label(), mode.label());
             assert_eq!(bare.outcomes, dynamic.outcomes, "{ctx}");
             assert_eq!(bare.summary, dynamic.summary, "{ctx}");
@@ -200,14 +214,16 @@ fn single_class_mix_reproduces_the_static_traffic_report() {
         let ue_spec = spec(PolicyKind::Fuzzy);
         let bare = FleetSimulation::new(noisy_config())
             .with_traffic(cfg)
-            .run(&ue_spec, 24, 91);
+            .try_run_ids(&ue_spec, &ue_ids(24), 91)
+            .expect("fleet run");
         let mixed = FleetSimulation::new(noisy_config())
             .with_traffic(cfg)
             .with_dynamics(DynamicsConfig {
                 services: Some(ServiceMix { voice_share: share, voice, data }),
                 ..DynamicsConfig::none()
             })
-            .run(&ue_spec, 24, 91);
+            .try_run_ids(&ue_spec, &ue_ids(24), 91)
+            .expect("fleet run");
         assert_eq!(bare.outcomes, mixed.outcomes, "{name}");
         assert_eq!(bare.summary, mixed.summary, "{name}");
         assert_eq!(bare.cell_load, mixed.cell_load, "{name}");
@@ -265,11 +281,13 @@ fn live_dynamics_actually_change_the_run() {
     };
     let bare = FleetSimulation::new(noisy_config())
         .with_traffic(passive_traffic())
-        .run(&ue_spec, 24, 91);
+        .try_run_ids(&ue_spec, &ue_ids(24), 91)
+        .expect("fleet run");
     let dynamic = FleetSimulation::new(noisy_config())
         .with_traffic(passive_traffic())
         .with_dynamics(live)
-        .run(&ue_spec, 24, 91);
+        .try_run_ids(&ue_spec, &ue_ids(24), 91)
+        .expect("fleet run");
     assert_ne!(bare.summary, dynamic.summary, "churn truncates lifetimes");
     assert_ne!(bare.traffic, dynamic.traffic, "tide + services shift sessions");
     let report = dynamic.dynamics.as_ref().expect("dynamic report attached");

@@ -5,7 +5,7 @@
 //!    traffic plane attached) is invariant under worker count and chunk
 //!    size;
 //! 2. it is invariant under UE submission order;
-//! 3. a `run_partial` snapshot taken mid-run — including mid-failure
+//! 3. an `advance` snapshot taken mid-run — including mid-failure
 //!    window — resumes bit-identically to the uninterrupted run, under
 //!    arbitrary snapshot/resume sharding shapes;
 //! 4. the streaming aggregation path reproduces the dense run's summary
@@ -23,6 +23,11 @@ use fuzzy_handover::sim::{
     TrafficConfig,
 };
 use proptest::prelude::*;
+
+/// The UE ids `0..n`.
+fn ue_ids(n: u64) -> Vec<u64> {
+    (0..n).collect()
+}
 
 fn config() -> SimConfig {
     let mut cfg = SimConfig::paper_default();
@@ -106,14 +111,14 @@ proptest! {
             .with_candidate_mode(mode)
             .with_traffic(traffic())
             .with_dynamics(city_dynamics())
-            .run(&ue_spec, n_ues, seed);
+            .try_run_ids(&ue_spec, &ue_ids(n_ues), seed).expect("fleet run");
         let sharded = FleetSimulation::new(config())
             .with_candidate_mode(mode)
             .with_workers(workers)
             .with_chunk_size(chunk)
             .with_traffic(traffic())
             .with_dynamics(city_dynamics())
-            .run(&ue_spec, n_ues, seed);
+            .try_run_ids(&ue_spec, &ue_ids(n_ues), seed).expect("fleet run");
         prop_assert_eq!(&reference, &sharded);
         for (a, b) in reference.outcomes.iter().zip(&sharded.outcomes) {
             prop_assert_eq!(a.hd_sum.to_bits(), b.hd_sum.to_bits());
@@ -145,8 +150,8 @@ proptest! {
         permuted.swap(swap_a % len, swap_b % len);
         permuted.reverse();
         prop_assert_eq!(
-            fleet.run_ids(&ue_spec, &forward, seed),
-            fleet.run_ids(&ue_spec, &permuted, seed)
+            fleet.try_run_ids(&ue_spec, &forward, seed).expect("fleet run"),
+            fleet.try_run_ids(&ue_spec, &permuted, seed).expect("fleet run")
         );
     }
 
@@ -170,20 +175,20 @@ proptest! {
         let full = FleetSimulation::new(config())
             .with_traffic(traffic())
             .with_dynamics(city_dynamics())
-            .run_ids(&ue_spec, &ids, seed);
+            .try_run_ids(&ue_spec, &ids, seed).expect("fleet run");
         let cp = FleetSimulation::new(config())
             .with_workers(workers_a)
             .with_chunk_size(chunk_a)
             .with_traffic(traffic())
             .with_dynamics(city_dynamics())
-            .run_partial(&ue_spec, &ids, seed, snap_step)
+            .advance(&ue_spec, None, &ids, seed, snap_step)
             .unwrap();
         let resumed = FleetSimulation::new(config())
             .with_workers(workers_b)
             .with_chunk_size(chunk_b)
             .with_traffic(traffic())
             .with_dynamics(city_dynamics())
-            .resume(&ue_spec, &cp)
+            .try_resume(&ue_spec, &cp)
             .unwrap();
         prop_assert_eq!(&full, &resumed);
         for (a, b) in full.outcomes.iter().zip(&resumed.outcomes) {
@@ -211,7 +216,7 @@ proptest! {
         let ue_spec = spec(policy, seed ^ 0x57E4);
         let dense = FleetSimulation::new(config())
             .with_dynamics(engine_side.clone())
-            .run(&ue_spec, n_ues, seed);
+            .try_run_ids(&ue_spec, &ue_ids(n_ues), seed).expect("fleet run");
         let streamed = FleetSimulation::new(config())
             .with_workers(workers)
             .with_chunk_size(chunk)

@@ -22,6 +22,11 @@ use fuzzy_handover::sim::{
     TrafficConfig,
 };
 
+/// The UE ids `0..n`.
+fn ue_ids(n: u64) -> Vec<u64> {
+    (0..n).collect()
+}
+
 /// Contract 1: with `initial_ues = arrival_rate × mean_lifetime` the
 /// churn process starts in its stationary regime (initial lifetimes are
 /// exponential residuals, so the process is memoryless from step 0).
@@ -46,7 +51,8 @@ fn churned_population_matches_birth_death_stationarity() {
     let result = FleetSimulation::new(cfg)
         .with_workers(4)
         .with_dynamics(DynamicsConfig { churn: Some(churn), ..DynamicsConfig::none() })
-        .run(&spec, 650, 77);
+        .try_run_ids(&spec, &ue_ids(650), 77)
+        .expect("fleet run");
     let report = result.dynamics.expect("churn attaches the dynamic report");
     assert!(report.timeline_steps >= 1024, "timeline {} spans the horizon", report.timeline_steps);
     // Nearly every UE churns in after step 0 (arrival step 0 is drawn
@@ -234,7 +240,8 @@ fn churned_histogram_stays_conserved() {
         .with_workers(2)
         .with_chunk_size(3)
         .with_dynamics(DynamicsConfig { churn: Some(churn), ..DynamicsConfig::none() })
-        .run(&spec, 40, 55);
+        .try_run_ids(&spec, &ue_ids(40), 55)
+        .expect("fleet run");
     assert_eq!(
         result.cell_load.total(),
         result.summary.steps,

@@ -9,7 +9,7 @@
 //!    invariant under worker count and chunk size;
 //! 5. the scenario matrix reports identical cells, in identical sweep
 //!    order, for every `matrix_workers` value;
-//! 6. a `run_partial` snapshot at an arbitrary step, taken and resumed
+//! 6. an `advance` snapshot at an arbitrary step, taken and resumed
 //!    under arbitrary worker/chunk shapes, reproduces the uninterrupted
 //!    run bit for bit;
 //! 7. the streaming aggregation path reproduces the dense run's summary
@@ -29,6 +29,11 @@ use fuzzy_handover::sim::{SimConfig, Simulation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The UE ids `0..n`.
+fn ue_ids(n: u64) -> Vec<u64> {
+    (0..n).collect()
+}
 
 fn config(shadow_sigma: f64, noise_sigma: f64, spacing: f64, speed: f64) -> SimConfig {
     let mut cfg = SimConfig::paper_default();
@@ -74,7 +79,9 @@ proptest! {
             make_policy: move || -> Box<dyn HandoverPolicy + Send> { policy.build(2.0) },
         };
 
-        let fleet_outcome = FleetSimulation::new(cfg.clone()).run(&spec, 1, seed);
+        let fleet_outcome = FleetSimulation::new(cfg.clone())
+            .try_run_ids(&spec, &ue_ids(1), seed)
+            .expect("fleet run");
         let mut reference_policy = policy.build(2.0);
         let reference = Simulation::new(cfg.clone())
             .run(&walk, reference_policy.as_mut(), seed);
@@ -110,11 +117,13 @@ proptest! {
             trajectory_seed: seed ^ 0xABCD,
             cell_radius_km: 2.0,
         };
-        let reference = FleetSimulation::new(cfg.clone()).run(&spec, n_ues, seed);
+        let reference = FleetSimulation::new(cfg.clone())
+            .try_run_ids(&spec, &ue_ids(n_ues), seed)
+            .expect("fleet run");
         let sharded = FleetSimulation::new(cfg)
             .with_workers(workers)
             .with_chunk_size(chunk)
-            .run(&spec, n_ues, seed);
+            .try_run_ids(&spec, &ue_ids(n_ues), seed).expect("fleet run");
         prop_assert_eq!(reference, sharded);
     }
 
@@ -146,8 +155,8 @@ proptest! {
         permuted.reverse();
 
         prop_assert_eq!(
-            fleet.run_ids(&spec, &forward, seed),
-            fleet.run_ids(&spec, &permuted, seed)
+            fleet.try_run_ids(&spec, &forward, seed).expect("fleet run"),
+            fleet.try_run_ids(&spec, &permuted, seed).expect("fleet run")
         );
     }
 
@@ -173,20 +182,22 @@ proptest! {
             cell_radius_km: 2.0,
         };
         // k ≥ layout.len() ⇒ the dense path, bit for bit.
-        let dense = FleetSimulation::new(cfg.clone()).run(&spec, n_ues, seed);
+        let dense = FleetSimulation::new(cfg.clone())
+            .try_run_ids(&spec, &ue_ids(n_ues), seed)
+            .expect("fleet run");
         let covering = FleetSimulation::new(cfg.clone())
             .with_candidate_mode(CandidateMode::Nearest(n_cells + k_extra))
-            .run(&spec, n_ues, seed);
+            .try_run_ids(&spec, &ue_ids(n_ues), seed).expect("fleet run");
         prop_assert_eq!(&dense, &covering);
         // A real pruned k: deterministic and shard-invariant.
         let pruned_ref = FleetSimulation::new(cfg.clone())
             .with_candidate_mode(CandidateMode::Nearest(pruned_k))
-            .run(&spec, n_ues, seed);
+            .try_run_ids(&spec, &ue_ids(n_ues), seed).expect("fleet run");
         let pruned_sharded = FleetSimulation::new(cfg)
             .with_candidate_mode(CandidateMode::Nearest(pruned_k))
             .with_workers(workers)
             .with_chunk_size(chunk)
-            .run(&spec, n_ues, seed);
+            .try_run_ids(&spec, &ue_ids(n_ues), seed).expect("fleet run");
         prop_assert_eq!(&pruned_ref, &pruned_sharded);
         // Every UE still steps its full walk under pruning.
         prop_assert_eq!(pruned_ref.summary.steps, dense.summary.steps);
@@ -251,16 +262,18 @@ proptest! {
             cell_radius_km: 2.0,
         };
         let ids: Vec<u64> = (0..n_ues).collect();
-        let full = FleetSimulation::new(cfg.clone()).run_ids(&spec, &ids, seed);
+        let full = FleetSimulation::new(cfg.clone())
+            .try_run_ids(&spec, &ids, seed)
+            .expect("fleet run");
         let cp = FleetSimulation::new(cfg.clone())
             .with_workers(workers_a)
             .with_chunk_size(chunk_a)
-            .run_partial(&spec, &ids, seed, snap_step)
+            .advance(&spec, None, &ids, seed, snap_step)
             .unwrap();
         let resumed = FleetSimulation::new(cfg)
             .with_workers(workers_b)
             .with_chunk_size(chunk_b)
-            .resume(&spec, &cp)
+            .try_resume(&spec, &cp)
             .unwrap();
         prop_assert_eq!(&full, &resumed);
         for (a, b) in full.outcomes.iter().zip(&resumed.outcomes) {
@@ -287,7 +300,9 @@ proptest! {
             trajectory_seed: seed ^ 0xF00D,
             cell_radius_km: 2.0,
         };
-        let dense = FleetSimulation::new(cfg.clone()).run(&spec, n_ues, seed);
+        let dense = FleetSimulation::new(cfg.clone())
+            .try_run_ids(&spec, &ue_ids(n_ues), seed)
+            .expect("fleet run");
         let streamed = FleetSimulation::new(cfg)
             .with_workers(workers)
             .with_chunk_size(chunk)
@@ -323,19 +338,19 @@ proptest! {
         };
         let nearest = FleetSimulation::new(cfg.clone())
             .with_candidate_mode(CandidateMode::Nearest(k))
-            .run(&spec, n_ues, seed);
+            .try_run_ids(&spec, &ue_ids(n_ues), seed).expect("fleet run");
         let unbounded = FleetSimulation::new(cfg.clone())
             .with_candidate_mode(CandidateMode::EdgeSet { k, margin_db: f64::INFINITY })
-            .run(&spec, n_ues, seed);
+            .try_run_ids(&spec, &ue_ids(n_ues), seed).expect("fleet run");
         prop_assert_eq!(&nearest, &unbounded);
         let finite_ref = FleetSimulation::new(cfg.clone())
             .with_candidate_mode(CandidateMode::EdgeSet { k, margin_db })
-            .run(&spec, n_ues, seed);
+            .try_run_ids(&spec, &ue_ids(n_ues), seed).expect("fleet run");
         let finite_sharded = FleetSimulation::new(cfg)
             .with_candidate_mode(CandidateMode::EdgeSet { k, margin_db })
             .with_workers(workers)
             .with_chunk_size(chunk)
-            .run(&spec, n_ues, seed);
+            .try_run_ids(&spec, &ue_ids(n_ues), seed).expect("fleet run");
         prop_assert_eq!(&finite_ref, &finite_sharded);
         prop_assert_eq!(finite_ref.summary.steps, nearest.summary.steps);
     }

@@ -71,7 +71,7 @@ fn checkpoint_format_matches_golden_and_resumes() {
     let spec = spec();
     let ids: Vec<u64> = (0..N_UES).collect();
     let cp = engine
-        .run_partial(&spec, &ids, BASE_SEED, SNAP_STEP)
+        .advance(&spec, None, &ids, BASE_SEED, SNAP_STEP)
         .expect("partial run");
     let fresh = serde_json::to_string(&cp).expect("serialize checkpoint") + "\n";
 
@@ -108,9 +108,14 @@ fn checkpoint_format_matches_golden_and_resumes() {
     // The pinned bytes are not just stable — they still resume into the
     // exact uninterrupted result.
     let parsed: FleetCheckpoint = serde_json::from_str(&golden).expect("parse golden");
-    let resumed = engine.resume(&spec, &parsed).expect("resume golden");
-    let full = engine.run_ids(&spec, &ids, BASE_SEED);
-    assert_eq!(full, resumed, "golden checkpoint no longer resumes bit-identically");
+    let resumed = engine.try_resume(&spec, &parsed).expect("resume golden");
+    let full = engine
+        .try_run_ids(&spec, &ids, BASE_SEED)
+        .expect("fleet run");
+    assert_eq!(
+        full, resumed,
+        "golden checkpoint no longer resumes bit-identically"
+    );
 }
 
 /// The checksummed sealed container (format v2) is itself a pinned
@@ -123,7 +128,7 @@ fn sealed_checkpoint_matches_golden_and_restores() {
     let spec = spec();
     let ids: Vec<u64> = (0..N_UES).collect();
     let cp = engine
-        .run_partial(&spec, &ids, BASE_SEED, SNAP_STEP)
+        .advance(&spec, None, &ids, BASE_SEED, SNAP_STEP)
         .expect("partial run");
     let fresh = cp.seal();
 
@@ -165,9 +170,16 @@ fn sealed_checkpoint_matches_golden_and_restores() {
 
     // And the pinned container still restores bit-identically.
     let parsed = FleetCheckpoint::try_unseal(&golden).expect("unseal golden");
-    let resumed = engine.try_resume(&spec, &parsed).expect("resume sealed golden");
-    let full = engine.run_ids(&spec, &ids, BASE_SEED);
-    assert_eq!(full, resumed, "sealed golden no longer resumes bit-identically");
+    let resumed = engine
+        .try_resume(&spec, &parsed)
+        .expect("resume sealed golden");
+    let full = engine
+        .try_run_ids(&spec, &ids, BASE_SEED)
+        .expect("fleet run");
+    assert_eq!(
+        full, resumed,
+        "sealed golden no longer resumes bit-identically"
+    );
 }
 
 /// Forward-compatibility gate: the v1 bare-JSON golden — exactly what a

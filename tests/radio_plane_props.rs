@@ -11,9 +11,8 @@
 //!    `apply` loop;
 //! 4. `BsRadio::compiled()` reproduces the scalar link budget bit for
 //!    bit over every path-loss model family;
-//! 5. the block-loop batch kernels `received_power_dbm_batch` /
-//!    `received_power_dbm_batch_f32` equal the scalar budget per
-//!    element (the f32 lane through a single `as f32` rounding);
+//! 5. the block-loop batch kernel `received_power_dbm_batch` equals the
+//!    scalar budget per element;
 //! 6. the batched Rayleigh/Rician samplers (`sample_db_fill`) are the
 //!    scalar sampler loops, draw for draw.
 
@@ -201,12 +200,9 @@ proptest! {
             .collect();
         let mut batch = vec![0.0f64; n_points];
         compiled.received_power_dbm_batch(bs_pos, &positions, &mut batch);
-        let mut batch_f32 = vec![0.0f32; n_points];
-        compiled.received_power_dbm_batch_f32(bs_pos, &positions, &mut batch_f32);
         for (k, &ms) in positions.iter().enumerate() {
             let scalar = compiled.received_power_dbm(bs_pos, ms);
             prop_assert_eq!(batch[k].to_bits(), scalar.to_bits(), "slot {}", k);
-            prop_assert_eq!(batch_f32[k].to_bits(), (scalar as f32).to_bits(), "slot {}", k);
         }
     }
 

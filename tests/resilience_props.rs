@@ -13,7 +13,7 @@
 //!    spacings, zero capacities, inverted outage windows, out-of-range
 //!    shares) surface as [`FleetError::InvalidConfig`] from the fallible
 //!    entry points — never a worker panic or a NaN-poisoned result.
-//! 4. Chaining `run_partial → resume_partial → … → try_resume` at an
+//! 4. Chaining `advance → advance → … → try_resume` at an
 //!    arbitrary cadence reproduces the uninterrupted run bit for bit
 //!    (the supervisor's segment primitive).
 
@@ -72,7 +72,7 @@ proptest! {
         let clean = FleetSimulation::new(cfg.clone())
             .with_workers(workers)
             .with_chunk_size(chunk)
-            .run_ids(&spec, &ids, seed);
+            .try_run_ids(&spec, &ids, seed).expect("fleet run");
 
         // Horizon 16: these small fleets' walks end around step 17, so a
         // tight horizon keeps most chaos faults *live* rather than
@@ -106,7 +106,7 @@ proptest! {
         let spec = fleet_spec(seed, cfg.layout.cell_radius_km());
         let ids: Vec<u64> = (0..6).collect();
         let fleet = FleetSimulation::new(cfg).with_workers(2);
-        let cp = fleet.run_partial(&spec, &ids, seed, cut_step).expect("partial run");
+        let cp = fleet.advance(&spec, None, &ids, seed, cut_step).expect("partial run");
         let sealed = cp.seal();
 
         let mut tampered = sealed.clone();
@@ -169,7 +169,7 @@ proptest! {
     }
 
     /// Property 4: the supervisor's segment primitive — chained
-    /// `run_partial → resume_partial* → try_resume` at an arbitrary
+    /// `advance → advance* → try_resume` at an arbitrary
     /// cadence — reproduces the uninterrupted run bit for bit.
     #[test]
     fn partial_chain_reproduces_the_uninterrupted_run(
@@ -182,13 +182,13 @@ proptest! {
         let ids: Vec<u64> = (0..8).collect();
         let fleet = FleetSimulation::new(cfg).with_workers(workers);
 
-        let reference = fleet.run_ids(&spec, &ids, seed);
+        let reference = fleet.try_run_ids(&spec, &ids, seed).expect("fleet run");
 
-        let mut cp = fleet.run_partial(&spec, &ids, seed, cadence).expect("first segment");
+        let mut cp = fleet.advance(&spec, None, &ids, seed, cadence).expect("first segment");
         let mut guard = 0;
         while !cp.live.is_empty() {
             cp = fleet
-                .resume_partial(&spec, &cp, cp.step + cadence)
+                .advance(&spec, Some(&cp), &ids, seed, cp.step + cadence)
                 .expect("chained segment");
             guard += 1;
             prop_assert!(guard < 10_000, "chain did not converge");
@@ -204,7 +204,9 @@ fn truncated_seals_yield_typed_errors() {
     let cfg = noisy_config();
     let spec = fleet_spec(3, cfg.layout.cell_radius_km());
     let ids: Vec<u64> = (0..4).collect();
-    let cp = FleetSimulation::new(cfg).run_partial(&spec, &ids, 3, 7).expect("partial");
+    let cp = FleetSimulation::new(cfg)
+        .advance(&spec, None, &ids, 3, 7)
+        .expect("partial");
     let sealed = cp.seal();
     for cut in [0, 1, 12, sealed.len() / 2, sealed.len() - 1] {
         let err = FleetCheckpoint::try_unseal(&sealed[..cut]).expect_err("truncation detected");
@@ -257,7 +259,10 @@ fn repeated_stalls_degrade_workers_without_changing_the_result() {
     let cfg = noisy_config();
     let spec = fleet_spec(5, cfg.layout.cell_radius_km());
     let ids: Vec<u64> = (0..8).collect();
-    let clean = FleetSimulation::new(cfg.clone()).with_workers(4).run_ids(&spec, &ids, 5);
+    let clean = FleetSimulation::new(cfg.clone())
+        .with_workers(4)
+        .try_run_ids(&spec, &ids, 5)
+        .expect("fleet run");
 
     let plan = FaultPlan::scripted(vec![
         Fault::StallWorker { at_step: 1, delay_steps: 500 },
@@ -290,7 +295,10 @@ fn corrupted_snapshots_are_quarantined_and_recovery_still_succeeds() {
     let cfg = noisy_config();
     let spec = fleet_spec(21, cfg.layout.cell_radius_km());
     let ids: Vec<u64> = (0..8).collect();
-    let clean = FleetSimulation::new(cfg.clone()).with_workers(2).run_ids(&spec, &ids, 21);
+    let clean = FleetSimulation::new(cfg.clone())
+        .with_workers(2)
+        .try_run_ids(&spec, &ids, 21)
+        .expect("fleet run");
 
     let plan = FaultPlan::scripted(vec![
         Fault::CorruptCheckpoint { at_snapshot: 0, byte_offset: 45 },
@@ -327,7 +335,8 @@ fn supervised_recovery_with_traffic_feedback_plane() {
     let clean = FleetSimulation::new(cfg.clone())
         .with_workers(2)
         .with_traffic(traffic)
-        .run_ids(&spec, &ids, 33);
+        .try_run_ids(&spec, &ids, 33)
+        .expect("fleet run");
 
     let plan = FaultPlan::chaos(99, 16, 3);
     let supervised = FleetSimulation::new(cfg)

@@ -3,29 +3,31 @@
 //! 1. **The headline**: a session driven by an *arbitrary* interleaving
 //!    of `advance_to` segmentations, with at least one
 //!    checkpoint → drop → hydrate cycle, is bit-identical to the
-//!    equivalent batch [`FleetSimulation::run_ids`] — every `f64`
+//!    equivalent batch [`FleetSimulation::try_run_ids`] — every `f64`
 //!    included — for any checkpoint cadence and worker shape.
 //! 2. Two concurrent tenants on one [`TwinServer`] do not perturb each
 //!    other: a tenant interleaved with a busy neighbour produces
 //!    exactly the bytes it produces alone.
 //! 3. A mid-run policy hot-swap is replay-deterministic: re-driving the
 //!    recorded swap log reproduces the session's result bit for bit,
-//!    and both equal the manual `run_partial(old) → try_resume(new)`
+//!    and both equal the manual `advance(old) → try_resume(new)`
 //!    chain.
 //! 4. The wire protocol round-trips the whole lifecycle: the same
 //!    results arrive through the length-prefixed codec as through
 //!    direct calls, and a malformed frame answers `BadRequest` without
 //!    killing the connection.
+//! 5. A snapshot of an older payload version is refused with a typed
+//!    error instead of hydrating with its fields silently dropped.
 
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::server::{
     read_frame, serve, spawn_in_process, write_frame, Request, Response, ServerError, Session,
-    SessionConfig, TwinServer,
+    SessionConfig, SessionError, TwinServer, SESSION_SNAPSHOT_VERSION,
 };
 use fuzzy_handover::sim::fleet::{
     FleetMobility, FleetResult, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
-use fuzzy_handover::sim::{SimConfig, TrafficConfig};
+use fuzzy_handover::sim::{seal_payload, CheckpointError, SimConfig, TrafficConfig};
 use proptest::prelude::*;
 
 /// Shadowing + measurement noise so every per-UE RNG stream is live,
@@ -56,8 +58,7 @@ fn batch_engine(config: &SessionConfig, workers: usize) -> FleetSimulation {
     let mut engine = FleetSimulation::new(config.sim.clone())
         .with_workers(workers)
         .with_chunk_size(config.chunk_size)
-        .with_candidate_mode(config.candidate_mode)
-        .with_precision(config.precision);
+        .with_candidate_mode(config.candidate_mode);
     if let Some(traffic) = config.traffic {
         engine = engine.with_traffic(traffic);
     }
@@ -75,11 +76,9 @@ fn batch_spec(config: &SessionConfig, policy: PolicyKind) -> HomogeneousFleet {
 
 fn batch_run(config: &SessionConfig, workers: usize) -> FleetResult {
     let ids: Vec<u64> = (0..config.n_ues).collect();
-    batch_engine(config, workers).run_ids(
-        &batch_spec(config, config.policy),
-        &ids,
-        config.base_seed,
-    )
+    batch_engine(config, workers)
+        .try_run_ids(&batch_spec(config, config.policy), &ids, config.base_seed)
+        .expect("batch run")
 }
 
 proptest! {
@@ -164,7 +163,7 @@ proptest! {
         let engine = batch_engine(&config, 2);
         let ids: Vec<u64> = (0..config.n_ues).collect();
         let cp = engine
-            .run_partial(&batch_spec(&config, PolicyKind::Fuzzy), &ids, seed, swap.step)
+            .advance(&batch_spec(&config, PolicyKind::Fuzzy), None, &ids, seed, swap.step)
             .unwrap();
         let manual = engine.try_resume(&batch_spec(&config, new_policy), &cp).unwrap();
         prop_assert_eq!(&manual, &original);
@@ -279,4 +278,30 @@ fn malformed_frame_answers_bad_request_and_keeps_serving() {
     assert!(matches!(second, Response::Sessions { ref sessions } if sessions.is_empty()));
     let third: Response = read_frame(&mut frames).unwrap().unwrap();
     assert!(matches!(third, Response::ShuttingDown));
+}
+
+/// Property 5 — a version-1 snapshot (whose config still carried the
+/// removed `precision` field) is refused, not hydrated at the current
+/// precision with the field ignored.
+#[test]
+fn version_one_snapshot_is_refused_with_a_typed_error() {
+    assert_eq!(SESSION_SNAPSHOT_VERSION, 2);
+    let mut session = Session::spawn(session_config(4, 3, 2), 1).unwrap();
+    session.advance_to(2).unwrap();
+    let current = format!("{{\"version\":{SESSION_SNAPSHOT_VERSION},\"config\":{{");
+    let json = serde_json::to_string(&session.snapshot()).unwrap();
+    assert!(json.starts_with(&current), "{}", &json[..40]);
+    let v1 = json.replacen(
+        &current,
+        "{\"version\":1,\"config\":{\"precision\":\"Compact\",",
+        1,
+    );
+    let err = Session::hydrate(&seal_payload(v1.as_bytes()), 1).unwrap_err();
+    assert_eq!(
+        err,
+        SessionError::Corrupt(CheckpointError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        })
+    );
 }

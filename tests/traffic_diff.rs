@@ -15,6 +15,11 @@ use fuzzy_handover::sim::{SimConfig, TrafficConfig};
 use fuzzy_handover::mobility::RandomWalk;
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 
+/// The UE ids `0..n`.
+fn ue_ids(n: u64) -> Vec<u64> {
+    (0..n).collect()
+}
+
 fn noisy_config() -> SimConfig {
     let mut cfg = SimConfig::paper_default();
     cfg.shadowing = ShadowingConfig { sigma_db: 4.0, decorrelation_km: 0.05 };
@@ -66,13 +71,15 @@ fn passive_traffic_is_bitwise_invisible_to_the_fleet() {
                     .with_candidate_mode(mode)
                     .with_workers(workers)
                     .with_chunk_size(chunk)
-                    .run(&ue_spec, 24, 91);
+                    .try_run_ids(&ue_spec, &ue_ids(24), 91)
+                    .expect("fleet run");
                 let traffic = FleetSimulation::new(noisy_config())
                     .with_candidate_mode(mode)
                     .with_workers(workers)
                     .with_chunk_size(chunk)
                     .with_traffic(passive_traffic())
-                    .run(&ue_spec, 24, 91);
+                    .try_run_ids(&ue_spec, &ue_ids(24), 91)
+                    .expect("fleet run");
                 let ctx = format!(
                     "policy={} mode={} workers={workers} chunk={chunk}",
                     policy.label(),
@@ -104,7 +111,8 @@ fn traffic_report_is_sharding_invariant_for_every_policy() {
             let reference = FleetSimulation::new(noisy_config())
                 .with_candidate_mode(mode)
                 .with_traffic(passive_traffic())
-                .run(&ue_spec, 24, 13);
+                .try_run_ids(&ue_spec, &ue_ids(24), 13)
+                .expect("fleet run");
             let reference_report = reference.traffic.as_ref().expect("traffic ran");
             for (workers, chunk) in [(2, 1), (3, 7), (8, 64)] {
                 let got = FleetSimulation::new(noisy_config())
@@ -112,7 +120,8 @@ fn traffic_report_is_sharding_invariant_for_every_policy() {
                     .with_workers(workers)
                     .with_chunk_size(chunk)
                     .with_traffic(passive_traffic())
-                    .run(&ue_spec, 24, 13);
+                    .try_run_ids(&ue_spec, &ue_ids(24), 13)
+                    .expect("fleet run");
                 assert_eq!(
                     Some(reference_report),
                     got.traffic.as_ref(),
@@ -140,8 +149,10 @@ fn traffic_report_is_submission_order_invariant() {
     shuffled.swap(3, 17);
     shuffled.rotate_left(11);
     assert_eq!(
-        fleet.run_ids(&ue_spec, &forward, 4),
-        fleet.run_ids(&ue_spec, &shuffled, 4)
+        fleet.try_run_ids(&ue_spec, &forward, 4).expect("fleet run"),
+        fleet
+            .try_run_ids(&ue_spec, &shuffled, 4)
+            .expect("fleet run")
     );
 }
 
@@ -159,13 +170,15 @@ fn feedback_pass_is_sharding_invariant() {
     let ue_spec = spec(PolicyKind::LoadHysteresis { margin_db: 4.0, load_bias_db: 10.0 });
     let reference = FleetSimulation::new(noisy_config())
         .with_traffic(congested)
-        .run(&ue_spec, 30, 8);
+        .try_run_ids(&ue_spec, &ue_ids(30), 8)
+        .expect("fleet run");
     for (workers, chunk) in [(2, 1), (5, 16)] {
         let got = FleetSimulation::new(noisy_config())
             .with_traffic(congested)
             .with_workers(workers)
             .with_chunk_size(chunk)
-            .run(&ue_spec, 30, 8);
+            .try_run_ids(&ue_spec, &ue_ids(30), 8)
+            .expect("fleet run");
         assert_eq!(reference, got, "workers={workers} chunk={chunk}");
     }
 }

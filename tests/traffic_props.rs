@@ -20,6 +20,11 @@ use fuzzy_handover::sim::traffic::{
 use fuzzy_handover::sim::SimConfig;
 use proptest::prelude::*;
 
+/// The UE ids `0..n`.
+fn ue_ids(n: u64) -> Vec<u64> {
+    (0..n).collect()
+}
+
 fn base_traffic() -> TrafficConfig {
     TrafficConfig {
         channels_per_cell: 4,
@@ -260,12 +265,12 @@ proptest! {
         };
         let reference = FleetSimulation::new(noisy_config())
             .with_traffic(traffic)
-            .run(&spec, 20, seed);
+            .try_run_ids(&spec, &ue_ids(20), seed).expect("fleet run");
         let sharded = FleetSimulation::new(noisy_config())
             .with_traffic(traffic)
             .with_workers(workers)
             .with_chunk_size(chunk)
-            .run(&spec, 20, seed);
+            .try_run_ids(&spec, &ue_ids(20), seed).expect("fleet run");
         prop_assert_eq!(reference, sharded);
     }
 }

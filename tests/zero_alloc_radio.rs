@@ -72,13 +72,12 @@ fn measurement_plane_allocation_budget() {
     let positions: Vec<Vec2> =
         (0..CHUNK).map(|k| Vec2::from_polar(0.1 + 0.03 * k as f64, 0.7 * k as f64)).collect();
     let mut rss_matrix = vec![0.0f64; n * CHUNK];
-    let mut rss_matrix_f32 = vec![0.0f32; n * CHUNK];
     let mut measured = vec![0.0f64; n];
     let mut last_km = vec![0.0f64; n];
     let mut subset = vec![0u32; 0];
     subset.reserve(n);
     // Scratch for the bulk-RNG kernels: pre-sized once, like the fleet
-    // arena's `rng_scratch` (the fused kernel's sizing rule).
+    // arena's `rng_scratch` (the measurement kernel's sizing rule).
     let mut words = vec![0u64; 2 * n];
     let mut normals = vec![0.0f64; 2 * n];
     let mut fading_db = vec![0.0f64; n];
@@ -112,14 +111,9 @@ fn measurement_plane_allocation_budget() {
             subset.extend_from_slice(near);
             lane.advance_subset(&subset, 0.05 * step as f64, &mut last_km, &mut rng);
             // Bulk-RNG kernels: wide ChaCha12 fill, batched Box–Muller,
-            // f32 budget lane, batched Rayleigh/Rician fading.
+            // batched Rayleigh/Rician fading.
             rng.fill_u64_slice(&mut words);
             standard_normal_fill(&mut normals, &mut rng);
-            compiled.received_power_dbm_batch_f32(
-                bs_positions[0],
-                &positions[..n],
-                &mut rss_matrix_f32[..n],
-            );
             rayleigh.sample_db_fill(&mut fading_db, &mut rng);
             rician.sample_db_fill(&mut fading_db, &mut rng);
         }
