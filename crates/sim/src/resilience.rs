@@ -560,6 +560,10 @@ pub struct Supervisor {
     report: SupervisorReport,
     /// Recent sealed good snapshots, oldest first.
     history: VecDeque<(u64, Vec<u8>)>,
+    /// The snapshot a resumed supervisor started from (validated on
+    /// entry): the restore point when no sealed snapshot is left.
+    origin: Option<FleetCheckpoint>,
+    /// The newest snapshot this supervisor produced or restored.
     current: Option<FleetCheckpoint>,
     consecutive_failures: u32,
     stall_strikes: u32,
@@ -576,6 +580,7 @@ impl Supervisor {
             policy,
             report: SupervisorReport::default(),
             history: VecDeque::new(),
+            origin: None,
             current: None,
             consecutive_failures: 0,
             stall_strikes: 0,
@@ -585,7 +590,8 @@ impl Supervisor {
     /// A supervisor resuming from an existing snapshot (a hydrated
     /// session). The snapshot is validated against the engine's planes;
     /// an incompatible one surfaces as
-    /// [`FleetError::CorruptCheckpoint`].
+    /// [`FleetError::CorruptCheckpoint`]. A failure before any newer
+    /// snapshot verifies restores this one, never step 0.
     pub fn from_checkpoint(
         engine: FleetSimulation,
         policy: RetryPolicy,
@@ -593,13 +599,14 @@ impl Supervisor {
     ) -> Result<Self, FleetError> {
         let mut sup = Supervisor::new(engine, policy)?;
         sup.engine.check_checkpoint(&cp).map_err(FleetError::CorruptCheckpoint)?;
-        sup.current = Some(cp);
+        sup.origin = Some(cp);
         Ok(sup)
     }
 
-    /// The current snapshot (`None` until the first segment completes).
+    /// The current snapshot (`None` until the first segment completes
+    /// on a fresh run).
     pub fn checkpoint(&self) -> Option<&FleetCheckpoint> {
-        self.current.as_ref()
+        self.current.as_ref().or(self.origin.as_ref())
     }
 
     /// The supervision audit trail so far.
@@ -610,14 +617,14 @@ impl Supervisor {
     /// The lockstep step of the current snapshot (0 before the first
     /// segment).
     pub fn step(&self) -> u64 {
-        self.current.as_ref().map_or(0, |cp| cp.step)
+        self.checkpoint().map_or(0, |cp| cp.step)
     }
 
     /// Whether every UE has finished (the run is ready for
     /// [`Supervisor::finish`]'s final assembly without further
     /// stepping).
     pub fn all_finished(&self) -> bool {
-        self.current.as_ref().is_some_and(|cp| cp.live.is_empty())
+        self.checkpoint().is_some_and(|cp| cp.live.is_empty())
     }
 
     /// Current worker count (after any degradations).
@@ -627,7 +634,7 @@ impl Supervisor {
 
     /// Tear down into the current snapshot and the audit trail.
     pub fn into_parts(self) -> (Option<FleetCheckpoint>, SupervisorReport) {
-        (self.current, self.report)
+        (self.current.or(self.origin), self.report)
     }
 
     /// Virtual watchdog: a segment that accumulated more stall delay
@@ -673,8 +680,9 @@ impl Supervisor {
     /// Account a failed segment attempt: retry budget, deterministic
     /// virtual backoff, worker degradation after repeated stalls, and
     /// restore from the newest snapshot that still verifies
-    /// (quarantining any that rotted in memory). Non-recoverable errors
-    /// pass straight through.
+    /// (quarantining any that rotted in memory), falling back to the
+    /// starting snapshot of a resumed run. Non-recoverable errors pass
+    /// straight through.
     fn handle_failure(&mut self, err: FleetError) -> Result<(), FleetError> {
         if !err.is_recoverable() {
             return Err(err);
@@ -742,27 +750,25 @@ impl Supervisor {
         target_step: u64,
     ) -> Result<&FleetCheckpoint, FleetError> {
         loop {
-            if let Some(cp) = &self.current {
+            if let Some(cp) = self.checkpoint() {
                 if cp.live.is_empty() || cp.step >= target_step {
                     break;
                 }
             }
-            let bound = match &self.current {
+            let bound = match self.checkpoint() {
                 Some(cp) => {
                     cp.step.saturating_add(self.policy.checkpoint_cadence).min(target_step)
                 }
                 None => self.policy.checkpoint_cadence.min(target_step),
             };
-            let attempt = self
-                .engine
-                .advance(spec, self.current.as_ref(), ids, base_seed, bound);
+            let attempt = self.engine.advance(spec, self.checkpoint(), ids, base_seed, bound);
             match self.watchdog(attempt) {
                 Ok(cp) => self.accept_snapshot(cp),
                 Err(err) => self.handle_failure(err)?,
             }
         }
         // invariant: the loop only breaks once a snapshot is in place.
-        Ok(self.current.as_ref().expect("advance_to leaves a checkpoint"))
+        Ok(self.checkpoint().expect("advance_to leaves a checkpoint"))
     }
 
     /// Drive the remaining steps (supervised, cadence-segmented) and
@@ -778,7 +784,7 @@ impl Supervisor {
     ) -> Result<FleetResult, FleetError> {
         loop {
             self.advance_to(spec, ids, base_seed, u64::MAX)?;
-            let cp = self.current.as_ref().expect("advance_to leaves a checkpoint");
+            let cp = self.checkpoint().expect("advance_to leaves a checkpoint");
             let attempt = self.engine.try_resume(spec, cp).map(Box::new);
             match self.watchdog(attempt) {
                 Ok(result) => {

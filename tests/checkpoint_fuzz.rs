@@ -13,13 +13,16 @@
 //!    at a random offset (header, length field, checksum or payload).
 //!
 //! Corruption must additionally be *detected*: a flipped byte yields a
-//! typed [`CheckpointError`], never a silently wrong restore.
+//! typed [`CheckpointError`], never a silently wrong restore. Nesting
+//! deeper than the JSON reader's limit is a typed error too, never a
+//! stack overflow.
 
+use fuzzy_handover::core::PolicyCheckpoint;
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::server::{Session, SessionConfig};
 use fuzzy_handover::sim::checkpoint::{FleetCheckpoint, SEALED_HEADER_LEN};
 use fuzzy_handover::sim::fleet::{FleetMobility, FleetSimulation, PolicyKind};
-use fuzzy_handover::sim::SimConfig;
+use fuzzy_handover::sim::{seal_payload, CheckpointError, SimConfig};
 use proptest::prelude::*;
 
 /// Deterministic byte noise from a drawn seed (the vendored proptest
@@ -147,5 +150,39 @@ proptest! {
             outcome.is_err(),
             "flipping byte {offset} by {flip:#04x} went undetected"
         );
+    }
+}
+
+/// `depth` nested `PolicyCheckpoint::Streak` wrappers around `Stateless`.
+fn nested_streak(depth: usize) -> String {
+    let open = "{\"Streak\":{\"streak\":1,\"inner\":".repeat(depth);
+    format!("{open}\"Stateless\"{}", "}}".repeat(depth))
+}
+
+/// `PolicyCheckpoint::Streak` is the one recursive type in a checkpoint.
+/// A 100 000-deep chain is refused at the reader's nesting limit —
+/// read on its own or inside a sealed checkpoint — instead of
+/// overflowing the stack; a shallow chain still reads.
+#[test]
+fn deeply_nested_policy_state_is_a_typed_error() {
+    let deep = nested_streak(100_000);
+    let err = serde_json::from_str::<PolicyCheckpoint>(&deep).unwrap_err();
+    assert!(err.to_string().contains("nesting"), "{err}");
+    assert!(serde_json::from_str::<PolicyCheckpoint>(&nested_streak(20)).is_ok());
+
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden_fleet/checkpoint.json"
+    ))
+    .expect("golden checkpoint");
+    let hostile = golden.replacen(
+        "\"policy\":{\"Fuzzy\":{\"prev_serving_rss\":null}}",
+        &format!("\"policy\":{deep}"),
+        1,
+    );
+    assert_ne!(hostile, golden);
+    match FleetCheckpoint::try_unseal(&seal_payload(hostile.as_bytes())) {
+        Err(CheckpointError::Malformed(msg)) => assert!(msg.contains("nesting"), "{msg}"),
+        other => panic!("expected a Malformed error, got {other:?}"),
     }
 }

@@ -108,6 +108,8 @@ fn checkpoint_format_matches_golden_and_resumes() {
     // The pinned bytes are not just stable — they still resume into the
     // exact uninterrupted result.
     let parsed: FleetCheckpoint = serde_json::from_str(&golden).expect("parse golden");
+    let reserialized = serde_json::to_string(&parsed).expect("re-serialize golden") + "\n";
+    assert!(reserialized == golden, "re-serializing the golden checkpoint changed its bytes");
     let resumed = engine.try_resume(&spec, &parsed).expect("resume golden");
     let full = engine
         .try_run_ids(&spec, &ids, BASE_SEED)

@@ -77,6 +77,12 @@ fn golden_experiments_match() {
             serde_json::from_str(&raw).unwrap_or_else(|err| {
                 panic!("corrupt golden file {}: {err}", path.display())
             });
+        let reserialized = serde_json::to_string(&golden).expect("re-serialize golden") + "\n";
+        assert!(
+            reserialized == raw,
+            "re-serializing tests/golden/{}.json does not reproduce its bytes",
+            e.id
+        );
         assert_eq!(
             golden.title, fresh.title,
             "experiment {} changed its title; refresh the goldens if intended",

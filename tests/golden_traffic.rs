@@ -83,6 +83,8 @@ fn loaded_matrix_matches_golden() {
         )
     });
     let golden: String = serde_json::from_str(&raw).expect("parse golden");
+    let reserialized = serde_json::to_string(&golden).expect("re-serialize golden") + "\n";
+    assert!(reserialized == raw, "re-serializing the golden report changed its bytes");
     for (n, (g, f)) in golden.lines().zip(report.lines()).enumerate() {
         assert!(
             g == f,

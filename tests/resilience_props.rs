@@ -16,6 +16,8 @@
 //! 4. Chaining `advance → advance → … → try_resume` at an
 //!    arbitrary cadence reproduces the uninterrupted run bit for bit
 //!    (the supervisor's segment primitive).
+//! 5. A supervisor resumed from a checkpoint restores that checkpoint,
+//!    not step 0, when a segment fails before a newer snapshot exists.
 
 use std::sync::Arc;
 
@@ -24,7 +26,7 @@ use fuzzy_handover::sim::checkpoint::{CheckpointError, FleetCheckpoint};
 use fuzzy_handover::sim::fleet::{
     FleetError, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
-use fuzzy_handover::sim::resilience::{Fault, FaultPlan, RetryPolicy};
+use fuzzy_handover::sim::resilience::{Fault, FaultPlan, RetryPolicy, Supervisor};
 use fuzzy_handover::sim::SimConfig;
 use proptest::prelude::*;
 
@@ -351,4 +353,30 @@ fn supervised_recovery_with_traffic_feedback_plane() {
         clean.traffic, supervised.result.traffic,
         "the traffic report survives recovery byte for byte"
     );
+}
+
+/// A supervisor resumed from a checkpoint falls back to that checkpoint
+/// — not to step 0 — when its first segment fails before any newer
+/// snapshot exists, so a policy swapped in at the checkpoint survives
+/// the failure: the result equals `advance(A) → try_resume(B)`.
+#[test]
+fn resumed_supervisor_restores_its_starting_snapshot_after_a_failure() {
+    let cfg = noisy_config();
+    let fuzzy = fleet_spec(17, cfg.layout.cell_radius_km());
+    let hysteresis =
+        HomogeneousFleet { policy: PolicyKind::Hysteresis { margin_db: 4.0 }, ..fuzzy };
+    let ids: Vec<u64> = (0..40).collect();
+    let engine = FleetSimulation::new(cfg).with_workers(2);
+    let cp = engine.advance(&fuzzy, None, &ids, 17, 10).expect("partial run");
+    let swapped = engine.try_resume(&hysteresis, &cp).expect("resume under the new policy");
+    let all_hysteresis = engine.try_run_ids(&hysteresis, &ids, 17).expect("fleet run");
+    assert_ne!(swapped, all_hysteresis, "the swap must be visible in the result");
+
+    let plan = FaultPlan::scripted(vec![Fault::WorkerPanic { at_step: 12 }]);
+    let faulty = engine.with_fault_injection(Arc::new(plan.injector()));
+    let mut supervisor =
+        Supervisor::from_checkpoint(faulty, RetryPolicy::default(), cp).expect("valid snapshot");
+    let result = supervisor.finish(&hysteresis, &ids, 17).expect("one panic is recoverable");
+    assert_eq!(supervisor.report().worker_panics, 1, "the scripted panic fired");
+    assert_eq!(result, swapped);
 }

@@ -18,6 +18,9 @@
 //!    killing the connection.
 //! 5. A snapshot of an older payload version is refused with a typed
 //!    error instead of hydrating with its fields silently dropped.
+//! 6. Hostile frames — nesting far past the reader's depth limit, or a
+//!    megabyte of wrongly typed payload — answer a short `BadRequest`
+//!    and the connection keeps serving.
 
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::server::{
@@ -304,4 +307,91 @@ fn version_one_snapshot_is_refused_with_a_typed_error() {
             supported: 2
         })
     );
+}
+
+/// Serve `frames` (raw payloads, then `List` and `Shutdown`) on a
+/// thread with the default 2 MiB stack, and return every response.
+fn serve_raw_frames(frames: Vec<Vec<u8>>) -> Vec<Response> {
+    let mut input: Vec<u8> = Vec::new();
+    for payload in &frames {
+        input.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        input.extend_from_slice(payload);
+    }
+    write_frame(&mut input, &Request::List).unwrap();
+    write_frame(&mut input, &Request::Shutdown).unwrap();
+    let output = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let mut server = TwinServer::new(1);
+            let mut output: Vec<u8> = Vec::new();
+            assert!(serve(&mut server, input.as_slice(), &mut output).unwrap());
+            output
+        })
+        .unwrap()
+        .join()
+        .expect("serving hostile frames must not crash the thread");
+    let mut frames = output.as_slice();
+    let mut responses = Vec::new();
+    while let Some(response) = read_frame(&mut frames).unwrap() {
+        responses.push(response);
+    }
+    responses
+}
+
+/// The `BadRequest` message of `response`, or a panic.
+fn bad_request(response: &Response) -> &str {
+    match response {
+        Response::Error { error: ServerError::BadRequest { message } } => message,
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+}
+
+/// Check the responses after the hostile frames: `List` and `Shutdown`
+/// are still answered.
+fn assert_still_serving(responses: &[Response]) {
+    assert!(
+        matches!(&responses[0], Response::Sessions { sessions } if sessions.is_empty()),
+        "{:?}",
+        responses[0]
+    );
+    assert!(matches!(responses[1], Response::ShuttingDown));
+}
+
+/// Property 6a — 100 000 nested `[` and a `Spawn` whose config is a
+/// 100 000-deep `PolicyCheckpoint::Streak` chain each answer
+/// `BadRequest` instead of overflowing the serving thread's stack.
+#[test]
+fn deeply_nested_frames_answer_bad_request_and_keep_serving() {
+    let brackets = vec![b'['; 100_000];
+    let depth = 100_000;
+    let mut streak = String::from("{\"Spawn\":{\"config\":");
+    streak.push_str(&"{\"Streak\":{\"streak\":1,\"inner\":".repeat(depth));
+    streak.push_str("\"Stateless\"");
+    streak.push_str(&"}}".repeat(depth));
+    streak.push_str("}}");
+
+    let responses = serve_raw_frames(vec![brackets, streak.into_bytes()]);
+    assert_eq!(responses.len(), 4);
+    bad_request(&responses[0]);
+    let message = bad_request(&responses[1]);
+    assert!(message.contains("nesting"), "{message}");
+    assert_still_serving(&responses[2..]);
+}
+
+/// Property 6b — a 1.3 MB `Spawn` frame whose config is a number array
+/// gets an error naming the offset and the token, not an echo of the
+/// payload.
+#[test]
+fn wrongly_typed_megabyte_frame_gets_a_short_error() {
+    let mut frame = String::from("{\"Spawn\":{\"config\":[");
+    frame.push_str(&vec!["255"; 320_000].join(","));
+    frame.push_str("]}}");
+    assert!(frame.len() > 1_200_000);
+
+    let responses = serve_raw_frames(vec![frame.into_bytes()]);
+    assert_eq!(responses.len(), 3);
+    let message = bad_request(&responses[0]);
+    assert!(message.len() <= 1024, "{} byte error message", message.len());
+    assert!(message.contains("at byte 19"), "{message}");
+    assert_still_serving(&responses[1..]);
 }
