@@ -53,6 +53,13 @@ impl EventLog {
         Self::default()
     }
 
+    /// Rebuild a log from the parts its accessors expose
+    /// ([`EventLog::events`], [`EventLog::step_count`],
+    /// [`EventLog::outage_step_count`]); snapshot decoders use this.
+    pub fn from_parts(events: Vec<HandoverEvent>, steps: usize, outage_steps: usize) -> Self {
+        EventLog { events, steps, outage_steps }
+    }
+
     /// Empty the log in place, keeping the event allocation — the fleet
     /// engine's chunk arenas recycle logs across UEs with this.
     pub fn clear(&mut self) {
@@ -146,6 +153,14 @@ impl CellLoadHistogram {
         let cells: Vec<Axial> = cells.into_iter().collect();
         assert!(!cells.is_empty(), "a load histogram needs at least one cell");
         let counts = vec![0; cells.len()];
+        CellLoadHistogram { cells, counts }
+    }
+
+    /// Rebuild a histogram from the `(cell, count)` pairs
+    /// [`CellLoadHistogram::iter`] yields; snapshot decoders use this.
+    /// Like the serde form, it accepts an empty list.
+    pub fn from_pairs(pairs: impl IntoIterator<Item = (Axial, u64)>) -> Self {
+        let (cells, counts) = pairs.into_iter().unzip();
         CellLoadHistogram { cells, counts }
     }
 

@@ -178,6 +178,49 @@ impl Iterator for ResampleIter<'_> {
             return Some(point);
         }
     }
+
+    /// Skip `n` points and yield the next one, in O(segments): whole
+    /// segments are stepped over with the same `seg_len`/`n_steps`/`cum`
+    /// arithmetic as [`Iterator::next`], so the cursor lands in the
+    /// bit-identical state `n + 1` calls to `next` would leave.
+    fn nth(&mut self, mut n: usize) -> Option<TracePoint> {
+        if !self.started {
+            if n == 0 {
+                return self.next();
+            }
+            self.started = true;
+            n -= 1;
+        }
+        loop {
+            if self.k == 0 {
+                if self.seg + 1 >= self.waypoints.len() {
+                    return None;
+                }
+                let seg_len = self.waypoints[self.seg].distance(self.waypoints[self.seg + 1]);
+                if seg_len == 0.0 {
+                    self.seg += 1;
+                    continue;
+                }
+                self.seg_len = seg_len;
+                self.n_steps = (seg_len / self.spacing_km).ceil() as usize;
+                self.k = 1;
+            }
+            // Points left in this segment, `k..=n_steps`. A segment whose
+            // step count underflowed to 0 never ends under `next` either.
+            match self.n_steps.checked_sub(self.k).map(|rest| rest + 1) {
+                Some(left) if n >= left => {
+                    n -= left;
+                    self.cum += self.seg_len;
+                    self.seg += 1;
+                    self.k = 0;
+                }
+                _ => {
+                    self.k = self.k.saturating_add(n);
+                    return self.next();
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

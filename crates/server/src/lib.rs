@@ -42,7 +42,7 @@ pub mod wire;
 
 pub use server::{ServerError, SessionId, TwinServer};
 pub use session::{
-    PolicySwap, Session, SessionConfig, SessionError, SessionSnapshot, SESSION_SNAPSHOT_VERSION,
+    PolicySwap, Session, SessionConfig, SessionError, SESSION_SNAPSHOT_VERSION,
 };
 pub use wire::{
     pipe, read_frame, serve, spawn_in_process, write_frame, ClientError, InProcessServer,

@@ -21,24 +21,48 @@
 //! the log from scratch — or the equivalent manual
 //! `advance(old spec, swap_step)` → `try_resume(new spec)` chain — is
 //! bit-identical.
+//!
+//! ## Sealed layout (v3)
+//!
+//! [`Session::sealed`] writes the same checksummed container as
+//! [`FleetCheckpoint::seal`] around this payload:
+//! - a `u64` little-endian header length, then that many bytes of JSON:
+//!   `{"version","config","policy_now","swaps","result","report"}`;
+//! - one byte, 1 when a fleet checkpoint follows (0 before the first
+//!   advance);
+//! - the checkpoint's fixed-layout little-endian v3 payload
+//!   ([`FleetCheckpoint::write_payload`]), up to the end.
+//!
+//! ## Trajectory memo
+//!
+//! A session keeps each UE's trajectory after the engine first asks for
+//! it, and hands later segments a clone instead of regenerating the
+//! walk. The memo is filled during advances only (never by
+//! [`Session::spawn`] or [`Session::hydrate`]), is never sealed, and
+//! survives policy swaps, because a walk depends only on the mobility
+//! model and the trajectory seed.
 
 use handover_core::twin::{CellLoadReport, SessionStatus, UePhase, UeTwinReport};
-use handover_sim::checkpoint::{seal_payload, unseal_payload, CheckpointError};
+use handover_core::HandoverPolicy;
+use handover_sim::checkpoint::{seal_with, unseal_payload, CheckpointError};
 use handover_sim::fleet::{
     CandidateMode, FleetError, FleetMobility, FleetResult, FleetSimulation, HomogeneousFleet,
-    PolicyKind,
+    PolicyKind, Trajectory, UeSpec,
 };
 use handover_sim::resilience::{ConfigError, RetryPolicy, Supervisor, SupervisorReport};
 use handover_sim::{DynamicsConfig, FleetCheckpoint, SimConfig, TrafficConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Version tag of the sealed session snapshot payload (independent of
 /// the sealed *container* version and the inner fleet checkpoint
 /// version, which guard their own layers). Version 2 dropped the
 /// config's `precision` field; the deserializer ignores unknown fields,
 /// so without the bump a version-1 snapshot would hydrate silently.
-pub const SESSION_SNAPSHOT_VERSION: u32 = 2;
+/// Version 3 moved the fleet checkpoint out of the JSON into the
+/// binary payload (see the module docs).
+pub const SESSION_SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a session operation failed. The wire layer flattens these into
 /// [`ServerError`](crate::server::ServerError) messages; in-process
@@ -230,27 +254,42 @@ pub struct PolicySwap {
     pub policy: PolicyKind,
 }
 
-/// Everything a session is, frozen: serialized to JSON and sealed in
-/// the same checksummed container as fleet checkpoints
-/// ([`handover_sim::seal_payload`]), so persisted sessions inherit the
-/// write-then-verify bit-rot detection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionSnapshot {
-    /// Snapshot payload version ([`SESSION_SNAPSHOT_VERSION`]).
-    pub version: u32,
-    /// The spawn-time scenario bundle.
-    pub config: SessionConfig,
-    /// The policy currently in force (after swaps).
-    pub policy_now: PolicyKind,
-    /// The hot-swap log, in step order.
-    pub swaps: Vec<PolicySwap>,
-    /// The fleet state at the current step (`None` before the first
-    /// advance).
-    pub fleet: Option<FleetCheckpoint>,
-    /// The final result, if the session ran to completion.
-    pub result: Option<FleetResult>,
-    /// Accumulated supervision audit trail.
-    pub report: SupervisorReport,
+/// The JSON header of a sealed session: everything but the fleet
+/// checkpoint. [`Session::sealed`] writes these keys in this order.
+#[derive(Deserialize)]
+struct SessionHeader {
+    version: u32,
+    config: SessionConfig,
+    policy_now: PolicyKind,
+    swaps: Vec<PolicySwap>,
+    result: Option<FleetResult>,
+    report: SupervisorReport,
+}
+
+/// A session's population: its [`HomogeneousFleet`] under the current
+/// policy, with each UE's trajectory generated once per session and
+/// cloned afterwards. A hydrated snapshot may name UE ids past
+/// `n_ues`; those are generated every time.
+struct MemoSpec<'a> {
+    fleet: HomogeneousFleet,
+    memo: &'a [OnceLock<Trajectory>],
+}
+
+impl UeSpec for MemoSpec<'_> {
+    fn trajectory(&self, ue_id: u64) -> Trajectory {
+        match usize::try_from(ue_id).ok().and_then(|k| self.memo.get(k)) {
+            Some(slot) => slot.get_or_init(|| self.fleet.trajectory(ue_id)).clone(),
+            None => self.fleet.trajectory(ue_id),
+        }
+    }
+
+    fn policy(&self, ue_id: u64) -> Box<dyn HandoverPolicy + Send> {
+        self.fleet.policy(ue_id)
+    }
+}
+
+fn malformed(msg: String) -> SessionError {
+    SessionError::Corrupt(CheckpointError::Malformed(msg))
 }
 
 /// A live tenant scenario. See the module docs for the determinism
@@ -265,6 +304,8 @@ pub struct Session {
     report: SupervisorReport,
     workers: usize,
     ids: Vec<u64>,
+    /// Trajectory memo indexed by UE id; empty until the first advance.
+    trajectories: Vec<OnceLock<Trajectory>>,
 }
 
 impl Session {
@@ -283,6 +324,7 @@ impl Session {
             report: SupervisorReport::default(),
             workers: workers.max(1),
             ids,
+            trajectories: Vec::new(),
         })
     }
 
@@ -369,7 +411,10 @@ impl Session {
             None => Supervisor::new(engine, self.config.retry),
         }
         .map_err(SessionError::from)?;
-        let spec = self.config.spec(self.policy_now);
+        if self.trajectories.len() != self.ids.len() {
+            self.trajectories = self.ids.iter().map(|_| OnceLock::new()).collect();
+        }
+        let spec = MemoSpec { fleet: self.config.spec(self.policy_now), memo: &self.trajectories };
         let advanced = sup
             .advance_to(&spec, &self.ids, self.config.base_seed, target_step)
             .map(|_| ())
@@ -512,49 +557,79 @@ impl Session {
         })
     }
 
-    /// Freeze the session into its serializable snapshot form.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            version: SESSION_SNAPSHOT_VERSION,
-            config: self.config.clone(),
-            policy_now: self.policy_now,
-            swaps: self.swaps.clone(),
-            fleet: self.current.clone(),
-            result: self.result.clone(),
-            report: self.report.clone(),
-        }
-    }
-
-    /// Persist: snapshot → JSON → the checksummed sealed container
-    /// (same envelope as [`FleetCheckpoint::seal`], so restore verifies
-    /// magic, length and checksum before touching the payload).
+    /// Persist: the v3 session payload (see the module docs) in the
+    /// checksummed sealed container (same envelope as
+    /// [`FleetCheckpoint::seal`], so restore verifies magic, length and
+    /// checksum before touching the payload). Encodes straight from the
+    /// session; nothing is cloned.
     pub fn sealed(&self) -> Vec<u8> {
-        let payload =
-            serde_json::to_string(&self.snapshot()).expect("session snapshots serialize to JSON");
-        seal_payload(payload.as_bytes())
+        let mut header = serde::Writer::new();
+        header.raw("{\"version\":");
+        SESSION_SNAPSHOT_VERSION.serialize(&mut header);
+        header.raw(",\"config\":");
+        self.config.serialize(&mut header);
+        header.raw(",\"policy_now\":");
+        self.policy_now.serialize(&mut header);
+        header.raw(",\"swaps\":");
+        self.swaps.serialize(&mut header);
+        header.raw(",\"result\":");
+        self.result.serialize(&mut header);
+        header.raw(",\"report\":");
+        self.report.serialize(&mut header);
+        header.raw("}");
+        let header = header.into_string();
+        seal_with(|out| {
+            out.extend_from_slice(&(header.len() as u64).to_le_bytes());
+            out.extend_from_slice(header.as_bytes());
+            match &self.current {
+                None => out.push(0),
+                Some(cp) => {
+                    out.push(1);
+                    cp.write_payload(out);
+                }
+            }
+        })
     }
 
     /// Rehydrate a sealed session. Total on arbitrary input: corrupt,
     /// truncated or foreign bytes surface as
     /// [`SessionError::Corrupt`], never a panic; the embedded config
     /// and fleet checkpoint are re-validated before the session is
-    /// accepted.
+    /// accepted. Older containers and payload versions are refused
+    /// with [`CheckpointError::UnsupportedVersion`].
     pub fn hydrate(bytes: &[u8], workers: usize) -> Result<Session, SessionError> {
         let payload = unseal_payload(bytes).map_err(SessionError::Corrupt)?;
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| SessionError::Corrupt(CheckpointError::Malformed(e.to_string())))?;
-        let snap: SessionSnapshot = serde_json::from_str(text)
-            .map_err(|e| SessionError::Corrupt(CheckpointError::Malformed(e.to_string())))?;
-        if snap.version != SESSION_SNAPSHOT_VERSION {
+        let (len, rest) = (payload.get(..8), payload.get(8..).unwrap_or_default());
+        let len = len
+            .and_then(|word| <[u8; 8]>::try_from(word).ok())
+            .map(u64::from_le_bytes)
+            .ok_or_else(|| malformed("session payload has no header length".into()))?;
+        let (header, fleet) = usize::try_from(len)
+            .ok()
+            .filter(|&len| len <= rest.len())
+            .map(|len| rest.split_at(len))
+            .ok_or_else(|| {
+                malformed(format!("session header of {len} bytes overruns the payload"))
+            })?;
+        let header = std::str::from_utf8(header).map_err(|e| malformed(e.to_string()))?;
+        let header: SessionHeader =
+            serde_json::from_str(header).map_err(|e| malformed(e.to_string()))?;
+        if header.version != SESSION_SNAPSHOT_VERSION {
             return Err(SessionError::Corrupt(CheckpointError::UnsupportedVersion {
-                found: snap.version,
+                found: header.version,
                 supported: SESSION_SNAPSHOT_VERSION,
             }));
         }
-        snap.config.validated()?;
-        if let Some(cp) = &snap.fleet {
-            cp.try_validate().map_err(SessionError::Corrupt)?;
-            let tracing = snap.config.traffic.is_some() || snap.config.dynamics.is_some();
+        header.config.validated()?;
+        let current = match fleet.split_first() {
+            Some((0, [])) => None,
+            Some((1, fleet)) => {
+                Some(FleetCheckpoint::try_from_payload(fleet).map_err(SessionError::Corrupt)?)
+            }
+            _ => return Err(malformed("session payload has no valid fleet marker".into())),
+        };
+        if let Some(cp) = &current {
+            let tracing = header.config.traffic.is_some() || header.config.dynamics.is_some();
             if cp.tracing != tracing {
                 return Err(SessionError::Corrupt(CheckpointError::PlaneMismatch {
                     checkpoint_tracing: cp.tracing,
@@ -562,16 +637,17 @@ impl Session {
                 }));
             }
         }
-        let ids: Vec<u64> = (0..snap.config.n_ues).collect();
+        let ids: Vec<u64> = (0..header.config.n_ues).collect();
         Ok(Session {
-            config: snap.config,
-            policy_now: snap.policy_now,
-            swaps: snap.swaps,
-            current: snap.fleet,
-            result: snap.result,
-            report: snap.report,
+            config: header.config,
+            policy_now: header.policy_now,
+            swaps: header.swaps,
+            current,
+            result: header.result,
+            report: header.report,
             workers: workers.max(1),
             ids,
+            trajectories: Vec::new(),
         })
     }
 }

@@ -9,7 +9,9 @@
 //! carries over unchanged.
 //!
 //! Framing is defensive in both directions: lengths above
-//! [`MAX_FRAME_LEN`] are rejected before allocation, truncated frames
+//! [`MAX_FRAME_LEN`] are rejected before allocation, a frame's buffer
+//! grows only with the bytes that actually arrive (a bare header cannot
+//! make the reader allocate its declared length), truncated frames
 //! surface as [`WireError::Io`], and malformed payloads as
 //! [`WireError::Malformed`] — a garbage peer cannot panic the server.
 
@@ -245,8 +247,16 @@ pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> Result<Option<T>, WireE
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge { declared: len });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| WireError::Io(e.to_string()))?;
+    // Grow the buffer with the bytes that actually arrive: a bare header
+    // declaring a huge frame costs nothing until the peer sends it.
+    let mut payload = Vec::new();
+    r.take(u64::from(len)).read_to_end(&mut payload).map_err(|e| WireError::Io(e.to_string()))?;
+    if payload.len() != len as usize {
+        return Err(WireError::Io(format!(
+            "stream closed {} bytes into a {len}-byte frame",
+            payload.len()
+        )));
+    }
     let text =
         std::str::from_utf8(&payload).map_err(|e| WireError::Malformed(e.to_string()))?;
     let msg = serde_json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))?;

@@ -10,6 +10,11 @@
 //! deterministic functions of the [`UeSpec`](crate::fleet::UeSpec), so
 //! resume regenerates them and fast-forwards the resample cursor.
 //!
+//! On disk a snapshot is a sealed container ([`FleetCheckpoint::seal`]):
+//! a checksummed header around a fixed-layout little-endian v3 payload
+//! ([`FleetCheckpoint::write_payload`]). The serde form is kept for the
+//! JSON goldens and the wire protocol.
+//!
 //! The contract, pinned by `tests/fleet_props.rs` and the
 //! `tests/golden_fleet/` golden: for any step bound `k`,
 //! [`FleetSimulation::advance`](crate::fleet::FleetSimulation::advance)
@@ -39,8 +44,11 @@ pub const SEALED_MAGIC: [u8; 8] = *b"FZHOCKPT";
 /// Version of the sealed *container* format (the inner
 /// [`CHECKPOINT_VERSION`] versions the payload layout independently).
 /// v1 is the historical bare-JSON form with no header; v2 adds the
-/// magic + length + FNV-1a checksum header.
-pub const SEALED_FORMAT_VERSION: u32 = 2;
+/// magic + length + FNV-1a checksum header around a JSON payload; v3
+/// keeps that header and makes the payload fixed-layout little-endian
+/// binary. v1 and v2 bytes are refused with
+/// [`CheckpointError::UnsupportedVersion`].
+pub const SEALED_FORMAT_VERSION: u32 = 3;
 
 /// Sealed header layout: magic (8) + container version (u32 LE) +
 /// payload length (u64 LE) + FNV-1a-64 payload checksum (u64 LE).
@@ -170,12 +178,22 @@ fn le_u64(bytes: &[u8], offset: usize) -> Option<u64> {
 /// the server's session snapshots both write this envelope, so one
 /// verifier ([`unseal_payload`]) guards every persistence path.
 pub fn seal_payload(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SEALED_HEADER_LEN + payload.len());
+    seal_with(|out| out.extend_from_slice(payload))
+}
+
+/// [`seal_payload`] for a payload written in place: `write` appends the
+/// payload to the buffer after the header, whose length and checksum
+/// are then filled in, so the payload is never copied.
+pub fn seal_with(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
     out.extend_from_slice(&SEALED_MAGIC);
     out.extend_from_slice(&SEALED_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&content_checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.resize(SEALED_HEADER_LEN, 0);
+    write(&mut out);
+    let payload = &out[SEALED_HEADER_LEN..];
+    let (len, checksum) = (payload.len() as u64, content_checksum(payload));
+    out[12..20].copy_from_slice(&len.to_le_bytes());
+    out[20..SEALED_HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -397,44 +415,43 @@ impl FleetCheckpoint {
         Ok(())
     }
 
-    /// Panic with a clear message if the snapshot cannot have come from
-    /// a compatible engine (wrong version).
-    #[deprecated(since = "0.9.0", note = "use try_validate() and handle CheckpointError")]
-    pub fn validate(&self) {
-        if let Err(err) = self.try_validate() {
-            panic!("{err}");
-        }
+    /// Append the snapshot's v3 payload to `out`: every field in
+    /// declaration order, fixed-layout little-endian, floats as their
+    /// `to_bits` words (layout in the `payload` module source). Both
+    /// halves are sorted by UE id, so the bytes are shard-invariant.
+    pub fn write_payload(&self, out: &mut Vec<u8>) {
+        crate::payload::encode(self, out);
+    }
+
+    /// Decode a v3 payload that [`FleetCheckpoint::write_payload`]
+    /// wrote (exactly those bytes, nothing after them) and
+    /// [`FleetCheckpoint::try_validate`] it. Total on arbitrary input:
+    /// a declared length is checked against the bytes left before
+    /// anything is allocated, and `PolicyCheckpoint::Streak` nesting is
+    /// capped at [`serde::MAX_DEPTH`].
+    pub fn try_from_payload(payload: &[u8]) -> Result<FleetCheckpoint, CheckpointError> {
+        crate::payload::decode(payload)
     }
 
     /// Seal the snapshot into the checksummed container format:
     /// [`SEALED_MAGIC`] + container version + payload length + FNV-1a
-    /// payload checksum + the canonical (shard-invariant, UE-id-sorted)
-    /// JSON payload. [`FleetCheckpoint::try_unseal`] verifies all four
-    /// before deserializing, so bit-rot and truncation are *detected*
-    /// rather than resumed.
+    /// payload checksum + the v3 binary payload
+    /// ([`FleetCheckpoint::write_payload`]).
+    /// [`FleetCheckpoint::try_unseal`] verifies all four before decoding,
+    /// so bit-rot and truncation are *detected* rather than resumed.
     pub fn seal(&self) -> Vec<u8> {
-        // invariant: every field of FleetCheckpoint serializes with
-        // serde_json (the v1 golden pins exactly these bytes).
-        let payload =
-            serde_json::to_string(self).expect("fleet checkpoints serialize to JSON").into_bytes();
-        seal_payload(&payload)
+        seal_with(|out| self.write_payload(out))
     }
 
     /// Open a sealed container: verify magic, container version,
     /// declared length and payload checksum (via [`unseal_payload`]),
-    /// then deserialize and [`FleetCheckpoint::try_validate`] the
-    /// snapshot. Historical v1 (headerless bare-JSON) bytes are
-    /// recognised and rejected with a typed
-    /// [`CheckpointError::UnsupportedVersion`]. Total on arbitrary
-    /// input: never panics, for any byte string.
+    /// then decode ([`FleetCheckpoint::try_from_payload`]) and
+    /// [`FleetCheckpoint::try_validate`] the snapshot. Older containers
+    /// (v1 headerless bare JSON, v2 JSON payloads) are rejected with a
+    /// typed [`CheckpointError::UnsupportedVersion`]. Total on
+    /// arbitrary input: never panics, for any byte string.
     pub fn try_unseal(bytes: &[u8]) -> Result<FleetCheckpoint, CheckpointError> {
-        let payload = unseal_payload(bytes)?;
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        let cp: FleetCheckpoint =
-            serde_json::from_str(text).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        cp.try_validate()?;
-        Ok(cp)
+        FleetCheckpoint::try_from_payload(unseal_payload(bytes)?)
     }
 
     /// The still-live UE with id `ue_id`, if any (both halves are
@@ -530,13 +547,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "version")]
-    #[allow(deprecated)]
-    fn deprecated_validate_shim_still_panics() {
-        empty_checkpoint(CHECKPOINT_VERSION + 1).validate();
     }
 
     #[test]

@@ -65,9 +65,9 @@ use handover_core::{
     DynamicTrafficStats, FleetSummary, FlcStage, FuzzyHandoverController, HandoverPolicy,
     LatencyPercentiles, LoadField, MeasurementReport, StayReason, TrafficReport,
 };
-use mobility::{
-    GaussMarkov, ManhattanGrid, MobilityModel, RandomWalk, RandomWaypoint, Trajectory,
-};
+/// The walk type [`UeSpec::trajectory`] returns.
+pub use mobility::Trajectory;
+use mobility::{GaussMarkov, ManhattanGrid, MobilityModel, RandomWalk, RandomWaypoint};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -1393,10 +1393,9 @@ impl FleetSimulation {
                     // taken exactly `start_step` steps; with churn a late
                     // arrival has taken fewer (and a not-yet-arrived UE
                     // none), which `cp.engine.steps` captures per UE.
-                    for _ in 0..cp.engine.steps {
-                        if cursors[i].next().is_none() {
-                            break;
-                        }
+                    // `nth` skips whole segments at a time.
+                    if let Some(last) = cp.engine.steps.checked_sub(1) {
+                        cursors[i].nth(usize::try_from(last).unwrap_or(usize::MAX));
                     }
                     policies[i].restore_policy_checkpoint(&cp.policy);
                     hd_sums[i] = cp.hd_sum;

@@ -52,6 +52,7 @@ pub mod fleet;
 pub mod matrix;
 pub mod monte_carlo;
 pub mod params;
+mod payload;
 pub mod resilience;
 pub mod scenario;
 pub mod series;
@@ -59,7 +60,7 @@ pub mod table;
 pub mod traffic;
 
 pub use checkpoint::{
-    seal_payload, unseal_payload, CheckpointError, FleetCheckpoint, UeCheckpoint,
+    seal_payload, seal_with, unseal_payload, CheckpointError, FleetCheckpoint, UeCheckpoint,
     CHECKPOINT_VERSION, SEALED_FORMAT_VERSION, SEALED_HEADER_LEN, SEALED_MAGIC,
 };
 pub use dynamics::{

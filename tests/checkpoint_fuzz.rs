@@ -13,17 +13,96 @@
 //!    at a random offset (header, length field, checksum or payload).
 //!
 //! Corruption must additionally be *detected*: a flipped byte yields a
-//! typed [`CheckpointError`], never a silently wrong restore. Nesting
-//! deeper than the JSON reader's limit is a typed error too, never a
-//! stack overflow.
+//! typed [`CheckpointError`], never a silently wrong restore.
+//!
+//! Behind a *valid* checksum the v3 payload decoder is the only guard,
+//! so it gets its own adversaries: random payload bytes, every
+//! truncation of a real payload, element counts near `u64::MAX`, and a
+//! 100 000-deep `PolicyCheckpoint::Streak` chain. Each must be a typed
+//! [`CheckpointError`] — no panic, no stack overflow, and no allocation
+//! out of proportion to the input (a counting allocator records the
+//! largest single allocation of the decoding thread). The same
+//! allocator pins `read_frame`: a wire header declaring
+//! [`MAX_FRAME_LEN`] costs only the bytes that actually arrive.
 
 use fuzzy_handover::core::PolicyCheckpoint;
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
-use fuzzy_handover::server::{Session, SessionConfig};
+use fuzzy_handover::server::{
+    read_frame, write_frame, Request, Session, SessionConfig, WireError, MAX_FRAME_LEN,
+};
 use fuzzy_handover::sim::checkpoint::{FleetCheckpoint, SEALED_HEADER_LEN};
 use fuzzy_handover::sim::fleet::{FleetMobility, FleetSimulation, PolicyKind};
-use fuzzy_handover::sim::{seal_payload, CheckpointError, SimConfig};
+use fuzzy_handover::sim::{seal_payload, unseal_payload, CheckpointError, SimConfig};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// `System`, recording the largest single allocation a thread makes
+/// while it measures (other test threads cannot disturb the figure).
+struct PeakAllocator;
+
+thread_local! {
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    }
+}
+
+unsafe impl GlobalAlloc for PeakAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PeakAllocator = PeakAllocator;
+
+/// Run `f` and return its value with the largest allocation it made.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    MEASURING.with(|m| m.set(true));
+    let value = f();
+    MEASURING.with(|m| m.set(false));
+    (value, LARGEST.with(Cell::get))
+}
+
+/// Unseal `sealed` as both a fleet checkpoint and a session, and check
+/// that both fail with a typed error while allocating at most a fixed
+/// multiple of the input (one byte of payload decodes to at most one
+/// 40-byte smoother) plus a small constant.
+fn assert_refused_within_budget(sealed: &[u8], case: &str) {
+    let budget = 64 * sealed.len() + 64 * 1024;
+    let (fleet, largest) = largest_allocation(|| FleetCheckpoint::try_unseal(sealed));
+    assert!(fleet.is_err(), "{case}: fleet checkpoint accepted");
+    assert!(largest <= budget, "{case}: fleet decode allocated {largest} bytes");
+    let (session, largest) = largest_allocation(|| Session::hydrate(sealed, 1));
+    assert!(session.is_err(), "{case}: session accepted");
+    assert!(largest <= budget, "{case}: session decode allocated {largest} bytes");
+}
+
+/// The v3 payload inside a sealed container.
+fn payload_of(sealed: &[u8]) -> Vec<u8> {
+    unseal_payload(sealed).expect("a valid sealed container").to_vec()
+}
 
 /// Deterministic byte noise from a drawn seed (the vendored proptest
 /// draws scalars; collections are derived).
@@ -151,6 +230,77 @@ proptest! {
             "flipping byte {offset} by {flip:#04x} went undetected"
         );
     }
+
+    /// Adversary 4 — random payload bytes behind a *valid* checksum: the
+    /// container verifies, so the v3 decoder alone must refuse them.
+    /// Half the cases start with the real inner version word, so the
+    /// decoder reads on into noisy counts and tags.
+    #[test]
+    fn noise_behind_a_valid_checksum_is_a_typed_error(
+        seed in 0u64..u64::MAX,
+        len in 0usize..4096,
+        versioned in 0u8..2,
+    ) {
+        let mut payload = noise_bytes(seed | 1, len);
+        if versioned == 1 && payload.len() >= 4 {
+            payload[..4].copy_from_slice(&1u32.to_le_bytes());
+        }
+        assert_refused_within_budget(&seal_payload(&payload), &format!("{len} noise bytes"));
+    }
+
+    /// Adversary 5 — a real payload with one 8-byte word overwritten by a
+    /// value near `u64::MAX` and re-sealed. Wherever the word lands (a
+    /// count, a length, a float, a tag), decoding never panics and never
+    /// allocates for the declared count.
+    #[test]
+    fn huge_words_anywhere_never_panic_or_overallocate(
+        seed in 0u64..20,
+        offset_frac in 0.0f64..1.0,
+        below_max in 0u64..4,
+    ) {
+        let mut payload = payload_of(&sealed_fleet(seed));
+        let at = ((payload.len() - 8) as f64 * offset_frac) as usize;
+        payload[at..at + 8].copy_from_slice(&(u64::MAX - below_max).to_le_bytes());
+        let sealed = seal_payload(&payload);
+        let budget = 64 * sealed.len() + 64 * 1024;
+        let (_, largest) = largest_allocation(|| FleetCheckpoint::try_unseal(&sealed));
+        prop_assert!(largest <= budget, "word at {at}: {largest} bytes allocated");
+    }
+}
+
+/// Adversary 6 — every truncation of a real v3 payload, re-sealed so the
+/// checksum is valid, is a typed error for both the fleet checkpoint and
+/// the session payload.
+#[test]
+fn every_truncated_payload_is_a_typed_error() {
+    for (what, sealed) in [("fleet", sealed_fleet(3)), ("session", sealed_session(3))] {
+        let payload = payload_of(&sealed);
+        for cut in 0..payload.len() {
+            assert_refused_within_budget(
+                &seal_payload(&payload[..cut]),
+                &format!("{what} cut {cut}"),
+            );
+        }
+    }
+}
+
+/// Adversary 7 — the sequence counts of a real payload replaced by
+/// counts near `u64::MAX`: refused as malformed before any allocation.
+#[test]
+fn counts_near_u64_max_are_refused_before_allocation() {
+    let payload = payload_of(&sealed_fleet(5));
+    // version (4) + step (8) + base seed (8): the finished-UE count.
+    let finished_count = 20;
+    for count in [u64::MAX, u64::MAX - 1, u64::MAX / 2, 1 << 40, payload.len() as u64] {
+        let mut bad = payload.clone();
+        bad[finished_count..finished_count + 8].copy_from_slice(&count.to_le_bytes());
+        let sealed = seal_payload(&bad);
+        match FleetCheckpoint::try_unseal(&sealed) {
+            Err(CheckpointError::Malformed(msg)) => assert!(msg.contains("count"), "{msg}"),
+            other => panic!("count {count}: expected Malformed, got {other:?}"),
+        }
+        assert_refused_within_budget(&sealed, &format!("count {count}"));
+    }
 }
 
 /// `depth` nested `PolicyCheckpoint::Streak` wrappers around `Stateless`.
@@ -160,9 +310,9 @@ fn nested_streak(depth: usize) -> String {
 }
 
 /// `PolicyCheckpoint::Streak` is the one recursive type in a checkpoint.
-/// A 100 000-deep chain is refused at the reader's nesting limit —
-/// read on its own or inside a sealed checkpoint — instead of
-/// overflowing the stack; a shallow chain still reads.
+/// A 100 000-deep chain is refused at the nesting limit — read as JSON
+/// on its own, or as a live UE's policy inside a sealed v3 payload —
+/// instead of overflowing the stack; a shallow chain still reads.
 #[test]
 fn deeply_nested_policy_state_is_a_typed_error() {
     let deep = nested_streak(100_000);
@@ -170,19 +320,72 @@ fn deeply_nested_policy_state_is_a_typed_error() {
     assert!(err.to_string().contains("nesting"), "{err}");
     assert!(serde_json::from_str::<PolicyCheckpoint>(&nested_streak(20)).is_ok());
 
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden_fleet/checkpoint.json"
-    ))
-    .expect("golden checkpoint");
-    let hostile = golden.replacen(
-        "\"policy\":{\"Fuzzy\":{\"prev_serving_rss\":null}}",
-        &format!("\"policy\":{deep}"),
-        1,
-    );
-    assert_ne!(hostile, golden);
-    match FleetCheckpoint::try_unseal(&seal_payload(hostile.as_bytes())) {
+    // Give one live UE a recognisable policy, then splice the chain in
+    // its place: tag 3 + a u64 streak per level, then tag 0 (Stateless).
+    let mut cp = FleetCheckpoint::try_unseal(&sealed_fleet(9)).expect("valid checkpoint");
+    let marker = 0x5EED_57EA_u64;
+    cp.live[0].policy = PolicyCheckpoint::Step { step: marker };
+    let mut payload = Vec::new();
+    cp.write_payload(&mut payload);
+    let mut needle = vec![2u8];
+    needle.extend_from_slice(&marker.to_le_bytes());
+    let at = payload
+        .windows(needle.len())
+        .position(|w| w == needle.as_slice())
+        .expect("the marked policy is in the payload");
+    let level = [3u8, 1, 0, 0, 0, 0, 0, 0, 0];
+    let chain: Vec<u8> =
+        level.iter().copied().cycle().take(level.len() * 100_000).chain([0u8]).collect();
+    payload.splice(at..at + needle.len(), chain);
+    let sealed = seal_payload(&payload);
+    match FleetCheckpoint::try_unseal(&sealed) {
         Err(CheckpointError::Malformed(msg)) => assert!(msg.contains("nesting"), "{msg}"),
         other => panic!("expected a Malformed error, got {other:?}"),
     }
+    assert_refused_within_budget(&sealed, "100 000-deep streak");
+}
+
+/// A v2 container (the JSON payload of the previous format) is refused
+/// at the container header with a typed version error, for both ingest
+/// paths.
+#[test]
+fn v2_containers_are_refused_with_a_typed_error() {
+    for sealed in [sealed_fleet(1), sealed_session(1)] {
+        let mut v2 = sealed.clone();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = FleetCheckpoint::try_unseal(&v2).unwrap_err();
+        assert_eq!(err, CheckpointError::UnsupportedVersion { found: 2, supported: 3 });
+        assert!(Session::hydrate(&v2, 1).is_err());
+    }
+}
+
+/// A frame header declaring `MAX_FRAME_LEN`, then `sent` payload bytes
+/// and end of stream.
+fn short_frame(sent: usize) -> Vec<u8> {
+    let mut input = MAX_FRAME_LEN.to_le_bytes().to_vec();
+    input.resize(4 + sent, b' ');
+    input
+}
+
+/// `read_frame` grows its buffer with the bytes that arrive: a header
+/// declaring `MAX_FRAME_LEN` (256 MiB) then end of stream is a typed
+/// `WireError::Io` that allocates almost nothing, and a truncated frame
+/// allocates in proportion to what was received.
+#[test]
+fn read_frame_allocates_only_what_arrives() {
+    for sent in [0, 1, 4096, 100_000] {
+        let input = short_frame(sent);
+        let (result, largest) =
+            largest_allocation(|| read_frame::<_, Request>(&mut input.as_slice()));
+        match result {
+            Err(WireError::Io(msg)) => assert!(msg.contains(&format!("{sent} bytes")), "{msg}"),
+            other => panic!("{sent} of {MAX_FRAME_LEN} bytes: {other:?}"),
+        }
+        assert!(largest <= 2 * sent + 1024, "{sent} bytes received, {largest} allocated");
+    }
+    let mut input = Vec::new();
+    write_frame(&mut input, &Request::List).unwrap();
+    let mut reader = input.as_slice();
+    assert_eq!(read_frame::<_, Request>(&mut reader).unwrap(), Some(Request::List));
+    assert_eq!(read_frame::<_, Request>(&mut reader).unwrap(), None);
 }

@@ -6,8 +6,11 @@
 //! bytes of a small mid-run snapshot — RNG block positions, shadowing
 //! lanes, smoother filters, policy state, traces and tallies — and
 //! additionally proves the *pinned* bytes still resume bit-identically
-//! to the uninterrupted run. Refresh after an *intentional* format
-//! change (and a `CHECKPOINT_VERSION` bump) with:
+//! to the uninterrupted run. The sealed v3 container (binary payload)
+//! is pinned the same way, and the v1 (bare JSON) and v2 (sealed JSON)
+//! artifacts stay as fixtures that must be refused with a typed version
+//! error. Refresh after an *intentional* format change (and a
+//! `CHECKPOINT_VERSION` or `SEALED_FORMAT_VERSION` bump) with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_fleet
@@ -34,6 +37,15 @@ fn sealed_golden_path() -> PathBuf {
         .join("tests")
         .join("golden_fleet")
         .join("checkpoint.sealed.bin")
+}
+
+/// The same snapshot as sealed by the v2 format (JSON payload), kept as
+/// a rejection fixture.
+fn sealed_v2_fixture_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden_fleet")
+        .join("checkpoint.sealed.v2.bin")
 }
 
 fn engine() -> FleetSimulation {
@@ -120,7 +132,7 @@ fn checkpoint_format_matches_golden_and_resumes() {
     );
 }
 
-/// The checksummed sealed container (format v2) is itself a pinned
+/// The checksummed sealed container (format v3) is itself a pinned
 /// on-disk artifact: magic + version + length + FNV-1a checksum +
 /// payload, byte for byte — and the pinned bytes still unseal and
 /// resume into the exact uninterrupted result.
@@ -170,8 +182,12 @@ fn sealed_checkpoint_matches_golden_and_restores() {
     let payload_len = u64::from_le_bytes(golden[12..20].try_into().expect("8 length bytes"));
     assert_eq!(golden.len(), SEALED_HEADER_LEN + payload_len as usize);
 
-    // And the pinned container still restores bit-identically.
+    // The binary payload decodes to exactly the snapshot the JSON
+    // golden pins, and still restores bit-identically.
     let parsed = FleetCheckpoint::try_unseal(&golden).expect("unseal golden");
+    let json = std::fs::read_to_string(golden_path()).expect("JSON golden");
+    let from_json: FleetCheckpoint = serde_json::from_str(&json).expect("parse JSON golden");
+    assert!(parsed == from_json, "the sealed and JSON goldens hold different snapshots");
     let resumed = engine
         .try_resume(&spec, &parsed)
         .expect("resume sealed golden");
@@ -197,5 +213,21 @@ fn v1_bare_json_golden_yields_typed_unsupported_version() {
             assert_eq!(supported, SEALED_FORMAT_VERSION);
         }
         other => panic!("expected UnsupportedVersion for v1 bytes, got {other:?}"),
+    }
+}
+
+/// The v2 sealed container — what the previous build wrote to disk: a
+/// valid header and checksum around a JSON payload — comes back as a
+/// typed [`CheckpointError::UnsupportedVersion`] naming version 2.
+#[test]
+fn v2_sealed_fixture_yields_typed_unsupported_version() {
+    let fixture = std::fs::read(sealed_v2_fixture_path()).expect("v2 sealed fixture present");
+    assert_eq!(&fixture[..8], &SEALED_MAGIC);
+    match FleetCheckpoint::try_unseal(&fixture) {
+        Err(CheckpointError::UnsupportedVersion { found, supported }) => {
+            assert_eq!(found, 2, "the fixture is a v2 container");
+            assert_eq!(supported, SEALED_FORMAT_VERSION);
+        }
+        other => panic!("expected UnsupportedVersion for v2 bytes, got {other:?}"),
     }
 }

@@ -5,7 +5,8 @@
 //! request script (spawn, advance, query, swap, checkpoint, hydrate,
 //! drop, status, list, finish, an error and a shutdown), so it holds
 //! real payloads — including a mid-run `Checkpointed` whose sealed
-//! bytes embed the session snapshot's JSON. The suite pins three things:
+//! bytes hold a v3 session payload (a JSON header, then the binary fleet
+//! checkpoint). The suite pins three things:
 //! the serialized corpus equals the file, re-serializing the parsed
 //! file reproduces it exactly, and every frame survives the
 //! length-prefixed codec. Refresh after an *intentional* protocol
@@ -131,8 +132,8 @@ fn every_corpus_frame_survives_the_codec() {
     }
 }
 
-/// The sealed bytes of the mid-run `Checkpointed` frame embed the
-/// snapshot JSON: hydrating them and sealing again reproduces them.
+/// The sealed bytes of the mid-run `Checkpointed` frame hold a v3
+/// session payload: hydrating them and sealing again reproduces them.
 #[test]
 fn checkpointed_frame_reseals_to_the_same_bytes() {
     let bytes = exchanges()

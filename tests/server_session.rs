@@ -30,7 +30,9 @@ use fuzzy_handover::server::{
 use fuzzy_handover::sim::fleet::{
     FleetMobility, FleetResult, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
-use fuzzy_handover::sim::{seal_payload, CheckpointError, SimConfig, TrafficConfig};
+use fuzzy_handover::sim::{
+    seal_payload, unseal_payload, CheckpointError, SimConfig, TrafficConfig, SEALED_FORMAT_VERSION,
+};
 use proptest::prelude::*;
 
 /// Shadowing + measurement noise so every per-UE RNG stream is live,
@@ -285,28 +287,42 @@ fn malformed_frame_answers_bad_request_and_keeps_serving() {
 
 /// Property 5 — a version-1 snapshot (whose config still carried the
 /// removed `precision` field) is refused, not hydrated at the current
-/// precision with the field ignored.
+/// precision with the field ignored. The forgery keeps today's v3
+/// layout (JSON header, then the binary fleet checkpoint) and rewrites
+/// only the header's version and config; a v2 container (the JSON
+/// payload of the previous format) is refused at the container header.
 #[test]
 fn version_one_snapshot_is_refused_with_a_typed_error() {
-    assert_eq!(SESSION_SNAPSHOT_VERSION, 2);
+    assert_eq!(SESSION_SNAPSHOT_VERSION, 3);
     let mut session = Session::spawn(session_config(4, 3, 2), 1).unwrap();
     session.advance_to(2).unwrap();
+    let sealed = session.sealed();
+    let payload = unseal_payload(&sealed).unwrap();
+    let (len, rest) = payload.split_at(8);
+    let (header, fleet) = rest.split_at(u64::from_le_bytes(len.try_into().unwrap()) as usize);
+    let header = std::str::from_utf8(header).unwrap();
     let current = format!("{{\"version\":{SESSION_SNAPSHOT_VERSION},\"config\":{{");
-    let json = serde_json::to_string(&session.snapshot()).unwrap();
-    assert!(json.starts_with(&current), "{}", &json[..40]);
-    let v1 = json.replacen(
-        &current,
-        "{\"version\":1,\"config\":{\"precision\":\"Compact\",",
-        1,
-    );
-    let err = Session::hydrate(&seal_payload(v1.as_bytes()), 1).unwrap_err();
+    assert!(header.starts_with(&current), "{}", &header[..40]);
+    let v1 = header.replacen(&current, "{\"version\":1,\"config\":{\"precision\":\"Compact\",", 1);
+    let mut forged = (v1.len() as u64).to_le_bytes().to_vec();
+    forged.extend_from_slice(v1.as_bytes());
+    forged.extend_from_slice(fleet);
+    let err = Session::hydrate(&seal_payload(&forged), 1).unwrap_err();
     assert_eq!(
         err,
+        SessionError::Corrupt(CheckpointError::UnsupportedVersion { found: 1, supported: 3 })
+    );
+
+    let mut v2 = sealed.clone();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        Session::hydrate(&v2, 1).unwrap_err(),
         SessionError::Corrupt(CheckpointError::UnsupportedVersion {
-            found: 1,
-            supported: 2
+            found: 2,
+            supported: SEALED_FORMAT_VERSION
         })
     );
+    assert_eq!(Session::hydrate(&sealed, 1).unwrap().step(), 2);
 }
 
 /// Serve `frames` (raw payloads, then `List` and `Shutdown`) on a
