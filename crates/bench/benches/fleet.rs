@@ -90,7 +90,7 @@ fn bench_scenario_matrix_10k(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("run", |b| {
         b.iter(|| {
-            let result = matrix.run();
+            let result = matrix.try_run().expect("scenario matrix");
             if !checked.replace(true) {
                 assert_eq!(result.cells.len(), 4, "10k UEs × 4 mobility models");
                 for cell in &result.cells {

@@ -5,8 +5,8 @@
 //!
 //! * `radio/shadowing_19` — per-BS `ShadowingProcess` loop vs the SoA
 //!   `ShadowingLane` (bit-identical) vs the pruned 7-slot subset update;
-//! * `radio/budget_19x128` — scalar `BsRadio` batch vs the compiled link
-//!   budget over one (cells × chunk) sweep;
+//! * `radio/budget_19x128` — the compiled link budget over one
+//!   (cells × chunk) sweep;
 //! * `radio/noise_2432` — scalar noise loop vs the batched slice sampler;
 //! * `radio/matrix_10k_x4` — the 10k-UE × 4-mobility-model scenario
 //!   matrix under the dense (`all`, golden-pinned semantics) and the
@@ -66,8 +66,7 @@ fn bench_shadowing(c: &mut Criterion) {
 }
 
 fn bench_budget(c: &mut Criterion) {
-    let radio = BsRadio::paper_default();
-    let compiled = radio.compiled();
+    let compiled = BsRadio::paper_default().compiled();
     let bs_positions: Vec<cellgeom::Vec2> = (0..CELLS)
         .map(|k| cellgeom::Vec2::from_polar(2.0 * (k / 6) as f64, k as f64))
         .collect();
@@ -77,14 +76,6 @@ fn bench_budget(c: &mut Criterion) {
     let mut out = vec![0.0f64; CHUNK];
 
     let mut g = c.benchmark_group("radio/budget_19x128");
-    g.bench_function("scalar_batch", |b| {
-        b.iter(|| {
-            for &bs in &bs_positions {
-                radio.received_power_dbm_batch(bs, &ms_positions, &mut out);
-            }
-            black_box(&out);
-        })
-    });
     g.bench_function("compiled_batch", |b| {
         b.iter(|| {
             for &bs in &bs_positions {
@@ -246,7 +237,7 @@ fn bench_scenario_matrix_modes(c: &mut Criterion) {
         let checked = std::cell::Cell::new(false);
         g.bench_function(mode.label(), |b| {
             b.iter(|| {
-                let result = spec.run();
+                let result = spec.try_run().expect("scenario matrix");
                 if !checked.replace(true) {
                     assert_eq!(result.cells.len(), 4, "10k UEs × 4 mobility models");
                     for cell in &result.cells {

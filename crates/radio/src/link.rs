@@ -46,43 +46,17 @@ impl BsRadio {
         watt_to_dbm(self.tx_power_w)
     }
 
-    /// The position-dependent part of the budget, with the TX power (the
-    /// only position-independent term) already converted to dBm. Shared
-    /// by the scalar and batched entry points so both compute the exact
-    /// same floating-point expression.
-    #[inline]
-    fn budget_dbm(&self, tx_dbm: f64, bs_pos: Vec2, ms_pos: Vec2) -> f64 {
+    /// Mean received power in dBm at `ms_pos` from a BS at `bs_pos`
+    /// (positions in km), before fading and measurement noise. The
+    /// reference expression that [`CompiledBsRadio`] reproduces bit for
+    /// bit.
+    pub fn received_power_dbm(&self, bs_pos: Vec2, ms_pos: Vec2) -> f64 {
         let horizontal_km = bs_pos.distance(ms_pos);
         let gain = self
             .antenna
             .gain_db_clamped(horizontal_km, self.ms_height_m, self.pattern_floor_db);
         let slant = self.antenna.slant_range_km(horizontal_km, self.ms_height_m);
-        tx_dbm + gain - self.path_loss.loss_db(slant)
-    }
-
-    /// Mean received power in dBm at `ms_pos` from a BS at `bs_pos`
-    /// (positions in km), before fading and measurement noise.
-    pub fn received_power_dbm(&self, bs_pos: Vec2, ms_pos: Vec2) -> f64 {
-        self.budget_dbm(self.tx_power_dbm(), bs_pos, ms_pos)
-    }
-
-    /// Mean received power for one BS over a batch of MS positions:
-    /// `out[i]` receives the power at `ms_positions[i]`.
-    ///
-    /// Bit-identical to calling [`BsRadio::received_power_dbm`] once per
-    /// position; the batch form hoists the dBm conversion of the TX power
-    /// (a `log10`) out of the loop, so fleet-scale callers pay one
-    /// conversion per (BS, UE-chunk) instead of one per (BS, UE).
-    pub fn received_power_dbm_batch(&self, bs_pos: Vec2, ms_positions: &[Vec2], out: &mut [f64]) {
-        assert_eq!(
-            ms_positions.len(),
-            out.len(),
-            "output buffer length must match the position count"
-        );
-        let tx_dbm = self.tx_power_dbm();
-        for (slot, &ms_pos) in out.iter_mut().zip(ms_positions) {
-            *slot = self.budget_dbm(tx_dbm, bs_pos, ms_pos);
-        }
+        self.tx_power_dbm() + gain - self.path_loss.loss_db(slant)
     }
 
     /// Compile the link budget: precompute every position-independent
@@ -424,12 +398,13 @@ mod tests {
     #[test]
     fn batch_is_bit_identical_to_scalar() {
         let bs = BsRadio::paper_default();
+        let compiled = bs.compiled();
         let bs_pos = Vec2::new(1.5, -0.7);
         let positions: Vec<Vec2> = (0..97)
             .map(|k| Vec2::from_polar(0.05 + 0.11 * k as f64, 0.37 * k as f64))
             .collect();
         let mut batch = vec![0.0; positions.len()];
-        bs.received_power_dbm_batch(bs_pos, &positions, &mut batch);
+        compiled.received_power_dbm_batch(bs_pos, &positions, &mut batch);
         for (p, b) in positions.iter().zip(&batch) {
             let scalar = bs.received_power_dbm(bs_pos, *p);
             assert_eq!(scalar.to_bits(), b.to_bits(), "at {p:?}");
@@ -461,18 +436,30 @@ mod tests {
 
     #[test]
     fn compiled_batch_matches_scalar_batch_bitwise() {
-        let bs = BsRadio::paper_default();
-        let compiled = bs.compiled();
+        // The batch kernel against per-position calls of both scalar
+        // forms, for every path-loss model the batch dispatches on.
+        let models = [
+            PathLoss::paper_calibrated(),
+            PathLoss::paper_field(),
+            PathLoss::free_space_2ghz(),
+            PathLoss::TwoRay { h_bs_m: 40.0, h_ms_m: 1.5 },
+            PathLoss::okumura_hata_paper(),
+        ];
         let bs_pos = Vec2::new(1.5, -0.7);
         let positions: Vec<Vec2> = (0..97)
-            .map(|k| Vec2::from_polar(0.05 + 0.11 * k as f64, 0.37 * k as f64))
+            .map(|k| bs_pos + Vec2::from_polar(0.05 + 0.11 * k as f64, 0.37 * k as f64))
             .collect();
-        let mut reference = vec![0.0; positions.len()];
-        let mut fast = vec![0.0; positions.len()];
-        bs.received_power_dbm_batch(bs_pos, &positions, &mut reference);
-        compiled.received_power_dbm_batch(bs_pos, &positions, &mut fast);
-        for (r, f) in reference.iter().zip(&fast) {
-            assert_eq!(r.to_bits(), f.to_bits());
+        for model in models {
+            let bs = BsRadio { path_loss: model, ..BsRadio::paper_default() };
+            let compiled = bs.compiled();
+            let mut fast = vec![0.0; positions.len()];
+            compiled.received_power_dbm_batch(bs_pos, &positions, &mut fast);
+            for (p, f) in positions.iter().zip(&fast) {
+                let reference = bs.received_power_dbm(bs_pos, *p);
+                let compiled_scalar = compiled.received_power_dbm(bs_pos, *p);
+                assert_eq!(reference.to_bits(), f.to_bits(), "{model:?} at {p:?}");
+                assert_eq!(compiled_scalar.to_bits(), f.to_bits(), "{model:?} at {p:?}");
+            }
         }
     }
 
@@ -486,15 +473,7 @@ mod tests {
 
     #[test]
     fn batch_over_empty_slice_is_a_no_op() {
-        let bs = BsRadio::paper_default();
-        bs.received_power_dbm_batch(Vec2::ZERO, &[], &mut []);
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer length")]
-    fn batch_length_mismatch_rejected() {
-        let bs = BsRadio::paper_default();
-        let mut out = [0.0; 2];
-        bs.received_power_dbm_batch(Vec2::ZERO, &[Vec2::ZERO], &mut out);
+        let compiled = BsRadio::paper_default().compiled();
+        compiled.received_power_dbm_batch(Vec2::ZERO, &[], &mut []);
     }
 }

@@ -49,7 +49,9 @@ use handover_sim::fleet::{
     CandidateMode, FleetError, FleetMobility, FleetResult, FleetSimulation, HomogeneousFleet,
     PolicyKind, Trajectory, UeSpec,
 };
-use handover_sim::resilience::{ConfigError, RetryPolicy, Supervisor, SupervisorReport};
+use handover_sim::resilience::{
+    validate_planes, ConfigError, RetryPolicy, Supervisor, SupervisorReport,
+};
 use handover_sim::{DynamicsConfig, FleetCheckpoint, SimConfig, TrafficConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -178,24 +180,12 @@ impl SessionConfig {
         }
     }
 
-    /// Typed validation of the whole bundle — every plane, every outage
-    /// cell's layout membership, the supervision policy and the spec
-    /// parameters. Runs *before* any panicking engine builder, so a
-    /// malformed wire request surfaces as a typed error, never a server
-    /// panic.
+    /// Typed validation of the whole bundle — the simulation and its
+    /// planes ([`validate_planes`]), the supervision policy and the spec
+    /// parameters — so a malformed wire request is refused at spawn,
+    /// before any fleet work.
     pub fn validated(&self) -> Result<(), ConfigError> {
-        self.sim.validated()?;
-        if let Some(traffic) = &self.traffic {
-            traffic.validated()?;
-        }
-        if let Some(dynamics) = &self.dynamics {
-            dynamics.validated()?;
-            for outage in &dynamics.failures {
-                if !self.sim.layout.cells().contains(&outage.cell) {
-                    return Err(ConfigError::UnknownCell { what: "outage", cell: outage.cell });
-                }
-            }
-        }
+        validate_planes(&self.sim, self.traffic.as_ref(), self.dynamics.as_ref())?;
         self.retry.validated()?;
         if !(self.cell_radius_km.is_finite() && self.cell_radius_km > 0.0) {
             return Err(ConfigError::NonPositive {
@@ -213,9 +203,10 @@ impl SessionConfig {
         Ok(())
     }
 
-    /// Build the fleet engine for this bundle (call
-    /// [`SessionConfig::validated`] first — the plane builders panic on
-    /// invalid input).
+    /// Build the fleet engine for this bundle. Invalid planes surface
+    /// as [`FleetError::InvalidConfig`] when it runs; `FleetSimulation::new`
+    /// still checks the [`SimConfig`] eagerly, so call
+    /// [`SessionConfig::validated`] first.
     fn engine(&self, workers: usize) -> FleetSimulation {
         let mut engine = FleetSimulation::new(self.sim.clone())
             .with_workers(workers)

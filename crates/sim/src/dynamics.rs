@@ -66,15 +66,8 @@ pub struct ChurnConfig {
 }
 
 impl ChurnConfig {
-    /// Validate the configuration, panicking with a descriptive message
-    /// on nonsense values.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`ChurnConfig::validate`].
+    /// Validate the configuration: a non-empty arrival window and a
+    /// finite positive mean lifetime.
     pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
         use crate::resilience::{require_positive, ConfigError};
         if self.horizon_steps < 1 {
@@ -140,14 +133,8 @@ pub struct TidalWave {
 }
 
 impl TidalWave {
-    /// Validate the configuration.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`TidalWave::validate`].
+    /// Validate the configuration: a period of at least one step, an
+    /// amplitude in `[0, 1]` and a finite phase shift.
     pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
         use crate::resilience::{require_finite, require_in_range, ConfigError};
         if self.period_steps < 1 {
@@ -195,14 +182,7 @@ pub struct CellOutage {
 }
 
 impl CellOutage {
-    /// Validate the outage window.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`CellOutage::validate`].
+    /// Validate the outage window: `from_step < until_step`.
     pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
         if self.from_step >= self.until_step {
             return Err(crate::resilience::ConfigError::InvertedWindow {
@@ -234,14 +214,7 @@ pub struct ServiceParams {
 }
 
 impl ServiceParams {
-    /// Validate the parameters.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`ServiceParams::validate`].
+    /// Validate the parameters: finite positive idle and holding means.
     pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
         use crate::resilience::require_positive;
         require_positive("mean idle time", self.mean_idle_steps)?;
@@ -266,14 +239,8 @@ pub struct ServiceMix {
 }
 
 impl ServiceMix {
-    /// Validate the mix.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`ServiceMix::validate`].
+    /// Validate the mix: a voice share in `[0, 1]` and valid per-class
+    /// parameters.
     pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
         crate::resilience::require_in_range("voice share", self.voice_share, 0.0, 1.0)?;
         self.voice.validated()?;
@@ -291,14 +258,6 @@ impl ServiceMix {
             handover_core::ServiceClass::Voice
         } else {
             handover_core::ServiceClass::Data
-        }
-    }
-
-    /// Session parameters of a class.
-    pub fn params(&self, class: handover_core::ServiceClass) -> ServiceParams {
-        match class {
-            handover_core::ServiceClass::Voice => self.voice,
-            handover_core::ServiceClass::Data => self.data,
         }
     }
 
@@ -332,15 +291,9 @@ impl DynamicsConfig {
         DynamicsConfig { churn: None, tide: None, failures: Vec::new(), services: None }
     }
 
-    /// Validate every configured feature.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`DynamicsConfig::validate`]: the first defect of
-    /// any configured feature, as a value.
+    /// Validate every configured feature, returning the first defect.
+    /// Outage cells are checked against a layout by
+    /// [`validate_planes`](crate::resilience::validate_planes).
     pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
         if let Some(churn) = &self.churn {
             churn.validated()?;
@@ -357,12 +310,37 @@ impl DynamicsConfig {
         Ok(())
     }
 
-    /// Normalize: drop a zero-amplitude tide, then return `None` if
-    /// nothing remains switched on. The fleet builder routes inert
+    /// Every outage as `(index of its cell in cells, from_step,
+    /// until_step)`, or [`ConfigError::UnknownCell`] for the first
+    /// outage whose cell is not in `cells`.
+    ///
+    /// [`ConfigError::UnknownCell`]: crate::resilience::ConfigError::UnknownCell
+    pub(crate) fn outage_indices(
+        &self,
+        cells: &[Axial],
+    ) -> Result<Vec<(usize, u64, u64)>, crate::resilience::ConfigError> {
+        self.failures
+            .iter()
+            .map(|o| match cells.iter().position(|&c| c == o.cell) {
+                Some(idx) => Ok((idx, o.from_step, o.until_step)),
+                None => Err(crate::resilience::ConfigError::UnknownCell {
+                    what: "outage",
+                    cell: o.cell,
+                }),
+            })
+            .collect()
+    }
+
+    /// Normalize: drop a valid zero-amplitude tide, then return `None`
+    /// if nothing remains switched on. The fleet builder routes inert
     /// configurations back onto the exact static code path, which is
-    /// what makes "feature off ⇒ bit-identical" trivially true.
+    /// what makes "feature off ⇒ bit-identical" trivially true. An
+    /// invalid tide is kept, so validation still rejects it.
     pub fn normalized(mut self) -> Option<Self> {
-        if self.tide.is_some_and(|t| t.is_flat()) {
+        if self
+            .tide
+            .is_some_and(|t| t.is_flat() && t.validated().is_ok())
+        {
             self.tide = None;
         }
         if self.churn.is_none()
@@ -412,7 +390,7 @@ mod tests {
     #[test]
     fn churn_windows_are_deterministic_and_in_range() {
         let c = churn();
-        c.validate();
+        assert_eq!(c.validated(), Ok(()));
         for id in 0..200 {
             let (a1, l1) = c.window(0xABCD, id);
             let (a2, l2) = c.window(0xABCD, id);
@@ -457,7 +435,7 @@ mod tests {
     #[test]
     fn tide_intensity_wave_shape() {
         let t = TidalWave { period_steps: 100, amplitude: 0.5, phase_per_q: 0.25 };
-        t.validate();
+        assert_eq!(t.validated(), Ok(()));
         // Peak at a quarter period (sin = 1), trough at three quarters.
         assert!((t.intensity(25, 0) - 1.5).abs() < 1e-9);
         assert!((t.intensity(75, 0) - 0.5).abs() < 1e-9);
@@ -477,7 +455,7 @@ mod tests {
     #[test]
     fn outage_window_membership() {
         let o = CellOutage { cell: Axial::ORIGIN, from_step: 10, until_step: 20 };
-        o.validate();
+        assert_eq!(o.validated(), Ok(()));
         assert!(!o.is_down_at(9));
         assert!(o.is_down_at(10));
         assert!(o.is_down_at(19));
@@ -485,9 +463,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-empty")]
     fn empty_outage_window_rejected() {
-        CellOutage { cell: Axial::ORIGIN, from_step: 5, until_step: 5 }.validate();
+        use crate::resilience::ConfigError;
+        use crate::traffic::{replay_traffic_dynamic, TrafficConfig, UeTrace};
+        let outage = CellOutage { cell: Axial::ORIGIN, from_step: 5, until_step: 5 };
+        let inverted = ConfigError::InvertedWindow { field: "outage", from: 5, until: 5 };
+        assert_eq!(outage.validated(), Err(inverted.clone()));
+        assert!(inverted.to_string().contains("non-empty"), "{inverted}");
+        let dynamics = DynamicsConfig { failures: vec![outage], ..DynamicsConfig::none() };
+        let traffic = TrafficConfig::erlang(4, 0, 0.1, 10.0);
+        let traces = [UeTrace::pinned(0, 10, 0)];
+        let err = replay_traffic_dynamic(&traffic, &[Axial::ORIGIN], &traces, 1, &dynamics);
+        assert_eq!(err.unwrap_err(), inverted);
     }
 
     #[test]
@@ -505,7 +492,7 @@ mod tests {
                 extra_guard_channels: 1,
             },
         };
-        mix.validate();
+        assert_eq!(mix.validated(), Ok(()));
         let n = 5000u64;
         let voice = (0..n)
             .filter(|&id| mix.class_of(0xF00D, id) == ServiceClass::Voice)
@@ -513,8 +500,6 @@ mod tests {
         let share = voice / n as f64;
         assert!((share - 0.7).abs() < 0.03, "{share}");
         assert_eq!(mix.class_of(1, 9), mix.class_of(1, 9));
-        assert_eq!(mix.params(ServiceClass::Voice).mean_holding_steps, 3.0);
-        assert_eq!(mix.params(ServiceClass::Data).extra_guard_channels, 1);
         // Degenerate shares are exact.
         let mut all_voice = mix;
         all_voice.voice_share = 1.0;
@@ -545,6 +530,13 @@ mod tests {
             ..DynamicsConfig::none()
         };
         assert_eq!(mixed.normalized(), Some(churned));
+        // A flat but invalid tide is kept, so validation still sees it.
+        let broken = DynamicsConfig {
+            tide: Some(TidalWave { period_steps: 0, amplitude: 0.0, phase_per_q: 0.0 }),
+            ..DynamicsConfig::none()
+        };
+        let kept = broken.normalized().expect("an invalid tide is not normalized away");
+        assert!(kept.validated().is_err());
     }
 
     #[test]

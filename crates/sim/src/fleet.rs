@@ -53,8 +53,8 @@
 use crate::checkpoint::{CheckpointError, FleetCheckpoint, UeCheckpoint, CHECKPOINT_VERSION};
 use crate::dynamics::DynamicsConfig;
 use crate::engine::{SimConfig, Simulation, UeState};
-use crate::resilience::{ConfigError, FaultInjector};
-use crate::traffic::{replay_traffic, replay_traffic_dynamic, TrafficConfig, UeTrace};
+use crate::resilience::{validate_planes, ConfigError, FaultInjector};
+use crate::traffic::{replay_traffic_dynamic, TrafficConfig, UeTrace};
 use cellgeom::Axial;
 use fuzzylogic::{CompiledFis, EvalScratch};
 use handover_core::baselines::{
@@ -866,10 +866,11 @@ impl FleetSimulation {
     /// **bit-identical** to the traffic-free run (the differential
     /// suite `tests/traffic_diff.rs` pins this); with it, the engine
     /// runs a second pass whose policies see the first pass's occupancy
-    /// timeline.
+    /// timeline. The plane is validated when a run starts: an invalid
+    /// one surfaces as [`FleetError::InvalidConfig`] from every run
+    /// entry.
     #[must_use]
     pub fn with_traffic(mut self, traffic: TrafficConfig) -> Self {
-        traffic.validate();
         self.traffic = Some(traffic);
         self
     }
@@ -881,25 +882,18 @@ impl FleetSimulation {
 
     /// Attach the dynamic-workload plane (see [`crate::dynamics`]): UE
     /// churn, tidal offered load, scheduled BS outages, and/or a
-    /// voice/data service mix. The configuration is validated, every
-    /// outage cell is checked against the layout, and an entirely inert
-    /// configuration (everything off, or only a zero-amplitude tide)
-    /// normalizes back to `None` — so "feature off" runs the exact
-    /// byte-pinned static path. With any feature live the run records
+    /// voice/data service mix. An entirely inert configuration
+    /// (everything off, or only a valid zero-amplitude tide) normalizes
+    /// back to `None` — so "feature off" runs the exact byte-pinned
+    /// static path. Like the traffic plane, the rest is validated when a
+    /// run starts, outage cells included: an invalid plane surfaces as
+    /// [`FleetError::InvalidConfig`]. With any feature live the run records
     /// serving-cell traces (like the traffic plane does) and fills
     /// [`FleetResult::dynamics`]; tide and service classes only shape
     /// the *traffic* replay, so they additionally need
     /// [`FleetSimulation::with_traffic`] to have any observable effect.
     #[must_use]
     pub fn with_dynamics(mut self, dynamics: DynamicsConfig) -> Self {
-        dynamics.validate();
-        for outage in &dynamics.failures {
-            assert!(
-                self.sim.config().layout.cells().contains(&outage.cell),
-                "outage cell {:?} is not in the layout",
-                outage.cell
-            );
-        }
         self.dynamics = dynamics.normalized();
         self
     }
@@ -915,27 +909,12 @@ impl FleetSimulation {
         self.sim.config()
     }
 
-    /// Typed validation of every attached plane: the [`SimConfig`]
-    /// (NaN/negative sigmas, non-positive spacing), the traffic plane
-    /// (zero capacities, exhausted guard channels), the dynamics plane
-    /// (inverted windows, out-of-range shares) and every outage cell's
-    /// layout membership. The fallible entry points run this before
-    /// touching any worker, surfacing [`FleetError::InvalidConfig`]
-    /// instead of a mid-run panic or a silent NaN propagation.
+    /// [`validate_planes`] on this engine's configuration and planes.
+    /// The run entries call this before touching any worker, surfacing
+    /// [`FleetError::InvalidConfig`] instead of a mid-run panic or a
+    /// silent NaN propagation.
     pub(crate) fn validate_planes(&self) -> Result<(), ConfigError> {
-        self.sim.config().validated()?;
-        if let Some(traffic) = &self.traffic {
-            traffic.validated()?;
-        }
-        if let Some(dynamics) = &self.dynamics {
-            dynamics.validated()?;
-            for outage in &dynamics.failures {
-                if !self.sim.config().layout.cells().contains(&outage.cell) {
-                    return Err(ConfigError::UnknownCell { what: "outage", cell: outage.cell });
-                }
-            }
-        }
-        Ok(())
+        validate_planes(self.config(), self.traffic.as_ref(), self.dynamics.as_ref())
     }
 
     /// Whether runs on this engine record serving-cell traces: a traffic
@@ -1137,18 +1116,13 @@ impl FleetSimulation {
             return Ok(result);
         };
         let cells = self.config().layout.cells();
-        let replay = |traces: &[UeTrace]| match &self.dynamics {
-            None => {
-                let (report, field) = replay_traffic(traffic, cells, traces, base_seed);
-                (report, field, None)
-            }
-            Some(dynamics) => {
-                let (report, field, stats) =
-                    replay_traffic_dynamic(traffic, cells, traces, base_seed, dynamics);
-                (report, field, Some(stats))
-            }
+        let none = DynamicsConfig::none();
+        let dynamics = self.dynamics.as_ref().unwrap_or(&none);
+        let replay = |traces: &[UeTrace]| {
+            replay_traffic_dynamic(traffic, cells, traces, base_seed, dynamics)
+                .map_err(FleetError::InvalidConfig)
         };
-        let (report, field, stats) = replay(&traces);
+        let (report, field, stats) = replay(&traces)?;
         let (mut result, traces, report, stats) = if traffic.load_feedback {
             let field = Arc::new(field);
             let params = PassParams {
@@ -1156,7 +1130,7 @@ impl FleetSimulation {
                 ..PassParams::collect(base_seed, true)
             };
             let fed = self.pass(spec, PassSource::Ids(ids), params)?;
-            let (fed_report, _, fed_stats) = replay(&fed.traces);
+            let (fed_report, _, fed_stats) = replay(&fed.traces)?;
             (
                 assemble(fed.outcomes, fed.cell_load),
                 fed.traces,
@@ -1168,7 +1142,7 @@ impl FleetSimulation {
         };
         result.traffic = Some(report);
         if self.dynamics.is_some() {
-            result.dynamics = Some(dynamic_report(&traces, &result.cell_load, stats));
+            result.dynamics = Some(dynamic_report(&traces, &result.cell_load, Some(stats)));
         }
         Ok(result)
     }
@@ -1327,19 +1301,10 @@ impl FleetSimulation {
             .dynamics
             .as_ref()
             .map(|d| {
-                d.failures
-                    .iter()
-                    .map(|o| {
-                        let idx = cells
-                            .iter()
-                            .position(|&c| c == o.cell)
-                            // invariant: with_dynamics and
-                            // validate_planes both check outage cells
-                            // against the layout before any pass runs.
-                            .expect("outage cell must be in the layout");
-                        (idx, o.from_step, o.until_step)
-                    })
-                    .collect()
+                d.outage_indices(cells)
+                    // invariant: every run entry calls validate_planes,
+                    // which resolves the same outages, before any pass.
+                    .expect("outage cell must be in the layout")
             })
             .unwrap_or_default();
         let mut down_mask: Vec<bool> =

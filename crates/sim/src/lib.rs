@@ -75,8 +75,8 @@ pub use fleet::{
 pub use matrix::{MatrixCellResult, MatrixMetric, MatrixResult, ScenarioMatrix};
 pub use params::PaperParams;
 pub use resilience::{
-    ConfigError, Fault, FaultInjector, FaultPlan, RetryPolicy, SupervisedRun, Supervisor,
-    SupervisorReport, FAULT_STREAM,
+    validate_planes, ConfigError, Fault, FaultInjector, FaultPlan, RetryPolicy, SupervisedRun,
+    Supervisor, SupervisorReport, FAULT_STREAM,
 };
 pub use scenario::{Scenario, SCENARIO_A_SEED, SCENARIO_B_SEED};
 pub use traffic::{TrafficConfig, TRAFFIC_STREAM};

@@ -11,6 +11,7 @@ use crate::engine::SimConfig;
 use crate::fleet::{
     CandidateMode, FleetError, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
+use crate::resilience::validate_planes;
 use crate::series::Series;
 use crate::table::{fmt_f, TextTable};
 use crate::traffic::TrafficConfig;
@@ -150,24 +151,9 @@ impl ScenarioMatrix {
     fn try_run_cell(&self, spec: &CellSpec) -> Result<MatrixCellResult, FleetError> {
         let mut cfg = self.base.clone();
         cfg.speed_kmh = spec.speed_kmh;
-        // Typed rejection up front: the fleet builders below panic on
-        // invalid planes, so a fallible sweep must check first.
-        cfg.validated()?;
-        if let Some(traffic) = &spec.traffic {
-            traffic.validated()?;
-        }
-        if let Some(dynamics) = &spec.dynamics {
-            dynamics.validated()?;
-            for outage in &dynamics.failures {
-                if !cfg.layout.cells().contains(&outage.cell) {
-                    return Err(crate::resilience::ConfigError::UnknownCell {
-                        what: "outage",
-                        cell: outage.cell,
-                    }
-                    .into());
-                }
-            }
-        }
+        // Typed rejection up front: `FleetSimulation::new` still checks
+        // the SimConfig eagerly.
+        validate_planes(&cfg, spec.traffic.as_ref(), spec.dynamics.as_ref())?;
         let cell_radius_km = cfg.layout.cell_radius_km();
         let mut fleet = FleetSimulation::new(cfg)
             .with_workers(self.workers.max(1))
@@ -208,15 +194,8 @@ impl ScenarioMatrix {
     /// Run every matrix cell. With `matrix_workers > 1` the cells run
     /// concurrently (round-robin sharded over crossbeam workers, like the
     /// fleet engine's UE sharding); the report is merged back into sweep
-    /// order, so the result is identical for every worker count. Panics
-    /// on a fleet failure; see [`ScenarioMatrix::try_run`] for the
-    /// fallible form.
-    pub fn run(&self) -> MatrixResult {
-        self.try_run().unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible form of [`ScenarioMatrix::run`]: an invalid
-    /// configuration or a panicking fleet worker surfaces as the
+    /// order, so the result is identical for every worker count. An
+    /// invalid configuration or a panicking fleet worker surfaces as the
     /// [`FleetError`] of the *first failing cell in sweep order* — the
     /// same error for every `matrix_workers` value, because each cell's
     /// outcome is a pure function of its own spec and seed.
@@ -678,7 +657,7 @@ mod tests {
         let m = tiny_matrix();
         assert_eq!(m.len(), 8);
         assert!(!m.is_empty());
-        let r = m.run();
+        let r = m.try_run().unwrap();
         assert_eq!(r.cells.len(), 8);
         // Sweep order: mobility outermost (single UE count), then speed,
         // then policy.
@@ -698,16 +677,16 @@ mod tests {
     #[test]
     fn matrix_runs_are_deterministic() {
         let m = tiny_matrix();
-        assert_eq!(m.run(), m.run());
+        assert_eq!(m.try_run().unwrap(), m.try_run().unwrap());
     }
 
     #[test]
     fn matrix_workers_never_change_the_report_or_its_order() {
         let mut m = tiny_matrix();
-        let reference = m.run();
+        let reference = m.try_run().unwrap();
         for matrix_workers in [2, 3, 8, 64] {
             m.matrix_workers = matrix_workers;
-            let got = m.run();
+            let got = m.try_run().unwrap();
             assert_eq!(reference, got, "matrix_workers={matrix_workers}");
         }
         // Sweep order is part of the contract: labels come back in the
@@ -723,8 +702,8 @@ mod tests {
         let mut m = tiny_matrix();
         m.candidate_mode = CandidateMode::Nearest(7);
         m.matrix_workers = 2;
-        let a = m.run();
-        let b = m.run();
+        let a = m.try_run().unwrap();
+        let b = m.try_run().unwrap();
         assert_eq!(a, b);
         assert_eq!(a.cells.len(), 8);
         for c in &a.cells {
@@ -734,16 +713,16 @@ mod tests {
         // Pruning with k covering the whole layout is the dense path:
         // bit-identical to CandidateMode::All.
         m.candidate_mode = CandidateMode::Nearest(19);
-        assert_eq!(m.run(), {
+        assert_eq!(m.try_run().unwrap(), {
             let mut dense = tiny_matrix();
             dense.matrix_workers = 2;
-            dense.run()
+            dense.try_run().unwrap()
         });
     }
 
     #[test]
     fn tables_render_all_rows_and_cells() {
-        let r = tiny_matrix().run();
+        let r = tiny_matrix().try_run().unwrap();
         let summary = r.summary_table();
         assert_eq!(summary.row_count(), 8);
         let load = r.load_table(3);
@@ -763,7 +742,7 @@ mod tests {
 
     #[test]
     fn load_table_truncation_marker_at_the_cutoff_boundary() {
-        let r = tiny_matrix().run(); // 8 configs
+        let r = tiny_matrix().try_run().unwrap(); // 8 configs
         // max_configs == len: everything shown, no marker, legacy title.
         let exact = r.load_table(8);
         assert_eq!(exact.row_count(), 19);
@@ -790,7 +769,7 @@ mod tests {
 
     #[test]
     fn series_group_by_config_and_span_speeds() {
-        let r = tiny_matrix().run();
+        let r = tiny_matrix().try_run().unwrap();
         let series = r.series_over_speed(MatrixMetric::HandoversPerUe);
         // 2 mobilities × 2 policies (UE count fixed).
         assert_eq!(series.len(), 4);
@@ -806,8 +785,8 @@ mod tests {
         let mut m = tiny_matrix();
         m.speeds_kmh.clear();
         assert!(m.is_empty());
-        assert_eq!(m.run().cells.len(), 0);
-        assert_eq!(m.run().load_table(4).row_count(), 0);
+        assert_eq!(m.try_run().unwrap().cells.len(), 0);
+        assert_eq!(m.try_run().unwrap().load_table(4).row_count(), 0);
     }
 
     #[test]
@@ -872,7 +851,7 @@ mod tests {
     fn traffic_axis_sweeps_and_reports() {
         let m = loaded_tiny_matrix();
         assert_eq!(m.len(), 4, "2 policies × 2 traffic levels");
-        let r = m.run();
+        let r = m.try_run().unwrap();
         assert_eq!(r.cells.len(), 4);
         // Innermost axis: traffic level alternates fastest.
         assert_eq!(r.cells[0].traffic, None);
@@ -904,10 +883,10 @@ mod tests {
     #[test]
     fn traffic_matrix_is_deterministic_across_matrix_workers() {
         let mut m = loaded_tiny_matrix();
-        let reference = m.run();
+        let reference = m.try_run().unwrap();
         for matrix_workers in [2, 4] {
             m.matrix_workers = matrix_workers;
-            assert_eq!(reference, m.run(), "matrix_workers={matrix_workers}");
+            assert_eq!(reference, m.try_run().unwrap(), "matrix_workers={matrix_workers}");
         }
     }
 
@@ -939,9 +918,9 @@ mod tests {
             mean_holding_steps: 10.0,
             load_feedback: false,
         })];
-        let bare = bare.run();
-        let light = light.run();
-        let heavy = heavy.run();
+        let bare = bare.try_run().unwrap();
+        let light = light.try_run().unwrap();
+        let heavy = heavy.try_run().unwrap();
         assert_eq!(bare.cells.len(), light.cells.len());
         for ((b, l), h) in bare.cells.iter().zip(&light.cells).zip(&heavy.cells) {
             assert_eq!(b.summary, l.summary, "{}", l.label());
@@ -960,7 +939,7 @@ mod tests {
         // mean-HD series must be empty, not full of NaN points.
         let mut m = tiny_matrix();
         m.policies = vec![PolicyKind::Threshold { threshold_dbm: -500.0 }];
-        let r = m.run();
+        let r = m.try_run().unwrap();
         assert!(r.series_over_speed(MatrixMetric::MeanHd).is_empty());
         // Metrics that always exist still produce full series.
         let ho = r.series_over_speed(MatrixMetric::HandoversPerUe);
@@ -1007,7 +986,7 @@ mod tests {
     fn dynamics_axis_sweeps_and_reports() {
         let m = dynamic_tiny_matrix();
         assert_eq!(m.len(), 4, "2 policies × 1 traffic × 2 dynamics levels");
-        let r = m.run();
+        let r = m.try_run().unwrap();
         assert_eq!(r.cells.len(), 4);
         // Innermost axis: the dynamics level alternates fastest.
         assert_eq!(r.cells[0].dynamics, None);
@@ -1034,7 +1013,7 @@ mod tests {
         let table = r.dynamics_table().unwrap();
         assert_eq!(table.row_count(), 2, "one row per dynamics-enabled cell");
         // Static sweeps never grow the table.
-        assert!(tiny_matrix().run().dynamics_table().is_none());
+        assert!(tiny_matrix().try_run().unwrap().dynamics_table().is_none());
     }
 
     #[test]
@@ -1048,22 +1027,22 @@ mod tests {
         bare.speeds_kmh = vec![30.0];
         let mut inert = bare.clone();
         inert.dynamics = vec![Some(DynamicsConfig::none())];
-        assert_eq!(bare.run(), inert.run());
+        assert_eq!(bare.try_run().unwrap(), inert.try_run().unwrap());
     }
 
     #[test]
     fn dynamics_matrix_is_deterministic_across_matrix_workers() {
         let mut m = dynamic_tiny_matrix();
-        let reference = m.run();
+        let reference = m.try_run().unwrap();
         for matrix_workers in [2, 4] {
             m.matrix_workers = matrix_workers;
-            assert_eq!(reference, m.run(), "matrix_workers={matrix_workers}");
+            assert_eq!(reference, m.try_run().unwrap(), "matrix_workers={matrix_workers}");
         }
     }
 
     #[test]
     fn dynamics_series_split_by_level() {
-        let r = dynamic_tiny_matrix().run();
+        let r = dynamic_tiny_matrix().try_run().unwrap();
         // HO/UE exists everywhere: one series per (policy, dynamics level).
         let ho = r.series_over_speed(MatrixMetric::HandoversPerUe);
         assert_eq!(ho.len(), 4);

@@ -7,9 +7,9 @@
 //!
 //! * [`ConfigError`] is the typed form of every configuration
 //!   validation in the workspace — NaN sigmas, zero capacities and
-//!   inverted windows surface as values instead of panics (the
-//!   panicking `validate()` facades now delegate to the typed
-//!   `validated()` methods and preserve their legacy messages).
+//!   inverted windows surface as values instead of panics.
+//!   [`validate_planes`] is the one check of a simulation plus its
+//!   traffic and dynamics planes that every run entry shares.
 //! * [`FaultPlan`] / [`FaultInjector`] script faults — a worker panic
 //!   at a lockstep step, a forced allocation failure in the arena grow
 //!   path, a stalled worker, a flipped checkpoint byte — that fire
@@ -34,7 +34,10 @@
 //! never silently resumed.
 
 use crate::checkpoint::FleetCheckpoint;
+use crate::dynamics::DynamicsConfig;
+use crate::engine::SimConfig;
 use crate::fleet::{FleetError, FleetResult, FleetSimulation, UeSpec};
+use crate::traffic::TrafficConfig;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -50,10 +53,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub const FAULT_STREAM: u64 = 0x6661_756C_7473_2121;
 
 /// A typed configuration defect. Every `validated()` method in the
-/// workspace returns one of these instead of panicking; the legacy
-/// panicking `validate()` facades delegate to them, so their messages
-/// (and the `#[should_panic]` tests pinning those messages) are
-/// unchanged.
+/// workspace returns one of these instead of panicking, and every run
+/// entry reports it as [`FleetError::InvalidConfig`]. The `Display`
+/// messages keep the phrases of the asserts they replaced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// A field that must be finite is NaN or infinite.
@@ -167,6 +169,32 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+/// Validate a simulation and the planes attached to it: the
+/// [`SimConfig`] (NaN/negative sigmas, non-positive spacing), the
+/// traffic plane (zero capacities, exhausted guard channels), the
+/// dynamics plane (inverted windows, out-of-range shares, invalid tides
+/// even when flat) and every outage cell's membership in the layout.
+/// [`FleetSimulation`]'s run entries, [`ScenarioMatrix::try_run`] and
+/// the twin service's session configs all run this one check before any
+/// work starts.
+///
+/// [`ScenarioMatrix::try_run`]: crate::matrix::ScenarioMatrix::try_run
+pub fn validate_planes(
+    sim: &SimConfig,
+    traffic: Option<&TrafficConfig>,
+    dynamics: Option<&DynamicsConfig>,
+) -> Result<(), ConfigError> {
+    sim.validated()?;
+    if let Some(traffic) = traffic {
+        traffic.validated()?;
+    }
+    if let Some(dynamics) = dynamics {
+        dynamics.validated()?;
+        dynamics.outage_indices(sim.layout.cells())?;
+    }
+    Ok(())
+}
 
 /// Shorthand validators shared by the `validated()` implementations.
 pub(crate) fn require_finite(field: &'static str, value: f64) -> Result<(), ConfigError> {
@@ -897,8 +925,8 @@ mod tests {
 
     #[test]
     fn config_error_messages_keep_legacy_phrases() {
-        // The panicking validate() facades preserve their historical
-        // messages through these Display strings.
+        // The Display strings keep the phrases of the asserts the typed
+        // errors replaced.
         let msg = ConfigError::NonPositive { field: "sample spacing", value: 0.0 }.to_string();
         assert!(msg.contains("sample spacing must be positive"), "{msg}");
         let msg =

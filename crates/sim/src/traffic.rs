@@ -47,7 +47,7 @@
 //! semantics of real RRM, and the only feedback shape that preserves the
 //! determinism contract.
 
-use crate::dynamics::{DynamicsConfig, TidalWave};
+use crate::dynamics::{DynamicsConfig, ServiceParams, TidalWave};
 use crate::fleet::ue_seed;
 use cellgeom::Axial;
 use handover_core::{
@@ -89,39 +89,27 @@ impl TrafficConfig {
     /// A traffic plane offering `erlangs_per_ue` of load per UE (the
     /// long-run fraction of time a source is in a call,
     /// `h / (i + h) ∈ (0, 1)`) with the given holding time: the idle
-    /// mean is derived as `i = h·(1 − a)/a`.
+    /// mean is derived as `i = h·(1 − a)/a`. Nothing is checked here: a
+    /// load outside `(0, 1)` yields a non-positive or non-finite idle
+    /// mean, which [`TrafficConfig::validated`] (and so every run entry
+    /// and replay) rejects.
     pub fn erlang(
         channels_per_cell: u32,
         guard_channels: u32,
         erlangs_per_ue: f64,
         mean_holding_steps: f64,
     ) -> Self {
-        assert!(
-            erlangs_per_ue > 0.0 && erlangs_per_ue < 1.0,
-            "per-UE offered load must lie in (0, 1)"
-        );
-        let cfg = TrafficConfig {
+        TrafficConfig {
             channels_per_cell,
             guard_channels,
             mean_idle_steps: mean_holding_steps * (1.0 - erlangs_per_ue) / erlangs_per_ue,
             mean_holding_steps,
             load_feedback: false,
-        };
-        cfg.validate();
-        cfg
-    }
-
-    /// Panic on invalid parameters (constructors and engines call this).
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
         }
     }
 
-    /// Typed form of [`TrafficConfig::validate`]: at least one channel
-    /// per cell, guard channels strictly below capacity, and finite
-    /// positive idle/holding means (NaN used to slip through the
-    /// panicking asserts).
+    /// Validate the plane: at least one channel per cell, guard channels
+    /// strictly below capacity, and finite positive idle/holding means.
     pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
         use crate::resilience::{require_positive, ConfigError};
         if self.channels_per_cell < 1 {
@@ -196,35 +184,24 @@ pub(crate) fn exp_sample(rng: &mut StdRng, mean: f64) -> f64 {
 }
 
 /// Generate one UE's offered sessions over `horizon_steps` measurement
-/// steps, seeded with the UE's domain-separated session stream
-/// (`ue_seed(base_seed ^ TRAFFIC_STREAM, ue_id)` — the caller passes the
-/// final seed). Sessions are returned in dial order; a session's holding
-/// time may run past the horizon (the replay clips it to the UE's
-/// lifetime).
+/// steps with `cfg`'s idle/holding means, seeded with the UE's
+/// domain-separated session stream (`ue_seed(base_seed ^ TRAFFIC_STREAM,
+/// ue_id)` — the caller passes the final seed). Sessions are returned in
+/// dial order; a session's holding time may run past the horizon (the
+/// replay clips it to the UE's lifetime). The means must pass
+/// [`TrafficConfig::validated`]: with a NaN or negative mean the walk
+/// never reaches the horizon.
 pub fn generate_sessions(cfg: &TrafficConfig, seed: u64, horizon_steps: usize) -> Vec<OfferedSession> {
-    generate_sessions_with(cfg.mean_idle_steps, cfg.mean_holding_steps, seed, horizon_steps)
-}
-
-/// [`generate_sessions`] with explicit idle/holding means: the dynamic
-/// replay substitutes per-service-class means while keeping the draw
-/// sequence of the base plane (so a degenerate single-class mix with
-/// the base means reproduces the static sessions bit-for-bit).
-pub(crate) fn generate_sessions_with(
-    mean_idle_steps: f64,
-    mean_holding_steps: f64,
-    seed: u64,
-    horizon_steps: usize,
-) -> Vec<OfferedSession> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sessions = Vec::new();
     let horizon = horizon_steps as f64;
     let mut t = 0.0f64;
     loop {
-        t += exp_sample(&mut rng, mean_idle_steps);
+        t += exp_sample(&mut rng, cfg.mean_idle_steps);
         if t >= horizon {
             break;
         }
-        let duration = exp_sample(&mut rng, mean_holding_steps);
+        let duration = exp_sample(&mut rng, cfg.mean_holding_steps);
         sessions.push(OfferedSession { start: t, duration });
         // The source stays busy for the full holding time whether the
         // call is admitted or not (blocked calls cleared).
@@ -240,11 +217,11 @@ pub(crate) fn generate_sessions_with(
 /// the UE's serving cell at step `s` — so the wave a UE feels travels
 /// with it across the city. Holding times stay exponential with the
 /// class mean; only the *arrival* rate breathes. A pure function of
-/// `(wave, means, seed, trace)`, like everything else in this plane.
+/// `(wave, cfg's means, seed, trace)`, like everything else in this
+/// plane.
 fn generate_sessions_tidal(
     wave: &TidalWave,
-    mean_idle_steps: f64,
-    mean_holding_steps: f64,
+    cfg: &TrafficConfig,
     seed: u64,
     arrival_step: u64,
     trace: &UeTrace,
@@ -266,7 +243,7 @@ fn generate_sessions_tidal(
             }
             let s = (t as u64).min(steps - 1);
             let q = cells[current_cell(trace, &mut cursor, s) as usize].q;
-            let lambda = wave.intensity(s, q) / mean_idle_steps;
+            let lambda = wave.intensity(s, q) / cfg.mean_idle_steps;
             let step_end = (s + 1) as f64;
             let hazard = (step_end - t) * lambda;
             if lambda > 0.0 && e <= hazard {
@@ -279,7 +256,7 @@ fn generate_sessions_tidal(
         if t >= horizon {
             break;
         }
-        let duration = exp_sample(&mut rng, mean_holding_steps);
+        let duration = exp_sample(&mut rng, cfg.mean_holding_steps);
         sessions.push(OfferedSession { start: t, duration });
         t += duration;
     }
@@ -452,18 +429,13 @@ impl CellLoadTracker {
     }
 
     /// Offer a new call to `cell_idx`: admitted (and a channel seized)
-    /// only below the guard-reduced capacity.
-    pub fn offer_new_call(&mut self, cell_idx: usize) -> bool {
-        self.offer_new_call_guarded(cell_idx, 0)
-    }
-
-    /// [`CellLoadTracker::offer_new_call`] with `extra_guard` additional
-    /// channels reserved against this call — the service-class admission
-    /// priority knob (a class's new calls must leave
-    /// `guard + extra_guard` channels free). Saturates at zero admission
-    /// room: a class whose extra guard exceeds the cell's new-call
-    /// capacity is always blocked.
-    pub fn offer_new_call_guarded(&mut self, cell_idx: usize, extra_guard: u32) -> bool {
+    /// only below the guard-reduced capacity, with `extra_guard`
+    /// additional channels reserved against this call — the
+    /// service-class admission priority knob (a class's new calls must
+    /// leave `guard + extra_guard` channels free). Saturates at zero
+    /// admission room: a class whose extra guard exceeds the cell's
+    /// new-call capacity is always blocked.
+    pub fn offer_new_call(&mut self, cell_idx: usize, extra_guard: u32) -> bool {
         self.per_cell[cell_idx].offered_calls += 1;
         let room = (self.capacity - self.guard).saturating_sub(extra_guard);
         if self.occupancy[cell_idx] < room {
@@ -525,170 +497,47 @@ impl CellLoadTracker {
     }
 }
 
-/// Replay a fleet run's serving-cell traces against the traffic plane:
-/// generate every UE's offered sessions, walk the global timeline once,
-/// and account admission, handover relocation and occupancy per step.
+/// [`replay_traffic_dynamic`] without a dynamic workload, keeping only
+/// the report and the feedback field.
 ///
-/// `traces` must be sorted by ascending UE id (the fleet engine sorts
-/// its merge before calling) — the replay processes same-step events in
-/// UE-id order, which pins the one remaining ordering degree of freedom
-/// and makes the result a pure function of `(config, traces, base_seed)`.
+/// Kept for the benchmark adapter (`perfbench/src/adapter.rs`) and the
+/// `load_balancing` example; it is deleted in the next benchmark change,
+/// together with
+/// [`FleetSimulation::with_precision`](crate::fleet::FleetSimulation::with_precision).
+///
+/// # Panics
+///
+/// On a traffic plane that fails [`TrafficConfig::validated`].
 pub fn replay_traffic(
     cfg: &TrafficConfig,
     cells: &[Axial],
     traces: &[UeTrace],
     base_seed: u64,
 ) -> (TrafficReport, LoadField) {
-    cfg.validate();
-    debug_assert!(
-        traces.windows(2).all(|w| w[0].ue_id < w[1].ue_id),
-        "traces must be sorted by UE id"
-    );
-    let mut tracker = CellLoadTracker::new(cells, cfg.channels_per_cell, cfg.guard_channels);
-
-    // Generate every UE's offered sessions (pure per-UE streams) and
-    // flatten the admission-visible ones — dialled before the UE's last
-    // sample, spanning at least one sample instant — into one arrival
-    // list. Building it UE-ascending and stable-sorting by step keeps
-    // same-step arrivals in UE-id order, the replay's pinned event
-    // order. Sessions that never reach admission contribute neither an
-    // offered call nor offered call-time, so `offered_erlangs` and
-    // `blocking_probability` describe the same call population.
-    let mut arrivals: Vec<PendingCall> = Vec::new();
-    let mut offered_call_time = 0.0f64;
-    for (ue, trace) in traces.iter().enumerate() {
-        let steps = trace.steps;
-        let sessions = generate_sessions(
-            cfg,
-            ue_seed(base_seed ^ TRAFFIC_STREAM, trace.ue_id),
-            steps as usize,
-        );
-        for session in &sessions {
-            let Some((start_step, last_step, natural_end)) = call_window(session, steps) else {
-                continue;
-            };
-            offered_call_time += (session.start + session.duration).min(steps as f64) - session.start;
-            arrivals.push(PendingCall { ue: ue as u32, step: start_step, last_step, natural_end });
-        }
-    }
-    arrivals.sort_by_key(|a| a.step);
-
-    // Per-UE lazy serving-cell cursors into the RLE traces (the
-    // timeline walk queries each UE monotonically).
-    let mut cursors: Vec<(usize, u32)> = vec![(0, 0); traces.len()];
-
-    let timeline = traces.iter().map(|t| t.steps).max().unwrap_or(0);
-    let mut active: Vec<ActiveCall> = Vec::new();
-    let mut next_arrival = 0usize;
-    let mut offered = 0u64;
-    let mut blocked = 0u64;
-    let mut carried = 0u64;
-    let mut ho_attempts = 0u64;
-    let mut dropped = 0u64;
-    let mut completed = 0u64;
-
-    for s in 0..timeline {
-        // 1 — releases: calls whose last sampled instant was s−1 free
-        // their channel before anything else contends for it.
-        active.retain(|call| {
-            if call.last_step < s {
-                tracker.release(call.cell as usize);
-                if call.natural_end {
-                    completed += 1;
-                }
-                false
-            } else {
-                true
-            }
-        });
-
-        // 2 — handover relocations, in call-admission order (which the
-        // sequential replay makes deterministic): an active call whose
-        // UE now sits in a different cell must find a free channel
-        // there or die.
-        active.retain_mut(|call| {
-            let ue = call.ue as usize;
-            let now = current_cell(&traces[ue], &mut cursors[ue], s);
-            if now == call.cell {
-                return true;
-            }
-            ho_attempts += 1;
-            if tracker.offer_handover(call.cell as usize, now as usize) {
-                call.cell = now;
-                true
-            } else {
-                dropped += 1;
-                false
-            }
-        });
-
-        // 3 — new-call arrivals dialled in (s−1, s], in UE-id order.
-        while let Some(arrival) = arrivals.get(next_arrival) {
-            if arrival.step > s {
-                break;
-            }
-            next_arrival += 1;
-            let ue = arrival.ue as usize;
-            let cell = current_cell(&traces[ue], &mut cursors[ue], s);
-            offered += 1;
-            if tracker.offer_new_call(cell as usize) {
-                carried += 1;
-                active.push(ActiveCall {
-                    ue: arrival.ue,
-                    cell,
-                    last_step: arrival.last_step,
-                    natural_end: arrival.natural_end,
-                });
-            } else {
-                blocked += 1;
-            }
-        }
-
-        // 4 — close the step: histogram + utilization row.
-        tracker.record_step();
-    }
-
-    // Drain the calls still holding a channel when the timeline ends:
-    // the ones whose own holding time ran out exactly on the final
-    // sampled instant completed naturally, the rest were cut off by
-    // their UE's run ending.
-    for call in &active {
-        if call.natural_end {
-            completed += 1;
-        }
-    }
-
-    let (per_cell, steps, busy_channel_steps, field) = tracker.finish();
-    let report = TrafficReport {
-        channels_per_cell: cfg.channels_per_cell,
-        guard_channels: cfg.guard_channels,
-        steps,
-        offered_calls: offered,
-        blocked_calls: blocked,
-        carried_calls: carried,
-        handover_attempts: ho_attempts,
-        dropped_calls: dropped,
-        completed_calls: completed,
-        offered_erlangs: if steps == 0 { 0.0 } else { offered_call_time / steps as f64 },
-        carried_erlangs: if steps == 0 {
-            0.0
-        } else {
-            busy_channel_steps as f64 / steps as f64
-        },
-        per_cell,
-    };
+    let (report, field, _) =
+        replay_traffic_dynamic(cfg, cells, traces, base_seed, &DynamicsConfig::none())
+            .unwrap_or_else(|err| panic!("{err}"));
     (report, field)
 }
 
-/// [`replay_traffic`] under a dynamic workload: per-service-class
-/// session streams, tidal arrival rates, churn-delayed UE arrivals
-/// (read off the traces' first change points), and scheduled cell
-/// outages that refuse admission and strand or force-relocate active
-/// calls. Returns the base [`TrafficReport`] (whose counters keep the
-/// static plane's meaning — failure-caused losses are broken out into
-/// the [`DynamicTrafficStats`], not mixed into the ordinary
+/// Replay a fleet run's serving-cell traces against the traffic plane:
+/// generate every UE's offered sessions, walk the global timeline once,
+/// and account admission, handover relocation and occupancy per step,
+/// under a dynamic workload: per-service-class session streams, tidal
+/// arrival rates, churn-delayed UE arrivals (read off the traces' first
+/// change points), and scheduled cell outages that refuse admission and
+/// strand or force-relocate active calls. Returns the base
+/// [`TrafficReport`] (failure-caused losses are broken out into the
+/// [`DynamicTrafficStats`], not mixed into the ordinary
 /// blocking/dropping columns), the [`LoadField`] feedback timeline, and
-/// the dropped-Erlang breakdown by cause.
+/// the dropped-Erlang breakdown by cause. [`DynamicsConfig::none`] is
+/// the static plane.
+///
+/// `traces` must be sorted by ascending UE id (the fleet engine sorts
+/// its merge before calling) — the replay processes same-step events in
+/// UE-id order, which pins the one remaining ordering degree of freedom
+/// and makes the result a pure function of `(config, traces, base_seed,
+/// dynamics)`.
 ///
 /// The degenerate contracts the differential suite pins:
 ///
@@ -699,67 +548,60 @@ pub fn replay_traffic(
 /// * outages that never intersect the timeline change nothing;
 /// * without churn every trace starts at step 0 and the arrival shift
 ///   is the identity.
+///
+/// # Errors
+///
+/// The first defect of `cfg` or `dynamics`, or
+/// [`ConfigError::UnknownCell`] for an outage cell not in `cells`.
+///
+/// [`ConfigError::UnknownCell`]: crate::resilience::ConfigError::UnknownCell
 pub fn replay_traffic_dynamic(
     cfg: &TrafficConfig,
     cells: &[Axial],
     traces: &[UeTrace],
     base_seed: u64,
     dynamics: &DynamicsConfig,
-) -> (TrafficReport, LoadField, DynamicTrafficStats) {
-    cfg.validate();
-    dynamics.validate();
+) -> Result<(TrafficReport, LoadField, DynamicTrafficStats), crate::resilience::ConfigError> {
+    cfg.validated()?;
+    dynamics.validated()?;
+    // Scheduled outages, resolved to layout indices once.
+    let outages = dynamics.outage_indices(cells)?;
+    let down =
+        |cell: u32, s: u64| outages.iter().any(|&(k, f, u)| k == cell as usize && f <= s && s < u);
     debug_assert!(
         traces.windows(2).all(|w| w[0].ue_id < w[1].ue_id),
         "traces must be sorted by UE id"
     );
     let mut tracker = CellLoadTracker::new(cells, cfg.channels_per_cell, cfg.guard_channels);
 
-    // Per-UE class assignment (`None`: one undifferentiated class using
-    // the base config's means).
-    let classes: Option<Vec<ServiceClass>> = dynamics
-        .services
-        .as_ref()
-        .map(|mix| traces.iter().map(|t| mix.class_of(base_seed, t.ue_id)).collect());
-    let class_params = |ue: usize| -> (f64, f64, u32) {
-        match (&dynamics.services, &classes) {
-            (Some(mix), Some(cls)) => {
-                let p = mix.params(cls[ue]);
-                (p.mean_idle_steps, p.mean_holding_steps, p.extra_guard_channels)
-            }
-            _ => (cfg.mean_idle_steps, cfg.mean_holding_steps, 0),
-        }
+    // Per-UE service class, an index into `params` and `per_class`.
+    // Without a mix every UE is one undifferentiated class with the base
+    // config's means. The class counters are the replay's only call
+    // tallies: the report's fleet-wide counts are their sums.
+    let base = ServiceParams {
+        mean_idle_steps: cfg.mean_idle_steps,
+        mean_holding_steps: cfg.mean_holding_steps,
+        extra_guard_channels: 0,
     };
-    let cls = |ue: usize| -> Option<usize> {
-        classes.as_ref().map(|c| match c[ue] {
-            ServiceClass::Voice => 0,
-            ServiceClass::Data => 1,
-        })
-    };
-    let mut per_class: Vec<ClassTraffic> = if classes.is_some() {
-        vec![ClassTraffic::new(ServiceClass::Voice), ClassTraffic::new(ServiceClass::Data)]
-    } else {
-        Vec::new()
-    };
-    let mut class_time = [0.0f64; 2];
-
-    // Scheduled outages, resolved to layout indices once.
-    let outages: Vec<(u32, u64, u64)> = dynamics
-        .failures
+    let params = dynamics.services.map_or([base; 2], |mix| [mix.voice, mix.data]);
+    let classes: Vec<u8> = traces
         .iter()
-        .map(|o| {
-            let idx = cells
-                .iter()
-                .position(|&c| c == o.cell)
-                .expect("outage cell must be in the layout");
-            (idx as u32, o.from_step, o.until_step)
+        .map(|t| match &dynamics.services {
+            Some(mix) => u8::from(mix.class_of(base_seed, t.ue_id) == ServiceClass::Data),
+            None => 0,
         })
         .collect();
-    let down = |cell: u32, s: u64| outages.iter().any(|&(k, f, u)| k == cell && f <= s && s < u);
+    let mut per_class =
+        [ClassTraffic::new(ServiceClass::Voice), ClassTraffic::new(ServiceClass::Data)];
+    let mut class_time = [0.0f64; 2];
 
     // Offered sessions per UE, windowed to the UE's presence `[arrival,
     // steps)` read off its trace — churned-in UEs dial their first call
     // after they arrive, and a departed UE's tail sessions never reach
-    // admission (`call_window` clips against `trace.steps`).
+    // admission (`call_window` clips against `trace.steps`). Sessions
+    // that never reach admission contribute neither an offered call nor
+    // offered call-time, so `offered_erlangs` and `blocking_probability`
+    // describe the same call population.
     let mut arrivals: Vec<PendingCall> = Vec::new();
     let mut offered_call_time = 0.0f64;
     for (ue, trace) in traces.iter().enumerate() {
@@ -767,41 +609,43 @@ pub fn replay_traffic_dynamic(
         let Some(&(arrival, _)) = trace.changes.first() else {
             continue;
         };
-        let (idle, holding, _) = class_params(ue);
+        let class = usize::from(classes[ue]);
+        let class_cfg = TrafficConfig {
+            mean_idle_steps: params[class].mean_idle_steps,
+            mean_holding_steps: params[class].mean_holding_steps,
+            ..*cfg
+        };
         let seed = ue_seed(base_seed ^ TRAFFIC_STREAM, trace.ue_id);
-        let sessions: Vec<OfferedSession> = match &dynamics.tide {
+        // Stationary sessions are drawn from the UE's arrival on and
+        // shifted onto the timeline; tidal ones are drawn in place.
+        let (sessions, shift) = match &dynamics.tide {
             Some(wave) => {
-                generate_sessions_tidal(wave, idle, holding, seed, arrival, trace, cells)
+                (generate_sessions_tidal(wave, &class_cfg, seed, arrival, trace, cells), 0.0)
             }
-            None => generate_sessions_with(idle, holding, seed, (steps - arrival) as usize)
-                .into_iter()
-                .map(|s| OfferedSession { start: s.start + arrival as f64, ..s })
-                .collect(),
+            None => {
+                (generate_sessions(&class_cfg, seed, (steps - arrival) as usize), arrival as f64)
+            }
         };
         for session in &sessions {
+            let session = &OfferedSession { start: session.start + shift, ..*session };
             let Some((start_step, last_step, natural_end)) = call_window(session, steps) else {
                 continue;
             };
             let time = (session.start + session.duration).min(steps as f64) - session.start;
             offered_call_time += time;
-            if let Some(k) = cls(ue) {
-                class_time[k] += time;
-            }
+            class_time[class] += time;
             arrivals.push(PendingCall { ue: ue as u32, step: start_step, last_step, natural_end });
         }
     }
+    // Stable: same-step arrivals stay in UE-id order.
     arrivals.sort_by_key(|a| a.step);
 
+    // Per-UE lazy serving-cell cursors into the RLE traces (the
+    // timeline walk queries each UE monotonically).
     let mut cursors: Vec<(usize, u32)> = vec![(0, 0); traces.len()];
     let timeline = traces.iter().map(|t| t.steps).max().unwrap_or(0);
     let mut active: Vec<ActiveCall> = Vec::new();
     let mut next_arrival = 0usize;
-    let mut offered = 0u64;
-    let mut blocked = 0u64;
-    let mut carried = 0u64;
-    let mut ho_attempts = 0u64;
-    let mut dropped = 0u64;
-    let mut completed = 0u64;
     let mut failure_evicted = 0u64;
     let mut failure_dropped = 0u64;
     let mut blocked_time = 0.0f64;
@@ -809,15 +653,13 @@ pub fn replay_traffic_dynamic(
     let mut failure_time = 0.0f64;
 
     for s in 0..timeline {
-        // 1 — releases (identical to the static replay).
+        // 1 — releases: calls whose last sampled instant was s−1 free
+        // their channel before anything else contends for it.
         active.retain(|call| {
             if call.last_step < s {
                 tracker.release(call.cell as usize);
                 if call.natural_end {
-                    completed += 1;
-                    if let Some(k) = cls(call.ue as usize) {
-                        per_class[k].completed_calls += 1;
-                    }
+                    per_class[usize::from(classes[call.ue as usize])].completed_calls += 1;
                 }
                 false
             } else {
@@ -825,11 +667,13 @@ pub fn replay_traffic_dynamic(
             }
         });
 
-        // 2 — relocations and failure evictions. A call whose UE stayed
-        // put on a cell that is down this step is stranded (the engine
-        // found it no live target) and lost to the failure; a call whose
-        // UE moved off a down cell was force-evicted by the engine and
-        // relocates outside the ordinary handover accounting.
+        // 2 — relocations and failure evictions, in call-admission order.
+        // An active call whose UE now sits in a different cell must find
+        // a free channel there or die. A call whose UE stayed put on a
+        // cell that is down this step is stranded (the engine found it
+        // no live target) and lost to the failure; a call whose UE moved
+        // off a down cell was force-evicted by the engine and relocates
+        // outside the ordinary handover accounting.
         active.retain_mut(|call| {
             let ue = call.ue as usize;
             let now = current_cell(&traces[ue], &mut cursors[ue], s);
@@ -843,13 +687,11 @@ pub fn replay_traffic_dynamic(
                 return true;
             }
             let forced = down(call.cell, s);
+            let class = &mut per_class[usize::from(classes[ue])];
             if forced {
                 failure_evicted += 1;
             } else {
-                ho_attempts += 1;
-                if let Some(k) = cls(ue) {
-                    per_class[k].handover_attempts += 1;
-                }
+                class.handover_attempts += 1;
             }
             if tracker.offer_handover(call.cell as usize, now as usize) {
                 call.cell = now;
@@ -860,19 +702,16 @@ pub fn replay_traffic_dynamic(
                     failure_dropped += 1;
                     failure_time += lost;
                 } else {
-                    dropped += 1;
+                    class.dropped_calls += 1;
                     dropped_time += lost;
-                    if let Some(k) = cls(ue) {
-                        per_class[k].dropped_calls += 1;
-                    }
                 }
                 false
             }
         });
 
-        // 3 — new-call arrivals, in UE-id order. A down cell offers no
-        // channels: the call is blocked and its holding time charged to
-        // the failure cause.
+        // 3 — new-call arrivals dialled in (s−1, s], in UE-id order. A
+        // down cell offers no channels: the call is blocked and its
+        // holding time charged to the failure cause.
         while let Some(arrival) = arrivals.get(next_arrival) {
             if arrival.step > s {
                 break;
@@ -880,58 +719,61 @@ pub fn replay_traffic_dynamic(
             next_arrival += 1;
             let ue = arrival.ue as usize;
             let cell = current_cell(&traces[ue], &mut cursors[ue], s);
-            offered += 1;
-            if let Some(k) = cls(ue) {
-                per_class[k].offered_calls += 1;
-            }
+            let k = usize::from(classes[ue]);
+            let class = &mut per_class[k];
+            class.offered_calls += 1;
             let window = (arrival.last_step - s + 1) as f64;
             if down(cell, s) {
                 tracker.refuse_new_call(cell as usize);
-                blocked += 1;
+                class.blocked_calls += 1;
                 failure_time += window;
-                if let Some(k) = cls(ue) {
-                    per_class[k].blocked_calls += 1;
-                }
+            } else if tracker.offer_new_call(cell as usize, params[k].extra_guard_channels) {
+                class.carried_calls += 1;
+                active.push(ActiveCall {
+                    ue: arrival.ue,
+                    cell,
+                    last_step: arrival.last_step,
+                    natural_end: arrival.natural_end,
+                });
             } else {
-                let (_, _, extra_guard) = class_params(ue);
-                if tracker.offer_new_call_guarded(cell as usize, extra_guard) {
-                    carried += 1;
-                    if let Some(k) = cls(ue) {
-                        per_class[k].carried_calls += 1;
-                    }
-                    active.push(ActiveCall {
-                        ue: arrival.ue,
-                        cell,
-                        last_step: arrival.last_step,
-                        natural_end: arrival.natural_end,
-                    });
-                } else {
-                    blocked += 1;
-                    blocked_time += window;
-                    if let Some(k) = cls(ue) {
-                        per_class[k].blocked_calls += 1;
-                    }
-                }
+                class.blocked_calls += 1;
+                blocked_time += window;
             }
         }
 
-        // 4 — close the step.
+        // 4 — close the step: histogram + utilization row.
         tracker.record_step();
     }
 
+    // Drain the calls still holding a channel when the timeline ends:
+    // the ones whose own holding time ran out exactly on the final
+    // sampled instant completed naturally, the rest were cut off by
+    // their UE's run ending.
     for call in &active {
         if call.natural_end {
-            completed += 1;
-            if let Some(k) = cls(call.ue as usize) {
-                per_class[k].completed_calls += 1;
-            }
+            per_class[usize::from(classes[call.ue as usize])].completed_calls += 1;
         }
     }
 
     let (per_cell, steps, busy_channel_steps, field) = tracker.finish();
     let over = |t: f64| if steps == 0 { 0.0 } else { t / steps as f64 };
-    for (k, class) in per_class.iter_mut().enumerate() {
-        class.offered_erlangs = over(class_time[k]);
+    let total = |count: fn(&ClassTraffic) -> u64| per_class.iter().map(count).sum::<u64>();
+    let report = TrafficReport {
+        channels_per_cell: cfg.channels_per_cell,
+        guard_channels: cfg.guard_channels,
+        steps,
+        offered_calls: total(|c| c.offered_calls),
+        blocked_calls: total(|c| c.blocked_calls),
+        carried_calls: total(|c| c.carried_calls),
+        handover_attempts: total(|c| c.handover_attempts),
+        dropped_calls: total(|c| c.dropped_calls),
+        completed_calls: total(|c| c.completed_calls),
+        offered_erlangs: over(offered_call_time),
+        carried_erlangs: over(busy_channel_steps as f64),
+        per_cell,
+    };
+    for (class, time) in per_class.iter_mut().zip(class_time) {
+        class.offered_erlangs = over(time);
     }
     let stats = DynamicTrafficStats {
         failure_evicted_calls: failure_evicted,
@@ -939,28 +781,16 @@ pub fn replay_traffic_dynamic(
         blocked_erlangs: over(blocked_time),
         dropped_erlangs: over(dropped_time),
         failure_erlangs: over(failure_time),
-        per_class,
+        per_class: if dynamics.services.is_some() { per_class.to_vec() } else { Vec::new() },
     };
-    let report = TrafficReport {
-        channels_per_cell: cfg.channels_per_cell,
-        guard_channels: cfg.guard_channels,
-        steps,
-        offered_calls: offered,
-        blocked_calls: blocked,
-        carried_calls: carried,
-        handover_attempts: ho_attempts,
-        dropped_calls: dropped,
-        completed_calls: completed,
-        offered_erlangs: over(offered_call_time),
-        carried_erlangs: over(busy_channel_steps as f64),
-        per_cell,
-    };
-    (report, field, stats)
+    Ok((report, field, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamics::CellOutage;
+    use crate::resilience::ConfigError;
 
     fn two_cells() -> Vec<Axial> {
         vec![Axial::ORIGIN, Axial::new(1, 0)]
@@ -988,10 +818,48 @@ mod tests {
         assert_eq!(c.with_load_feedback().label(), "load0.25-h20-c8g1-fb");
     }
 
+    /// The unified replay of `traces` over [`two_cells`] without dynamics.
+    fn replay(
+        cfg: &TrafficConfig,
+        traces: &[UeTrace],
+        dynamics: &DynamicsConfig,
+    ) -> Result<(TrafficReport, LoadField, DynamicTrafficStats), ConfigError> {
+        replay_traffic_dynamic(cfg, &two_cells(), traces, 1, dynamics)
+    }
+
     #[test]
-    #[should_panic(expected = "guard channels")]
     fn guard_must_leave_room() {
-        TrafficConfig::erlang(4, 4, 0.1, 10.0).validate();
+        let full = TrafficConfig::erlang(4, 4, 0.1, 10.0);
+        let err = ConfigError::GuardChannelsExhaustCapacity { guard: 4, channels: 4 };
+        assert_eq!(full.validated(), Err(err.clone()));
+        assert!(err.to_string().contains("guard channels"), "{err}");
+        let traces = pinned_traces(3, 50);
+        assert_eq!(replay(&full, &traces, &DynamicsConfig::none()).unwrap_err(), err);
+    }
+
+    #[test]
+    fn replay_rejects_invalid_planes_as_values() {
+        let traces = pinned_traces(3, 50);
+        // A NaN idle mean never reaches the session horizon: the replay
+        // must refuse it before generating anything.
+        let nan_idle = TrafficConfig { mean_idle_steps: f64::NAN, ..cfg(4, 0) };
+        assert!(matches!(
+            replay(&nan_idle, &traces, &DynamicsConfig::none()),
+            Err(ConfigError::NonPositive { field: "mean idle time", .. })
+        ));
+        // A per-UE load of 1 Erlang leaves no idle time at all.
+        let saturated = TrafficConfig::erlang(4, 0, 1.0, 10.0);
+        assert!(replay(&saturated, &traces, &DynamicsConfig::none()).is_err());
+        // An outage on a cell outside the layout.
+        let stray = Axial::new(5, 5);
+        let dynamics = DynamicsConfig {
+            failures: vec![CellOutage { cell: stray, from_step: 1, until_step: 9 }],
+            ..DynamicsConfig::none()
+        };
+        assert_eq!(
+            replay(&cfg(4, 0), &traces, &dynamics).unwrap_err(),
+            ConfigError::UnknownCell { what: "outage", cell: stray }
+        );
     }
 
     #[test]

@@ -145,5 +145,5 @@ fn main() {
         matrix_workers: 2,
         candidate_mode: CandidateMode::All,
     };
-    print!("{}", matrix.run().render());
+    print!("{}", matrix.try_run().expect("city matrix").render());
 }

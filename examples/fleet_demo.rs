@@ -121,7 +121,7 @@ fn main() {
         matrix_workers: 2,
         candidate_mode: CandidateMode::All,
     };
-    let outcome = matrix.run();
+    let outcome = matrix.try_run().expect("scenario matrix");
     print!("{}", outcome.render());
 
     let series = outcome.series_over_speed(MatrixMetric::HandoversPerUe);

@@ -105,8 +105,10 @@ fn tidal_carried_load_tracks_the_offered_wave() {
     let wave = TidalWave { period_steps: period, amplitude: 0.9, phase_per_q: 0.0 };
     let tidal = DynamicsConfig { tide: Some(wave), ..DynamicsConfig::none() };
     let (flat_report, _, _) =
-        replay_traffic_dynamic(&cfg, &two_cells(), &traces, 99, &DynamicsConfig::none());
-    let (report, field, _) = replay_traffic_dynamic(&cfg, &two_cells(), &traces, 99, &tidal);
+        replay_traffic_dynamic(&cfg, &two_cells(), &traces, 99, &DynamicsConfig::none())
+            .expect("flat replay");
+    let (report, field, _) =
+        replay_traffic_dynamic(&cfg, &two_cells(), &traces, 99, &tidal).expect("tidal replay");
     // Mean intensity 1 ⇒ the offered-call volume survives the rescaling.
     let ratio = report.offered_calls as f64 / flat_report.offered_calls as f64;
     assert!(
@@ -161,7 +163,7 @@ fn failure_eviction_equals_occupancy_at_shutdown() {
         ..DynamicsConfig::none()
     };
     let (report, field, stats) =
-        replay_traffic_dynamic(&cfg, &two_cells(), &traces, 4321, &dynamics);
+        replay_traffic_dynamic(&cfg, &two_cells(), &traces, 4321, &dynamics).expect("replay");
     let occupied_before =
         (field.utilization(cell, from as usize - 1) * cfg.channels_per_cell as f64).round() as u64;
     assert!(occupied_before > 0, "the cell must be carrying calls when it fails");
@@ -199,7 +201,8 @@ fn departing_ues_release_their_channels() {
         (0..12).map(|id| UeTrace::pinned(id, 10 + 6 * id, 0)).collect();
     let last = traces.last().unwrap().steps;
     let (report, field, _) =
-        replay_traffic_dynamic(&cfg, &two_cells(), &traces, 2024, &DynamicsConfig::none());
+        replay_traffic_dynamic(&cfg, &two_cells(), &traces, 2024, &DynamicsConfig::none())
+            .expect("replay");
     assert!(report.carried_calls > 0);
     for s in 0..last {
         let alive = traces.iter().filter(|t| s < t.steps).count();
@@ -282,7 +285,8 @@ fn extra_guard_channels_prioritize_voice_admission() {
         services: Some(ServiceMix { voice_share: 0.5, voice: same(0), data: same(2) }),
         ..DynamicsConfig::none()
     };
-    let (_, _, stats) = replay_traffic_dynamic(&cfg, &two_cells(), &traces, 555, &dynamics);
+    let (_, _, stats) =
+        replay_traffic_dynamic(&cfg, &two_cells(), &traces, 555, &dynamics).expect("replay");
     let voice = &stats.per_class[0];
     let data = &stats.per_class[1];
     assert!(voice.offered_calls > 50 && data.offered_calls > 50, "both classes saw load");

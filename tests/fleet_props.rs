@@ -230,8 +230,9 @@ proptest! {
             matrix_workers: 1,
             candidate_mode,
         };
-        let sequential = matrix.run();
-        let parallel = ScenarioMatrix { matrix_workers, ..matrix }.run();
+        let sequential = matrix.try_run().expect("sequential sweep");
+        let parallel =
+            ScenarioMatrix { matrix_workers, ..matrix }.try_run().expect("parallel sweep");
         prop_assert_eq!(&sequential, &parallel);
         let labels: Vec<String> = sequential.cells.iter().map(|c| c.label()).collect();
         prop_assert_eq!(labels.len(), 16);

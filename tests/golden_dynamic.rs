@@ -86,7 +86,7 @@ fn city_matrix() -> ScenarioMatrix {
 
 #[test]
 fn city_matrix_matches_golden() {
-    let report = city_matrix().run().render();
+    let report = city_matrix().try_run().expect("city matrix").render();
     let path = golden_path();
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create dir");

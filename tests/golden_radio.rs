@@ -45,7 +45,7 @@ fn pruned_matrix() -> ScenarioMatrix {
 
 #[test]
 fn pruned_matrix_matches_golden() {
-    let report = pruned_matrix().run().render();
+    let report = pruned_matrix().try_run().expect("pruned matrix").render();
     let path = golden_path();
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create dir");

@@ -67,7 +67,7 @@ fn loaded_matrix() -> ScenarioMatrix {
 
 #[test]
 fn loaded_matrix_matches_golden() {
-    let report = loaded_matrix().run().render();
+    let report = loaded_matrix().try_run().expect("loaded matrix").render();
     let path = golden_path();
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create dir");

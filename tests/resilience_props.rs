@@ -10,9 +10,10 @@
 //!    [`CheckpointError`] from `try_unseal` — never a silently wrong
 //!    restore ("wrong-but-green").
 //! 3. Arbitrary invalid configurations (non-finite sigmas, negative
-//!    spacings, zero capacities, inverted outage windows, out-of-range
-//!    shares) surface as [`FleetError::InvalidConfig`] from the fallible
-//!    entry points — never a worker panic or a NaN-poisoned result.
+//!    spacings, zero capacities, inverted outage windows, unknown outage
+//!    cells, saturated loads, invalid flat tides) surface as
+//!    [`FleetError::InvalidConfig`] from every run entry — never a
+//!    builder or worker panic or a NaN-poisoned result.
 //! 4. Chaining `advance → advance → … → try_resume` at an
 //!    arbitrary cadence reproduces the uninterrupted run bit for bit
 //!    (the supervisor's segment primitive).
@@ -151,23 +152,79 @@ proptest! {
         prop_assert!(matches!(err, FleetError::InvalidConfig(_)), "{:?}", err);
     }
 
-    /// Property 3b: inverted outage windows and out-of-range traffic
-    /// parameters are rejected before any worker starts.
+    /// Property 3b: invalid traffic and dynamics planes attached
+    /// through the (non-panicking) builders are rejected by every run
+    /// entry as [`FleetError::InvalidConfig`] (or the session's typed
+    /// equivalent) before any worker starts: an inverted outage window,
+    /// an outage cell outside the layout, a per-UE load of 1 Erlang, and
+    /// an invalid tide that is flat, which normalization must not drop.
     #[test]
     fn invalid_plane_configs_surface_typed_errors(
         from in 0u64..20,
         span in 0u64..3,
+        case in 0usize..4,
+        with_traffic in prop_oneof![Just(false), Just(true)],
     ) {
-        use fuzzy_handover::sim::dynamics::CellOutage;
-        use fuzzy_handover::sim::DynamicsConfig;
-        let outage = CellOutage {
-            cell: fuzzy_handover::geometry::Axial::ORIGIN,
-            from_step: from + span,
-            until_step: from, // inverted (or empty) on purpose
+        use fuzzy_handover::geometry::Axial;
+        use fuzzy_handover::server::{Session, SessionConfig, SessionError};
+        use fuzzy_handover::sim::dynamics::{CellOutage, TidalWave};
+        use fuzzy_handover::sim::matrix::ScenarioMatrix;
+        use fuzzy_handover::sim::{DynamicsConfig, TrafficConfig};
+
+        let outage = |cell, from_step, until_step| DynamicsConfig {
+            failures: vec![CellOutage { cell, from_step, until_step }],
+            ..DynamicsConfig::none()
         };
-        prop_assert!(outage.validated().is_err());
-        let dynamics = DynamicsConfig { failures: vec![outage], ..DynamicsConfig::none() };
-        prop_assert!(dynamics.validated().is_err());
+        let valid_traffic = with_traffic.then(|| TrafficConfig::erlang(8, 1, 0.2, 10.0));
+        let (traffic, dynamics) = match case {
+            // Inverted (or empty) window on purpose.
+            0 => (valid_traffic, Some(outage(Axial::ORIGIN, from + span, from))),
+            1 => (valid_traffic, Some(outage(Axial::new(40, -3), from, from + span + 1))),
+            2 => (Some(TrafficConfig::erlang(8, 1, 1.0, 10.0)), None),
+            _ => (
+                valid_traffic,
+                Some(DynamicsConfig {
+                    tide: Some(TidalWave { period_steps: 0, amplitude: 0.0, phase_per_q: 0.0 }),
+                    ..DynamicsConfig::none()
+                }),
+            ),
+        };
+
+        let cfg = noisy_config();
+        let spec = fleet_spec(from, cfg.layout.cell_radius_km());
+        let ids: Vec<u64> = (0..4).collect();
+        let mut engine = FleetSimulation::new(cfg.clone());
+        if let Some(traffic) = traffic {
+            engine = engine.with_traffic(traffic);
+        }
+        if let Some(dynamics) = dynamics.clone() {
+            engine = engine.with_dynamics(dynamics);
+        }
+        let mut m = ScenarioMatrix::small_default();
+        m.base = cfg.clone();
+        m.ue_counts = vec![2];
+        m.mobilities.truncate(1);
+        m.speeds_kmh = vec![0.0];
+        m.policies.truncate(1);
+        m.traffics = vec![traffic];
+        m.dynamics = vec![dynamics.clone()];
+        for (entry, err) in [
+            ("try_run_ids", engine.try_run_ids(&spec, &ids, from).err()),
+            ("advance", engine.advance(&spec, None, &ids, from, 3).err()),
+            ("run_streamed", engine.run_streamed(&spec, 4, from).err()),
+            ("run_supervised", engine.run_supervised(&spec, &ids, from, &chaos_policy(2)).err()),
+            ("ScenarioMatrix::try_run", m.try_run().err()),
+        ] {
+            prop_assert!(matches!(err, Some(FleetError::InvalidConfig(_))), "{}: {:?}", entry, err);
+        }
+
+        let session = SessionConfig {
+            traffic,
+            dynamics,
+            ..SessionConfig::new(cfg, spec.mobility, spec.policy, 4, from)
+        };
+        let err = Session::spawn(session, 1).err();
+        prop_assert!(matches!(err, Some(SessionError::InvalidConfig(_))), "spawn: {:?}", err);
     }
 
     /// Property 4: the supervisor's segment primitive — chained
