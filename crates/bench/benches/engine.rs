@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use handover_bench::paper_controller;
 use handover_core::HandoverPolicy;
-use handover_sim::monte_carlo::{run_repetitions, run_repetitions_parallel};
+use handover_sim::monte_carlo::{run_repetitions, try_run_repetitions_parallel};
 use handover_sim::{Scenario, SimConfig, Simulation};
 use radiolink::{MeasurementNoise, ShadowingConfig};
 use std::hint::black_box;
@@ -62,7 +62,10 @@ fn bench_monte_carlo_scaling(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    black_box(run_repetitions_parallel(&sim, &walk, factory, 9, REPS, threads))
+                    black_box(
+                        try_run_repetitions_parallel(&sim, &walk, factory, 9, REPS, threads)
+                            .expect("repetitions run"),
+                    )
                 })
             },
         );

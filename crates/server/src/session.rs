@@ -585,9 +585,10 @@ impl Session {
     /// Rehydrate a sealed session. Total on arbitrary input: corrupt,
     /// truncated or foreign bytes surface as
     /// [`SessionError::Corrupt`], never a panic; the embedded config
-    /// and fleet checkpoint are re-validated before the session is
-    /// accepted. Older containers and payload versions are refused
-    /// with [`CheckpointError::UnsupportedVersion`].
+    /// is re-validated, and the fleet checkpoint is checked against the
+    /// config's layout and planes ([`FleetCheckpoint::check_engine`]),
+    /// before the session is accepted. Older containers and payload
+    /// versions are refused with [`CheckpointError::UnsupportedVersion`].
     pub fn hydrate(bytes: &[u8], workers: usize) -> Result<Session, SessionError> {
         let payload = unseal_payload(bytes).map_err(SessionError::Corrupt)?;
         let (len, rest) = (payload.get(..8), payload.get(8..).unwrap_or_default());
@@ -620,13 +621,8 @@ impl Session {
             _ => return Err(malformed("session payload has no valid fleet marker".into())),
         };
         if let Some(cp) = &current {
-            let tracing = header.config.traffic.is_some() || header.config.dynamics.is_some();
-            if cp.tracing != tracing {
-                return Err(SessionError::Corrupt(CheckpointError::PlaneMismatch {
-                    checkpoint_tracing: cp.tracing,
-                    engine_tracing: tracing,
-                }));
-            }
+            let engine = header.config.engine(1);
+            cp.check_engine(engine.config(), engine.tracing()).map_err(SessionError::Corrupt)?;
         }
         let ids: Vec<u64> = (0..header.config.n_ues).collect();
         Ok(Session {

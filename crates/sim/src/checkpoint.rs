@@ -24,6 +24,7 @@
 //! `f64` bit included — as the uninterrupted run, for any worker count
 //! and chunk size on either side of the snapshot.
 
+use crate::engine::SimConfig;
 use crate::fleet::UeOutcome;
 use crate::traffic::UeTrace;
 use handover_core::{CellLoadHistogram, EventLog, PolicyCheckpoint};
@@ -367,9 +368,9 @@ impl FleetCheckpoint {
     }
 
     /// Typed validation: the snapshot must carry the supported
-    /// [`CHECKPOINT_VERSION`] and satisfy the structural invariants the
-    /// resume path depends on (both halves sorted ascending by UE id,
-    /// every live UE's per-cell lanes mutually consistent).
+    /// [`CHECKPOINT_VERSION`] and both halves must be strictly ascending
+    /// by UE id. The per-UE lane shapes are checked against an engine's
+    /// layout by [`FleetCheckpoint::check_engine`].
     pub fn try_validate(&self) -> Result<(), CheckpointError> {
         if self.version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion {
@@ -387,30 +388,43 @@ impl FleetCheckpoint {
                 "live UEs are not strictly ascending by UE id".into(),
             ));
         }
-        for ue in &self.live {
-            let n = ue.engine.shadow.values.len();
-            if ue.engine.smoothers.len() != n {
-                return Err(CheckpointError::ShapeMismatch(format!(
-                    "live UE {}: {} smoothers vs {} shadowing slots",
-                    ue.ue_id,
-                    ue.engine.smoothers.len(),
-                    n
-                )));
-            }
-            if !ue.engine.last_advanced_km.is_empty() && ue.engine.last_advanced_km.len() != n {
-                return Err(CheckpointError::ShapeMismatch(format!(
-                    "live UE {}: {} lazy-advance slots vs {} cells",
-                    ue.ue_id,
-                    ue.engine.last_advanced_km.len(),
-                    n
-                )));
-            }
-            if ue.engine.serving_idx as usize >= n && n > 0 {
-                return Err(CheckpointError::ShapeMismatch(format!(
-                    "live UE {}: serving index {} out of {} cells",
-                    ue.ue_id, ue.engine.serving_idx, n
-                )));
-            }
+        Ok(())
+    }
+
+    /// Snapshot-vs-engine compatibility, checked before any resume:
+    /// [`FleetCheckpoint::try_validate`], a tracing mode equal to the
+    /// engine's `tracing`, and a fit to the engine's layout. Every live
+    /// UE must carry one shadowing slot, one smoother and (once pruned)
+    /// one lazy-advance slot per layout cell and a serving index inside
+    /// the layout, every trace must name layout cells, and `cell_load`
+    /// must track the layout's cells. A snapshot of another layout is
+    /// thus a typed [`CheckpointError::ShapeMismatch`], never a panic in
+    /// a worker or in the merge.
+    pub fn check_engine(&self, config: &SimConfig, tracing: bool) -> Result<(), CheckpointError> {
+        self.try_validate()?;
+        if self.tracing != tracing {
+            return Err(CheckpointError::PlaneMismatch {
+                checkpoint_tracing: self.tracing,
+                engine_tracing: tracing,
+            });
+        }
+        let n = config.layout.len();
+        let ue_fits = |ue: &UeCheckpoint| {
+            let e = &ue.engine;
+            let lazy = e.last_advanced_km.len();
+            [e.shadow.values.len(), e.shadow.fresh.len(), e.smoothers.len()] == [n; 3]
+                && (lazy == 0 || lazy == n)
+                && (e.serving_idx as usize) < n
+        };
+        let traces = (self.finished_traces.iter().map(|t| &t.changes))
+            .chain(self.live.iter().map(|ue| &ue.trace_changes));
+        if self.cell_load.cells() != config.layout.cells()
+            || !self.live.iter().all(ue_fits)
+            || !traces.flatten().all(|&(_, cell)| (cell as usize) < n)
+        {
+            return Err(CheckpointError::ShapeMismatch(format!(
+                "snapshot lanes, traces or serving load do not fit the {n}-cell layout"
+            )));
         }
         Ok(())
     }
@@ -476,8 +490,8 @@ impl FleetCheckpoint {
 
     /// Instantaneous per-cell load: how many live UEs are currently
     /// served by each of the `n_cells` layout cells (layout order).
-    /// Out-of-range serving indices (possible only in a hand-built
-    /// snapshot that skipped [`FleetCheckpoint::try_validate`]) are
+    /// Out-of-range serving indices (possible in a snapshot not checked
+    /// against this layout by [`FleetCheckpoint::check_engine`]) are
     /// skipped rather than panicking.
     pub fn live_serving_counts(&self, n_cells: usize) -> Vec<u64> {
         let mut counts = vec![0u64; n_cells];

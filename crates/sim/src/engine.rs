@@ -300,20 +300,16 @@ impl UeState {
 
     /// Rebuild a UE from a [`snapshot`](UeState::snapshot) taken under
     /// the same configuration; stepping the restored state draws the
-    /// exact random stream and decisions the original would have.
+    /// exact random stream and decisions the original would have. The
+    /// snapshot's lanes must fit `cfg`'s layout, which every resume entry
+    /// checks first ([`FleetCheckpoint::check_engine`]).
+    ///
+    /// [`FleetCheckpoint::check_engine`]: crate::checkpoint::FleetCheckpoint::check_engine
     pub(crate) fn from_snapshot(cfg: &SimConfig, snap: &crate::checkpoint::UeEngineState) -> Self {
         let n = cfg.layout.len();
-        assert!(
-            (snap.serving_idx as usize) < n,
-            "checkpointed serving index {} is outside the {}-cell layout",
-            snap.serving_idx,
-            n
-        );
-        assert_eq!(snap.smoothers.len(), n, "one smoother per layout cell");
-        assert_eq!(snap.shadow.values.len(), n, "one shadowing slot per layout cell");
-        assert!(
-            snap.last_advanced_km.is_empty() || snap.last_advanced_km.len() == n,
-            "pruned-mode distance vector must be empty or one slot per cell"
+        debug_assert!(
+            snap.smoothers.len() == n && (snap.serving_idx as usize) < n,
+            "resume entries run FleetCheckpoint::check_engine before restoring a UE"
         );
         UeState {
             serving_idx: snap.serving_idx as usize,

@@ -7,7 +7,7 @@
 //! outage over the Monte-Carlo repetitions (crossbeam-parallel).
 
 use crate::engine::{SimConfig, Simulation};
-use crate::monte_carlo::{run_repetitions_parallel, summarize, McSummary};
+use crate::monte_carlo::{summarize, try_run_repetitions_parallel, McSummary};
 use crate::scenario::Scenario;
 use crate::table::{fmt_f, TextTable};
 use handover_core::baselines::{
@@ -84,7 +84,8 @@ pub fn data() -> Vec<ComparisonRow> {
     let mut rows = Vec::new();
     for (wname, traj) in workloads() {
         for (pname, factory) in policy_set() {
-            let runs = run_repetitions_parallel(&sim, &traj, factory, 0xC0FFEE, REPS, THREADS);
+            let runs = try_run_repetitions_parallel(&sim, &traj, factory, 0xC0FFEE, REPS, THREADS)
+                .expect("baseline policies run every repetition");
             rows.push(ComparisonRow {
                 policy: pname,
                 workload: wname.clone(),

@@ -5,7 +5,7 @@
 //! pipeline with the zero-margin comparator on the boundary scenario.
 
 use crate::engine::{SimConfig, Simulation};
-use crate::monte_carlo::{run_repetitions_parallel, summarize};
+use crate::monte_carlo::{summarize, try_run_repetitions_parallel};
 use crate::scenario::Scenario;
 use crate::table::{fmt_f, TextTable};
 use handover_core::baselines::HysteresisPolicy;
@@ -37,7 +37,7 @@ pub fn data() -> Vec<FadingRow> {
             cfg.shadowing = ShadowingConfig { sigma_db: sigma, decorrelation_km: 0.05 };
             let window = cfg.pingpong_window_steps;
             let sim = Simulation::new(cfg);
-            let fuzzy_runs = run_repetitions_parallel(
+            let fuzzy_runs = try_run_repetitions_parallel(
                 &sim,
                 &walk,
                 || -> Box<dyn HandoverPolicy + Send> {
@@ -46,15 +46,17 @@ pub fn data() -> Vec<FadingRow> {
                 7,
                 10,
                 4,
-            );
-            let naive_runs = run_repetitions_parallel(
+            )
+            .expect("the fuzzy controller runs every repetition");
+            let naive_runs = try_run_repetitions_parallel(
                 &sim,
                 &walk,
                 || -> Box<dyn HandoverPolicy + Send> { Box::new(HysteresisPolicy::new(0.0)) },
                 7,
                 10,
                 4,
-            );
+            )
+            .expect("hysteresis runs every repetition");
             let f = summarize(&fuzzy_runs, window);
             let n = summarize(&naive_runs, window);
             FadingRow {

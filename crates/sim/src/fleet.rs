@@ -3,14 +3,20 @@
 //!
 //! ## Architecture
 //!
-//! * **Struct-of-arrays UE store** — each worker holds its chunk of UEs
-//!   as parallel vectors (trajectory cursor, per-UE engine state with
-//!   position / serving cell / smoother + shadowing state, policy,
-//!   tally), never the whole fleet, so memory stays proportional to
-//!   `workers × chunk_size`, not to the fleet size. Retired UE states are
-//!   recycled through a per-worker arena (reset in place, every
-//!   allocation reused), so a million-UE run performs a bounded number
-//!   of state allocations.
+//! * **One live-UE record, one function per phase** — each worker holds
+//!   its chunk of UEs as one `LiveUe` record per UE (id, engine state
+//!   with serving cell / smoother + shadowing state, resample cursor,
+//!   policy, running tallies, serving-cell trace, churn window), never
+//!   the whole fleet, so memory stays proportional to
+//!   `workers × chunk_size`, not to the fleet size. A record is built
+//!   `fresh` or thawed from a [`UeCheckpoint`], and leaves by `freeze`
+//!   (back into a checkpoint) or `retire` (into its [`UeOutcome`]). Every
+//!   lockstep step runs five phase functions over a borrowed per-pass
+//!   context: advance cursors (retire or park), measure, pre-gate
+//!   (forced outage decisions included), batched FLC, commit. Retired UE
+//!   states are recycled through a per-worker arena (reset in place,
+//!   every allocation reused), so a million-UE run performs a bounded
+//!   number of state allocations.
 //! * **Compiled measurement plane** — per measurement step the mean path
 //!   loss is computed per (BS, UE-chunk) through the compiled link budget
 //!   ([`radiolink::CompiledBsRadio`], every position-independent term
@@ -49,9 +55,10 @@
 //!   aggregate bit-identical to [`FleetSimulation::try_run_ids`].
 //!
 //! [`CellLayout`]: cellgeom::CellLayout
+#![deny(clippy::too_many_lines)]
 
 use crate::checkpoint::{CheckpointError, FleetCheckpoint, UeCheckpoint, CHECKPOINT_VERSION};
-use crate::dynamics::DynamicsConfig;
+use crate::dynamics::{ChurnConfig, DynamicsConfig};
 use crate::engine::{SimConfig, Simulation, UeState};
 use crate::resilience::{validate_planes, ConfigError, FaultInjector};
 use crate::traffic::{replay_traffic_dynamic, TrafficConfig, UeTrace};
@@ -67,7 +74,10 @@ use handover_core::{
 };
 /// The walk type [`UeSpec::trajectory`] returns.
 pub use mobility::Trajectory;
-use mobility::{GaussMarkov, ManhattanGrid, MobilityModel, RandomWalk, RandomWaypoint};
+use mobility::{
+    GaussMarkov, ManhattanGrid, MobilityModel, RandomWalk, RandomWaypoint, ResampleIter,
+    TracePoint,
+};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -707,17 +717,22 @@ impl PassPart {
     }
 }
 
-/// Per-worker scratch arena: every buffer a chunk needs, allocated once
-/// per worker and reused across chunks — including retired [`UeState`]s,
-/// which are recycled through [`UeState::reset`] instead of reallocated.
+/// Per-worker scratch arena: the buffers the phases of a chunk step hand
+/// each other, allocated once per worker and reused across steps and
+/// chunks — including retired [`UeState`]s, which [`LiveUe::fresh`]
+/// recycles through [`UeState::reset`] instead of reallocating. Every
+/// per-step vector is indexed by `j`, the position in `active`.
 struct ChunkArena {
     flc_scratch: EvalScratch,
     /// Retired UE states available for reuse.
     spare: Vec<UeState>,
-    active_idx: Vec<usize>,
+    /// Phase 1: chunk indices of the UEs that step, in chunk order, and
+    /// their measurement points.
+    active: Vec<usize>,
+    points: Vec<TracePoint>,
+    /// Phase 2, dense mode: the stepping UEs' positions (the batch
+    /// kernel's input) and their mean-RSS matrix, `cells × active`.
     positions: Vec<cellgeom::Vec2>,
-    points: Vec<mobility::TracePoint>,
-    /// Dense mean-RSS matrix, `cells × active`.
     rss_matrix: Vec<f64>,
     /// Per-cell means of the UE currently being measured.
     means: Vec<f64>,
@@ -731,11 +746,19 @@ struct ChunkArena {
     /// checkpoint consumes exactly the same RNG draws as an unbroken
     /// run and stays bit-identical.
     rng_scratch: Vec<f64>,
+    /// The pruned measurement subset of the UE being measured.
     subset: Vec<u32>,
+    /// Phase 2: this step's scheduled-outage mask, one flag per cell
+    /// (empty when no outage covers the step).
+    down: Vec<bool>,
+    /// Phase 2: one report per stepping UE.
     reports: Vec<MeasurementReport>,
+    /// Phase 3: each stepping UE's decision, or its row in the FLC batch
+    /// (`batch_inputs` holds three inputs per row).
     pending: Vec<StepPending>,
     batch_inputs: Vec<f64>,
     batch_prev: Vec<Option<f64>>,
+    /// Phase 4: the batch's FLC outputs.
     batch_hd: Vec<f64>,
 }
 
@@ -744,13 +767,14 @@ impl ChunkArena {
         ChunkArena {
             flc_scratch: EvalScratch::new(),
             spare: Vec::new(),
-            active_idx: Vec::new(),
-            positions: Vec::new(),
+            active: Vec::new(),
             points: Vec::new(),
+            positions: Vec::new(),
             rss_matrix: Vec::new(),
             means: vec![0.0; n_cells],
             rng_scratch: Vec::with_capacity(2 * n_cells),
             subset: Vec::with_capacity(n_cells),
+            down: Vec::new(),
             reports: Vec::new(),
             pending: Vec::new(),
             batch_inputs: Vec::new(),
@@ -918,8 +942,9 @@ impl FleetSimulation {
     }
 
     /// Whether runs on this engine record serving-cell traces: a traffic
-    /// or dynamics plane is attached.
-    fn tracing(&self) -> bool {
+    /// or dynamics plane is attached (an inert dynamics plane normalizes
+    /// away and does not count).
+    pub fn tracing(&self) -> bool {
         self.traffic.is_some() || self.dynamics.is_some()
     }
 
@@ -1040,18 +1065,10 @@ impl FleetSimulation {
         self.apply_traffic(spec, &ids, cp.base_seed, result, traces)
     }
 
-    /// Snapshot-vs-engine compatibility: version + shape invariants
-    /// ([`FleetCheckpoint::try_validate`]) and the tracing plane.
+    /// Snapshot-vs-engine compatibility ([`FleetCheckpoint::check_engine`]
+    /// against this engine's layout and tracing plane).
     pub(crate) fn check_checkpoint(&self, cp: &FleetCheckpoint) -> Result<(), CheckpointError> {
-        cp.try_validate()?;
-        let engine_tracing = self.tracing();
-        if cp.tracing != engine_tracing {
-            return Err(CheckpointError::PlaneMismatch {
-                checkpoint_tracing: cp.tracing,
-                engine_tracing,
-            });
-        }
-        Ok(())
+        cp.check_engine(self.config(), self.tracing())
     }
 
     /// Run UEs `0..n_ues` and fold every chunk's outcomes into a running
@@ -1161,7 +1178,22 @@ impl FleetSimulation {
         source: PassSource<'_>,
         params: PassParams<'_>,
     ) -> Result<PassPart, FleetError> {
-        let cells = self.config().layout.cells();
+        let cfg = self.config();
+        let cells = cfg.layout.cells();
+        let ctx = PassCtx {
+            cfg,
+            sim: &self.sim,
+            plan: self.candidate_mode.plan(cells.len()),
+            outages: match &self.dynamics {
+                Some(dynamics) => dynamics.outage_indices(cells)?,
+                None => Vec::new(),
+            },
+            churn: self.dynamics.as_ref().and_then(|d| d.churn.as_ref()),
+            fault: self.fault.as_deref(),
+            tracing: params.sink == PassSink::Collect { traces: true },
+            params,
+        };
+        let ctx = &ctx;
         let workers = (self.workers as u64).clamp(1, source.len().max(1)) as usize;
         let collected: Mutex<Vec<Result<PassPart, String>>> =
             Mutex::new(Vec::with_capacity(workers));
@@ -1174,7 +1206,7 @@ impl FleetSimulation {
                         let mut arena = ChunkArena::new(cells.len());
                         let mut part = PassPart::new(cells);
                         let mut step_chunk = |chunk: ChunkUes<'_>| {
-                            self.simulate_chunk(spec, chunk, params, &mut arena, &mut part);
+                            ctx.simulate_chunk(spec, chunk, &mut arena, &mut part);
                             if params.sink == PassSink::Fold {
                                 part.fold_outcomes();
                             }
@@ -1222,493 +1254,538 @@ impl FleetSimulation {
         }
         Ok(out)
     }
+}
 
-    /// Step one chunk of UEs in lockstep, batching the mean RSS
-    /// evaluation per (BS, chunk) and the fuzzy FLC evaluation per chunk
-    /// at every step, and push every finished UE into `part`. A
-    /// collecting pass with traces also records every UE's per-step
-    /// serving cell (traffic plane); a load field is handed to every
-    /// policy before stepping. With a step bound the chunk stops at that
-    /// lockstep step and exports the still-live UEs into `part.live`;
-    /// restored UEs resume mid-walk (fast-forwarding their trajectory
-    /// cursors).
+/// The per-pass context every chunk borrows: the configuration and its
+/// compiled measurement plane (link budget, BS positions, candidate
+/// table, neighbour index), the resolved prune plan, the outage
+/// timeline and churn model, and the pass parameters.
+struct PassCtx<'a> {
+    cfg: &'a SimConfig,
+    sim: &'a Simulation,
+    plan: PrunePlan,
+    /// Scheduled outages as `(cell index, from, until)`; empty on the
+    /// static path.
+    outages: Vec<(usize, u64, u64)>,
+    churn: Option<&'a ChurnConfig>,
+    /// Armed chaos harness (`None` in production, at no cost).
+    fault: Option<&'a FaultInjector>,
+    params: PassParams<'a>,
+    /// The pass records every UE's serving-cell trace.
+    tracing: bool,
+}
+
+impl PassCtx<'_> {
+    /// Step one chunk of UEs in lockstep ([`ChunkRun`]) and push every UE
+    /// that finishes into `part`. With a step bound the chunk stops at
+    /// that lockstep step and freezes its still-live UEs into
+    /// `part.live`; restored UEs resume mid-walk.
     fn simulate_chunk(
         &self,
         spec: &dyn UeSpec,
         chunk: ChunkUes<'_>,
-        params: PassParams<'_>,
         arena: &mut ChunkArena,
         part: &mut PassPart,
     ) {
-        let PassParams {
-            base_seed,
-            sink,
-            load_field,
-            max_steps,
-        } = params;
-        let cfg = self.config();
-        let cells = cfg.layout.cells();
-        let compiled = self.sim.compiled_radio();
-        let bs_positions = self.sim.bs_positions();
-        let prune_plan = self.candidate_mode.plan(cells.len());
-        let tracing = sink == PassSink::Collect { traces: true };
-        let start_step = match chunk {
-            ChunkUes::Fresh(_) => 0,
-            ChunkUes::Restored(_, start) => start,
-        };
-
-        // Split the arena into independent buffers so each phase can
-        // borrow exactly what it needs.
-        let ChunkArena {
-            flc_scratch,
-            spare,
-            active_idx,
-            positions,
-            points,
-            rss_matrix,
-            means,
-            rng_scratch,
-            subset,
-            reports,
-            pending,
-            batch_inputs,
-            batch_prev,
-            batch_hd,
-        } = arena;
-        debug_assert_eq!(means.len(), cells.len(), "arena sized for this layout");
-
-        // The scalar mean of one (BS, position) pair (pruned modes).
-        let mean_at =
-            |slot: usize, pos: cellgeom::Vec2| compiled.received_power_dbm(bs_positions[slot], pos);
-
-        let ids: Vec<u64> = match chunk {
-            ChunkUes::Fresh(ids) => ids.to_vec(),
-            ChunkUes::Restored(live, _) => live.iter().map(|cp| cp.ue_id).collect(),
-        };
-        let n = ids.len();
-
-        // Dynamic-workload plane: per-UE churn presence windows and the
-        // scheduled-outage timeline, both pure functions of the config
-        // and seed (recomputed identically by a resumed checkpoint).
-        // `None`/empty on the static path — the hot loop below then
-        // takes exactly its pre-dynamics branches.
-        let churn_windows: Option<Vec<(u64, u64)>> = self
-            .dynamics
-            .as_ref()
-            .and_then(|d| d.churn.as_ref())
-            .map(|churn| ids.iter().map(|&id| churn.window(base_seed, id)).collect());
-        let outages: Vec<(usize, u64, u64)> = self
-            .dynamics
-            .as_ref()
-            .map(|d| {
-                d.outage_indices(cells)
-                    // invariant: every run entry calls validate_planes,
-                    // which resolves the same outages, before any pass.
-                    .expect("outage cell must be in the layout")
-            })
-            .unwrap_or_default();
-        let mut down_mask: Vec<bool> =
-            if outages.is_empty() { Vec::new() } else { vec![false; cells.len()] };
-
-        // Struct-of-arrays chunk store. Trajectories hold only waypoints;
-        // the resampled measurement points stream lazily per UE.
-        let trajectories: Vec<Trajectory> = ids.iter().map(|&id| spec.trajectory(id)).collect();
-        let mut cursors: Vec<mobility::ResampleIter<'_>> = trajectories
-            .iter()
-            .map(|t| t.resample_iter(cfg.sample_spacing_km))
-            .collect();
-        let mut policies: Vec<Box<dyn HandoverPolicy + Send>> =
-            ids.iter().map(|&id| spec.policy(id)).collect();
-        let mut hd_sums = vec![0.0f64; n];
-        let mut hd_counts = vec![0u64; n];
-        let mut travelled = vec![0.0f64; n];
-        // Per-UE serving-cell traces for the traffic plane, run-length
-        // encoded as (step, cell) change points + a step counter (empty
-        // and untouched unless tracing).
-        let mut trace_bufs: Vec<Vec<(u64, u32)>> =
-            if tracing { vec![Vec::new(); n] } else { Vec::new() };
-        let mut trace_steps: Vec<u64> = if tracing { vec![0; n] } else { Vec::new() };
-        let mut ues: Vec<Option<UeState>> = match chunk {
-            ChunkUes::Fresh(_) => ids
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| {
-                    let start = trajectories[i].start();
-                    let seed = ue_seed(base_seed, id);
-                    Some(match spare.pop() {
-                        // Recycle a retired state: same layout, every
-                        // allocation reused.
-                        Some(mut state) => {
-                            state.reset(cfg, start, seed);
-                            state
-                        }
-                        None => UeState::new(cfg, start, seed),
-                    })
-                })
-                .collect(),
-            ChunkUes::Restored(live, _) => live
-                .iter()
-                .enumerate()
-                .map(|(i, cp)| {
-                    // Restored UEs have already consumed as many
-                    // measurement points as they took steps;
-                    // fast-forward the regenerated cursors to match (a
-                    // live UE's cursor yields at least that many points
-                    // by construction). Without churn every live UE has
-                    // taken exactly `start_step` steps; with churn a late
-                    // arrival has taken fewer (and a not-yet-arrived UE
-                    // none), which `cp.engine.steps` captures per UE.
-                    // `nth` skips whole segments at a time.
-                    if let Some(last) = cp.engine.steps.checked_sub(1) {
-                        cursors[i].nth(usize::try_from(last).unwrap_or(usize::MAX));
-                    }
-                    policies[i].restore_policy_checkpoint(&cp.policy);
-                    hd_sums[i] = cp.hd_sum;
-                    hd_counts[i] = cp.hd_count;
-                    travelled[i] = cp.travelled_km;
-                    if tracing {
-                        trace_bufs[i] = cp.trace_changes.clone();
-                        trace_steps[i] = cp.trace_steps;
-                    }
-                    Some(UeState::from_snapshot(cfg, &cp.engine))
-                })
-                .collect(),
-        };
-        if let Some(field) = load_field {
-            for policy in &mut policies {
-                policy.set_load_field(field);
+        // Trajectories hold only waypoints; each UE streams its
+        // measurement points lazily through a cursor borrowing one.
+        let (trajectories, step): (Vec<Trajectory>, u64) = match chunk {
+            ChunkUes::Fresh(ids) => (ids.iter().map(|&id| spec.trajectory(id)).collect(), 0),
+            ChunkUes::Restored(live, start) => {
+                (live.iter().map(|cp| spec.trajectory(cp.ue_id)).collect(), start)
             }
-        }
-
+        };
+        let mut ues: Vec<LiveUe<'_>> = match chunk {
+            ChunkUes::Fresh(ids) => (ids.iter().zip(&trajectories))
+                .map(|(&id, walk)| LiveUe::fresh(self, spec, id, walk, &mut arena.spare))
+                .collect(),
+            ChunkUes::Restored(live, _) => (live.iter().zip(&trajectories))
+                .map(|(cp, walk)| LiveUe::thaw(self, spec, cp, walk))
+                .collect(),
+        };
         // The chunk's shared FLC plan: when every pending fuzzy decision
         // runs on this plan (pointer-compared), the chunk evaluates them
         // through one `CompiledFis::evaluate_batch` call per step instead
         // of one virtual `decide` per UE. Controllers on other planes (a
         // custom per-UE FIS, the LUT/Sugeno ablations) fall back to their
         // own scalar path, so heterogeneous chunks stay correct.
-        let chunk_plan: Option<Arc<CompiledFis>> = policies
-            .iter_mut()
-            .find_map(|p| p.as_fuzzy().and_then(|f| f.shared_plan().cloned()));
+        let plan = (ues.iter_mut())
+            .find_map(|ue| ue.policy.as_fuzzy().and_then(|f| f.shared_plan().cloned()));
+        let live = (0..ues.len()).collect();
+        ChunkRun { ctx: self, ues, live, plan, step, arena, part }.run();
+    }
 
-        let mut step = start_step;
+    /// The pruned measurement of one UE. The decision inputs — serving
+    /// cell and candidate table — are always measured exactly; a UE at a
+    /// cell edge (every UE under `Nearest`, which has no margin) also
+    /// measures its `k` index-nearest cells. Edge classification reads
+    /// deterministic means only (no RNG draws).
+    fn measure_pruned(
+        &self,
+        ue: &mut UeState,
+        point: TracePoint,
+        (k, edge_margin_db): (usize, Option<f64>),
+        means: &mut [f64],
+        subset: &mut Vec<u32>,
+    ) -> MeasurementReport {
+        let (pos, serving) = (point.pos, ue.serving_index());
+        let cands = self.sim.candidates().of(serving);
+        let mean_at = |slot: usize| {
+            self.sim.compiled_radio().received_power_dbm(self.sim.bs_positions()[slot], pos)
+        };
+        means[serving] = mean_at(serving);
+        let mut best = f64::NEG_INFINITY;
+        for &cand in cands {
+            means[cand] = mean_at(cand);
+            best = best.max(means[cand]);
+        }
+        let edge = edge_margin_db.map_or(true, |margin| means[serving] - best <= margin);
+        let nearest = if edge { self.sim.neighbor_index().nearest(pos, k) } else { &[] };
+        fill_subset(subset, nearest, serving, cands);
+        if edge {
+            for &slot in subset.iter() {
+                let slot = slot as usize;
+                if slot != serving && !cands.contains(&slot) {
+                    means[slot] = mean_at(slot);
+                }
+            }
+        }
+        ue.begin_step_pruned(self.cfg, self.sim.candidates(), means, point, subset)
+    }
+
+    /// The scheduled-outage mask of `step` into `down`, one flag per
+    /// cell; left empty when no outage window covers the step (always,
+    /// on the static path).
+    fn outage_mask(&self, step: u64, down: &mut Vec<bool>) {
+        down.clear();
+        for &(k, from, until) in &self.outages {
+            if from <= step && step < until {
+                down.resize(self.cfg.layout.len(), false);
+                down[k] = true;
+            }
+        }
+    }
+
+    /// BS-failure plane: with the serving cell down the UE is
+    /// force-evicted onto the strongest live candidate (hd 1.0, the
+    /// forced-decision convention the baselines use) without consulting
+    /// its policy; with any candidate down the neighbour is re-picked
+    /// among live cells, so no policy ever hands over to a dead BS. No
+    /// live target forces a stay.
+    fn outage_override(
+        &self,
+        ue: &UeState,
+        point: TracePoint,
+        down: &[bool],
+        report: &mut MeasurementReport,
+    ) -> Option<Decision> {
+        let serving = ue.serving_index();
+        let serving_down = down[serving];
+        if !serving_down && !self.sim.candidates().of(serving).iter().any(|&k| down[k]) {
+            return None;
+        }
+        match ue.report(self.cfg, self.sim.candidates(), point, Some(down)) {
+            Some(live_report) => {
+                *report = live_report;
+                serving_down.then_some(Decision::Handover { target: report.neighbor, hd: 1.0 })
+            }
+            None => Some(Decision::Stay(StayReason::ConditionNotMet)),
+        }
+    }
+}
+
+/// One chunk in flight: its live UEs in chunk order, its shared FLC
+/// plan and lockstep step, over the borrowed pass context, the worker's
+/// arena and its output part. Every lockstep step runs the five phase
+/// methods in order — advance cursors, measure, pre-gate, batched FLC,
+/// commit — and each phase hands the next one its per-step buffers in
+/// the arena, indexed by `j`, the position in `arena.active`.
+struct ChunkRun<'c, 't> {
+    ctx: &'c PassCtx<'c>,
+    /// Every UE of the chunk, in chunk order. Records never move: a
+    /// retired or frozen one keeps its place until the chunk ends.
+    ues: Vec<LiveUe<'t>>,
+    /// Indices into `ues` of the UEs not yet retired, in chunk order.
+    live: Vec<usize>,
+    plan: Option<Arc<CompiledFis>>,
+    step: u64,
+    arena: &'c mut ChunkArena,
+    part: &'c mut PassPart,
+}
+
+impl ChunkRun<'_, '_> {
+    fn run(mut self) {
         loop {
             // Chaos harness: fire any scripted stall/panic scheduled at
             // this lockstep step (one-shot, first worker wins; see
-            // crate::resilience). `None` in production — no cost.
-            if let Some(injector) = &self.fault {
-                injector.check_step(step);
+            // crate::resilience).
+            if let Some(injector) = self.ctx.fault {
+                injector.check_step(self.step);
             }
-
-            // Checkpoint bound: freeze every still-live UE (state +
-            // policy + tallies) and stop the chunk.
-            if let Some(bound) = max_steps {
-                if step >= bound {
-                    for i in 0..n {
-                        let Some(state) = ues[i].take() else { continue };
-                        part.live.push(UeCheckpoint {
-                            ue_id: ids[i],
-                            engine: state.snapshot(),
-                            policy: policies[i].policy_checkpoint(),
-                            hd_sum: hd_sums[i],
-                            hd_count: hd_counts[i],
-                            travelled_km: travelled[i],
-                            trace_steps: if tracing { trace_steps[i] } else { 0 },
-                            trace_changes: if tracing {
-                                std::mem::take(&mut trace_bufs[i])
-                            } else {
-                                Vec::new()
-                            },
-                        });
-                        spare.push(state);
-                    }
-                    break;
+            if self.ctx.params.max_steps.is_some_and(|bound| self.step >= bound) {
+                for &i in &self.live {
+                    self.part.live.push(self.ues[i].freeze());
                 }
+                break;
             }
-
-            // Advance every live UE's trajectory cursor; retire the ones
-            // that just finished (recycling their state allocations).
-            // With churn, a UE whose arrival step is still ahead stays
-            // parked (pending), and one past its drawn lifetime departs
-            // exactly like one whose trajectory ended.
-            active_idx.clear();
-            positions.clear();
-            points.clear();
-            let mut pending_arrivals = 0usize;
-            for i in 0..n {
-                let Some(state) = &ues[i] else { continue };
-                let mut departed = false;
-                if let Some(windows) = &churn_windows {
-                    let (arrival, lifetime) = windows[i];
-                    if step < arrival {
-                        pending_arrivals += 1;
-                        continue;
-                    }
-                    departed = state.step_count() as u64 >= lifetime;
-                }
-                match if departed { None } else { cursors[i].next() } {
-                    Some(p) => {
-                        active_idx.push(i);
-                        positions.push(p.pos);
-                        points.push(p);
-                    }
-                    None => {
-                        let state = ues[i].take().expect("UE is live");
-                        part.outcomes.push(finish_ue(
-                            cfg,
-                            ids[i],
-                            &state,
-                            hd_sums[i],
-                            hd_counts[i],
-                            travelled[i],
-                        ));
-                        spare.push(state);
-                        if tracing {
-                            part.traces.push(UeTrace {
-                                ue_id: ids[i],
-                                steps: trace_steps[i],
-                                changes: std::mem::take(&mut trace_bufs[i]),
-                            });
-                        }
-                    }
-                }
-            }
-            let a = active_idx.len();
-            if a == 0 {
-                if pending_arrivals == 0 {
+            let parked = self.advance_cursors();
+            if self.arena.active.is_empty() {
+                if parked == 0 {
                     break;
                 }
                 // Nothing is stepping yet but churned UEs are still due:
                 // tick the lockstep clock without any engine work.
-                step += 1;
+                self.step += 1;
                 continue;
             }
-
-            // Scheduled-outage mask for this step (`None` whenever no
-            // outage window covers it — the common case costs one scan
-            // of the tiny outage list).
-            let down_now: Option<&[bool]> =
-                if outages.iter().any(|&(_, from, until)| from <= step && step < until) {
-                    down_mask.iter_mut().for_each(|d| *d = false);
-                    for &(k, from, until) in &outages {
-                        if from <= step && step < until {
-                            down_mask[k] = true;
-                        }
-                    }
-                    Some(&down_mask[..])
-                } else {
-                    None
-                };
-
-            // Batched mean RSS (dense mode only): one (BS × chunk) pass
-            // per cell through the compiled link budget. The buffer is
-            // only resized when the active count changes — every slot is
-            // overwritten below, so no zero-fill churn.
-            if matches!(prune_plan, PrunePlan::Dense) {
-                // Chaos harness: a scripted allocation failure in the
-                // arena grow path fires here, where the dense matrix is
-                // about to be (re)sized.
-                if let Some(injector) = &self.fault {
-                    injector.check_arena_grow(step);
-                }
-                rss_matrix.resize(cells.len() * a, 0.0);
-                for (k, &bs_pos) in bs_positions.iter().enumerate() {
-                    compiled.received_power_dbm_batch(
-                        bs_pos,
-                        positions,
-                        &mut rss_matrix[k * a..(k + 1) * a],
-                    );
-                }
-            }
-
-            // Phase 1 — measure every active UE (RNG, fading, noise) and
-            // run the batchable front half of its policy, collecting the
-            // chunk's outstanding FLC inputs.
-            reports.clear();
-            pending.clear();
-            batch_inputs.clear();
-            batch_prev.clear();
-            for (j, &i) in active_idx.iter().enumerate() {
-                // invariant: active_idx only holds indices whose state
-                // survived the retire scan above.
-                let ue = ues[i].as_mut().expect("UE is live");
-                let report = match prune_plan {
-                    PrunePlan::Dense => {
-                        for (k, slot) in means.iter_mut().enumerate() {
-                            *slot = rss_matrix[k * a + j];
-                        }
-                        ue.begin_step(cfg, self.sim.candidates(), means, points[j], rng_scratch)
-                    }
-                    PrunePlan::Pruned { k, edge_margin_db } => {
-                        let pos = positions[j];
-                        let serving = ue.serving_index();
-                        let cands = self.sim.candidates().of(serving);
-                        // The decision inputs — serving + candidate
-                        // table — are always measured exactly.
-                        means[serving] = mean_at(serving, pos);
-                        let mut best = f64::NEG_INFINITY;
-                        for &cand in cands {
-                            let m = mean_at(cand, pos);
-                            means[cand] = m;
-                            best = best.max(m);
-                        }
-                        // Edge classification on deterministic means (no
-                        // RNG): interior UEs skip the k-nearest sweep.
-                        let is_edge = match edge_margin_db {
-                            None => true,
-                            Some(margin) => means[serving] - best <= margin,
-                        };
-                        subset.clear();
-                        if is_edge {
-                            // The pruned candidate set: the k
-                            // index-nearest cells, plus the serving cell
-                            // and its whole candidate table.
-                            subset.extend_from_slice(
-                                self.sim.neighbor_index().nearest(pos, k),
-                            );
-                            let serving32 = cell_index_u32(serving);
-                            if !subset.contains(&serving32) {
-                                subset.push(serving32);
-                            }
-                            for &cand in cands {
-                                let cand32 = cell_index_u32(cand);
-                                if !subset.contains(&cand32) {
-                                    subset.push(cand32);
-                                }
-                            }
-                            for &slot in subset.iter() {
-                                let slot = slot as usize;
-                                if slot != serving && !cands.contains(&slot) {
-                                    means[slot] = mean_at(slot, pos);
-                                }
-                            }
-                        } else {
-                            subset.push(cell_index_u32(serving));
-                            for &cand in cands {
-                                let cand32 = cell_index_u32(cand);
-                                if !subset.contains(&cand32) {
-                                    subset.push(cand32);
-                                }
-                            }
-                        }
-                        ue.begin_step_pruned(cfg, self.sim.candidates(), means, points[j], subset)
-                    }
-                };
-                // BS-failure plane: with the serving cell down the UE is
-                // force-evicted onto the strongest live candidate
-                // (hd 1.0, the forced-decision convention the baselines
-                // use) without consulting its policy; with any candidate
-                // down the neighbour is re-picked among live cells so no
-                // policy ever hands over to a dead BS. No live target ⇒
-                // forced stay. `down_now` is `None` on the static path,
-                // so none of this executes there.
-                let mut report = report;
-                let mut forced: Option<Decision> = None;
-                if let Some(down) = down_now {
-                    let serving_idx = ue.serving_index();
-                    let serving_down = down[serving_idx];
-                    let candidate_down =
-                        self.sim.candidates().of(serving_idx).iter().any(|&k| down[k]);
-                    if serving_down || candidate_down {
-                        match ue.report(cfg, self.sim.candidates(), points[j], Some(down)) {
-                            Some(live_report) => {
-                                report = live_report;
-                                if serving_down {
-                                    forced = Some(Decision::Handover {
-                                        target: report.neighbor,
-                                        hd: 1.0,
-                                    });
-                                }
-                            }
-                            None => {
-                                forced = Some(Decision::Stay(StayReason::ConditionNotMet));
-                            }
-                        }
-                    }
-                }
-                let step_state = if let Some(decision) = forced {
-                    StepPending::Decided(decision)
-                } else {
-                    match policies[i].as_fuzzy() {
-                    Some(fuzzy) => match fuzzy.decide_pre(&report) {
-                        FlcStage::Resolved(decision) => StepPending::Decided(decision),
-                        FlcStage::NeedsHd { inputs, prev_serving_rss } => {
-                            let batchable = match (&chunk_plan, fuzzy.shared_plan()) {
-                                (Some(chunk), Some(own)) => Arc::ptr_eq(chunk, own),
-                                _ => false,
-                            };
-                            if batchable {
-                                batch_inputs.extend(inputs.as_array());
-                                batch_prev.push(prev_serving_rss);
-                                StepPending::AwaitHd(batch_prev.len() - 1)
-                            } else {
-                                // Non-shared plane (LUT/Sugeno/custom FIS):
-                                // evaluate through the controller itself.
-                                let hd = fuzzy.evaluate_hd(&inputs);
-                                StepPending::Decided(fuzzy.decide_with_hd(
-                                    &report,
-                                    hd,
-                                    prev_serving_rss,
-                                ))
-                            }
-                        }
-                    },
-                    None => StepPending::Decided(policies[i].decide(&report)),
-                    }
-                };
-                reports.push(report);
-                pending.push(step_state);
-            }
-
-            // Phase 2 — one batched FLC evaluation for the whole chunk.
-            if !batch_prev.is_empty() {
-                // invariant: AwaitHd entries are only queued when the
-                // policy's shared plan pointer-equals chunk_plan above.
-                let fis = chunk_plan.as_ref().expect("batched entries imply a chunk plan");
-                batch_hd.clear();
-                batch_hd.resize(batch_prev.len(), 0.0);
-                fis.evaluate_batch(batch_inputs, batch_hd, flc_scratch)
-                    // invariant: the paper rule base covers the whole
-                    // input space, so batched evaluation cannot fail on
-                    // in-range inputs.
-                    .expect("the paper FLC fires on every input");
-            }
-
-            // Phase 3 — resolve pending decisions and commit every step.
-            for (j, &i) in active_idx.iter().enumerate() {
-                let decision = match pending[j] {
-                    StepPending::Decided(decision) => decision,
-                    StepPending::AwaitHd(k) => {
-                        let fuzzy =
-                            policies[i].as_fuzzy().expect("pending FLC entries are fuzzy");
-                        fuzzy.decide_with_hd(&reports[j], batch_hd[k], batch_prev[k])
-                    }
-                };
-                // invariant: same active_idx liveness as Phase 1; no
-                // retire happens between the phases.
-                let ue = ues[i].as_mut().expect("UE is live");
-                let outcome =
-                    ue.finish_step(cfg, &reports[j], decision, points[j], policies[i].as_mut());
-                part.cell_load.record_index(outcome.serving_after_idx);
-                if tracing {
-                    // Change points are recorded at the *global* lockstep
-                    // step: without churn it equals the per-UE step
-                    // counter (every UE starts at step 0), with churn it
-                    // puts arrivals and handovers of different UEs on one
-                    // shared timeline for the replay.
-                    let cell = cell_index_u32(outcome.serving_after_idx);
-                    if trace_bufs[i].last().map_or(true, |&(_, c)| c != cell) {
-                        trace_bufs[i].push((step, cell));
-                    }
-                    trace_steps[i] = step + 1;
-                }
-                if let Some(hd) = outcome.hd {
-                    hd_sums[i] += hd;
-                    hd_counts[i] += 1;
-                }
-                travelled[i] = points[j].cum_km;
-            }
-            step += 1;
+            self.measure();
+            self.pregate();
+            self.evaluate_batch();
+            self.commit();
+            self.step += 1;
         }
+        // Recycle every engine state for the worker's next chunk.
+        self.arena.spare.extend(self.ues.drain(..).map(|ue| ue.state));
+    }
+
+    /// Phase 1: advance every live UE's resample cursor. A UE whose walk
+    /// or churn lifetime is over retires into the part; one whose churn
+    /// arrival is still ahead stays parked. The UEs that step keep their
+    /// chunk order in `arena.active`, with their measurement points.
+    /// Returns how many UEs are parked.
+    fn advance_cursors(&mut self) -> usize {
+        let (ctx, arena, part, step) = (self.ctx, &mut *self.arena, &mut *self.part, self.step);
+        arena.active.clear();
+        arena.points.clear();
+        let (ues, mut parked) = (&mut self.ues, 0);
+        self.live.retain(|&i| match ues[i].advance(step) {
+            Advance::Parked => {
+                parked += 1;
+                true
+            }
+            Advance::At(point) => {
+                arena.active.push(i);
+                arena.points.push(point);
+                true
+            }
+            Advance::Done => {
+                let (outcome, trace) = ues[i].retire(ctx.cfg, ctx.tracing);
+                part.outcomes.push(outcome);
+                part.traces.extend(trace);
+                false
+            }
+        });
+        parked
+    }
+
+    /// Phase 2: measure every stepping UE (RNG, shadowing, noise) into
+    /// `arena.reports`, and this step's outage mask into `arena.down`.
+    /// Dense mode reads each UE's column of one batched `cells × active`
+    /// mean-RSS pass through the compiled link budget; pruned mode
+    /// measures each UE's subset ([`PassCtx::measure_pruned`]).
+    fn measure(&mut self) {
+        let (ctx, arena) = (self.ctx, &mut *self.arena);
+        let a = arena.active.len();
+        arena.reports.clear();
+        ctx.outage_mask(self.step, &mut arena.down);
+        if let PrunePlan::Pruned { k, edge_margin_db } = ctx.plan {
+            for (j, &i) in arena.active.iter().enumerate() {
+                let (ue, point) = (&mut self.ues[i].state, arena.points[j]);
+                let (means, subset) = (&mut arena.means, &mut arena.subset);
+                let report = ctx.measure_pruned(ue, point, (k, edge_margin_db), means, subset);
+                arena.reports.push(report);
+            }
+            return;
+        }
+        // Chaos harness: a scripted allocation failure in the arena grow
+        // path fires here, where the dense matrix is about to be
+        // (re)sized. It only changes length with the active count; every
+        // slot is overwritten below.
+        if let Some(injector) = ctx.fault {
+            injector.check_arena_grow(self.step);
+        }
+        arena.positions.clear();
+        arena.positions.extend(arena.points.iter().map(|p| p.pos));
+        arena.rss_matrix.resize(ctx.cfg.layout.len() * a, 0.0);
+        for (k, &bs_pos) in ctx.sim.bs_positions().iter().enumerate() {
+            let row = &mut arena.rss_matrix[k * a..(k + 1) * a];
+            ctx.sim.compiled_radio().received_power_dbm_batch(bs_pos, &arena.positions, row);
+        }
+        for (j, &i) in arena.active.iter().enumerate() {
+            for (k, slot) in arena.means.iter_mut().enumerate() {
+                *slot = arena.rss_matrix[k * a + j];
+            }
+            let normals = &mut arena.rng_scratch;
+            let (ue, point) = (&mut self.ues[i].state, arena.points[j]);
+            let report = ue.begin_step(ctx.cfg, ctx.sim.candidates(), &arena.means, point, normals);
+            arena.reports.push(report);
+        }
+    }
+
+    /// Phase 3: the batchable front half of every stepping UE's policy,
+    /// into `arena.pending`. A scheduled outage may force the decision
+    /// ([`PassCtx::outage_override`]); otherwise a fuzzy policy on the
+    /// chunk plan queues one row of FLC inputs for the batch, a fuzzy
+    /// policy on another plane (LUT, Sugeno, custom FIS) evaluates through
+    /// the controller itself, and any other policy decides outright.
+    fn pregate(&mut self) {
+        let (ctx, arena) = (self.ctx, &mut *self.arena);
+        let outage = !arena.down.is_empty();
+        arena.pending.clear();
+        arena.batch_inputs.clear();
+        arena.batch_prev.clear();
+        for (j, &i) in arena.active.iter().enumerate() {
+            let (ue, report) = (&mut self.ues[i], &mut arena.reports[j]);
+            let forced = if outage {
+                ctx.outage_override(&ue.state, arena.points[j], &arena.down, report)
+            } else {
+                None
+            };
+            let pending = match (forced, ue.policy.as_fuzzy()) {
+                (Some(decision), _) => StepPending::Decided(decision),
+                (None, None) => StepPending::Decided(ue.policy.decide(report)),
+                (None, Some(fuzzy)) => match fuzzy.decide_pre(report) {
+                    FlcStage::Resolved(decision) => StepPending::Decided(decision),
+                    FlcStage::NeedsHd { inputs, prev_serving_rss } => {
+                        let batchable = matches!(
+                            (&self.plan, fuzzy.shared_plan()),
+                            (Some(chunk), Some(own)) if Arc::ptr_eq(chunk, own)
+                        );
+                        if batchable {
+                            arena.batch_inputs.extend(inputs.as_array());
+                            arena.batch_prev.push(prev_serving_rss);
+                            StepPending::AwaitHd(arena.batch_prev.len() - 1)
+                        } else {
+                            let hd = fuzzy.evaluate_hd(&inputs);
+                            let decision = fuzzy.decide_with_hd(report, hd, prev_serving_rss);
+                            StepPending::Decided(decision)
+                        }
+                    }
+                },
+            };
+            arena.pending.push(pending);
+        }
+    }
+
+    /// Phase 4: one batched FLC evaluation of every row phase 3 queued.
+    fn evaluate_batch(&mut self) {
+        let arena = &mut *self.arena;
+        if arena.batch_prev.is_empty() {
+            return;
+        }
+        // invariant: rows are only queued when the policy's shared plan
+        // pointer-equals the chunk plan.
+        let fis = self.plan.as_ref().expect("batched entries imply a chunk plan");
+        arena.batch_hd.clear();
+        arena.batch_hd.resize(arena.batch_prev.len(), 0.0);
+        fis.evaluate_batch(&arena.batch_inputs, &mut arena.batch_hd, &mut arena.flc_scratch)
+            // invariant: the paper rule base covers the whole input space,
+            // so batched evaluation cannot fail on in-range inputs.
+            .expect("the paper FLC fires on every input");
+    }
+
+    /// Phase 5: resolve every pending decision and commit the step —
+    /// engine state, serving load, serving-cell trace and tallies.
+    fn commit(&mut self) {
+        let (ctx, arena, step) = (self.ctx, &*self.arena, self.step);
+        for (j, &i) in arena.active.iter().enumerate() {
+            let (ue, report, point) = (&mut self.ues[i], &arena.reports[j], arena.points[j]);
+            let decision = match arena.pending[j] {
+                StepPending::Decided(decision) => decision,
+                StepPending::AwaitHd(k) => {
+                    let fuzzy = ue.policy.as_fuzzy().expect("pending FLC entries are fuzzy");
+                    fuzzy.decide_with_hd(report, arena.batch_hd[k], arena.batch_prev[k])
+                }
+            };
+            let policy = ue.policy.as_mut();
+            let outcome = ue.state.finish_step(ctx.cfg, report, decision, point, policy);
+            self.part.cell_load.record_index(outcome.serving_after_idx);
+            if ctx.tracing {
+                // Change points are recorded at the *global* lockstep
+                // step: without churn it equals the per-UE step counter
+                // (every UE starts at step 0), with churn it puts
+                // arrivals and handovers of different UEs on one shared
+                // timeline for the replay.
+                let cell = cell_index_u32(outcome.serving_after_idx);
+                if ue.trace.last().map_or(true, |&(_, c)| c != cell) {
+                    ue.trace.push((step, cell));
+                }
+                ue.trace_steps = step + 1;
+            }
+            if let Some(hd) = outcome.hd {
+                ue.hd_sum += hd;
+                ue.hd_count += 1;
+            }
+            ue.travelled_km = point.cum_km;
+        }
+    }
+}
+
+/// Phase 2's pruned draw order for one UE: `nearest` (the `k`
+/// index-nearest cells of a cell-edge UE, empty for an interior one),
+/// then the serving cell, then its candidate table, each cell once.
+fn fill_subset(subset: &mut Vec<u32>, nearest: &[u32], serving: usize, cands: &[usize]) {
+    subset.clear();
+    subset.extend_from_slice(nearest);
+    for cell in std::iter::once(serving).chain(cands.iter().copied()) {
+        let cell = cell_index_u32(cell);
+        if !subset.contains(&cell) {
+            subset.push(cell);
+        }
+    }
+}
+
+/// What a UE's resample cursor yields at one lockstep step.
+enum Advance {
+    /// Churn: the UE's arrival step is still ahead.
+    Parked,
+    /// The UE steps at this measurement point.
+    At(TracePoint),
+    /// The walk (or the churn lifetime) is over.
+    Done,
+}
+
+/// One live UE of a chunk: its id, engine state, resample cursor,
+/// policy, running tallies, serving-cell trace and churn window. Built
+/// [`LiveUe::fresh`] or [`LiveUe::thaw`]ed from a checkpoint; leaves the
+/// chunk by [`LiveUe::freeze`] or [`LiveUe::retire`], and hands its
+/// engine state back to the arena for reuse when the chunk ends.
+struct LiveUe<'t> {
+    id: u64,
+    state: UeState,
+    /// Resample cursor over the UE's trajectory (owned by the chunk).
+    cursor: ResampleIter<'t>,
+    policy: Box<dyn HandoverPolicy + Send>,
+    hd_sum: f64,
+    hd_count: u64,
+    travelled_km: f64,
+    /// Run-length-encoded serving-cell trace, `(step, cell)` change
+    /// points, and the steps it covers (tracing passes only; otherwise
+    /// empty and 0).
+    trace: Vec<(u64, u32)>,
+    trace_steps: u64,
+    /// Churn presence window `(arrival, lifetime)`, a pure function of
+    /// the seed and id; `None` without churn.
+    window: Option<(u64, u64)>,
+}
+
+impl<'t> LiveUe<'t> {
+    /// A UE at the start of its walk, recycling a spare state when the
+    /// arena has one (same layout, every allocation reused).
+    fn fresh(
+        ctx: &PassCtx<'_>,
+        spec: &dyn UeSpec,
+        id: u64,
+        trajectory: &'t Trajectory,
+        spare: &mut Vec<UeState>,
+    ) -> Self {
+        let (start, seed) = (trajectory.start(), ue_seed(ctx.params.base_seed, id));
+        let state = match spare.pop() {
+            Some(mut state) => {
+                state.reset(ctx.cfg, start, seed);
+                state
+            }
+            None => UeState::new(ctx.cfg, start, seed),
+        };
+        LiveUe::new(ctx, id, state, trajectory, spec.policy(id))
+    }
+
+    /// A UE restored from its checkpoint. It has already consumed as
+    /// many measurement points as it took steps (without churn, the
+    /// snapshot's step; with churn, fewer for a late arrival), so the
+    /// regenerated cursor skips them; `nth` skips whole segments at a
+    /// time.
+    fn thaw(
+        ctx: &PassCtx<'_>,
+        spec: &dyn UeSpec,
+        cp: &UeCheckpoint,
+        trajectory: &'t Trajectory,
+    ) -> Self {
+        let mut policy = spec.policy(cp.ue_id);
+        policy.restore_policy_checkpoint(&cp.policy);
+        let state = UeState::from_snapshot(ctx.cfg, &cp.engine);
+        let mut ue = LiveUe::new(ctx, cp.ue_id, state, trajectory, policy);
+        if let Some(last) = cp.engine.steps.checked_sub(1) {
+            ue.cursor.nth(usize::try_from(last).unwrap_or(usize::MAX));
+        }
+        (ue.hd_sum, ue.hd_count, ue.travelled_km) = (cp.hd_sum, cp.hd_count, cp.travelled_km);
+        if ctx.tracing {
+            (ue.trace, ue.trace_steps) = (cp.trace_changes.clone(), cp.trace_steps);
+        }
+        ue
+    }
+
+    fn new(
+        ctx: &PassCtx<'_>,
+        id: u64,
+        state: UeState,
+        trajectory: &'t Trajectory,
+        mut policy: Box<dyn HandoverPolicy + Send>,
+    ) -> Self {
+        if let Some(field) = ctx.params.load_field {
+            policy.set_load_field(field);
+        }
+        LiveUe {
+            id,
+            state,
+            cursor: trajectory.resample_iter(ctx.cfg.sample_spacing_km),
+            policy,
+            hd_sum: 0.0,
+            hd_count: 0,
+            travelled_km: 0.0,
+            trace: Vec::new(),
+            trace_steps: 0,
+            window: ctx.churn.map(|churn| churn.window(ctx.params.base_seed, id)),
+        }
+    }
+
+    /// Phase 1 for this UE: one whose churn arrival is ahead stays
+    /// parked; one past its churn lifetime departs exactly like one whose
+    /// trajectory ended.
+    fn advance(&mut self, step: u64) -> Advance {
+        if let Some((arrival, lifetime)) = self.window {
+            if step < arrival {
+                return Advance::Parked;
+            }
+            if self.state.step_count() as u64 >= lifetime {
+                return Advance::Done;
+            }
+        }
+        self.cursor.next().map_or(Advance::Done, Advance::At)
+    }
+
+    /// Freeze the UE into its checkpoint (engine + policy + tallies +
+    /// trace).
+    fn freeze(&mut self) -> UeCheckpoint {
+        UeCheckpoint {
+            ue_id: self.id,
+            engine: self.state.snapshot(),
+            policy: self.policy.policy_checkpoint(),
+            hd_sum: self.hd_sum,
+            hd_count: self.hd_count,
+            travelled_km: self.travelled_km,
+            trace_steps: self.trace_steps,
+            trace_changes: std::mem::take(&mut self.trace),
+        }
+    }
+
+    /// Reduce a finished UE to its outcome, plus its serving-cell trace
+    /// on a tracing pass.
+    fn retire(&mut self, cfg: &SimConfig, tracing: bool) -> (UeOutcome, Option<UeTrace>) {
+        let log = self.state.log();
+        let outcome = UeOutcome {
+            ue_id: self.id,
+            steps: self.state.step_count() as u64,
+            handovers: log.handover_count() as u64,
+            ping_pongs: log.ping_pong_report(cfg.pingpong_window_steps).ping_pongs as u64,
+            outage_steps: log.outage_step_count() as u64,
+            hd_sum: self.hd_sum,
+            hd_count: self.hd_count,
+            travelled_km: self.travelled_km,
+            final_serving: self.state.serving_cell(cfg),
+        };
+        let changes = std::mem::take(&mut self.trace);
+        (outcome, tracing.then_some(UeTrace { ue_id: self.id, steps: self.trace_steps, changes }))
     }
 }
 
@@ -1839,30 +1916,6 @@ fn dynamic_report(
         jain_cell_load: jain_index(&shares),
         ho_dwell: LatencyPercentiles::from_sorted(&dwells),
         traffic,
-    }
-}
-
-/// Reduce a finished UE's state into its outcome (borrowing the state,
-/// so the caller can recycle its allocations afterwards).
-fn finish_ue(
-    cfg: &SimConfig,
-    ue_id: u64,
-    state: &UeState,
-    hd_sum: f64,
-    hd_count: u64,
-    travelled_km: f64,
-) -> UeOutcome {
-    let log = state.log();
-    UeOutcome {
-        ue_id,
-        steps: state.step_count() as u64,
-        handovers: log.handover_count() as u64,
-        ping_pongs: log.ping_pong_report(cfg.pingpong_window_steps).ping_pongs as u64,
-        outage_steps: log.outage_step_count() as u64,
-        hd_sum,
-        hd_count,
-        travelled_km,
-        final_serving: state.serving_cell(cfg),
     }
 }
 

@@ -191,26 +191,17 @@ impl ScenarioMatrix {
         })
     }
 
-    /// Run every matrix cell. With `matrix_workers > 1` the cells run
-    /// concurrently (round-robin sharded over crossbeam workers, like the
-    /// fleet engine's UE sharding); the report is merged back into sweep
-    /// order, so the result is identical for every worker count. An
-    /// invalid configuration or a panicking fleet worker surfaces as the
-    /// [`FleetError`] of the *first failing cell in sweep order* — the
-    /// same error for every `matrix_workers` value, because each cell's
-    /// outcome is a pure function of its own spec and seed.
+    /// Run every matrix cell, round-robin sharded over `matrix_workers`
+    /// crossbeam workers (like the fleet engine's UE sharding); the
+    /// report is merged back into sweep order, so the result is
+    /// identical for every worker count. An invalid configuration or a
+    /// panicking fleet worker surfaces as the [`FleetError`] of the
+    /// *first failing cell in sweep order* — the same error for every
+    /// `matrix_workers` value, because each cell's outcome is a pure
+    /// function of its own spec and seed.
     pub fn try_run(&self) -> Result<MatrixResult, FleetError> {
         let specs = self.cell_specs();
         let matrix_workers = self.matrix_workers.clamp(1, specs.len().max(1));
-        if matrix_workers == 1 {
-            return Ok(MatrixResult {
-                cells: specs
-                    .iter()
-                    .map(|s| self.try_run_cell(s))
-                    .collect::<Result<Vec<_>, _>>()?,
-            });
-        }
-
         let collected: Mutex<Vec<(usize, Result<MatrixCellResult, FleetError>)>> =
             Mutex::new(Vec::with_capacity(specs.len()));
         crossbeam::scope(|scope| {

@@ -61,25 +61,12 @@ pub fn run_repetitions(
 
 /// Run `reps` repetitions on `threads` crossbeam-scoped workers. Results
 /// are returned in repetition order and are bit-identical to the
-/// sequential version (each repetition owns its seed).
-pub fn run_repetitions_parallel(
-    sim: &Simulation,
-    trajectory: &Trajectory,
-    make_policy: impl Fn() -> Box<dyn HandoverPolicy + Send> + Sync,
-    base_seed: u64,
-    reps: usize,
-    threads: usize,
-) -> Vec<SimResult> {
-    assert!(reps >= 1, "need at least one repetition");
-    try_run_repetitions_parallel(sim, trajectory, make_policy, base_seed, reps, threads)
-        .unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// Fallible form of [`run_repetitions_parallel`]: a panicking policy or
-/// engine surfaces as the [`FleetError::WorkerPanic`] of the *first
-/// failing repetition* (lowest repetition index — the same error for
-/// every thread count), and `reps == 0` comes back as
-/// [`FleetError::InvalidConfig`] instead of an assert.
+/// sequential [`run_repetitions`] (each repetition owns its seed). A
+/// panicking policy or engine surfaces as the
+/// [`FleetError::WorkerPanic`] of the *first failing repetition*
+/// (lowest repetition index — the same error for every thread count),
+/// and `reps == 0` comes back as [`FleetError::InvalidConfig`] instead
+/// of an assert.
 pub fn try_run_repetitions_parallel(
     sim: &Simulation,
     trajectory: &Trajectory,
@@ -185,7 +172,7 @@ mod tests {
         let sim = noisy_sim();
         let t = crossing_walk();
         let seq = run_repetitions(&sim, &t, fuzzy, 77, 6);
-        let par = run_repetitions_parallel(&sim, &t, fuzzy, 77, 6, 3);
+        let par = try_run_repetitions_parallel(&sim, &t, fuzzy, 77, 6, 3).expect("runs");
         assert_eq!(seq, par, "bit-identical results regardless of threading");
     }
 
@@ -193,7 +180,7 @@ mod tests {
     fn parallel_with_more_threads_than_reps() {
         let sim = noisy_sim();
         let t = crossing_walk();
-        let par = run_repetitions_parallel(&sim, &t, fuzzy, 5, 2, 16);
+        let par = try_run_repetitions_parallel(&sim, &t, fuzzy, 5, 2, 16).expect("runs");
         assert_eq!(par.len(), 2);
     }
 

@@ -27,11 +27,14 @@
 
 use fuzzy_handover::core::PolicyCheckpoint;
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
+use fuzzy_handover::geometry::CellLayout;
 use fuzzy_handover::server::{
-    read_frame, write_frame, Request, Session, SessionConfig, WireError, MAX_FRAME_LEN,
+    read_frame, write_frame, Request, Session, SessionConfig, SessionError, WireError,
+    MAX_FRAME_LEN,
 };
 use fuzzy_handover::sim::checkpoint::{FleetCheckpoint, SEALED_HEADER_LEN};
-use fuzzy_handover::sim::fleet::{FleetMobility, FleetSimulation, PolicyKind};
+use fuzzy_handover::sim::fleet::{FleetError, FleetMobility, FleetSimulation, PolicyKind};
+use fuzzy_handover::sim::resilience::{RetryPolicy, Supervisor};
 use fuzzy_handover::sim::{seal_payload, unseal_payload, CheckpointError, SimConfig};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -356,6 +359,58 @@ fn v2_containers_are_refused_with_a_typed_error() {
         let err = FleetCheckpoint::try_unseal(&v2).unwrap_err();
         assert_eq!(err, CheckpointError::UnsupportedVersion { found: 2, supported: 3 });
         assert!(Session::hydrate(&v2, 1).is_err());
+    }
+}
+
+/// A session snapshot of `config` whose fleet checkpoint is replaced by
+/// `cp`, resealed with a valid checksum (as a wire peer could send it).
+fn forged_session(config: SessionConfig, cp: &FleetCheckpoint) -> Vec<u8> {
+    let mut session = Session::spawn(config, 1).expect("valid config");
+    session.advance_to(1).expect("advance");
+    let payload = payload_of(&session.sealed());
+    let header_len = u64::from_le_bytes(payload[..8].try_into().expect("length word"));
+    let mut forged = payload[..8 + header_len as usize].to_vec();
+    forged.push(1);
+    cp.write_payload(&mut forged);
+    seal_payload(&forged)
+}
+
+/// A snapshot taken on the paper's 2-ring layout, handed to a 1-ring
+/// engine, is a typed error on every resume entry, never a panic (in a
+/// worker, in the merge of an all-finished snapshot, or on the server
+/// thread) — both with live UEs and with every UE finished.
+#[test]
+fn foreign_layout_checkpoints_are_typed_errors() {
+    let two_ring = noisy_config();
+    let mut one_ring = noisy_config();
+    one_ring.layout = CellLayout::hexagonal(two_ring.layout.cell_radius_km(), 1);
+    let mobility = FleetMobility::standard_four(6)[0];
+    let spec = fuzzy_handover::sim::fleet::HomogeneousFleet {
+        mobility,
+        policy: PolicyKind::Fuzzy,
+        trajectory_seed: 3,
+        cell_radius_km: two_ring.layout.cell_radius_km(),
+    };
+    let ids: Vec<u64> = (0..6).collect();
+    let source = FleetSimulation::new(two_ring);
+    let live = source.advance(&spec, None, &ids, 3, 2).expect("valid partial run");
+    let finished = source.advance(&spec, None, &ids, 3, u64::MAX).expect("valid full run");
+    assert!(!live.live.is_empty() && finished.live.is_empty());
+    let corrupt = |result: Result<(), FleetError>, case: &str| match result {
+        Err(FleetError::CorruptCheckpoint(CheckpointError::ShapeMismatch(_))) => {}
+        other => panic!("{case}: expected a shape mismatch, got {other:?}"),
+    };
+    let engine = FleetSimulation::new(one_ring.clone()).with_workers(2);
+    for cp in [&live, &finished] {
+        corrupt(engine.advance(&spec, Some(cp), &ids, 3, 4).map(drop), "advance");
+        corrupt(engine.try_resume(&spec, cp).map(drop), "try_resume");
+        let sup = Supervisor::from_checkpoint(engine.clone(), RetryPolicy::default(), cp.clone());
+        corrupt(sup.map(drop), "Supervisor::from_checkpoint");
+        let config = SessionConfig::new(one_ring.clone(), mobility, PolicyKind::Fuzzy, 6, 3);
+        match Session::hydrate(&forged_session(config, cp), 1) {
+            Err(SessionError::Corrupt(CheckpointError::ShapeMismatch(_))) => {}
+            other => panic!("Session::hydrate: expected a shape mismatch, got {:?}", other.err()),
+        }
     }
 }
 

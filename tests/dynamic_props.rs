@@ -5,9 +5,10 @@
 //!    traffic plane attached) is invariant under worker count and chunk
 //!    size;
 //! 2. it is invariant under UE submission order;
-//! 3. an `advance` snapshot taken mid-run — including mid-failure
-//!    window — resumes bit-identically to the uninterrupted run, under
-//!    arbitrary snapshot/resume sharding shapes;
+//! 3. a chain of `advance` snapshots taken mid-run — including
+//!    mid-failure window — resumes bit-identically to the uninterrupted
+//!    run, under arbitrary sharding shapes on every segment and in any
+//!    candidate mode;
 //! 4. the streaming aggregation path reproduces the dense run's summary
 //!    and serving-load histogram bit for bit with engine-side dynamics
 //!    (churn + failures) enabled.
@@ -91,6 +92,17 @@ fn policy_strategy() -> impl Strategy<Value = PolicyKind> {
     ]
 }
 
+/// The dense sweep, the k-nearest subset, and the edge-set split (the
+/// mode the `fleet_fuzzy_edge` benchmark runs), each with churn and
+/// outages live.
+fn mode_strategy() -> impl Strategy<Value = CandidateMode> {
+    prop_oneof![
+        Just(CandidateMode::All),
+        Just(CandidateMode::Nearest(7)),
+        Just(CandidateMode::EdgeSet { k: 7, margin_db: 6.0 }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -104,7 +116,7 @@ proptest! {
         workers in 1usize..7,
         chunk in 1usize..33,
         policy in policy_strategy(),
-        mode in prop_oneof![Just(CandidateMode::All), Just(CandidateMode::Nearest(7))],
+        mode in mode_strategy(),
     ) {
         let ue_spec = spec(policy, seed ^ 0xD17A);
         let reference = FleetSimulation::new(config())
@@ -155,41 +167,42 @@ proptest! {
         );
     }
 
-    /// Contract 3: freeze at an arbitrary step — the `3..9` range spans
-    /// the first failure window, so snapshots land before, inside and
-    /// after an outage — and resume under a different sharding shape;
+    /// Contract 3: a chain of three `advance` segments to arbitrary
+    /// bounds, each under its own sharding shape, finished by
+    /// `try_resume` under a fourth. The `0..14` bounds span both failure
+    /// windows, so snapshots land before, inside and after an outage
+    /// (a bound at or before the snapshot's step returns it unchanged);
     /// the reassembled result is bit-identical to the uninterrupted run.
     #[test]
     fn dynamic_snapshot_resume_is_bit_identical(
         seed in 0u64..u64::MAX,
         n_ues in 8u64..20,
-        snap_step in 0u64..14,
-        workers_a in 1usize..5,
-        chunk_a in 1usize..17,
-        workers_b in 1usize..5,
-        chunk_b in 1usize..17,
+        bounds in (0u64..14, 0u64..14, 0u64..14),
+        shape_a in (1usize..5, 1usize..17),
+        shape_b in (1usize..5, 1usize..17),
+        shape_c in (1usize..5, 1usize..17),
+        shape_resume in (1usize..5, 1usize..17),
         policy in policy_strategy(),
+        mode in mode_strategy(),
     ) {
+        let engine = |(workers, chunk): (usize, usize)| {
+            FleetSimulation::new(config())
+                .with_candidate_mode(mode)
+                .with_workers(workers)
+                .with_chunk_size(chunk)
+                .with_traffic(traffic())
+                .with_dynamics(city_dynamics())
+        };
         let ue_spec = spec(policy, seed ^ 0xC1FF);
         let ids: Vec<u64> = (0..n_ues).collect();
-        let full = FleetSimulation::new(config())
-            .with_traffic(traffic())
-            .with_dynamics(city_dynamics())
+        let full = engine((1, FleetSimulation::DEFAULT_CHUNK_SIZE))
             .try_run_ids(&ue_spec, &ids, seed).expect("fleet run");
-        let cp = FleetSimulation::new(config())
-            .with_workers(workers_a)
-            .with_chunk_size(chunk_a)
-            .with_traffic(traffic())
-            .with_dynamics(city_dynamics())
-            .advance(&ue_spec, None, &ids, seed, snap_step)
-            .unwrap();
-        let resumed = FleetSimulation::new(config())
-            .with_workers(workers_b)
-            .with_chunk_size(chunk_b)
-            .with_traffic(traffic())
-            .with_dynamics(city_dynamics())
-            .try_resume(&ue_spec, &cp)
-            .unwrap();
+        let mut cp = None;
+        for (bound, shape) in [(bounds.0, shape_a), (bounds.1, shape_b), (bounds.2, shape_c)] {
+            cp = Some(engine(shape).advance(&ue_spec, cp.as_ref(), &ids, seed, bound).unwrap());
+        }
+        let cp = cp.expect("three segments ran");
+        let resumed = engine(shape_resume).try_resume(&ue_spec, &cp).unwrap();
         prop_assert_eq!(&full, &resumed);
         for (a, b) in full.outcomes.iter().zip(&resumed.outcomes) {
             prop_assert_eq!(a.hd_sum.to_bits(), b.hd_sum.to_bits());
