@@ -67,6 +67,27 @@
 //!    the bitset of gated rules that read it; evaluation clears the sets of
 //!    the terms at `<= 0` from the live-rule bitset and folds only the rules
 //!    left (about 8 of the paper's 64).
+//! 6. **Row lanes in a batch.** [`CompiledFis::evaluate_batch`] fires each
+//!    row as above (steps 1–2 are one helper, shared with
+//!    [`CompiledFis::evaluate`]) and then evaluates the rows 4 at a time, 8
+//!    with AVX2, one row per SIMD lane. Implication, aggregation and the
+//!    centroid sums are fused into one pass over the group's union range,
+//!    `m = max_k min(W_k, S_k[i])`, `area += m`, `moment += m · x[i]`, with
+//!    no curve in memory. Each lane keeps its own row's left-to-right order,
+//!    so the sums have the bits of lever 4. The proof is in the `lanes`
+//!    module: (a) a lane's zero padding across the group has the effect of
+//!    its row's skipped-run stand-ins, (b) a term that did not fire is the
+//!    identity, (c) compare-select `min`/`max` equal `f64::min`/`max` on
+//!    samples and strengths that are never NaN or `-0.0`, (d) the clamp is
+//!    skipped only under `Min` implication, where it is the identity, and
+//!    (e) Rust never fuses a multiply-add, so the AVX2 and portable builds
+//!    of the one kernel agree. Rows the lanes cannot take run
+//!    [`CompiledFis::evaluate`] in place: a non-finite input, a NaN
+//!    firing strength, a merged strength that is not finite, a row where
+//!    nothing fired, and a lane whose area is `<= 0`. Plans with several
+//!    outputs, an aggregation other than `Max`, a defuzzifier other than
+//!    the centroid, or an output with a sample outside `[+0, 1]` (or a
+//!    `-0.0` or NaN one) evaluate every row that way.
 //!
 //! Levers 2–4 need every sample of an output to be `+0.0` or positive and
 //! every firing strength to be a number. An output with a negative, `-0.0`
@@ -80,6 +101,7 @@
 //! thousands of per-UE handover controllers) can share one plan behind an
 //! `Arc` while each owns only a small scratch.
 
+use super::lanes::{self, Segments, MAX_LANES};
 use crate::defuzz::{centroid_over, Defuzzifier};
 use crate::engine::mamdani::{EngineConfig, Fis, NoFirePolicy};
 use crate::error::{FuzzyError, Result};
@@ -141,25 +163,31 @@ pub struct CompiledFis {
     /// Every rule, as the bitset evaluation starts from.
     all_rules: Vec<u64>,
     /// Universe bounds per output.
-    output_bounds: Vec<(f64, f64)>,
+    pub(super) output_bounds: Vec<(f64, f64)>,
     /// `cons_offsets[o]..cons_offsets[o + 1]` delimits output `o`'s
     /// consequent table, in (rule, consequent) declaration order — the
     /// exact aggregation order of the interpreted engine.
     cons_offsets: Vec<u32>,
     consequents: Vec<FlatConsequent>,
     /// `row_offsets[o]..row_offsets[o + 1]` delimits output `o`'s rows.
-    row_offsets: Vec<u32>,
+    pub(super) row_offsets: Vec<u32>,
     /// Pre-sampled output-term shapes: row `k` holds `resolution` samples
     /// of one output term's MF over its variable's universe.
-    samples: Vec<f64>,
+    pub(super) samples: Vec<f64>,
     /// Per row: the range `[s, e)` outside which its samples are exactly
     /// `+0.0` (`(0, 0)` for an all-zero row).
     supports: Vec<(usize, usize)>,
     /// Per output: every sample is `+0.0` or positive, so the sparse levers
     /// apply; otherwise the output is evaluated densely (module docs).
     sparse: Vec<bool>,
+    /// Per output: every sample is at most 1, so, on a sparse output, the
+    /// row lanes apply (lever 6).
+    pub(super) unit: Vec<bool>,
+    /// The first output's grid in runs of constant non-zero rows, for the
+    /// row lanes (`lanes.rs`).
+    pub(super) segments: Segments,
     /// Per output, `resolution` grid coordinates from [`grid_x`].
-    grid: Vec<f64>,
+    pub(super) grid: Vec<f64>,
     config: EngineConfig,
 }
 
@@ -222,6 +250,7 @@ impl CompiledFis {
         let mut samples = Vec::new();
         let mut supports = Vec::new();
         let mut sparse = Vec::with_capacity(fis.outputs().len());
+        let mut unit = Vec::with_capacity(fis.outputs().len());
         let mut grid = Vec::with_capacity(fis.outputs().len() * res);
         cons_offsets.push(0);
         row_offsets.push(0);
@@ -230,7 +259,7 @@ impl CompiledFis {
             output_bounds.push((var.min, var.max));
             grid.extend((0..res).map(|i| grid_x(var.min, var.max, res, i)));
             let xs = &grid[oi * res..];
-            let mut clean = true;
+            let (mut clean, mut at_most_one) = (true, true);
             for (ri, rule) in rules.iter().enumerate() {
                 for cons in rule.consequents.iter().filter(|c| c.var == oi) {
                     let key = (oi, cons.term);
@@ -242,7 +271,8 @@ impl CompiledFis {
                             samples.extend(xs.iter().map(|&x| mf.eval(x)));
                             // The support spans the samples that are not
                             // +0.0; the output stays sparse while every
-                            // sample is +0.0 or positive.
+                            // sample is +0.0 or positive, and unit while
+                            // none is above 1.
                             let sampled = &samples[row as usize * res..];
                             let nonzero = |v: &f64| v.to_bits() != 0;
                             let first = sampled.iter().position(nonzero);
@@ -254,6 +284,7 @@ impl CompiledFis {
                             clean &= sampled
                                 .iter()
                                 .fold(true, |c, &v| c & (v >= 0.0) & v.is_sign_positive());
+                            at_most_one &= sampled.iter().fold(true, |u, &v| u & (v <= 1.0));
                             row_of.push((key, row));
                             row
                         }
@@ -264,8 +295,11 @@ impl CompiledFis {
             cons_offsets.push(consequents.len() as u32);
             row_offsets.push((samples.len() / res) as u32);
             sparse.push(clean);
+            unit.push(at_most_one);
         }
 
+        let first_rows = row_offsets.get(1).map_or(0, |&end| end as usize);
+        let segments = Segments::new(&supports[..first_rows], res);
         CompiledFis {
             name: fis.name().to_string(),
             input_bounds,
@@ -284,6 +318,8 @@ impl CompiledFis {
             samples,
             supports,
             sparse,
+            unit,
+            segments,
             grid,
             config,
         }
@@ -362,54 +398,7 @@ impl CompiledFis {
             return Err(FuzzyError::OutputArity { expected: self.n_outputs(), got: outputs.len() });
         }
         scratch.prepare(self);
-        let EvalScratch { memberships, live, firing, row_strength, mu } = scratch;
-
-        // Step 1 — fuzzify (clamp to the universe, then every term MF).
-        for (v, &(lo, hi)) in self.input_bounds.iter().enumerate() {
-            let x = crisp[v].clamp(lo, hi);
-            let terms = self.input_offsets[v] as usize..self.input_offsets[v + 1] as usize;
-            for (m, mf) in memberships[terms.clone()].iter_mut().zip(&self.input_mfs[terms]) {
-                *m = mf.eval(x);
-            }
-        }
-
-        // Step 2 — firing strengths. A membership `<= 0` clears every
-        // zero-gated rule on its term from the live set (lever 5); only the
-        // live rules are folded, the rest keep firing 0.
-        let words = self.all_rules.len();
-        let live = &mut live[..words];
-        live.copy_from_slice(&self.all_rules);
-        for (t, &m) in memberships[..self.input_mfs.len()].iter().enumerate() {
-            let zero = if m <= 0.0 { u64::MAX } else { 0 };
-            for (l, &g) in live.iter_mut().zip(&self.gates[t * words..][..words]) {
-                *l &= !(g & zero);
-            }
-        }
-        let degree = |a: &FlatAntecedent| {
-            if a.mu_index == NO_MEMBERSHIP {
-                0.0
-            } else {
-                memberships[a.mu_index as usize]
-            }
-        };
-        firing[..self.n_rules()].fill(0.0);
-        let mut nan_firing = false;
-        for (word, &bits) in live.iter().enumerate() {
-            let mut rest = bits;
-            while rest != 0 {
-                let r = word * 64 + rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let clauses = &self.antecedents
-                    [self.ant_offsets[r] as usize..self.ant_offsets[r + 1] as usize];
-                let degrees = clauses.iter().map(|a| a.hedge.apply(degree(a)));
-                let strength = match self.connectives[r] {
-                    Connective::And => self.config.and.fold(degrees),
-                    Connective::Or => self.config.or.fold(degrees),
-                };
-                firing[r] = strength * self.weights[r];
-                nan_firing |= firing[r].is_nan();
-            }
-        }
+        let nan_firing = self.fire(crisp, scratch);
 
         // Steps 3–5 — imply/aggregate the fired rows over their supports,
         // then defuzzify the scratch curve in place. A NaN strength, or an
@@ -417,7 +406,6 @@ impl CompiledFis {
         // dense path (module docs).
         let res = self.config.resolution;
         let (imp, agg) = (self.config.implication, self.config.aggregation);
-        let mu = &mut mu[..res];
         for (oi, out) in outputs.iter_mut().enumerate() {
             let (lo, hi) = self.output_bounds[oi];
             let table = &self.consequents
@@ -430,27 +418,15 @@ impl CompiledFis {
 
             // The union of the fired supports, after merging the strengths
             // per row (lever 3).
-            let (mut s, mut e) = (res, 0);
-            let mut widen = |k: usize| {
-                let (a, b) = support(k);
-                if a < b {
-                    s = s.min(a);
-                    e = e.max(b);
-                }
-            };
-            if merge {
-                row_strength[rows.clone()].fill(0.0);
-                for c in table.iter().filter(|c| firing[c.rule as usize] > 0.0) {
-                    let k = c.row as usize;
-                    row_strength[k] = row_strength[k].max(firing[c.rule as usize]);
-                }
-                rows.clone().filter(|&k| row_strength[k] > 0.0).for_each(&mut widen);
+            let (s, e) = if merge {
+                self.merge_rows(oi, scratch)
             } else {
-                table.iter().filter(|c| fires(firing[c.rule as usize])).for_each(|c| {
-                    widen(c.row as usize);
-                });
-            }
+                let fired = table.iter().filter(|c| fires(scratch.firing[c.rule as usize]));
+                union_support(res, fired.map(|c| support(c.row as usize)))
+            };
 
+            let EvalScratch { firing, row_strength, mu, .. } = &mut *scratch;
+            let mu = &mut mu[..res];
             if s < e {
                 mu[s..e].fill(0.0);
                 let mut pass = |k: usize, w: f64| {
@@ -500,6 +476,81 @@ impl CompiledFis {
         Ok(())
     }
 
+    /// Steps 1–2 of an evaluation, shared by [`CompiledFis::evaluate`] and
+    /// the row lanes: fuzzify `crisp` (finite, one value per input) into the
+    /// prepared scratch and fold the live rules' firing strengths. Returns
+    /// whether any strength is NaN.
+    pub(super) fn fire(&self, crisp: &[f64], scratch: &mut EvalScratch) -> bool {
+        let EvalScratch { memberships, live, firing, .. } = scratch;
+
+        // Step 1 — fuzzify (clamp to the universe, then every term MF).
+        for (v, &(lo, hi)) in self.input_bounds.iter().enumerate() {
+            let x = crisp[v].clamp(lo, hi);
+            let terms = self.input_offsets[v] as usize..self.input_offsets[v + 1] as usize;
+            for (m, mf) in memberships[terms.clone()].iter_mut().zip(&self.input_mfs[terms]) {
+                *m = mf.eval(x);
+            }
+        }
+
+        // Step 2 — firing strengths. A membership `<= 0` clears every
+        // zero-gated rule on its term from the live set (lever 5); only the
+        // live rules are folded, the rest keep firing 0.
+        let words = self.all_rules.len();
+        let live = &mut live[..words];
+        live.copy_from_slice(&self.all_rules);
+        for (t, &m) in memberships[..self.input_mfs.len()].iter().enumerate() {
+            let zero = if m <= 0.0 { u64::MAX } else { 0 };
+            for (l, &g) in live.iter_mut().zip(&self.gates[t * words..][..words]) {
+                *l &= !(g & zero);
+            }
+        }
+        let degree = |a: &FlatAntecedent| {
+            if a.mu_index == NO_MEMBERSHIP {
+                0.0
+            } else {
+                memberships[a.mu_index as usize]
+            }
+        };
+        firing[..self.n_rules()].fill(0.0);
+        let mut nan_firing = false;
+        for (word, &bits) in live.iter().enumerate() {
+            let mut rest = bits;
+            while rest != 0 {
+                let r = word * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let clauses = &self.antecedents
+                    [self.ant_offsets[r] as usize..self.ant_offsets[r + 1] as usize];
+                let degrees = clauses.iter().map(|a| a.hedge.apply(degree(a)));
+                let strength = match self.connectives[r] {
+                    Connective::And => self.config.and.fold(degrees),
+                    Connective::Or => self.config.or.fold(degrees),
+                };
+                firing[r] = strength * self.weights[r];
+                nan_firing |= firing[r].is_nan();
+            }
+        }
+        nan_firing
+    }
+
+    /// Lever 3 for output `oi`, after [`CompiledFis::fire`] found no NaN
+    /// strength: fold the strengths of the consequents that share a row into
+    /// `W = max w` (`+0.0` for a row nothing fired) in the scratch's
+    /// per-row strengths, and return the union `[s, e)` of the fired rows'
+    /// supports (`s >= e` when nothing fired).
+    pub(super) fn merge_rows(&self, oi: usize, scratch: &mut EvalScratch) -> (usize, usize) {
+        let EvalScratch { firing, row_strength, .. } = scratch;
+        let table =
+            &self.consequents[self.cons_offsets[oi] as usize..self.cons_offsets[oi + 1] as usize];
+        let rows = self.row_offsets[oi] as usize..self.row_offsets[oi + 1] as usize;
+        row_strength[rows.clone()].fill(0.0);
+        for c in table.iter().filter(|c| firing[c.rule as usize] > 0.0) {
+            let k = c.row as usize;
+            row_strength[k] = row_strength[k].max(firing[c.rule as usize]);
+        }
+        let fired = rows.filter(|&k| row_strength[k] > 0.0);
+        union_support(self.config.resolution, fired.map(|k| self.supports[k]))
+    }
+
     /// Single-output convenience: evaluate and return the one crisp output.
     ///
     /// # Errors
@@ -518,11 +569,13 @@ impl CompiledFis {
     /// Evaluate a batch of input rows.
     ///
     /// `inputs` is row-major with [`CompiledFis::n_inputs`] values per row;
-    /// `outputs` receives [`CompiledFis::n_outputs`] values per row. Each
-    /// row is evaluated exactly like [`CompiledFis::evaluate`] (and is
-    /// therefore bit-identical to the scalar path); the batch form
-    /// amortises scratch reuse and keeps the plan's tables cache-hot across
-    /// rows. Stops at the first row that fails.
+    /// `outputs` receives [`CompiledFis::n_outputs`] values per row. Every
+    /// output is bit-identical to [`CompiledFis::evaluate`] on its row, and
+    /// does not depend on the other rows of the batch. The rows are
+    /// evaluated several at a time, one per SIMD lane (lever 6 in the
+    /// [module docs](self)); rows and plans the lanes cannot take fall back
+    /// to [`CompiledFis::evaluate`]. Stops at the first row that fails,
+    /// after writing every earlier row.
     ///
     /// # Errors
     ///
@@ -545,6 +598,9 @@ impl CompiledFis {
         if outputs.len() != rows * no {
             return Err(FuzzyError::OutputArity { expected: rows * no, got: outputs.len() });
         }
+        if self.lanes_apply() {
+            return lanes::evaluate_rows(self, inputs, outputs, scratch);
+        }
         for r in 0..rows {
             self.evaluate(
                 &inputs[r * ni..(r + 1) * ni],
@@ -554,6 +610,23 @@ impl CompiledFis {
         }
         Ok(())
     }
+
+    /// Whether [`CompiledFis::evaluate_batch`] runs the row lanes (lever 6):
+    /// one output, `Max` aggregation, the centroid, and every sample of
+    /// the output in `[+0, 1]`.
+    pub(super) fn lanes_apply(&self) -> bool {
+        self.n_outputs() == 1
+            && self.config.aggregation == Aggregation::Max
+            && self.config.defuzzifier == Defuzzifier::Centroid
+            && self.sparse[0]
+            && self.unit[0]
+    }
+}
+
+/// The union `[s, e)` of the non-empty `supports` on a `res`-sample grid;
+/// `(res, 0)` when there is none.
+fn union_support(res: usize, supports: impl Iterator<Item = (usize, usize)>) -> (usize, usize) {
+    supports.filter(|(a, b)| a < b).fold((res, 0), |(s, e), (a, b)| (s.min(a), e.max(b)))
 }
 
 /// `mu[i] = agg(mu[i], clamp(imp(w, row[i])))` over one row's support — the
@@ -581,18 +654,22 @@ fn imply_aggregate(mu: &mut [f64], row: &[f64], w: f64, imp: Implication, agg: A
 /// Reusable working memory for [`CompiledFis`] evaluation.
 ///
 /// Holds the fuzzified membership degrees, the live-rule bitset, the
-/// per-rule firing strengths, the per-row merged strengths and the
-/// aggregated output curve. Buffers grow to the plan's dimensions on first
-/// use and are reused (never freed, never reallocated) afterwards, which is
-/// what makes the evaluation loop allocation-free. A scratch may be reused
-/// across different plans; it simply grows to the largest.
+/// per-rule firing strengths, the per-row merged strengths, the
+/// aggregated output curve and the row lanes' strengths. Buffers grow to
+/// the plan's dimensions on first use and are reused (never freed, never
+/// reallocated) afterwards, which is what makes the evaluation loop
+/// allocation-free. A scratch may be reused across different plans; it
+/// simply grows to the largest.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     memberships: Vec<f64>,
     live: Vec<u64>,
     firing: Vec<f64>,
-    row_strength: Vec<f64>,
+    pub(super) row_strength: Vec<f64>,
     mu: Vec<f64>,
+    /// Per output row, each lane's merged strength in the pending row-lane
+    /// group (`lanes.rs`).
+    pub(super) lane_w: Vec<[f64; MAX_LANES]>,
 }
 
 impl EvalScratch {
@@ -602,7 +679,7 @@ impl EvalScratch {
     }
 
     /// Grow the buffers to `fis`'s dimensions (no-op once large enough).
-    fn prepare(&mut self, fis: &CompiledFis) {
+    pub(super) fn prepare(&mut self, fis: &CompiledFis) {
         if self.memberships.len() < fis.input_mfs.len() {
             self.memberships.resize(fis.input_mfs.len(), 0.0);
         }
@@ -614,6 +691,9 @@ impl EvalScratch {
         }
         if self.row_strength.len() < fis.supports.len() {
             self.row_strength.resize(fis.supports.len(), 0.0);
+        }
+        if self.lane_w.len() < fis.supports.len() {
+            self.lane_w.resize(fis.supports.len(), [0.0; MAX_LANES]);
         }
         if self.mu.len() < fis.config.resolution {
             self.mu.resize(fis.config.resolution, 0.0);

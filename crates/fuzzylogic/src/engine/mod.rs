@@ -10,6 +10,7 @@
 //!   for the ablation studies.
 
 pub mod compiled;
+mod lanes;
 pub mod lut;
 pub mod mamdani;
 pub mod sugeno;

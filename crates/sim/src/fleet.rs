@@ -181,6 +181,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// How a fleet worker died: the lockstep step it was at, its index and
+/// its panic message.
+type WorkerDeath = (u64, usize, String);
+
 /// Per-UE state of one fleet step between the measurement phase and the
 /// commit phase: either already decided, or waiting for entry `k` of the
 /// chunk's batched FLC evaluation.
@@ -760,6 +764,9 @@ struct ChunkArena {
     batch_prev: Vec<Option<f64>>,
     /// Phase 4: the batch's FLC outputs.
     batch_hd: Vec<f64>,
+    /// The lockstep step of the chunk being stepped, which a worker that
+    /// panics reports (see [`FleetSimulation::pass`]).
+    step: u64,
 }
 
 impl ChunkArena {
@@ -780,6 +787,7 @@ impl ChunkArena {
             batch_inputs: Vec::new(),
             batch_prev: Vec::new(),
             batch_hd: Vec::new(),
+            step: 0,
         }
     }
 }
@@ -1169,9 +1177,11 @@ impl FleetSimulation {
     /// `w, w + workers, …`, independent of scheduling) cut lazily into
     /// chunks, and catches its own panics so they surface as
     /// [`FleetError::WorkerPanic`] with the original message instead of
-    /// crossbeam's opaque scope error. Every output vector comes back
-    /// sorted by UE id, and a [`PassSink::Fold`] pass has its HD sum
-    /// folded in UE-id order.
+    /// crossbeam's opaque scope error. When several workers panic, the
+    /// one that died at the lowest lockstep step is reported (ties: the
+    /// lowest worker index), whatever order they finished in. Every
+    /// output vector comes back sorted by UE id, and a
+    /// [`PassSink::Fold`] pass has its HD sum folded in UE-id order.
     fn pass(
         &self,
         spec: &dyn UeSpec,
@@ -1195,15 +1205,15 @@ impl FleetSimulation {
         };
         let ctx = &ctx;
         let workers = (self.workers as u64).clamp(1, source.len().max(1)) as usize;
-        let collected: Mutex<Vec<Result<PassPart, String>>> =
+        let collected: Mutex<Vec<Result<PassPart, WorkerDeath>>> =
             Mutex::new(Vec::with_capacity(workers));
 
         crossbeam::scope(|scope| {
             for w in 0..workers {
                 let collected = &collected;
                 scope.spawn(move |_| {
+                    let mut arena = ChunkArena::new(cells.len());
                     let part = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut arena = ChunkArena::new(cells.len());
                         let mut part = PassPart::new(cells);
                         let mut step_chunk = |chunk: ChunkUes<'_>| {
                             ctx.simulate_chunk(spec, chunk, &mut arena, &mut part);
@@ -1230,7 +1240,10 @@ impl FleetSimulation {
                         }
                         part
                     }));
-                    collected.lock().push(part.map_err(|p| panic_message(p.as_ref())));
+                    let died = |p: Box<dyn std::any::Any + Send>| {
+                        (arena.step, w, panic_message(p.as_ref()))
+                    };
+                    collected.lock().push(part.map_err(died));
                 });
             }
         })
@@ -1238,9 +1251,14 @@ impl FleetSimulation {
         // so the scope's join cannot observe a panicked thread.
         .expect("fleet worker panics are caught inside the workers");
 
+        let parts = collected.into_inner();
+        let panics = parts.iter().filter_map(|part| part.as_ref().err());
+        if let Some((_, _, message)) = panics.min_by_key(|&&(step, w, _)| (step, w)) {
+            return Err(FleetError::WorkerPanic(message.clone()));
+        }
         let mut out = PassPart::new(cells);
-        for part in collected.into_inner() {
-            out.merge(part.map_err(FleetError::WorkerPanic)?);
+        for part in parts.into_iter().flatten() {
+            out.merge(part);
         }
         // UE-id order makes the f64 summary folds independent of the
         // sharding and of the submission order of `ids` — and gives the
@@ -1416,6 +1434,7 @@ struct ChunkRun<'c, 't> {
 impl ChunkRun<'_, '_> {
     fn run(mut self) {
         loop {
+            self.arena.step = self.step;
             // Chaos harness: fire any scripted stall/panic scheduled at
             // this lockstep step (one-shot, first worker wins; see
             // crate::resilience).

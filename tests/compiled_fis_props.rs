@@ -6,12 +6,18 @@
 //!   the contract that lets the fleet engine and the controllers swap the
 //!   interpreted engine for the compiled plan without moving a single
 //!   golden byte.
-//! * The batch entry point equals the scalar path bit for bit.
+//! * The batch entry point equals the scalar path bit for bit, for every
+//!   batch length up to two lane groups plus a ragged tail, for every
+//!   variant, whatever a row's neighbours in the batch; a failing batch
+//!   returns its first failing row's error after writing every earlier
+//!   row.
 //! * The paper LUT's absolute HD error stays under its documented bound.
 //! * Every path of the sparse evaluator (supports, merged consequents, the
 //!   zero gate, the ranged centroid, the dense fallback) is swept
 //!   deterministically: the paper FLC over every membership breakpoint
-//!   ±1 ulp, and a non-paper system over every operator combination.
+//!   ±1 ulp, and a non-paper system over every operator combination, each
+//!   through `evaluate_one` and through `evaluate_batch` in odd-sized
+//!   chunks.
 
 use fuzzy_handover::core::flc::{
     build_flc_with, paper_flc_lut, paper_flc_plan, FlcProfile, CSSP_RANGE, DMB_RANGE, SSN_RANGE,
@@ -24,7 +30,13 @@ use fuzzy_handover::fuzzy::{
     SNorm, TNorm,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use std::sync::OnceLock;
+
+/// The widest row-lane group `evaluate_batch` forms: 8 rows with AVX2, 4
+/// without. Batch lengths `0..=2 * LANES + 3` cover every ragged tail of
+/// both widths.
+const LANES: usize = 8;
 
 /// Every (profile, defuzzifier) variant of the paper FLC with its compiled
 /// plan, built once per process.
@@ -61,6 +73,18 @@ fn flc_inputs() -> impl Strategy<Value = [f64; 3]> {
         .prop_map(|(cssp, ssn, dmb)| [cssp, ssn, dmb])
 }
 
+/// A batch of `0..=2 * LANES + 3` rows drawn from [`flc_inputs`].
+struct FlcBatch;
+
+impl Strategy for FlcBatch {
+    type Value = Vec<[f64; 3]>;
+
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        let len = (0..=2 * LANES + 3).generate(rng);
+        (0..len).map(|_| flc_inputs().generate(rng)).collect()
+    }
+}
+
 proptest! {
     #[test]
     fn compiled_equals_interpreted_bitwise(x in flc_inputs()) {
@@ -93,17 +117,30 @@ proptest! {
 
     #[test]
     fn batch_equals_scalar_bitwise(
-        rows in (flc_inputs(), flc_inputs(), flc_inputs(), flc_inputs())
-            .prop_map(|(a, b, c, d)| [a, b, c, d])
+        rows in FlcBatch,
+        shift in 0..=2 * LANES + 3,
     ) {
-        let plan = paper_flc_plan();
         let mut scratch = EvalScratch::new();
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let mut batch = vec![0.0; rows.len()];
-        plan.evaluate_batch(&flat, &mut batch, &mut scratch).unwrap();
-        for (row, &hd) in rows.iter().zip(&batch) {
-            let scalar = plan.evaluate_one(row, &mut scratch).unwrap();
-            prop_assert_eq!(scalar.to_bits(), hd.to_bits());
+        for (label, _, plan) in variants() {
+            let scalar: Vec<u64> = rows
+                .iter()
+                .map(|row| plan.evaluate_one(row, &mut scratch).unwrap().to_bits())
+                .collect();
+            // The same rows with other neighbours: reversed and rotated.
+            let mut reversed = rows.clone();
+            reversed.reverse();
+            let mut rotated = rows.clone();
+            rotated.rotate_left(shift.min(rows.len()));
+            let orders = [("as drawn", &rows), ("reversed", &reversed), ("rotated", &rotated)];
+            for (order, batch) in orders {
+                let flat: Vec<f64> = batch.iter().flatten().copied().collect();
+                let mut hds = vec![0.0; batch.len()];
+                plan.evaluate_batch(&flat, &mut hds, &mut scratch).unwrap();
+                for (row, hd) in batch.iter().zip(&hds) {
+                    let k = rows.iter().position(|r| r == row).unwrap();
+                    prop_assert_eq!(scalar[k], hd.to_bits(), "{} {} at {:?}", label, order, row);
+                }
+            }
         }
     }
 
@@ -169,6 +206,46 @@ fn outcome_bits(r: Result<f64, FuzzyError>) -> Result<u64, FuzzyError> {
     r.map(f64::to_bits)
 }
 
+/// Check `evaluate_batch` over `inputs` (rows of `plan.n_inputs()` values)
+/// in chunks of `chunk` rows against each row's `expected` outcome. A
+/// chunk without a failing row returns `Ok` with every row's bits; one
+/// with a failing row returns that row's error after writing every
+/// earlier row, and the next chunk starts after the failing row.
+fn assert_batches_match(
+    plan: &CompiledFis,
+    inputs: &[f64],
+    expected: &[Result<u64, FuzzyError>],
+    chunk: usize,
+    label: &str,
+) {
+    let ni = plan.n_inputs();
+    assert_eq!(inputs.len(), expected.len() * ni, "{label}: one outcome per row");
+    let mut scratch = EvalScratch::new();
+    let mut out = vec![0.0; chunk];
+    let mut start = 0;
+    while start < expected.len() {
+        let end = (start + chunk).min(expected.len());
+        let hds = &mut out[..end - start];
+        let result = plan.evaluate_batch(&inputs[start * ni..end * ni], hds, &mut scratch);
+        let failing = (start..end).find(|&r| expected[r].is_err());
+        for r in start..failing.unwrap_or(end) {
+            let row = &inputs[r * ni..(r + 1) * ni];
+            assert_eq!(Ok(hds[r - start].to_bits()), expected[r], "{label}: row {r} at {row:?}");
+        }
+        match failing {
+            Some(f) => {
+                let row = &inputs[f * ni..(f + 1) * ni];
+                assert_eq!(result.err().as_ref(), expected[f].as_ref().err(), "{label}: {row:?}");
+                start = f + 1;
+            }
+            None => {
+                assert_eq!(result, Ok(()), "{label}: rows {start}..{end}");
+                start = end;
+            }
+        }
+    }
+}
+
 /// Lever coverage on the paper FLC: at a breakpoint a membership is exactly
 /// 0 (the zero gate), a row's support starts or ends, and at the corners no
 /// rule but the shoulders fires. Compiled must equal interpreted bit for
@@ -180,19 +257,22 @@ fn paper_flc_breakpoint_sweep_is_bit_identical() {
         let plan = fis.compile();
         let mut scratch = EvalScratch::new();
         let axes: Vec<Vec<f64>> = (0..3).map(|v| breakpoint_axis(&fis, v)).collect();
+        let (mut inputs, mut expected) = (Vec::new(), Vec::new());
         for &cssp in &axes[0] {
             for &ssn in &axes[1] {
                 for &dmb in &axes[2] {
                     let x = [cssp, ssn, dmb];
-                    let interpreted = fis.evaluate(&x).map(|o| o[0]);
+                    let interpreted = outcome_bits(fis.evaluate(&x).map(|o| o[0]));
                     let compiled = plan.evaluate_one(&x, &mut scratch);
-                    assert_eq!(
-                        outcome_bits(interpreted),
-                        outcome_bits(compiled),
-                        "{profile:?} drifted at {x:?}"
-                    );
+                    assert_eq!(interpreted, outcome_bits(compiled), "{profile:?} drifted at {x:?}");
+                    inputs.extend(x);
+                    expected.push(interpreted);
                 }
             }
+        }
+        for chunk in [1, LANES - 1, 2 * LANES + 3, 101] {
+            let label = format!("{profile:?} batches of {chunk}");
+            assert_batches_match(&plan, &inputs, &expected, chunk, &label);
         }
     }
 }
@@ -314,17 +394,27 @@ fn every_operator_combination_is_bit_identical() {
                             no_fire: NoFirePolicy::Error,
                         });
                         let plan = fis.compile();
+                        let label = format!(
+                            "{and:?}/{or:?}/{implication:?}/{aggregation:?}/{defuzzifier:?}"
+                        );
+                        let (mut inputs, mut expected) = (Vec::new(), Vec::new());
                         for &a in &a_axis {
                             for &b in &b_axis {
                                 let x = [a, b];
+                                let interpreted = outcome_bits(fis.evaluate(&x).map(|o| o[0]));
                                 assert_eq!(
-                                    outcome_bits(fis.evaluate(&x).map(|o| o[0])),
+                                    interpreted,
                                     outcome_bits(plan.evaluate_one(&x, &mut scratch)),
-                                    "{and:?}/{or:?}/{implication:?}/{aggregation:?}/\
-                                     {defuzzifier:?} drifted at {x:?}"
+                                    "{label} drifted at {x:?}"
                                 );
+                                inputs.extend(x);
+                                expected.push(interpreted);
                                 checked += 1;
                             }
+                        }
+                        for chunk in [LANES - 1, 2 * LANES + 3] {
+                            let label = format!("{label} in batches of {chunk}");
+                            assert_batches_match(&plan, &inputs, &expected, chunk, &label);
                         }
                     }
                 }
@@ -428,6 +518,131 @@ fn malformed_membership_functions_take_the_dense_path() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Rows for the lane sweeps: interior points spread over the three
+/// universes, the exact universe edges, and values 7.5 outside them (which
+/// are clamped), interleaved so that every window of the list mixes them.
+fn mixed_rows(count: usize) -> Vec<[f64; 3]> {
+    let ranges = [CSSP_RANGE, SSN_RANGE, DMB_RANGE];
+    (0..count)
+        .map(|k| {
+            let mut row = [0.0; 3];
+            for (v, (slot, &(min, max))) in row.iter_mut().zip(&ranges).enumerate() {
+                let t = ((k * (2 * v + 3) + v) % 17) as f64 / 16.0;
+                *slot = match (k + v) % 5 {
+                    0 => min - 7.5,
+                    1 => max,
+                    2 if k % 3 == 0 => min,
+                    _ => min + t * (max - min),
+                };
+            }
+            row
+        })
+        .collect()
+}
+
+/// Every batch length from empty to two full lane groups plus a ragged
+/// tail, at several offsets into the row list, for every variant: the
+/// fallback paths (every defuzzifier but the centroid) as well as the row
+/// lanes. Each row must get its scalar bits, and keep them when the batch
+/// is reversed or rotated.
+#[test]
+fn lane_sweep_covers_every_batch_length_and_variant() {
+    let pool = mixed_rows(4 * LANES + 5);
+    let mut scratch = EvalScratch::new();
+    for (label, _, plan) in variants() {
+        let scalar: Vec<u64> = pool
+            .iter()
+            .map(|row| plan.evaluate_one(row, &mut scratch).unwrap().to_bits())
+            .collect();
+        for len in 0..=2 * LANES + 3 {
+            for start in [0, 1, LANES - 1, pool.len() - len] {
+                let mut order: Vec<usize> = (start..start + len).collect();
+                for shape in ["forward", "reversed", "rotated"] {
+                    match shape {
+                        "reversed" => order.reverse(),
+                        "rotated" => order.rotate_left(len / 3),
+                        _ => {}
+                    }
+                    let flat: Vec<f64> = order.iter().flat_map(|&k| pool[k]).collect();
+                    let mut hds = vec![0.0; len];
+                    plan.evaluate_batch(&flat, &mut hds, &mut scratch).unwrap();
+                    for (&k, hd) in order.iter().zip(&hds) {
+                        assert_eq!(
+                            scalar[k],
+                            hd.to_bits(),
+                            "{label}: row {k} ({:?}) in a {shape} batch of {len} from {start}",
+                            pool[k]
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A batch stops at its first failing row and returns that row's error,
+/// after writing every earlier row with its scalar bits: a non-finite
+/// input on the paper FLC, and a row that fires nothing under
+/// `NoFirePolicy::Error`, each placed in the middle of a lane group, at
+/// the end of one, and behind a second failing row.
+#[test]
+fn failing_rows_mid_group_return_the_scalar_error() {
+    let paper = paper_flc_plan();
+    let mut scratch = EvalScratch::new();
+    let pool = mixed_rows(2 * LANES + 3);
+    let bad_rows =
+        [[f64::INFINITY, -95.0, 0.5], [-3.0, f64::NEG_INFINITY, 0.5], [-3.0, -95.0, f64::NAN]];
+    for bad in bad_rows {
+        for at in [LANES / 2 + 1, LANES - 1, LANES + 2] {
+            let mut rows = pool.clone();
+            rows[at] = bad;
+            rows[at + 3] = [f64::NEG_INFINITY; 3];
+            let expected: Vec<Result<u64, FuzzyError>> = rows
+                .iter()
+                .map(|row| outcome_bits(paper.evaluate_one(row, &mut scratch)))
+                .collect();
+            let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+            let mut hds = vec![0.0; rows.len()];
+            let err = paper.evaluate_batch(&flat, &mut hds, &mut scratch).unwrap_err();
+            // NaN inputs make the error unequal to itself: compare its text.
+            let first = expected[at].as_ref().unwrap_err();
+            assert_eq!(format!("{err:?}"), format!("{first:?}"), "bad row {bad:?} at {at}");
+            for (k, hd) in hds.iter().enumerate().take(at) {
+                assert_eq!(Ok(hd.to_bits()), expected[k], "row {k} before the bad row at {at}");
+            }
+        }
+    }
+
+    // One input whose single term covers [0, 1): at 5 nothing fires.
+    let x =
+        LinguisticVariable::new("x", 0.0, 10.0).with_term("edge", Mf::triangular(0.0, 0.0, 1.0));
+    let y =
+        LinguisticVariable::new("y", 0.0, 10.0).with_term("t", Mf::triangular(0.0, 5.0, 10.0));
+    let strict = FisBuilder::new("gap")
+        .input(x)
+        .output(y)
+        .rule_str("IF x IS edge THEN y IS t")
+        .unwrap()
+        .no_fire(NoFirePolicy::Error)
+        .build()
+        .unwrap();
+    let plan = strict.compile();
+    let len = 2 * LANES + 3;
+    for at in [LANES / 2 + 1, LANES - 1, LANES + 2] {
+        let mut inputs: Vec<f64> = (0..len).map(|k| k as f64 / len as f64).collect();
+        inputs[at] = 5.0;
+        inputs[at + 3] = 7.0;
+        let expected: Vec<Result<u64, FuzzyError>> = inputs
+            .iter()
+            .map(|&x| outcome_bits(strict.evaluate(&[x]).map(|o| o[0])))
+            .collect();
+        assert_eq!(expected[at], Err(FuzzyError::NoRuleFired));
+        for chunk in [len, LANES, LANES - 1] {
+            assert_batches_match(&plan, &inputs, &expected, chunk, &format!("no fire at {at}"));
         }
     }
 }

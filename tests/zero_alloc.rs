@@ -16,10 +16,10 @@
 //! *minimum* count. Interference can only ever add allocations, so a
 //! single clean run proves the zero-allocation property exactly.
 
-use fuzzy_handover::core::flc::{paper_flc_lut, paper_flc_plan};
+use fuzzy_handover::core::flc::{build_flc_with, paper_flc_lut, paper_flc_plan, FlcProfile};
 use fuzzy_handover::core::{build_paper_flc, ControllerConfig, FuzzyHandoverController};
 use fuzzy_handover::core::{FlcInputs, HandoverPolicy, MeasurementReport};
-use fuzzy_handover::fuzzy::EvalScratch;
+use fuzzy_handover::fuzzy::{Defuzzifier, EvalScratch};
 use fuzzy_handover::geometry::Axial;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -104,15 +104,36 @@ fn decision_plane_allocation_budget() {
         "CompiledFis::evaluate must not allocate after its scratch is sized"
     );
 
-    // --- evaluate_batch: equally allocation-free.
-    let flat: Vec<f64> = INPUTS.iter().flatten().copied().collect();
-    let mut hds = vec![0.0f64; INPUTS.len()];
-    let batch_allocs = min_allocations_of(0, || {
-        for _ in 0..100 {
-            plan.evaluate_batch(&flat, &mut hds, &mut scratch).unwrap();
+    // --- evaluate_batch: equally allocation-free, for one row, a ragged
+    // lane group either side of a full one (8 lanes with AVX2, 4
+    // without) and a long batch, on both FLC profiles. The scratch is
+    // warmed by the longest batch first; the lane strengths live in it.
+    const LANES: usize = 8;
+    let product = build_flc_with(FlcProfile::Product, Defuzzifier::Centroid).compile();
+    for (profile, plan) in [("paper", &*plan), ("product", &product)] {
+        let mut scratch = EvalScratch::new();
+        let rows: Vec<f64> = INPUTS
+            .iter()
+            .cycle()
+            .take(1027)
+            .flatten()
+            .copied()
+            .collect();
+        let mut hds = vec![0.0f64; 1027];
+        plan.evaluate_batch(&rows, &mut hds, &mut scratch).unwrap();
+        for len in [1, LANES - 1, LANES + 1, 1027] {
+            let (flat, out) = (&rows[..3 * len], &mut hds[..len]);
+            let batch_allocs = min_allocations_of(0, || {
+                for _ in 0..10 {
+                    plan.evaluate_batch(flat, out, &mut scratch).unwrap();
+                }
+            });
+            assert_eq!(
+                batch_allocs, 0,
+                "{profile} evaluate_batch of {len} rows must not allocate"
+            );
         }
-    });
-    assert_eq!(batch_allocs, 0, "evaluate_batch must not allocate");
+    }
 
     // --- A scratch from `CompiledFis::scratch` is sized up front, so even
     // its first evaluation allocates nothing: every buffer (memberships,
