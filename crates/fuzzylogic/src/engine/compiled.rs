@@ -78,16 +78,17 @@
 //!    module: (a) a lane's zero padding across the group has the effect of
 //!    its row's skipped-run stand-ins, (b) a term that did not fire is the
 //!    identity, (c) compare-select `min`/`max` equal `f64::min`/`max` on
-//!    samples and strengths that are never NaN or `-0.0`, (d) the clamp is
-//!    skipped only under `Min` implication, where it is the identity, and
-//!    (e) Rust never fuses a multiply-add, so the AVX2 and portable builds
-//!    of the one kernel agree. Rows the lanes cannot take run
-//!    [`CompiledFis::evaluate`] in place: a non-finite input, a NaN
-//!    firing strength, a merged strength that is not finite, a row where
-//!    nothing fired, and a lane whose area is `<= 0`. Plans with several
-//!    outputs, an aggregation other than `Max`, a defuzzifier other than
-//!    the centroid, or an output with a sample outside `[+0, 1]` (or a
-//!    `-0.0` or NaN one) evaluate every row that way.
+//!    samples and strengths that are never NaN or `-0.0`, (d) under `Min`
+//!    implication, the only one the lanes take, the clamp is the identity
+//!    and is skipped, and (e) Rust never fuses a multiply-add, so the AVX2
+//!    and portable builds of the one kernel agree. Rows the lanes cannot
+//!    take run [`CompiledFis::evaluate`] in place: a non-finite input, a
+//!    NaN firing strength, a merged strength that is not finite, a row
+//!    where nothing fired, and a lane whose area is `<= 0`. Plans with
+//!    several outputs, an implication other than `Min`, an aggregation
+//!    other than `Max`, a defuzzifier other than the centroid, or an output
+//!    with a sample outside `[+0, 1]` (or a `-0.0` or NaN one) evaluate
+//!    every row that way.
 //!
 //! Levers 2–4 need every sample of an output to be `+0.0` or positive and
 //! every firing strength to be a number. An output with a negative, `-0.0`
@@ -575,7 +576,7 @@ impl CompiledFis {
     /// evaluated several at a time, one per SIMD lane (lever 6 in the
     /// [module docs](self)); rows and plans the lanes cannot take fall back
     /// to [`CompiledFis::evaluate`]. Stops at the first row that fails,
-    /// after writing every earlier row.
+    /// after writing every earlier row and no later one.
     ///
     /// # Errors
     ///
@@ -612,10 +613,11 @@ impl CompiledFis {
     }
 
     /// Whether [`CompiledFis::evaluate_batch`] runs the row lanes (lever 6):
-    /// one output, `Max` aggregation, the centroid, and every sample of
-    /// the output in `[+0, 1]`.
+    /// one output, `Min` implication, `Max` aggregation, the centroid, and
+    /// every sample of the output in `[+0, 1]`.
     pub(super) fn lanes_apply(&self) -> bool {
         self.n_outputs() == 1
+            && self.config.implication == Implication::Min
             && self.config.aggregation == Aggregation::Max
             && self.config.defuzzifier == Defuzzifier::Centroid
             && self.sparse[0]

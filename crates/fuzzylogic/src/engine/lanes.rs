@@ -23,36 +23,42 @@
 //! * **(a) Zero padding across the group.** A row's own sum
 //!   (`slice_area_moment`) runs over its interior range `[a, b)` with one
 //!   `+0.0` stand-in for each skipped run `[1, a)` and `[b, n - 1)`. A lane
-//!   runs over the group's range `[a_g, b_g) ⊇ [a, b)` instead: a stand-in
-//!   for `[1, a_g)` if it is not empty, the real terms of `[a_g, b_g)` —
-//!   zeros outside the row's support, by (b) — and a stand-in for
-//!   `[b_g, n - 1)`. Both start from `iter::empty().sum()` (`-0.0`). Between
-//!   the row's real terms the lane adds a run of zeros where the row adds
-//!   one stand-in, and by `slice_area_moment`'s skipped-run lemma a run of
-//!   zeros has exactly the effect of its last term: the lane's run before
-//!   `a` ends with the term at `a - 1`, its run after `b` with the one at
-//!   `n - 2`, the same terms the row's stand-ins are. The endpoints `m(0)`
-//!   and `m(n - 1)` are the row's `at(0)` and `at(n - 1)`.
+//!   runs over the group's range `[a_g, b_g) ⊇ [a, b)` instead: the real
+//!   terms of `[a_g, b_g)` — zeros outside the row's support, by (b) — and
+//!   a stand-in for `[b_g, n - 1)`. Both start from `iter::empty().sum()`
+//!   (`-0.0`). Where the row adds one stand-in the lane adds a run of
+//!   zeros, and by `slice_area_moment`'s skipped-run lemma a run of zeros
+//!   has exactly the effect of its last term: the lane's run after `b` ends
+//!   with the term at `n - 2`, its run before `a` (when `a_g < a`) with the
+//!   one at `a - 1`, the same terms the row's stand-ins are. The lane needs
+//!   no stand-in for `[1, a_g)`. Where the row's own range starts there
+//!   (`a = a_g > 1`), its stand-in meets the starting `-0.0`. Its moment
+//!   term `+0.0 · x[a - 1]` is `-0.0` when `x[a - 1] < 0` and changes
+//!   nothing. Otherwise every later `x` is `>= 0` on the non-decreasing
+//!   grid and `m(0)` is `+0.0` (the support starts at `a > 1`), so every
+//!   later term, up to the endpoint sum added last, is `+0.0` or positive;
+//!   the area's later terms always are. A zero sum followed by such terms
+//!   ends with the same bits whether it starts as `-0.0` or as `+0.0`, so
+//!   the stand-in changes nothing. The endpoints `m(0)` and `m(n - 1)` are
+//!   the row's `at(0)` and `at(n - 1)`.
 //! * **(b) Unfired terms are the identity.** Every sample is in `[+0, 1]`
 //!   and every strength `W_k` positive and finite or `+0.0`, so
-//!   `min(+0.0, s) = +0.0` (and `+0.0 · s = +0.0`), and
-//!   `max(acc, +0.0) = acc` because `acc >= +0.0`. Outside its fired rows'
-//!   supports a lane's `m` is therefore `+0.0`, as the row's curve is. The
-//!   same holds for a term whose support does not reach the sample, so the
-//!   kernel walks the grid in runs on which the same terms are non-zero
-//!   ([`Segments`]) and reads only those terms: one or two on a Ruspini
-//!   partition such as the paper's.
+//!   `min(+0.0, s) = +0.0`, and `max(acc, +0.0) = acc` because
+//!   `acc >= +0.0`. Outside its fired rows' supports a lane's `m` is
+//!   therefore `+0.0`, as the row's curve is. The same holds for a term
+//!   whose support does not reach the sample, so the kernel walks the grid
+//!   in runs on which the same terms are non-zero ([`Segments`]) and reads
+//!   only those terms: one or two on a Ruspini partition such as the
+//!   paper's.
 //! * **(c) Compare-select equals `f64::min`/`max` here.** The lanes never
 //!   see NaN or `-0.0`, so `if a > b { a } else { b }` gives the bits of
 //!   `f64::max` (and likewise for `min`). It lowers to one `maxpd`/`minpd`,
 //!   where `f64::max` needs a NaN fix-up that chains the terms serially.
 //!   `max` selects and does not round, so folding the terms in any order is
 //!   exact.
-//! * **(d) The clamp only runs where it can act.** Under `Min` implication
-//!   with every sample of the output in `[+0, 1]` (checked at compile time)
-//!   and `w > 0`, `clamp(0, 1)` is the identity and is skipped. Under
-//!   `Product` a strength above 1 can push `w · s` past 1, so the lane
-//!   clamps as the row does (`min(v, 1)`, since `v >= +0.0`).
+//! * **(d) No clamp.** Under `Min` implication with every sample of the
+//!   output in `[+0, 1]` (checked at compile time) and `w > 0`,
+//!   `clamp(0, 1)` is the identity, so the lanes skip it.
 //! * **(e) No fused multiply-add.** Rust never contracts `a * b + c` into
 //!   an FMA, so the AVX2 and portable instantiations of the one generic
 //!   body compute the same bits.
@@ -61,27 +67,21 @@
 //! time, in place: a non-finite input, a NaN firing strength, a merged
 //! strength that is not finite, a row where nothing fired, and a lane whose
 //! area comes out `<= 0` (the centroid's mean-of-max fallback). Plans with
-//! more than one output, an aggregation other than `Max`, a defuzzifier
-//! other than the centroid, or an output with a sample outside `[+0, 1]`
-//! (or a `-0.0` or NaN one) never reach this module. A failing row returns
-//! its error after every earlier row has been written.
+//! more than one output, an implication other than `Min`, an aggregation
+//! other than `Max`, a defuzzifier other than the centroid, or an output
+//! with a sample outside `[+0, 1]` (or a `-0.0` or NaN one) never reach
+//! this module. The pending group is written before a fallback row is
+//! evaluated, so a failing row returns its error after every earlier row
+//! has been written and before any later one is. (A lane row cannot fail:
+//! its curve has a positive sample, so the mean-of-max fallback has a
+//! value.)
 
 use super::compiled::{CompiledFis, EvalScratch};
 use crate::error::Result;
-use crate::norms::Implication;
 use std::ops::Range;
 
 /// The widest lane group: eight `f64` lanes, two AVX2 registers.
 pub(super) const MAX_LANES: usize = 8;
-
-/// How a lane implies a term's strength onto a sample (lever (d)).
-#[derive(Debug, Clone, Copy)]
-enum Imply {
-    /// `min(w, s)`: in `[+0, 1]`, so the clamp is the identity.
-    Min,
-    /// `min(w · s, 1)`: a strength above 1 can push it past 1.
-    Product,
-}
 
 /// The output's grid cut into runs of samples on which the same term rows
 /// have a sample that is not `+0.0`, built once at compile time. Outside
@@ -129,7 +129,6 @@ struct Group<'a> {
     interior: Range<usize>,
     /// The grid spacing, as `slice_area_moment` computes it.
     dx: f64,
-    imply: Imply,
 }
 
 /// Per lane, the trapezoid area and first moment of its row's curve.
@@ -153,16 +152,6 @@ fn min(a: f64, b: f64) -> f64 {
     }
 }
 
-/// `clamp(imp(w, s))` for one lane (levers (c) and (d)).
-#[inline(always)]
-fn imply<const PRODUCT: bool>(w: f64, s: f64) -> f64 {
-    if PRODUCT {
-        min(w * s, 1.0)
-    } else {
-        min(w, s)
-    }
-}
-
 /// Lane by lane, `area += m` and `moment += m · x`.
 #[inline(always)]
 fn accumulate<const L: usize>(area: &mut [f64; L], moment: &mut [f64; L], m: [f64; L], x: f64) {
@@ -174,17 +163,13 @@ fn accumulate<const L: usize>(area: &mut [f64; L], moment: &mut [f64; L], m: [f6
 
 /// The aggregated membership `m(i)` of sample `i` over `rows`, per lane.
 #[inline(always)]
-fn sample<const L: usize, const PRODUCT: bool>(
-    g: &Group<'_>,
-    rows: &[usize],
-    i: usize,
-) -> [f64; L] {
+fn sample<const L: usize>(g: &Group<'_>, rows: &[usize], i: usize) -> [f64; L] {
     let n = g.xs.len();
     let mut m = [0.0f64; L];
     for &k in rows {
         let (w, s) = (&g.w[k], g.samples[k * n + i]);
         for l in 0..L {
-            m[l] = max(m[l], imply::<PRODUCT>(w[l], s));
+            m[l] = max(m[l], min(w[l], s));
         }
     }
     m
@@ -193,14 +178,11 @@ fn sample<const L: usize, const PRODUCT: bool>(
 /// The one kernel body: the group's fused imply–aggregate–centroid pass,
 /// run by run, left to right.
 #[inline(always)]
-fn body<const L: usize, const PRODUCT: bool>(g: &Group<'_>) -> Sums<L> {
+fn body<const L: usize>(g: &Group<'_>) -> Sums<L> {
     let (xs, n) = (g.xs, g.xs.len());
     let Range { start: a, end: b } = g.interior;
     let mut area = [std::iter::empty::<f64>().sum::<f64>(); L];
     let mut moment = area;
-    if a > 1 {
-        accumulate(&mut area, &mut moment, [0.0; L], xs[a - 1]);
-    }
     for (run, rows) in &g.segments.runs {
         let (p, q) = (run.start.max(a), run.end.min(b));
         if p >= q {
@@ -215,13 +197,13 @@ fn body<const L: usize, const PRODUCT: bool>(g: &Group<'_>) -> Sums<L> {
             for ((&x, &a0), &a1) in xs[p..q].iter().zip(s0).zip(s1) {
                 let mut m = [0.0f64; L];
                 for l in 0..L {
-                    m[l] = max(imply::<PRODUCT>(w0[l], a0), imply::<PRODUCT>(w1[l], a1));
+                    m[l] = max(min(w0[l], a0), min(w1[l], a1));
                 }
                 accumulate(&mut area, &mut moment, m, x);
             }
         } else {
             for (i, &x) in (p..q).zip(&xs[p..q]) {
-                let m = sample::<L, PRODUCT>(g, rows, i);
+                let m = sample::<L>(g, rows, i);
                 accumulate(&mut area, &mut moment, m, x);
             }
         }
@@ -232,9 +214,7 @@ fn body<const L: usize, const PRODUCT: bool>(g: &Group<'_>) -> Sums<L> {
     // The endpoints, from the first and the last run.
     let (runs, rows) = (&g.segments.runs, &g.segments.rows);
     let at = |run: Option<&(Range<usize>, Range<usize>)>, i: usize| {
-        run.map_or([0.0; L], |(_, k)| {
-            sample::<L, PRODUCT>(g, &rows[k.clone()], i)
-        })
+        run.map_or([0.0; L], |(_, k)| sample::<L>(g, &rows[k.clone()], i))
     };
     let (first, last) = (at(runs.first(), 0), at(runs.last(), n - 1));
     for l in 0..L {
@@ -244,17 +224,9 @@ fn body<const L: usize, const PRODUCT: bool>(g: &Group<'_>) -> Sums<L> {
     (area, moment)
 }
 
-#[inline(always)]
-fn sums<const L: usize>(g: &Group<'_>) -> Sums<L> {
-    match g.imply {
-        Imply::Min => body::<L, false>(g),
-        Imply::Product => body::<L, true>(g),
-    }
-}
-
 /// The kernel compiled for the baseline target.
 fn portable<const L: usize>(g: &Group<'_>) -> Sums<L> {
-    sums::<L>(g)
+    body::<L>(g)
 }
 
 /// The same kernel compiled with AVX2 codegen.
@@ -266,7 +238,7 @@ fn portable<const L: usize>(g: &Group<'_>) -> Sums<L> {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn avx2<const L: usize>(g: &Group<'_>) -> Sums<L> {
-    sums::<L>(g)
+    body::<L>(g)
 }
 
 /// [`CompiledFis::evaluate_batch`] for a plan whose only output the lanes
@@ -296,7 +268,6 @@ struct Lanes<'a, const L: usize> {
     samples: &'a [f64],
     xs: &'a [f64],
     dx: f64,
-    imply: Imply,
     /// The pending group: its batch rows and the ends of its interior
     /// range (`(usize::MAX, 0)` while it is empty).
     rows: [usize; L],
@@ -309,10 +280,6 @@ impl<'a, const L: usize> Lanes<'a, L> {
         let n = plan.config().resolution;
         let terms = plan.row_offsets[1] as usize;
         let (lo, hi) = plan.output_bounds[0];
-        let imply = match plan.config().implication {
-            Implication::Min => Imply::Min,
-            Implication::Product => Imply::Product,
-        };
         Lanes {
             plan,
             inputs,
@@ -320,7 +287,6 @@ impl<'a, const L: usize> Lanes<'a, L> {
             samples: &plan.samples[..terms * n],
             xs: &plan.grid[..n],
             dx: (hi - lo) / (n - 1) as f64,
-            imply,
             rows: [0; L],
             len: 0,
             interior: (usize::MAX, 0),
@@ -356,12 +322,10 @@ impl<'a, const L: usize> Lanes<'a, L> {
         for r in 0..outputs.len() {
             let crisp = self.crisp(r);
             let Some((s, e)) = self.merged(crisp, scratch) else {
-                let out = std::slice::from_mut(&mut outputs[r]);
-                if let Err(err) = self.plan.evaluate(crisp, scratch, out) {
-                    // The pending rows come first.
-                    self.flush(outputs, scratch, &kernel)?;
-                    return Err(err);
-                }
+                // The pending rows come first (module docs).
+                self.flush(outputs, scratch, &kernel)?;
+                self.plan
+                    .evaluate(crisp, scratch, std::slice::from_mut(&mut outputs[r]))?;
                 continue;
             };
             // The row's interior range, as `slice_area_moment` clamps it.
@@ -404,7 +368,6 @@ impl<'a, const L: usize> Lanes<'a, L> {
             xs: self.xs,
             interior: a..b,
             dx: self.dx,
-            imply: self.imply,
         };
         let (area, moment) = kernel(&group);
         for (l, &r) in self.rows[..len].iter().enumerate() {
@@ -425,6 +388,7 @@ mod tests {
     use crate::engine::mamdani::{FisBuilder, NoFirePolicy};
     use crate::fuzzyset::grid_x;
     use crate::membership::Mf;
+    use crate::norms::Implication;
     use crate::variable::LinguisticVariable;
 
     /// A two-input system whose output terms form a Ruspini partition
@@ -483,42 +447,42 @@ mod tests {
 
     /// The portable and the AVX2 instantiations of the kernel, run on the
     /// same 8-row groups, and the 4-lane portable grouping, all give every
-    /// row the bits of a scalar evaluation.
+    /// row the bits of a scalar evaluation. Product implication never
+    /// reaches the lanes.
     #[test]
     fn portable_and_avx2_kernels_agree_with_the_scalar_path() {
         let inputs = rows();
-        for implication in [Implication::Min, Implication::Product] {
-            for gaussian in [false, true] {
-                let plan = plan(implication, gaussian);
-                assert!(plan.lanes_apply());
-                let mut scratch = plan.scratch();
-                let len = inputs.len() / 2;
-                let scalar: Vec<u64> = inputs
-                    .chunks_exact(2)
-                    .map(|x| plan.evaluate_one(x, &mut scratch).unwrap().to_bits())
-                    .collect();
-                let mut run = |kernel: &dyn Fn(&Group<'_>) -> Sums<8>| {
-                    let mut out = vec![0.0; len];
-                    let lanes = Lanes::<8>::new(&plan, &inputs);
-                    lanes.run(&mut out, &mut scratch, kernel).unwrap();
-                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                };
-                let label = format!("{implication:?}, gaussian {gaussian}");
-                assert_eq!(run(&portable::<8>), scalar, "portable, {label}");
-                #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: AVX2 support was verified just above.
-                    assert_eq!(run(&|g| unsafe { avx2::<8>(g) }), scalar, "AVX2, {label}");
-                }
+        for gaussian in [false, true] {
+            assert!(!plan(Implication::Product, gaussian).lanes_apply());
+            let plan = plan(Implication::Min, gaussian);
+            assert!(plan.lanes_apply());
+            let mut scratch = plan.scratch();
+            let len = inputs.len() / 2;
+            let scalar: Vec<u64> = inputs
+                .chunks_exact(2)
+                .map(|x| plan.evaluate_one(x, &mut scratch).unwrap().to_bits())
+                .collect();
+            let mut run = |kernel: &dyn Fn(&Group<'_>) -> Sums<8>| {
                 let mut out = vec![0.0; len];
-                Lanes::<4>::new(&plan, &inputs)
-                    .run(&mut out, &mut scratch, portable::<4>)
-                    .unwrap();
-                assert!(
-                    out.iter().map(|v| v.to_bits()).eq(scalar),
-                    "4 lanes, {label}"
-                );
+                let lanes = Lanes::<8>::new(&plan, &inputs);
+                lanes.run(&mut out, &mut scratch, kernel).unwrap();
+                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let label = format!("gaussian {gaussian}");
+            assert_eq!(run(&portable::<8>), scalar, "portable, {label}");
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support was verified just above.
+                assert_eq!(run(&|g| unsafe { avx2::<8>(g) }), scalar, "AVX2, {label}");
             }
+            let mut out = vec![0.0; len];
+            Lanes::<4>::new(&plan, &inputs)
+                .run(&mut out, &mut scratch, portable::<4>)
+                .unwrap();
+            assert!(
+                out.iter().map(|v| v.to_bits()).eq(scalar),
+                "4 lanes, {label}"
+            );
         }
     }
 
@@ -589,7 +553,6 @@ mod tests {
                 xs: &xs,
                 interior: a_g..b_g,
                 dx,
-                imply: Imply::Min,
             };
             let mut kernels: Vec<Sums<MAX_LANES>> = vec![portable::<MAX_LANES>(&g)];
             #[cfg(target_arch = "x86_64")]

@@ -10,7 +10,7 @@
 //!   batch length up to two lane groups plus a ragged tail, for every
 //!   variant, whatever a row's neighbours in the batch; a failing batch
 //!   returns its first failing row's error after writing every earlier
-//!   row.
+//!   row and no later one.
 //! * The paper LUT's absolute HD error stays under its documented bound.
 //! * Every path of the sparse evaluator (supports, merged consequents, the
 //!   zero gate, the ranged centroid, the dense fallback) is swept
@@ -210,7 +210,8 @@ fn outcome_bits(r: Result<f64, FuzzyError>) -> Result<u64, FuzzyError> {
 /// in chunks of `chunk` rows against each row's `expected` outcome. A
 /// chunk without a failing row returns `Ok` with every row's bits; one
 /// with a failing row returns that row's error after writing every
-/// earlier row, and the next chunk starts after the failing row.
+/// earlier row and leaving it and every later row as they were, and the
+/// next chunk starts after the failing row.
 fn assert_batches_match(
     plan: &CompiledFis,
     inputs: &[f64],
@@ -220,12 +221,14 @@ fn assert_batches_match(
 ) {
     let ni = plan.n_inputs();
     assert_eq!(inputs.len(), expected.len() * ni, "{label}: one outcome per row");
+    let unwritten = f64::from_bits(0x7ff8_0000_dead_beef);
     let mut scratch = EvalScratch::new();
     let mut out = vec![0.0; chunk];
     let mut start = 0;
     while start < expected.len() {
         let end = (start + chunk).min(expected.len());
         let hds = &mut out[..end - start];
+        hds.fill(unwritten);
         let result = plan.evaluate_batch(&inputs[start * ni..end * ni], hds, &mut scratch);
         let failing = (start..end).find(|&r| expected[r].is_err());
         for r in start..failing.unwrap_or(end) {
@@ -236,6 +239,9 @@ fn assert_batches_match(
             Some(f) => {
                 let row = &inputs[f * ni..(f + 1) * ni];
                 assert_eq!(result.err().as_ref(), expected[f].as_ref().err(), "{label}: {row:?}");
+                for (r, hd) in (f..end).zip(&hds[f - start..]) {
+                    assert_eq!(hd.to_bits(), unwritten.to_bits(), "{label}: row {r} written");
+                }
                 start = f + 1;
             }
             None => {
@@ -643,6 +649,50 @@ fn failing_rows_mid_group_return_the_scalar_error() {
         assert_eq!(expected[at], Err(FuzzyError::NoRuleFired));
         for chunk in [len, LANES, LANES - 1] {
             assert_batches_match(&plan, &inputs, &expected, chunk, &format!("no fire at {at}"));
+        }
+    }
+}
+
+/// Rows whose lane area underflows to `+0.0` take the scalar fallback
+/// (the centroid's mean-of-max) from inside a lane group, among rows the
+/// lanes take and rows that fire nothing under `NoFirePolicy::Error`.
+/// At `x = k · 2^-1074` only `on` fires, at strength `w = x`; `spike` is
+/// non-zero on 19 samples 0.01 apart, so the lane's area `0.01 · 19 · w`
+/// rounds to `+0.0` for `k <= 2`. At `x = 0` nothing fires.
+#[test]
+fn lanes_whose_area_underflows_take_the_scalar_path() {
+    let x = LinguisticVariable::new("x", -1.0, 1.0)
+        .with_term("on", Mf::right_shoulder(0.0, 1.0))
+        .with_term("off", Mf::left_shoulder(-1.0, 0.0));
+    let y = LinguisticVariable::new("y", 0.0, 1.0)
+        .with_term("spike", Mf::triangular(0.4, 0.5, 0.6))
+        .with_term("low", Mf::triangular(0.0, 0.2, 0.4));
+    let strict = FisBuilder::new("underflow")
+        .input(x)
+        .output(y)
+        .rule_str("IF x IS on THEN y IS spike")
+        .unwrap()
+        .rule_str("IF x IS off THEN y IS low")
+        .unwrap()
+        .resolution(101)
+        .no_fire(NoFirePolicy::Error)
+        .build()
+        .unwrap();
+    let plan = strict.compile();
+    let unit = f64::from_bits(1);
+    let pattern = [0.5, unit, -0.5, 0.3, 2.0 * unit, -0.2, 0.7, unit, 3.0 * unit];
+    let len = 2 * LANES + 3;
+    for zero_at in [LANES / 2 + 1, LANES - 1, LANES + 2] {
+        let mut inputs: Vec<f64> = pattern.iter().cycle().take(len).copied().collect();
+        inputs[zero_at] = 0.0;
+        let expected: Vec<Result<u64, FuzzyError>> = inputs
+            .iter()
+            .map(|&x| outcome_bits(strict.evaluate(&[x]).map(|o| o[0])))
+            .collect();
+        assert_eq!(expected[zero_at], Err(FuzzyError::NoRuleFired));
+        for chunk in [len, LANES, LANES - 1, 3] {
+            let label = format!("no fire at {zero_at}, chunks of {chunk}");
+            assert_batches_match(&plan, &inputs, &expected, chunk, &label);
         }
     }
 }
