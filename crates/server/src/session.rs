@@ -5,9 +5,13 @@
 //! ## Determinism contract
 //!
 //! A [`Session`] is a thin stateful wrapper over the fleet engine's
-//! resume chain: every `advance_to` runs supervised cadence-sized
-//! segments ([`handover_sim::Supervisor`]) from the session's current
-//! [`FleetCheckpoint`], so a session driven by *any* interleaving of
+//! resume chain. It keeps one [`handover_sim::Supervisor`] for its whole
+//! life, the one owner of the run's snapshot, audit trail and worker
+//! count: every `advance_to` runs supervised cadence-sized segments from
+//! the current [`FleetCheckpoint`], and a failed segment restores from
+//! the supervisor's sealed history only. What the supervisor keeps
+//! between advances (that history, its failure streak) is never sealed,
+//! so a session driven by *any* interleaving of
 //! [`Session::advance_to`] / [`Session::sealed`] / [`Session::hydrate`]
 //! calls produces results **bit-identical** to the equivalent batch
 //! [`FleetSimulation::try_run_ids`] — every `f64` included (pinned by
@@ -290,10 +294,9 @@ pub struct Session {
     config: SessionConfig,
     policy_now: PolicyKind,
     swaps: Vec<PolicySwap>,
-    current: Option<FleetCheckpoint>,
     result: Option<FleetResult>,
-    report: SupervisorReport,
-    workers: usize,
+    /// The run's snapshot, audit trail and worker count.
+    supervisor: Supervisor,
     ids: Vec<u64>,
     /// Trajectory memo indexed by UE id; empty until the first advance.
     trajectories: Vec<OnceLock<Trajectory>>,
@@ -304,16 +307,15 @@ impl Session {
     /// work happens until the first [`Session::advance_to`]).
     pub fn spawn(config: SessionConfig, workers: usize) -> Result<Session, SessionError> {
         config.validated()?;
+        let supervisor = Supervisor::new(config.engine(workers), config.retry)?;
         let ids: Vec<u64> = (0..config.n_ues).collect();
         let policy_now = config.policy;
         Ok(Session {
             config,
             policy_now,
             swaps: Vec::new(),
-            current: None,
             result: None,
-            report: SupervisorReport::default(),
-            workers: workers.max(1),
+            supervisor,
             ids,
             trajectories: Vec::new(),
         })
@@ -337,7 +339,7 @@ impl Session {
     /// The session's current lockstep step (0 before the first
     /// advance).
     pub fn step(&self) -> u64 {
-        self.current.as_ref().map_or(0, |cp| cp.step)
+        self.supervisor.step()
     }
 
     /// Whether the session ran to completion.
@@ -352,24 +354,24 @@ impl Session {
 
     /// The current fleet snapshot, if any.
     pub fn checkpoint(&self) -> Option<&FleetCheckpoint> {
-        self.current.as_ref()
+        self.supervisor.checkpoint()
     }
 
     /// The accumulated supervision audit trail.
     pub fn report(&self) -> &SupervisorReport {
-        &self.report
+        self.supervisor.report()
     }
 
     /// Re-shard: set the worker count used by subsequent advances.
     /// Results are worker-count-invariant, so this only changes
     /// throughput, never bytes.
     pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
+        self.supervisor.set_workers(workers);
     }
 
     /// Compact status for dashboards and the wire `Status` request.
     pub fn status(&self) -> SessionStatus {
-        let (live, finished) = match &self.current {
+        let (live, finished) = match self.checkpoint() {
             Some(cp) => (cp.live.len() as u64, cp.finished.len() as u64),
             None => (self.config.n_ues, 0),
         };
@@ -380,8 +382,8 @@ impl Session {
             finished_ues: if self.is_complete() { self.config.n_ues } else { finished },
             complete: self.is_complete(),
             policy_swaps: self.swaps.len() as u64,
-            segments: self.report.segments,
-            retries: self.report.retries,
+            segments: self.report().segments,
+            retries: self.report().retries,
         }
     }
 
@@ -391,36 +393,21 @@ impl Session {
     /// is assembled (traffic replay included) and the session becomes
     /// complete. Advancing a complete session is a no-op. The audit
     /// trail of the supervised segments accumulates in
-    /// [`Session::report`].
+    /// [`Session::report`]; after an error the session holds the newest
+    /// sealed snapshot that verifies.
     pub fn advance_to(&mut self, target_step: u64) -> Result<SessionStatus, SessionError> {
         if self.result.is_some() {
             return Ok(self.status());
         }
-        let engine = self.config.engine(self.workers);
-        let mut sup = match self.current.take() {
-            Some(cp) => Supervisor::from_checkpoint(engine, self.config.retry, cp),
-            None => Supervisor::new(engine, self.config.retry),
-        }
-        .map_err(SessionError::from)?;
         if self.trajectories.len() != self.ids.len() {
             self.trajectories = self.ids.iter().map(|_| OnceLock::new()).collect();
         }
         let spec = MemoSpec { fleet: self.config.spec(self.policy_now), memo: &self.trajectories };
-        let advanced = sup
-            .advance_to(&spec, &self.ids, self.config.base_seed, target_step)
-            .map(|_| ())
-            .map_err(SessionError::from);
-        let finished = if advanced.is_ok() && sup.all_finished() {
-            sup.finish(&spec, &self.ids, self.config.base_seed)
-                .map(|result| self.result = Some(result))
-                .map_err(SessionError::from)
-        } else {
-            Ok(())
-        };
-        let (cp, report) = sup.into_parts();
-        self.current = cp;
-        self.report.absorb(&report);
-        advanced.and(finished)?;
+        let (ids, seed) = (&self.ids, self.config.base_seed);
+        self.supervisor.advance_to(&spec, ids, seed, target_step)?;
+        if self.supervisor.all_finished() {
+            self.result = Some(self.supervisor.finish(&spec, ids, seed)?);
+        }
         Ok(self.status())
     }
 
@@ -461,7 +448,7 @@ impl Session {
                 })
                 .collect());
         }
-        let Some(cp) = &self.current else {
+        let Some(cp) = self.checkpoint() else {
             return Err(SessionError::NotAdvanced);
         };
         let live = cp.live_serving_counts(cells.len());
@@ -504,7 +491,7 @@ impl Session {
                 travelled_km: outcome.travelled_km,
             });
         }
-        let Some(cp) = &self.current else {
+        let Some(cp) = self.checkpoint() else {
             return Err(SessionError::NotAdvanced);
         };
         if let Some(outcome) = cp.find_finished(ue_id) {
@@ -566,13 +553,13 @@ impl Session {
         header.raw(",\"result\":");
         self.result.serialize(&mut header);
         header.raw(",\"report\":");
-        self.report.serialize(&mut header);
+        self.report().serialize(&mut header);
         header.raw("}");
         let header = header.into_string();
         seal_with(|out| {
             out.extend_from_slice(&(header.len() as u64).to_le_bytes());
             out.extend_from_slice(header.as_bytes());
-            match &self.current {
+            match self.checkpoint() {
                 None => out.push(0),
                 Some(cp) => {
                     out.push(1);
@@ -589,6 +576,9 @@ impl Session {
     /// config's layout and planes ([`FleetCheckpoint::check_engine`]),
     /// before the session is accepted. Older containers and payload
     /// versions are refused with [`CheckpointError::UnsupportedVersion`].
+    /// The session's supervisor continues the sealed audit trail; its
+    /// first advance seals the checkpoint into the supervisor's history
+    /// as the first restore point.
     pub fn hydrate(bytes: &[u8], workers: usize) -> Result<Session, SessionError> {
         let payload = unseal_payload(bytes).map_err(SessionError::Corrupt)?;
         let (len, rest) = (payload.get(..8), payload.get(8..).unwrap_or_default());
@@ -620,19 +610,15 @@ impl Session {
             }
             _ => return Err(malformed("session payload has no valid fleet marker".into())),
         };
-        if let Some(cp) = &current {
-            let engine = header.config.engine(1);
-            cp.check_engine(engine.config(), engine.tracing()).map_err(SessionError::Corrupt)?;
-        }
+        let engine = header.config.engine(workers);
+        let supervisor = Supervisor::resume(engine, header.config.retry, current, header.report)?;
         let ids: Vec<u64> = (0..header.config.n_ues).collect();
         Ok(Session {
             config: header.config,
             policy_now: header.policy_now,
             swaps: header.swaps,
-            current,
             result: header.result,
-            report: header.report,
-            workers: workers.max(1),
+            supervisor,
             ids,
             trajectories: Vec::new(),
         })

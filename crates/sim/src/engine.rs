@@ -18,6 +18,7 @@ use radiolink::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -598,16 +599,16 @@ impl UeState {
 }
 
 /// The simulation engine. Construction compiles the measurement plane
-/// once: the link budget ([`BsRadio::compiled`]), the per-cell BS
-/// positions, and the [`NeighborIndex`] the fleet engine's pruned
-/// candidate mode queries.
+/// once: the link budget ([`BsRadio::compiled`]) and the per-cell BS
+/// positions. The [`NeighborIndex`] is built on the first pruned
+/// candidate query, so a dense engine never pays for it.
 #[derive(Debug, Clone)]
 pub struct Simulation {
     config: SimConfig,
     candidates: CandidateTable,
     compiled_radio: CompiledBsRadio,
     bs_positions: Vec<Vec2>,
-    neighbor_index: NeighborIndex,
+    neighbor_index: OnceLock<NeighborIndex>,
 }
 
 impl Simulation {
@@ -622,7 +623,7 @@ impl Simulation {
         let compiled_radio = config.radio.compiled();
         let bs_positions =
             config.layout.cells().iter().map(|&c| config.layout.bs_position(c)).collect();
-        let neighbor_index = NeighborIndex::new(&config.layout);
+        let neighbor_index = OnceLock::new();
         Simulation { config, candidates, compiled_radio, bs_positions, neighbor_index }
     }
 
@@ -647,7 +648,7 @@ impl Simulation {
 
     /// The position → nearest-cells index of the layout.
     pub(crate) fn neighbor_index(&self) -> &NeighborIndex {
-        &self.neighbor_index
+        self.neighbor_index.get_or_init(|| NeighborIndex::new(&self.config.layout))
     }
 
     /// Fill `means_dbm` with the mean (pre-fade, pre-noise) received

@@ -804,8 +804,8 @@ pub struct FleetSimulation {
     traffic: Option<TrafficConfig>,
     dynamics: Option<DynamicsConfig>,
     /// Armed chaos harness (testing only; `None` in production). The
-    /// `Arc` is shared by clones, so a supervisor's degraded re-clones
-    /// see the same one-shot fired flags.
+    /// `Arc` is shared by clones, so the engine clone a supervisor runs
+    /// sees the same one-shot fired flags.
     fault: Option<Arc<FaultInjector>>,
 }
 
@@ -853,8 +853,13 @@ impl FleetSimulation {
     /// bit-identical for every value.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.set_workers(workers);
         self
+    }
+
+    /// [`FleetSimulation::with_workers`] in place.
+    pub(crate) fn set_workers(&mut self, workers: usize) {
+        self.workers = workers.max(1);
     }
 
     /// Set the lockstep batch size (clamped to ≥ 1). Results are
@@ -987,7 +992,8 @@ impl FleetSimulation {
     /// Run a fleet up to the lockstep step `target_step` and freeze it:
     /// start fresh from `ids` and `base_seed` (`from` is `None`) or
     /// continue an existing snapshot (`ids` and `base_seed` then come
-    /// from the snapshot). UEs whose walks end earlier finish normally;
+    /// from the snapshot, whose finished UEs move into the new one; an
+    /// error drops it). UEs whose walks end earlier finish normally;
     /// every other UE is suspended with its complete engine + policy +
     /// RNG-stream state, and the whole run comes back as a serializable
     /// [`FleetCheckpoint`]. A bound at or before the snapshot's step
@@ -1009,25 +1015,22 @@ impl FleetSimulation {
     pub fn advance(
         &self,
         spec: &dyn UeSpec,
-        from: Option<&FleetCheckpoint>,
+        from: Option<FleetCheckpoint>,
         ids: &[u64],
         base_seed: u64,
         target_step: u64,
     ) -> Result<FleetCheckpoint, FleetError> {
         self.validate_planes()?;
-        let (source, base_seed, tracing) = match from {
+        if let Some(cp) = &from {
+            self.check_checkpoint(cp)?;
+        }
+        let from = match from {
+            Some(cp) if target_step <= cp.step => return Ok(cp),
+            from => from,
+        };
+        let (source, base_seed, tracing) = match &from {
             None => (PassSource::Ids(ids), base_seed, self.tracing()),
-            Some(cp) => {
-                self.check_checkpoint(cp)?;
-                if target_step <= cp.step {
-                    return Ok(cp.clone());
-                }
-                (
-                    PassSource::Restored(&cp.live, cp.step),
-                    cp.base_seed,
-                    cp.tracing,
-                )
-            }
+            Some(cp) => (PassSource::Restored(&cp.live, cp.step), cp.base_seed, cp.tracing),
         };
         let params = PassParams {
             max_steps: Some(target_step),
@@ -1035,7 +1038,10 @@ impl FleetSimulation {
         };
         let mut out = self.pass(spec, source, params)?;
         let live = std::mem::take(&mut out.live);
-        let (finished, finished_traces, cell_load) = after_checkpoint(from, out);
+        let (finished, finished_traces, cell_load) = match from {
+            None => (out.outcomes, out.traces, out.cell_load),
+            Some(cp) => after_checkpoint((cp.finished, cp.finished_traces, cp.cell_load), out),
+        };
         Ok(FleetCheckpoint {
             version: CHECKPOINT_VERSION,
             step: target_step,
@@ -1067,7 +1073,8 @@ impl FleetSimulation {
             out.live.is_empty(),
             "unbounded passes run every UE to completion"
         );
-        let (outcomes, traces, cell_load) = after_checkpoint(Some(cp), out);
+        let finished = (cp.finished.clone(), cp.finished_traces.clone(), cp.cell_load.clone());
+        let (outcomes, traces, cell_load) = after_checkpoint(finished, out);
         let ids: Vec<u64> = outcomes.iter().map(|o| o.ue_id).collect();
         let result = assemble(outcomes, cell_load);
         self.apply_traffic(spec, &ids, cp.base_seed, result, traces)
@@ -1824,22 +1831,16 @@ fn for_each_chunk<T>(items: impl Iterator<Item = T>, chunk_size: usize, mut f: i
     }
 }
 
-/// A pass's finished UEs merged with those of the checkpoint it
-/// continued, if any: outcomes, traces and serving load, id-sorted.
+/// A pass's finished UEs merged into those of the checkpoint it
+/// continued: outcomes, traces and serving load, id-sorted.
 fn after_checkpoint(
-    from: Option<&FleetCheckpoint>,
+    (mut outcomes, mut traces, mut cell_load): (Vec<UeOutcome>, Vec<UeTrace>, CellLoadHistogram),
     out: PassPart,
 ) -> (Vec<UeOutcome>, Vec<UeTrace>, CellLoadHistogram) {
-    let Some(cp) = from else {
-        return (out.outcomes, out.traces, out.cell_load);
-    };
-    let mut outcomes = cp.finished.clone();
     outcomes.extend(out.outcomes);
     outcomes.sort_by_key(|o| o.ue_id);
-    let mut traces = cp.finished_traces.clone();
     traces.extend(out.traces);
     traces.sort_by_key(|t| t.ue_id);
-    let mut cell_load = cp.cell_load.clone();
     cell_load.merge(&out.cell_load);
     (outcomes, traces, cell_load)
 }

@@ -527,8 +527,8 @@ pub struct SupervisorReport {
     /// Corrupted snapshots detected (at seal or restore time) and
     /// quarantined.
     pub corrupt_snapshots_detected: u32,
-    /// Recoveries that restored from a good snapshot (vs. restarting
-    /// from scratch).
+    /// Retried attempts that resumed from a sealed snapshot, a resumed
+    /// run's starting one included (vs. restarting from scratch).
     pub restores: u32,
     /// Times the worker count was halved.
     pub degradations: u32,
@@ -549,25 +549,6 @@ pub struct SupervisedRun {
     pub report: SupervisorReport,
 }
 
-impl SupervisorReport {
-    /// Fold another report's counters into this one (a session
-    /// accumulating per-`advance` supervision audit trails keeps one
-    /// running total). `final_workers` takes the other report's value —
-    /// it is a point-in-time reading, not a counter.
-    pub fn absorb(&mut self, other: &SupervisorReport) {
-        self.segments += other.segments;
-        self.snapshots_taken += other.snapshots_taken;
-        self.retries += other.retries;
-        self.worker_panics += other.worker_panics;
-        self.stalls += other.stalls;
-        self.corrupt_snapshots_detected += other.corrupt_snapshots_detected;
-        self.restores += other.restores;
-        self.degradations += other.degradations;
-        self.virtual_backoff_steps += other.virtual_backoff_steps;
-        self.final_workers = other.final_workers;
-    }
-}
-
 /// The reusable single-tenant supervisor behind
 /// [`FleetSimulation::run_supervised`], factored out so a long-lived
 /// session can drive a fleet *incrementally*: advance to an arbitrary
@@ -576,65 +557,80 @@ impl SupervisorReport {
 /// watchdog, bounded retries, virtual backoff and worker degradation
 /// on every segment.
 ///
+/// It owns a run's snapshot, audit trail and worker count, and moves
+/// the snapshot into each [`FleetSimulation::advance`]: restores come
+/// only from the sealed history of verified snapshots, and every failed
+/// attempt, given up or not, reinstates the newest one that verifies.
+///
 /// Determinism contract (inherited from the PR 6 resume chain and
 /// pinned by `tests/resilience_props.rs` / `tests/server_session.rs`):
 /// for any sequence of `advance_to` bounds and any recoverable fault
 /// schedule, [`Supervisor::finish`] returns a result bit-identical to
 /// the fault-free batch [`FleetSimulation::try_run_ids`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Supervisor {
     engine: FleetSimulation,
     policy: RetryPolicy,
     report: SupervisorReport,
-    /// Recent sealed good snapshots, oldest first.
-    history: VecDeque<(u64, Vec<u8>)>,
-    /// The snapshot a resumed supervisor started from (validated on
-    /// entry): the restore point when no sealed snapshot is left.
-    origin: Option<FleetCheckpoint>,
+    /// Recent sealed good snapshots, oldest first: the restore source.
+    history: VecDeque<Vec<u8>>,
     /// The newest snapshot this supervisor produced or restored.
     current: Option<FleetCheckpoint>,
     consecutive_failures: u32,
     stall_strikes: u32,
+    /// A resumed run's starting snapshot is not in the history yet;
+    /// [`Supervisor::advance_to`] seals it before any attempt.
+    seal_pending: bool,
 }
 
 impl Supervisor {
     /// A supervisor for a fresh (not-yet-started) run. Validates the
     /// retry policy and the engine's configuration planes up front.
     pub fn new(engine: FleetSimulation, policy: RetryPolicy) -> Result<Self, FleetError> {
-        policy.validated().map_err(FleetError::InvalidConfig)?;
-        engine.validate_planes().map_err(FleetError::InvalidConfig)?;
-        Ok(Supervisor {
-            engine,
-            policy,
-            report: SupervisorReport::default(),
-            history: VecDeque::new(),
-            origin: None,
-            current: None,
-            consecutive_failures: 0,
-            stall_strikes: 0,
-        })
+        Supervisor::resume(engine, policy, None, SupervisorReport::default())
     }
 
-    /// A supervisor resuming from an existing snapshot (a hydrated
-    /// session). The snapshot is validated against the engine's planes;
-    /// an incompatible one surfaces as
-    /// [`FleetError::CorruptCheckpoint`]. A failure before any newer
-    /// snapshot verifies restores this one, never step 0.
+    /// [`Supervisor::resume`] from `cp` with a fresh audit trail.
     pub fn from_checkpoint(
         engine: FleetSimulation,
         policy: RetryPolicy,
         cp: FleetCheckpoint,
     ) -> Result<Self, FleetError> {
-        let mut sup = Supervisor::new(engine, policy)?;
-        sup.engine.check_checkpoint(&cp).map_err(FleetError::CorruptCheckpoint)?;
-        sup.origin = Some(cp);
-        Ok(sup)
+        Supervisor::resume(engine, policy, Some(cp), SupervisorReport::default())
+    }
+
+    /// Continue a run from the snapshot `from` (`None`: not started) and
+    /// the audit trail `report`, validating the policy, the planes and
+    /// the snapshot ([`FleetError::CorruptCheckpoint`]). The first
+    /// [`Supervisor::advance_to`] seals the snapshot into the history
+    /// (not counted in [`SupervisorReport::snapshots_taken`]).
+    pub fn resume(
+        engine: FleetSimulation,
+        policy: RetryPolicy,
+        from: Option<FleetCheckpoint>,
+        report: SupervisorReport,
+    ) -> Result<Self, FleetError> {
+        policy.validated().map_err(FleetError::InvalidConfig)?;
+        engine.validate_planes().map_err(FleetError::InvalidConfig)?;
+        if let Some(cp) = &from {
+            engine.check_checkpoint(cp).map_err(FleetError::CorruptCheckpoint)?;
+        }
+        Ok(Supervisor {
+            engine,
+            policy,
+            report,
+            history: VecDeque::new(),
+            seal_pending: from.is_some(),
+            current: from,
+            consecutive_failures: 0,
+            stall_strikes: 0,
+        })
     }
 
     /// The current snapshot (`None` until the first segment completes
     /// on a fresh run).
     pub fn checkpoint(&self) -> Option<&FleetCheckpoint> {
-        self.current.as_ref().or(self.origin.as_ref())
+        self.current.as_ref()
     }
 
     /// The supervision audit trail so far.
@@ -660,9 +656,10 @@ impl Supervisor {
         self.engine.workers()
     }
 
-    /// Tear down into the current snapshot and the audit trail.
-    pub fn into_parts(self) -> (Option<FleetCheckpoint>, SupervisorReport) {
-        (self.current.or(self.origin), self.report)
+    /// Re-shard: set the worker count of later segments (clamped to at
+    /// least 1). Results are worker-count-invariant.
+    pub fn set_workers(&mut self, workers: usize) {
+        self.engine.set_workers(workers);
     }
 
     /// Virtual watchdog: a segment that accumulated more stall delay
@@ -695,7 +692,7 @@ impl Supervisor {
         }
         match FleetCheckpoint::try_unseal(&sealed) {
             Ok(_) => {
-                self.history.push_back((cp.step, sealed));
+                self.history.push_back(sealed);
                 while self.history.len() > self.policy.keep_snapshots {
                     self.history.pop_front();
                 }
@@ -705,13 +702,24 @@ impl Supervisor {
         self.current = Some(cp);
     }
 
-    /// Account a failed segment attempt: retry budget, deterministic
-    /// virtual backoff, worker degradation after repeated stalls, and
-    /// restore from the newest snapshot that still verifies
-    /// (quarantining any that rotted in memory), falling back to the
-    /// starting snapshot of a resumed run. Non-recoverable errors pass
-    /// straight through.
+    /// Account a failed segment attempt: restore the newest sealed
+    /// snapshot that still verifies (quarantining any that rotted in
+    /// memory), then charge the retry budget, deterministic virtual
+    /// backoff and worker degradation after repeated stalls.
+    /// Non-recoverable errors pass straight through after the restore.
     fn handle_failure(&mut self, err: FleetError) -> Result<(), FleetError> {
+        self.current = loop {
+            let Some(sealed) = self.history.back() else {
+                break None;
+            };
+            match FleetCheckpoint::try_unseal(sealed) {
+                Ok(cp) => break Some(cp),
+                Err(_) => {
+                    self.report.corrupt_snapshots_detected += 1;
+                    self.history.pop_back();
+                }
+            }
+        };
         if !err.is_recoverable() {
             return Err(err);
         }
@@ -741,26 +749,11 @@ impl Supervisor {
         // Graceful degradation: repeated stalls halve the worker count
         // (results are worker-invariant).
         if self.stall_strikes >= self.policy.degrade_after_stalls && self.engine.workers() > 1 {
-            let halved = self.engine.workers() / 2;
-            self.engine = self.engine.clone().with_workers(halved);
+            self.engine.set_workers(self.engine.workers() / 2);
             self.report.degradations += 1;
             self.stall_strikes = 0;
         }
-        self.current = loop {
-            match self.history.back() {
-                None => break None,
-                Some((_, sealed)) => match FleetCheckpoint::try_unseal(sealed) {
-                    Ok(cp) => {
-                        self.report.restores += 1;
-                        break Some(cp);
-                    }
-                    Err(_) => {
-                        self.report.corrupt_snapshots_detected += 1;
-                        self.history.pop_back();
-                    }
-                },
-            }
-        };
+        self.report.restores += u32::from(self.current.is_some());
         Ok(())
     }
 
@@ -768,8 +761,9 @@ impl Supervisor {
     /// current snapshot reaches `target_step` or every UE has finished,
     /// whichever comes first. Returns the snapshot at the stopping
     /// point. On a fresh supervisor `ids`/`base_seed` start the run;
-    /// on later calls (and after [`Supervisor::from_checkpoint`]) the
-    /// population and seed come from the snapshot itself.
+    /// on later calls (and after [`Supervisor::resume`]) the population
+    /// and seed come from the snapshot itself. On an error the newest
+    /// sealed snapshot that verifies is the current one.
     pub fn advance_to(
         &mut self,
         spec: &dyn UeSpec,
@@ -777,6 +771,9 @@ impl Supervisor {
         base_seed: u64,
         target_step: u64,
     ) -> Result<&FleetCheckpoint, FleetError> {
+        if std::mem::take(&mut self.seal_pending) {
+            self.history.extend(self.current.as_ref().map(FleetCheckpoint::seal));
+        }
         loop {
             if let Some(cp) = self.checkpoint() {
                 if cp.live.is_empty() || cp.step >= target_step {
@@ -789,7 +786,7 @@ impl Supervisor {
                 }
                 None => self.policy.checkpoint_cadence.min(target_step),
             };
-            let attempt = self.engine.advance(spec, self.checkpoint(), ids, base_seed, bound);
+            let attempt = self.engine.advance(spec, self.current.take(), ids, base_seed, bound);
             match self.watchdog(attempt) {
                 Ok(cp) => self.accept_snapshot(cp),
                 Err(err) => self.handle_failure(err)?,
@@ -853,8 +850,7 @@ impl FleetSimulation {
     ) -> Result<SupervisedRun, FleetError> {
         let mut supervisor = Supervisor::new(self.clone(), *policy)?;
         let result = supervisor.finish(spec, ids, base_seed)?;
-        let (_, report) = supervisor.into_parts();
-        Ok(SupervisedRun { result, report })
+        Ok(SupervisedRun { result, report: supervisor.report })
     }
 }
 

@@ -36,7 +36,7 @@
 //! without making results depend on scheduling. The traffic plane
 //! therefore splits: workers record each UE's per-step serving cell
 //! (a [`UeTrace`], a pure function of the UE id), and a sequential
-//! [`CellLoadTracker`] replay merges the traces in UE-id order on one
+//! occupancy-tracker replay merges the traces in UE-id order on one
 //! global timeline — making the [`TrafficReport`] bit-identical for any
 //! worker count, chunk size, or UE submission order. Occupancy feeds
 //! back into the fleet loop through the replay's second product, the
@@ -305,13 +305,14 @@ impl UeTrace {
         UeTrace { ue_id, steps: serving.len() as u64, changes }
     }
 
-    /// The serving cell at `step` (must be `< steps`).
-    pub fn cell_at(&self, step: u64) -> u32 {
-        assert!(step < self.steps, "step {step} outside the trace");
-        match self.changes.binary_search_by_key(&step, |&(s, _)| s) {
-            Ok(k) => self.changes[k].1,
-            Err(k) => self.changes[k - 1].1,
+    /// The serving cell at `step`: `None` past the trace's end, and
+    /// for a malformed trace with no change point at or before `step`.
+    pub fn cell_at(&self, step: u64) -> Option<u32> {
+        if step >= self.steps {
+            return None;
         }
+        let k = self.changes.partition_point(|&(s, _)| s <= step);
+        self.changes.get(k.checked_sub(1)?).map(|&(_, cell)| cell)
     }
 }
 
@@ -395,9 +396,10 @@ struct ActiveCall {
 /// arrivals for each timeline step, close the step with
 /// [`CellLoadTracker::record_step`], and it accumulates the per-cell
 /// occupancy histograms, the admission counters, and the step-major
-/// utilization timeline that becomes the [`LoadField`].
+/// utilization timeline that becomes the [`LoadField`]. Module-private:
+/// [`replay_traffic_dynamic`] validates the plane before it builds one.
 #[derive(Debug, Clone)]
-pub struct CellLoadTracker {
+struct CellLoadTracker {
     capacity: u32,
     guard: u32,
     occupancy: Vec<u32>,
@@ -408,8 +410,9 @@ pub struct CellLoadTracker {
 }
 
 impl CellLoadTracker {
-    /// Zeroed tracker over the layout's cells.
-    pub fn new(cells: &[Axial], capacity: u32, guard: u32) -> Self {
+    /// Zeroed tracker over the layout's cells. The caller validated the
+    /// plane, so these asserts never fire.
+    fn new(cells: &[Axial], capacity: u32, guard: u32) -> Self {
         assert!(capacity >= 1, "a cell needs at least one channel");
         assert!(guard < capacity, "guard channels must leave room for new calls");
         CellLoadTracker {
@@ -423,11 +426,6 @@ impl CellLoadTracker {
         }
     }
 
-    /// Current busy-channel count of a cell.
-    pub fn occupancy(&self, cell_idx: usize) -> u32 {
-        self.occupancy[cell_idx]
-    }
-
     /// Offer a new call to `cell_idx`: admitted (and a channel seized)
     /// only below the guard-reduced capacity, with `extra_guard`
     /// additional channels reserved against this call — the
@@ -435,7 +433,7 @@ impl CellLoadTracker {
     /// leave `guard + extra_guard` channels free). Saturates at zero
     /// admission room: a class whose extra guard exceeds the cell's
     /// new-call capacity is always blocked.
-    pub fn offer_new_call(&mut self, cell_idx: usize, extra_guard: u32) -> bool {
+    fn offer_new_call(&mut self, cell_idx: usize, extra_guard: u32) -> bool {
         self.per_cell[cell_idx].offered_calls += 1;
         let room = (self.capacity - self.guard).saturating_sub(extra_guard);
         if self.occupancy[cell_idx] < room {
@@ -450,7 +448,7 @@ impl CellLoadTracker {
     /// Record a new call refused without consulting occupancy — the
     /// admission outcome for a cell that is down (a failed BS offers no
     /// channels at all).
-    pub fn refuse_new_call(&mut self, cell_idx: usize) {
+    fn refuse_new_call(&mut self, cell_idx: usize) {
         self.per_cell[cell_idx].offered_calls += 1;
         self.per_cell[cell_idx].blocked_calls += 1;
     }
@@ -458,7 +456,7 @@ impl CellLoadTracker {
     /// Relocate an active call from `from_idx` to `to_idx`: admitted
     /// whenever the target has any free channel; on refusal the call is
     /// dropped (the source channel is released either way).
-    pub fn offer_handover(&mut self, from_idx: usize, to_idx: usize) -> bool {
+    fn offer_handover(&mut self, from_idx: usize, to_idx: usize) -> bool {
         debug_assert!(self.occupancy[from_idx] > 0, "handover of a call nobody carries");
         self.occupancy[from_idx] -= 1;
         if self.occupancy[to_idx] < self.capacity {
@@ -472,14 +470,14 @@ impl CellLoadTracker {
     }
 
     /// Release the channel of a call ending in `cell_idx`.
-    pub fn release(&mut self, cell_idx: usize) {
+    fn release(&mut self, cell_idx: usize) {
         debug_assert!(self.occupancy[cell_idx] > 0, "release of a call nobody carries");
         self.occupancy[cell_idx] -= 1;
     }
 
     /// Close one timeline step: record every cell's occupancy into its
     /// histogram and append the utilization row of the [`LoadField`].
-    pub fn record_step(&mut self) {
+    fn record_step(&mut self) {
         self.steps += 1;
         for (k, &occ) in self.occupancy.iter().enumerate() {
             self.per_cell[k].occupancy_steps[occ as usize] += 1;
@@ -896,11 +894,14 @@ mod tests {
         assert_eq!(t.steps, 8);
         assert_eq!(t.changes, vec![(0, 0), (2, 1), (5, 0), (6, 2)]);
         for (s, &cell) in serving.iter().enumerate() {
-            assert_eq!(t.cell_at(s as u64), cell, "step {s}");
+            assert_eq!(t.cell_at(s as u64), Some(cell), "step {s}");
         }
         let p = UeTrace::pinned(1, 4, 3);
         assert_eq!(p.changes, vec![(0, 3)]);
-        assert_eq!(p.cell_at(3), 3);
+        assert_eq!(p.cell_at(3), Some(3));
+        assert_eq!(p.cell_at(4), None);
+        let empty = UeTrace { ue_id: 4, steps: 2, changes: Vec::new() };
+        assert_eq!(empty.cell_at(0), None);
         assert_eq!(UeTrace::pinned(2, 0, 0).changes, vec![]);
         assert_eq!(UeTrace::from_serving(3, &[]).steps, 0);
     }

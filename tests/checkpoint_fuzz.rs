@@ -402,7 +402,7 @@ fn foreign_layout_checkpoints_are_typed_errors() {
     };
     let engine = FleetSimulation::new(one_ring.clone()).with_workers(2);
     for cp in [&live, &finished] {
-        corrupt(engine.advance(&spec, Some(cp), &ids, 3, 4).map(drop), "advance");
+        corrupt(engine.advance(&spec, Some(cp.clone()), &ids, 3, 4).map(drop), "advance");
         corrupt(engine.try_resume(&spec, cp).map(drop), "try_resume");
         let sup = Supervisor::from_checkpoint(engine.clone(), RetryPolicy::default(), cp.clone());
         corrupt(sup.map(drop), "Supervisor::from_checkpoint");

@@ -199,7 +199,7 @@ proptest! {
             .try_run_ids(&ue_spec, &ids, seed).expect("fleet run");
         let mut cp = None;
         for (bound, shape) in [(bounds.0, shape_a), (bounds.1, shape_b), (bounds.2, shape_c)] {
-            cp = Some(engine(shape).advance(&ue_spec, cp.as_ref(), &ids, seed, bound).unwrap());
+            cp = Some(engine(shape).advance(&ue_spec, cp, &ids, seed, bound).unwrap());
         }
         let cp = cp.expect("three segments ran");
         let resumed = engine(shape_resume).try_resume(&ue_spec, &cp).unwrap();

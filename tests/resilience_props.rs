@@ -18,7 +18,10 @@
 //!    arbitrary cadence reproduces the uninterrupted run bit for bit
 //!    (the supervisor's segment primitive).
 //! 5. A supervisor resumed from a checkpoint restores that checkpoint,
-//!    not step 0, when a segment fails before a newer snapshot exists.
+//!    not step 0, when a segment fails before a newer snapshot exists:
+//!    the restore reads the sealed starting snapshot and counts.
+//! 6. After a run gives up, the supervisor holds the newest snapshot
+//!    that still verifies, and finishing it reproduces the clean run.
 
 use std::sync::Arc;
 
@@ -246,9 +249,8 @@ proptest! {
         let mut cp = fleet.advance(&spec, None, &ids, seed, cadence).expect("first segment");
         let mut guard = 0;
         while !cp.live.is_empty() {
-            cp = fleet
-                .advance(&spec, Some(&cp), &ids, seed, cp.step + cadence)
-                .expect("chained segment");
+            let bound = cp.step + cadence;
+            cp = fleet.advance(&spec, Some(cp), &ids, seed, bound).expect("chained segment");
             guard += 1;
             prop_assert!(guard < 10_000, "chain did not converge");
         }
@@ -423,7 +425,9 @@ fn supervised_recovery_with_traffic_feedback_plane() {
 /// A supervisor resumed from a checkpoint falls back to that checkpoint
 /// — not to step 0 — when its first segment fails before any newer
 /// snapshot exists, so a policy swapped in at the checkpoint survives
-/// the failure: the result equals `advance(A) → try_resume(B)`.
+/// the failure: the result equals `advance(A) → try_resume(B)`. The
+/// restore counts, and it comes from the sealed starting snapshot: the
+/// failed segment consumed the in-memory one.
 #[test]
 fn resumed_supervisor_restores_its_starting_snapshot_after_a_failure() {
     let cfg = noisy_config();
@@ -437,11 +441,69 @@ fn resumed_supervisor_restores_its_starting_snapshot_after_a_failure() {
     let all_hysteresis = engine.try_run_ids(&hysteresis, &ids, 17).expect("fleet run");
     assert_ne!(swapped, all_hysteresis, "the swap must be visible in the result");
 
-    let plan = FaultPlan::scripted(vec![Fault::WorkerPanic { at_step: 12 }]);
-    let faulty = engine.with_fault_injection(Arc::new(plan.injector()));
+    let panic_at_12 = || {
+        let plan = FaultPlan::scripted(vec![Fault::WorkerPanic { at_step: 12 }]);
+        engine.clone().with_fault_injection(Arc::new(plan.injector()))
+    };
     let mut supervisor =
-        Supervisor::from_checkpoint(faulty, RetryPolicy::default(), cp).expect("valid snapshot");
+        Supervisor::from_checkpoint(panic_at_12(), RetryPolicy::default(), cp.clone())
+            .expect("valid snapshot");
     let result = supervisor.finish(&hysteresis, &ids, 17).expect("one panic is recoverable");
     assert_eq!(supervisor.report().worker_panics, 1, "the scripted panic fired");
+    assert_eq!(supervisor.report().restores, 1, "the retry resumed from a snapshot");
     assert_eq!(result, swapped);
+
+    // Stop right after the failed first segment: no snapshot was taken,
+    // so the one the supervisor holds is its sealed starting snapshot.
+    let give_up = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
+    let mut supervisor =
+        Supervisor::from_checkpoint(panic_at_12(), give_up, cp.clone()).expect("valid snapshot");
+    let err = supervisor.finish(&hysteresis, &ids, 17).expect_err("no retry budget");
+    assert!(matches!(err, FleetError::RetriesExhausted { attempts: 1, .. }), "{err:?}");
+    assert_eq!(supervisor.report().snapshots_taken, 0);
+    let held = supervisor.checkpoint().expect("the starting snapshot is restored");
+    assert_eq!(held.seal(), cp.seal());
+}
+
+/// A run that gives up leaves the supervisor on the newest snapshot
+/// that still verifies — after a plain `RetriesExhausted`, and after a
+/// corrupted seal that quarantined the newest snapshot first — and
+/// finishing that snapshot reproduces the clean run.
+#[test]
+fn exhausted_supervisor_holds_the_newest_verified_snapshot() {
+    let cfg = noisy_config();
+    let spec = fleet_spec(23, cfg.layout.cell_radius_km());
+    let ids: Vec<u64> = (0..10).collect();
+    // One worker: a panic ends the attempt before a later step runs.
+    let clean = FleetSimulation::new(cfg.clone());
+    let reference = clean.try_run_ids(&spec, &ids, 23).expect("fleet run");
+    let at_4 = clean.advance(&spec, None, &ids, 23, 4).expect("segment to 4");
+    let at_8 = clean.advance(&spec, Some(at_4.clone()), &ids, 23, 8).expect("segment to 8");
+    assert!(!at_8.live.is_empty(), "the walks outlast the failing segment");
+    // Snapshots are sealed at steps 4 and 8, and the segment to 12
+    // panics at step 8. With one retry, the retry from step 8 panics
+    // again at step 9. With none, and the step-8 seal corrupted, the
+    // run gives up at once and falls back to step 4.
+    let panic_8 = Fault::WorkerPanic { at_step: 8 };
+    let panic_9 = Fault::WorkerPanic { at_step: 9 };
+    let corrupt_8 = Fault::CorruptCheckpoint { at_snapshot: 1, byte_offset: 40 };
+    for (faults, max_retries, newest, restores) in [
+        (vec![panic_8, panic_9], 1, &at_8, 1),
+        (vec![corrupt_8, panic_8], 0, &at_4, 0),
+    ] {
+        let plan = FaultPlan::scripted(faults.clone());
+        let faulty = clean.clone().with_fault_injection(Arc::new(plan.injector()));
+        let policy = RetryPolicy { checkpoint_cadence: 4, max_retries, ..RetryPolicy::default() };
+        let mut supervisor = Supervisor::new(faulty, policy).expect("valid policy");
+        let err = supervisor.finish(&spec, &ids, 23).expect_err("the retry budget runs out");
+        let attempts = max_retries + 1;
+        assert!(
+            matches!(err, FleetError::RetriesExhausted { attempts: a, .. } if a == attempts),
+            "{faults:?}: {err:?}"
+        );
+        assert_eq!(supervisor.report().restores, restores, "{faults:?}");
+        let held = supervisor.checkpoint().expect("a verified snapshot is held");
+        assert_eq!(held.seal(), newest.seal(), "{faults:?}");
+        assert_eq!(clean.try_resume(&spec, held).expect("finish"), reference, "{faults:?}");
+    }
 }

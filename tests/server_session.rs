@@ -21,6 +21,10 @@
 //! 6. Hostile frames — nesting far past the reader's depth limit, or a
 //!    megabyte of wrongly typed payload — answer a short `BadRequest`
 //!    and the connection keeps serving.
+//! 7. What a session's long-lived supervisor keeps between advances
+//!    (its sealed history, its failure streak) never reaches the sealed
+//!    bytes: a session driven continuously seals exactly like one
+//!    sealed and hydrated after every advance.
 
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::server::{
@@ -207,6 +211,42 @@ proptest! {
         prop_assert_eq!(server.session(a2).unwrap().result().unwrap(), &solo_a);
         prop_assert_eq!(server.session(b).unwrap().result().unwrap(), &solo_b);
     }
+}
+
+/// Property 7 — one session kept alive and one rebuilt from its own
+/// sealed bytes after every single-step advance, through a policy swap
+/// and a worker change, seal to the same bytes at every step and end
+/// on the same result.
+#[test]
+fn continuous_and_rehydrated_sessions_seal_the_same_bytes() {
+    let config = session_config(8, 41, 2);
+    let mut workers = 2;
+    let mut continuous = Session::spawn(config.clone(), workers).unwrap();
+    let mut cycled = Session::spawn(config, workers).unwrap();
+    let swap = PolicyKind::Hysteresis { margin_db: 3.0 };
+    for step in 1..=1_000u64 {
+        if step == 3 {
+            continuous.swap_policy(swap).unwrap();
+            cycled.swap_policy(swap).unwrap();
+        }
+        if step == 5 {
+            workers = 3;
+            continuous.set_workers(workers);
+            cycled.set_workers(workers);
+        }
+        continuous.advance_to(step).unwrap();
+        cycled.advance_to(step).unwrap();
+        let sealed = cycled.sealed();
+        assert_eq!(continuous.sealed(), sealed, "step {step}");
+        cycled = Session::hydrate(&sealed, workers).unwrap();
+        if continuous.is_complete() {
+            break;
+        }
+    }
+    assert!(continuous.is_complete() && cycled.is_complete(), "the run ended");
+    assert!(continuous.policy_log().len() == 1, "the swap happened mid-run");
+    assert_eq!(continuous.result(), cycled.result());
+    assert_eq!(continuous.sealed(), cycled.sealed());
 }
 
 /// Property 4 — the full lifecycle through the wire codec equals the
