@@ -8,10 +8,11 @@
 //! resume chain. It keeps one [`handover_sim::Supervisor`] for its whole
 //! life, the one owner of the run's snapshot, audit trail and worker
 //! count: every `advance_to` runs supervised cadence-sized segments from
-//! the current [`FleetCheckpoint`], and a failed segment restores from
-//! the supervisor's sealed history only. What the supervisor keeps
-//! between advances (that history, its failure streak) is never sealed,
-//! so a session driven by *any* interleaving of
+//! the current [`FleetCheckpoint`] with its own retry budget, and a
+//! failed segment restores the snapshot it started from. Between
+//! advances the supervisor holds that one snapshot and no seal; what
+//! else it keeps (its failure streak) is never sealed, so a session
+//! driven by *any* interleaving of
 //! [`Session::advance_to`] / [`Session::sealed`] / [`Session::hydrate`]
 //! calls produces results **bit-identical** to the equivalent batch
 //! [`FleetSimulation::try_run_ids`] — every `f64` included (pinned by
@@ -339,7 +340,7 @@ impl Session {
     /// The session's current lockstep step (0 before the first
     /// advance).
     pub fn step(&self) -> u64 {
-        self.supervisor.step()
+        self.checkpoint().map_or(0, |cp| cp.step)
     }
 
     /// Whether the session ran to completion.
@@ -393,8 +394,8 @@ impl Session {
     /// is assembled (traffic replay included) and the session becomes
     /// complete. Advancing a complete session is a no-op. The audit
     /// trail of the supervised segments accumulates in
-    /// [`Session::report`]; after an error the session holds the newest
-    /// sealed snapshot that verifies.
+    /// [`Session::report`]; after an error the session holds the failed
+    /// segment's restore point.
     pub fn advance_to(&mut self, target_step: u64) -> Result<SessionStatus, SessionError> {
         if self.result.is_some() {
             return Ok(self.status());
@@ -404,8 +405,7 @@ impl Session {
         }
         let spec = MemoSpec { fleet: self.config.spec(self.policy_now), memo: &self.trajectories };
         let (ids, seed) = (&self.ids, self.config.base_seed);
-        self.supervisor.advance_to(&spec, ids, seed, target_step)?;
-        if self.supervisor.all_finished() {
+        if self.supervisor.advance_to(&spec, ids, seed, target_step)?.live.is_empty() {
             self.result = Some(self.supervisor.finish(&spec, ids, seed)?);
         }
         Ok(self.status())
@@ -576,9 +576,8 @@ impl Session {
     /// config's layout and planes ([`FleetCheckpoint::check_engine`]),
     /// before the session is accepted. Older containers and payload
     /// versions are refused with [`CheckpointError::UnsupportedVersion`].
-    /// The session's supervisor continues the sealed audit trail; its
-    /// first advance seals the checkpoint into the supervisor's history
-    /// as the first restore point.
+    /// The session's supervisor continues the sealed audit trail from
+    /// the checkpoint.
     pub fn hydrate(bytes: &[u8], workers: usize) -> Result<Session, SessionError> {
         let payload = unseal_payload(bytes).map_err(SessionError::Corrupt)?;
         let (len, rest) = (payload.get(..8), payload.get(8..).unwrap_or_default());

@@ -480,14 +480,6 @@ impl FleetCheckpoint {
         self.finished.binary_search_by_key(&ue_id, |o| o.ue_id).ok().map(|k| &self.finished[k])
     }
 
-    /// The serving-cell trace of a finished UE (tracing runs only).
-    pub fn find_finished_trace(&self, ue_id: u64) -> Option<&UeTrace> {
-        self.finished_traces
-            .binary_search_by_key(&ue_id, |t| t.ue_id)
-            .ok()
-            .map(|k| &self.finished_traces[k])
-    }
-
     /// Instantaneous per-cell load: how many live UEs are currently
     /// served by each of the `n_cells` layout cells (layout order).
     /// Out-of-range serving indices (possible in a snapshot not checked

@@ -155,22 +155,18 @@ pub(crate) struct CandidateTable {
 impl CandidateTable {
     pub(crate) fn new(layout: &CellLayout) -> Self {
         let cells = layout.cells();
-        let index_of = |cell: Axial| -> usize {
-            cells.iter().position(|&c| c == cell).expect("cell is in the layout")
-        };
         let per_cell = cells
             .iter()
             .map(|&serving| {
-                let neighbors = layout.neighbors_of(serving);
+                let neighbors: Vec<usize> = serving
+                    .neighbors()
+                    .iter()
+                    .filter_map(|&n| cells.iter().position(|&c| c == n))
+                    .collect();
                 if neighbors.is_empty() {
-                    cells
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| c != serving)
-                        .map(|(k, _)| k)
-                        .collect()
+                    (0..cells.len()).filter(|&k| cells[k] != serving).collect()
                 } else {
-                    neighbors.into_iter().map(index_of).collect()
+                    neighbors
                 }
             })
             .collect();

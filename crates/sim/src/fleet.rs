@@ -992,10 +992,10 @@ impl FleetSimulation {
     /// Run a fleet up to the lockstep step `target_step` and freeze it:
     /// start fresh from `ids` and `base_seed` (`from` is `None`) or
     /// continue an existing snapshot (`ids` and `base_seed` then come
-    /// from the snapshot, whose finished UEs move into the new one; an
-    /// error drops it). UEs whose walks end earlier finish normally;
-    /// every other UE is suspended with its complete engine + policy +
-    /// RNG-stream state, and the whole run comes back as a serializable
+    /// from the snapshot, whose finished UEs move into the new one). UEs
+    /// whose walks end earlier finish normally; every other UE is
+    /// suspended with its complete engine + policy + RNG-stream state,
+    /// and the whole run comes back as a serializable
     /// [`FleetCheckpoint`]. A bound at or before the snapshot's step
     /// returns the snapshot unchanged.
     ///
@@ -1020,13 +1020,31 @@ impl FleetSimulation {
         base_seed: u64,
         target_step: u64,
     ) -> Result<FleetCheckpoint, FleetError> {
-        self.validate_planes()?;
-        if let Some(cp) = &from {
-            self.check_checkpoint(cp)?;
-        }
-        let from = match from {
-            Some(cp) if target_step <= cp.step => return Ok(cp),
-            from => from,
+        self.advance_or_return(spec, from, ids, base_seed, target_step, || Ok(()))
+            .map_err(|failed| failed.0)
+    }
+
+    /// [`FleetSimulation::advance`] that hands `from` back, untouched,
+    /// with the error: a failed attempt's snapshot is its retry's
+    /// restore point. `watchdog` runs after the pass, and its error
+    /// wins over the pass's result, so a supervisor can refuse a pass
+    /// that did produce output.
+    pub(crate) fn advance_or_return(
+        &self,
+        spec: &dyn UeSpec,
+        from: Option<FleetCheckpoint>,
+        ids: &[u64],
+        base_seed: u64,
+        target_step: u64,
+        watchdog: impl FnOnce() -> Result<(), FleetError>,
+    ) -> Result<FleetCheckpoint, Box<(FleetError, Option<FleetCheckpoint>)>> {
+        let checked = self.validate_planes().map_err(FleetError::from).and_then(|()| {
+            from.as_ref().map_or(Ok(()), |cp| self.check_checkpoint(cp).map_err(FleetError::from))
+        });
+        let from = match (checked, from) {
+            (Err(err), from) => return Err(Box::new((err, from))),
+            (Ok(()), Some(cp)) if target_step <= cp.step => return Ok(cp),
+            (Ok(()), from) => from,
         };
         let (source, base_seed, tracing) = match &from {
             None => (PassSource::Ids(ids), base_seed, self.tracing()),
@@ -1036,7 +1054,11 @@ impl FleetSimulation {
             max_steps: Some(target_step),
             ..PassParams::collect(base_seed, tracing)
         };
-        let mut out = self.pass(spec, source, params)?;
+        let pass = self.pass(spec, source, params);
+        let mut out = match watchdog().and(pass) {
+            Ok(out) => out,
+            Err(err) => return Err(Box::new((err, from))),
+        };
         let live = std::mem::take(&mut out.live);
         let (finished, finished_traces, cell_load) = match from {
             None => (out.outcomes, out.traces, out.cell_load),

@@ -444,7 +444,9 @@ pub struct RetryPolicy {
     /// Snapshot every this-many lockstep steps.
     pub checkpoint_cadence: u64,
     /// Give up (with [`FleetError::RetriesExhausted`]) after this many
-    /// failed segment attempts across the whole run.
+    /// failed segment attempts in one [`Supervisor::advance_to`] or
+    /// [`Supervisor::finish`] call (the whole run under
+    /// [`FleetSimulation::run_supervised`]).
     pub max_retries: u32,
     /// A segment whose accumulated virtual stall delay exceeds this
     /// deadline counts as failed ([`FleetError::WorkerStalled`]).
@@ -457,7 +459,8 @@ pub struct RetryPolicy {
     /// (graceful degradation; results are worker-count-invariant, so
     /// degrading never changes the answer).
     pub degrade_after_stalls: u32,
-    /// Keep at most this many recent good snapshots in memory.
+    /// Keep at most this many recent good sealed snapshots during a
+    /// supervisor call.
     pub keep_snapshots: usize,
 }
 
@@ -527,8 +530,8 @@ pub struct SupervisorReport {
     /// Corrupted snapshots detected (at seal or restore time) and
     /// quarantined.
     pub corrupt_snapshots_detected: u32,
-    /// Retried attempts that resumed from a sealed snapshot, a resumed
-    /// run's starting one included (vs. restarting from scratch).
+    /// Retried attempts that resumed from a snapshot, a resumed run's
+    /// starting one included (vs. restarting from scratch).
     pub restores: u32,
     /// Times the worker count was halved.
     pub degradations: u32,
@@ -558,9 +561,13 @@ pub struct SupervisedRun {
 /// on every segment.
 ///
 /// It owns a run's snapshot, audit trail and worker count, and moves
-/// the snapshot into each [`FleetSimulation::advance`]: restores come
-/// only from the sealed history of verified snapshots, and every failed
-/// attempt, given up or not, reinstates the newest one that verifies.
+/// the snapshot into each [`FleetSimulation::advance`]; a failed
+/// attempt hands it back as its retry's restore point, unless that
+/// snapshot's own seal failed write-verify: then the newest sealed
+/// snapshot of the call that still verifies replaces it. Each
+/// [`Supervisor::advance_to`] or [`Supervisor::finish`] call has its
+/// own retry budget and drops its seals when it returns, so an idle
+/// supervisor holds one snapshot and no seal.
 ///
 /// Determinism contract (inherited from the PR 6 resume chain and
 /// pinned by `tests/resilience_props.rs` / `tests/server_session.rs`):
@@ -572,15 +579,18 @@ pub struct Supervisor {
     engine: FleetSimulation,
     policy: RetryPolicy,
     report: SupervisorReport,
-    /// Recent sealed good snapshots, oldest first: the restore source.
+    /// This call's sealed good snapshots, oldest first.
     history: VecDeque<Vec<u8>>,
-    /// The newest snapshot this supervisor produced or restored.
+    /// The newest snapshot this supervisor started from, produced or
+    /// restored.
     current: Option<FleetCheckpoint>,
+    /// `current`'s seal failed write-verify: a failure restores from
+    /// `history` instead, if anything there verifies.
+    current_unverified: bool,
+    /// `report.retries` when the current call began.
+    retries_before: u32,
     consecutive_failures: u32,
     stall_strikes: u32,
-    /// A resumed run's starting snapshot is not in the history yet;
-    /// [`Supervisor::advance_to`] seals it before any attempt.
-    seal_pending: bool,
 }
 
 impl Supervisor {
@@ -590,20 +600,10 @@ impl Supervisor {
         Supervisor::resume(engine, policy, None, SupervisorReport::default())
     }
 
-    /// [`Supervisor::resume`] from `cp` with a fresh audit trail.
-    pub fn from_checkpoint(
-        engine: FleetSimulation,
-        policy: RetryPolicy,
-        cp: FleetCheckpoint,
-    ) -> Result<Self, FleetError> {
-        Supervisor::resume(engine, policy, Some(cp), SupervisorReport::default())
-    }
-
     /// Continue a run from the snapshot `from` (`None`: not started) and
     /// the audit trail `report`, validating the policy, the planes and
-    /// the snapshot ([`FleetError::CorruptCheckpoint`]). The first
-    /// [`Supervisor::advance_to`] seals the snapshot into the history
-    /// (not counted in [`SupervisorReport::snapshots_taken`]).
+    /// the snapshot ([`FleetError::CorruptCheckpoint`]). A failure before
+    /// any newer snapshot exists restores `from`, never step 0.
     pub fn resume(
         engine: FleetSimulation,
         policy: RetryPolicy,
@@ -620,8 +620,9 @@ impl Supervisor {
             policy,
             report,
             history: VecDeque::new(),
-            seal_pending: from.is_some(),
             current: from,
+            current_unverified: false,
+            retries_before: 0,
             consecutive_failures: 0,
             stall_strikes: 0,
         })
@@ -638,35 +639,17 @@ impl Supervisor {
         &self.report
     }
 
-    /// The lockstep step of the current snapshot (0 before the first
-    /// segment).
-    pub fn step(&self) -> u64 {
-        self.checkpoint().map_or(0, |cp| cp.step)
-    }
-
-    /// Whether every UE has finished (the run is ready for
-    /// [`Supervisor::finish`]'s final assembly without further
-    /// stepping).
-    pub fn all_finished(&self) -> bool {
-        self.checkpoint().is_some_and(|cp| cp.live.is_empty())
-    }
-
-    /// Current worker count (after any degradations).
-    pub fn workers(&self) -> usize {
-        self.engine.workers()
-    }
-
     /// Re-shard: set the worker count of later segments (clamped to at
     /// least 1). Results are worker-count-invariant.
     pub fn set_workers(&mut self, workers: usize) {
         self.engine.set_workers(workers);
     }
 
-    /// Virtual watchdog: a segment that accumulated more stall delay
-    /// than the deadline is treated as failed even if it technically
-    /// produced output — a real supervisor would have killed it
-    /// mid-flight.
-    fn watchdog<T>(&self, attempt: Result<T, FleetError>) -> Result<T, FleetError> {
+    /// Virtual watchdog, read after every attempt: a segment that
+    /// accumulated more stall delay than the deadline is treated as
+    /// failed even if it technically produced output — a real
+    /// supervisor would have killed it mid-flight.
+    fn watchdog(&self) -> Result<(), FleetError> {
         let stalled = self.engine.fault_injector().map_or(0, |f| f.take_stall_steps());
         if stalled > self.policy.stall_deadline_steps {
             Err(FleetError::WorkerStalled {
@@ -674,13 +657,14 @@ impl Supervisor {
                 deadline_steps: self.policy.stall_deadline_steps,
             })
         } else {
-            attempt
+            Ok(())
         }
     }
 
     /// Accept a completed segment's snapshot: seal, expose to scripted
     /// bit-rot, then write-verify — a corrupted seal is detected here
-    /// and quarantined (the older good snapshot stays).
+    /// and quarantined (the older good snapshot stays the restore
+    /// point).
     fn accept_snapshot(&mut self, cp: FleetCheckpoint) {
         self.report.segments += 1;
         self.consecutive_failures = 0;
@@ -690,36 +674,40 @@ impl Supervisor {
         if let Some(injector) = self.engine.fault_injector() {
             injector.corrupt_snapshot(snapshot_index, &mut sealed);
         }
-        match FleetCheckpoint::try_unseal(&sealed) {
-            Ok(_) => {
-                self.history.push_back(sealed);
-                while self.history.len() > self.policy.keep_snapshots {
-                    self.history.pop_front();
-                }
+        self.current_unverified = FleetCheckpoint::try_unseal(&sealed).is_err();
+        if self.current_unverified {
+            self.report.corrupt_snapshots_detected += 1;
+        } else {
+            self.history.push_back(sealed);
+            while self.history.len() > self.policy.keep_snapshots {
+                self.history.pop_front();
             }
-            Err(_) => self.report.corrupt_snapshots_detected += 1,
         }
         self.current = Some(cp);
     }
 
-    /// Account a failed segment attempt: restore the newest sealed
-    /// snapshot that still verifies (quarantining any that rotted in
-    /// memory), then charge the retry budget, deterministic virtual
-    /// backoff and worker degradation after repeated stalls.
-    /// Non-recoverable errors pass straight through after the restore.
+    /// Account a failed segment attempt: if the current snapshot's seal
+    /// failed, restore the newest sealed one that still verifies
+    /// (quarantining any that rotted in memory), then charge the
+    /// call's retry budget, deterministic virtual backoff and worker
+    /// degradation after repeated stalls. Non-recoverable errors pass
+    /// straight through after the restore.
     fn handle_failure(&mut self, err: FleetError) -> Result<(), FleetError> {
-        self.current = loop {
+        while self.current_unverified {
             let Some(sealed) = self.history.back() else {
-                break None;
+                break;
             };
             match FleetCheckpoint::try_unseal(sealed) {
-                Ok(cp) => break Some(cp),
+                Ok(cp) => {
+                    self.current = Some(cp);
+                    self.current_unverified = false;
+                }
                 Err(_) => {
                     self.report.corrupt_snapshots_detected += 1;
                     self.history.pop_back();
                 }
             }
-        };
+        }
         if !err.is_recoverable() {
             return Err(err);
         }
@@ -732,11 +720,9 @@ impl Supervisor {
             }
             _ => {}
         }
-        if self.report.retries > self.policy.max_retries {
-            return Err(FleetError::RetriesExhausted {
-                attempts: self.report.retries,
-                last: Box::new(err),
-            });
+        let attempts = self.report.retries - self.retries_before;
+        if attempts > self.policy.max_retries {
+            return Err(FleetError::RetriesExhausted { attempts, last: Box::new(err) });
         }
         // Deterministic virtual-time backoff: no wall clock, just an
         // exponentially growing charge in the report.
@@ -757,13 +743,54 @@ impl Supervisor {
         Ok(())
     }
 
+    /// Run `call` with a fresh retry budget, and drop its seals after:
+    /// between calls the current snapshot is the only restore point.
+    fn call<T>(
+        &mut self,
+        call: impl FnOnce(&mut Self) -> Result<T, FleetError>,
+    ) -> Result<T, FleetError> {
+        self.retries_before = self.report.retries;
+        let out = call(self);
+        self.history.clear();
+        out
+    }
+
+    /// Cadence-sized supervised segments until the current snapshot
+    /// reaches `target_step` or every UE has finished.
+    fn segments(
+        &mut self,
+        spec: &dyn UeSpec,
+        ids: &[u64],
+        base_seed: u64,
+        target_step: u64,
+    ) -> Result<(), FleetError> {
+        loop {
+            let bound = match self.checkpoint() {
+                Some(cp) if cp.live.is_empty() || cp.step >= target_step => return Ok(()),
+                Some(cp) => cp.step.saturating_add(self.policy.checkpoint_cadence),
+                None => self.policy.checkpoint_cadence,
+            }
+            .min(target_step);
+            let from = self.current.take();
+            let watchdog = || self.watchdog();
+            match self.engine.advance_or_return(spec, from, ids, base_seed, bound, watchdog) {
+                Ok(cp) => self.accept_snapshot(cp),
+                Err(failed) => {
+                    let (err, from) = *failed;
+                    self.current = from;
+                    self.handle_failure(err)?;
+                }
+            }
+        }
+    }
+
     /// Advance the run in cadence-sized supervised segments until the
     /// current snapshot reaches `target_step` or every UE has finished,
     /// whichever comes first. Returns the snapshot at the stopping
     /// point. On a fresh supervisor `ids`/`base_seed` start the run;
     /// on later calls (and after [`Supervisor::resume`]) the population
-    /// and seed come from the snapshot itself. On an error the newest
-    /// sealed snapshot that verifies is the current one.
+    /// and seed come from the snapshot itself. On an error the current
+    /// snapshot is the failed attempt's restore point.
     pub fn advance_to(
         &mut self,
         spec: &dyn UeSpec,
@@ -771,28 +798,8 @@ impl Supervisor {
         base_seed: u64,
         target_step: u64,
     ) -> Result<&FleetCheckpoint, FleetError> {
-        if std::mem::take(&mut self.seal_pending) {
-            self.history.extend(self.current.as_ref().map(FleetCheckpoint::seal));
-        }
-        loop {
-            if let Some(cp) = self.checkpoint() {
-                if cp.live.is_empty() || cp.step >= target_step {
-                    break;
-                }
-            }
-            let bound = match self.checkpoint() {
-                Some(cp) => {
-                    cp.step.saturating_add(self.policy.checkpoint_cadence).min(target_step)
-                }
-                None => self.policy.checkpoint_cadence.min(target_step),
-            };
-            let attempt = self.engine.advance(spec, self.current.take(), ids, base_seed, bound);
-            match self.watchdog(attempt) {
-                Ok(cp) => self.accept_snapshot(cp),
-                Err(err) => self.handle_failure(err)?,
-            }
-        }
-        // invariant: the loop only breaks once a snapshot is in place.
+        self.call(|sup| sup.segments(spec, ids, base_seed, target_step))?;
+        // invariant: `segments` only returns `Ok` with a snapshot in place.
         Ok(self.checkpoint().expect("advance_to leaves a checkpoint"))
     }
 
@@ -807,19 +814,19 @@ impl Supervisor {
         ids: &[u64],
         base_seed: u64,
     ) -> Result<FleetResult, FleetError> {
-        loop {
-            self.advance_to(spec, ids, base_seed, u64::MAX)?;
-            let cp = self.checkpoint().expect("advance_to leaves a checkpoint");
-            let attempt = self.engine.try_resume(spec, cp).map(Box::new);
-            match self.watchdog(attempt) {
+        self.call(|sup| loop {
+            sup.segments(spec, ids, base_seed, u64::MAX)?;
+            let cp = sup.checkpoint().expect("segments leave a checkpoint");
+            let attempt = sup.engine.try_resume(spec, cp).map(Box::new);
+            match sup.watchdog().and(attempt) {
                 Ok(result) => {
-                    self.report.segments += 1;
-                    self.report.final_workers = self.engine.workers();
+                    sup.report.segments += 1;
+                    sup.report.final_workers = sup.engine.workers();
                     return Ok(*result);
                 }
-                Err(err) => self.handle_failure(err)?,
+                Err(err) => sup.handle_failure(err)?,
             }
-        }
+        })
     }
 }
 

@@ -304,16 +304,6 @@ impl UeTrace {
         }
         UeTrace { ue_id, steps: serving.len() as u64, changes }
     }
-
-    /// The serving cell at `step`: `None` past the trace's end, and
-    /// for a malformed trace with no change point at or before `step`.
-    pub fn cell_at(&self, step: u64) -> Option<u32> {
-        if step >= self.steps {
-            return None;
-        }
-        let k = self.changes.partition_point(|&(s, _)| s <= step);
-        self.changes.get(k.checked_sub(1)?).map(|&(_, cell)| cell)
-    }
 }
 
 /// The serving cell of one UE at instant `s`, read through its lazy
@@ -893,15 +883,11 @@ mod tests {
         let t = UeTrace::from_serving(9, &serving);
         assert_eq!(t.steps, 8);
         assert_eq!(t.changes, vec![(0, 0), (2, 1), (5, 0), (6, 2)]);
+        let mut cursor = (0, 0);
         for (s, &cell) in serving.iter().enumerate() {
-            assert_eq!(t.cell_at(s as u64), Some(cell), "step {s}");
+            assert_eq!(current_cell(&t, &mut cursor, s as u64), cell, "step {s}");
         }
-        let p = UeTrace::pinned(1, 4, 3);
-        assert_eq!(p.changes, vec![(0, 3)]);
-        assert_eq!(p.cell_at(3), Some(3));
-        assert_eq!(p.cell_at(4), None);
-        let empty = UeTrace { ue_id: 4, steps: 2, changes: Vec::new() };
-        assert_eq!(empty.cell_at(0), None);
+        assert_eq!(UeTrace::pinned(1, 4, 3).changes, vec![(0, 3)]);
         assert_eq!(UeTrace::pinned(2, 0, 0).changes, vec![]);
         assert_eq!(UeTrace::from_serving(3, &[]).steps, 0);
     }

@@ -34,7 +34,7 @@ use fuzzy_handover::server::{
 };
 use fuzzy_handover::sim::checkpoint::{FleetCheckpoint, SEALED_HEADER_LEN};
 use fuzzy_handover::sim::fleet::{FleetError, FleetMobility, FleetSimulation, PolicyKind};
-use fuzzy_handover::sim::resilience::{RetryPolicy, Supervisor};
+use fuzzy_handover::sim::resilience::{RetryPolicy, Supervisor, SupervisorReport};
 use fuzzy_handover::sim::{seal_payload, unseal_payload, CheckpointError, SimConfig};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -404,8 +404,9 @@ fn foreign_layout_checkpoints_are_typed_errors() {
     for cp in [&live, &finished] {
         corrupt(engine.advance(&spec, Some(cp.clone()), &ids, 3, 4).map(drop), "advance");
         corrupt(engine.try_resume(&spec, cp).map(drop), "try_resume");
-        let sup = Supervisor::from_checkpoint(engine.clone(), RetryPolicy::default(), cp.clone());
-        corrupt(sup.map(drop), "Supervisor::from_checkpoint");
+        let (policy, report) = (RetryPolicy::default(), SupervisorReport::default());
+        let sup = Supervisor::resume(engine.clone(), policy, Some(cp.clone()), report);
+        corrupt(sup.map(drop), "Supervisor::resume");
         let config = SessionConfig::new(one_ring.clone(), mobility, PolicyKind::Fuzzy, 6, 3);
         match Session::hydrate(&forged_session(config, cp), 1) {
             Err(SessionError::Corrupt(CheckpointError::ShapeMismatch(_))) => {}

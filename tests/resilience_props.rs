@@ -18,10 +18,12 @@
 //!    arbitrary cadence reproduces the uninterrupted run bit for bit
 //!    (the supervisor's segment primitive).
 //! 5. A supervisor resumed from a checkpoint restores that checkpoint,
-//!    not step 0, when a segment fails before a newer snapshot exists:
-//!    the restore reads the sealed starting snapshot and counts.
+//!    not step 0, when a segment fails before a newer snapshot exists,
+//!    and the restore counts.
 //! 6. After a run gives up, the supervisor holds the newest snapshot
 //!    that still verifies, and finishing it reproduces the clean run.
+//! 7. Each supervisor call has its own retry budget: failures spread
+//!    over more calls than one budget allows still recover.
 
 use std::sync::Arc;
 
@@ -30,7 +32,9 @@ use fuzzy_handover::sim::checkpoint::{CheckpointError, FleetCheckpoint};
 use fuzzy_handover::sim::fleet::{
     FleetError, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
-use fuzzy_handover::sim::resilience::{Fault, FaultPlan, RetryPolicy, Supervisor};
+use fuzzy_handover::sim::resilience::{
+    Fault, FaultPlan, RetryPolicy, Supervisor, SupervisorReport,
+};
 use fuzzy_handover::sim::SimConfig;
 use proptest::prelude::*;
 
@@ -426,8 +430,8 @@ fn supervised_recovery_with_traffic_feedback_plane() {
 /// — not to step 0 — when its first segment fails before any newer
 /// snapshot exists, so a policy swapped in at the checkpoint survives
 /// the failure: the result equals `advance(A) → try_resume(B)`. The
-/// restore counts, and it comes from the sealed starting snapshot: the
-/// failed segment consumed the in-memory one.
+/// restore counts, and the failed segment hands the starting snapshot
+/// back unchanged.
 #[test]
 fn resumed_supervisor_restores_its_starting_snapshot_after_a_failure() {
     let cfg = noisy_config();
@@ -445,19 +449,20 @@ fn resumed_supervisor_restores_its_starting_snapshot_after_a_failure() {
         let plan = FaultPlan::scripted(vec![Fault::WorkerPanic { at_step: 12 }]);
         engine.clone().with_fault_injection(Arc::new(plan.injector()))
     };
-    let mut supervisor =
-        Supervisor::from_checkpoint(panic_at_12(), RetryPolicy::default(), cp.clone())
-            .expect("valid snapshot");
+    let resume = |policy| {
+        let report = SupervisorReport::default();
+        Supervisor::resume(panic_at_12(), policy, Some(cp.clone()), report)
+            .expect("valid snapshot")
+    };
+    let mut supervisor = resume(RetryPolicy::default());
     let result = supervisor.finish(&hysteresis, &ids, 17).expect("one panic is recoverable");
     assert_eq!(supervisor.report().worker_panics, 1, "the scripted panic fired");
     assert_eq!(supervisor.report().restores, 1, "the retry resumed from a snapshot");
     assert_eq!(result, swapped);
 
     // Stop right after the failed first segment: no snapshot was taken,
-    // so the one the supervisor holds is its sealed starting snapshot.
-    let give_up = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
-    let mut supervisor =
-        Supervisor::from_checkpoint(panic_at_12(), give_up, cp.clone()).expect("valid snapshot");
+    // so the one the supervisor holds is its starting snapshot.
+    let mut supervisor = resume(RetryPolicy { max_retries: 0, ..RetryPolicy::default() });
     let err = supervisor.finish(&hysteresis, &ids, 17).expect_err("no retry budget");
     assert!(matches!(err, FleetError::RetriesExhausted { attempts: 1, .. }), "{err:?}");
     assert_eq!(supervisor.report().snapshots_taken, 0);
@@ -480,16 +485,17 @@ fn exhausted_supervisor_holds_the_newest_verified_snapshot() {
     let at_4 = clean.advance(&spec, None, &ids, 23, 4).expect("segment to 4");
     let at_8 = clean.advance(&spec, Some(at_4.clone()), &ids, 23, 8).expect("segment to 8");
     assert!(!at_8.live.is_empty(), "the walks outlast the failing segment");
-    // Snapshots are sealed at steps 4 and 8, and the segment to 12
-    // panics at step 8. With one retry, the retry from step 8 panics
-    // again at step 9. With none, and the step-8 seal corrupted, the
-    // run gives up at once and falls back to step 4.
+    // Segments end at steps 4, 8 and 12. With one retry, the segment
+    // to 8 panics once and retries from step 4, then the segment to 12
+    // panics at step 9 and the run gives up on step 8. With none, and
+    // the step-8 seal corrupted, the segment to 12 panics at step 9
+    // and the run gives up on step 4, the newest seal that verifies.
     let panic_8 = Fault::WorkerPanic { at_step: 8 };
     let panic_9 = Fault::WorkerPanic { at_step: 9 };
     let corrupt_8 = Fault::CorruptCheckpoint { at_snapshot: 1, byte_offset: 40 };
-    for (faults, max_retries, newest, restores) in [
-        (vec![panic_8, panic_9], 1, &at_8, 1),
-        (vec![corrupt_8, panic_8], 0, &at_4, 0),
+    for (faults, max_retries, newest, restores, corrupt) in [
+        (vec![panic_8, panic_9], 1, &at_8, 1, 0),
+        (vec![corrupt_8, panic_9], 0, &at_4, 0, 1),
     ] {
         let plan = FaultPlan::scripted(faults.clone());
         let faulty = clean.clone().with_fault_injection(Arc::new(plan.injector()));
@@ -502,8 +508,34 @@ fn exhausted_supervisor_holds_the_newest_verified_snapshot() {
             "{faults:?}: {err:?}"
         );
         assert_eq!(supervisor.report().restores, restores, "{faults:?}");
+        assert_eq!(supervisor.report().corrupt_snapshots_detected, corrupt, "{faults:?}");
         let held = supervisor.checkpoint().expect("a verified snapshot is held");
         assert_eq!(held.seal(), newest.seal(), "{faults:?}");
         assert_eq!(clean.try_resume(&spec, held).expect("finish"), reference, "{faults:?}");
     }
+}
+
+/// Property 7 — one recoverable panic in each of four supervisor calls
+/// (three `advance_to`, then `finish`), with a budget of one retry per
+/// call, still finishes on the clean result.
+#[test]
+fn each_supervisor_call_has_its_own_retry_budget() {
+    let cfg = noisy_config();
+    let spec = fleet_spec(23, cfg.layout.cell_radius_km());
+    let ids: Vec<u64> = (0..10).collect();
+    let clean = FleetSimulation::new(cfg);
+    let reference = clean.try_run_ids(&spec, &ids, 23).expect("fleet run");
+    let faults = [1, 3, 5, 7].map(|at_step| Fault::WorkerPanic { at_step });
+    let plan = FaultPlan::scripted(faults.to_vec());
+    let faulty = clean.clone().with_fault_injection(Arc::new(plan.injector()));
+    let policy = RetryPolicy { checkpoint_cadence: 2, max_retries: 1, ..RetryPolicy::default() };
+    let mut supervisor = Supervisor::new(faulty, policy).expect("valid policy");
+    for target in [2, 4, 6] {
+        let cp = supervisor.advance_to(&spec, &ids, 23, target).expect("one panic recovers");
+        assert!(!cp.live.is_empty(), "the walks outlast the last panic");
+        assert_eq!(supervisor.report().retries as u64, target / 2, "the panic fired");
+    }
+    let result = supervisor.finish(&spec, &ids, 23).expect("one panic per call recovers");
+    assert_eq!(supervisor.report().worker_panics, 4);
+    assert_eq!(result, reference);
 }

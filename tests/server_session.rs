@@ -22,9 +22,9 @@
 //!    megabyte of wrongly typed payload — answer a short `BadRequest`
 //!    and the connection keeps serving.
 //! 7. What a session's long-lived supervisor keeps between advances
-//!    (its sealed history, its failure streak) never reaches the sealed
-//!    bytes: a session driven continuously seals exactly like one
-//!    sealed and hydrated after every advance.
+//!    (its failure streak, its engine) never reaches the sealed bytes:
+//!    a session driven continuously seals exactly like one sealed and
+//!    hydrated after every advance.
 
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::server::{
