@@ -5,6 +5,7 @@
 //! shadowing + measurement noise), applies the paper's speed penalty to
 //! the neighbour reading, hands the report to the configured
 //! [`HandoverPolicy`], and executes handovers the policy orders.
+#![deny(clippy::too_many_lines)]
 
 use cellgeom::{Axial, CellLayout, NeighborIndex, Vec2};
 use handover_core::{
@@ -146,10 +147,12 @@ impl SimResult {
 /// layout index) the candidate target cells, in decision order — the
 /// in-layout neighbours, falling back to every other cell when a rim
 /// cell has none. Shared by [`Simulation::run`] and the fleet engine so
-/// neither re-derives neighbour lists per step.
+/// neither re-derives neighbour lists per step. It also holds every
+/// layout index in layout order, the cell list of a dense step.
 #[derive(Debug, Clone)]
 pub(crate) struct CandidateTable {
     per_cell: Vec<Vec<usize>>,
+    all: Vec<u32>,
 }
 
 impl CandidateTable {
@@ -170,12 +173,30 @@ impl CandidateTable {
                 }
             })
             .collect();
-        CandidateTable { per_cell }
+        CandidateTable { per_cell, all: (0..cells.len() as u32).collect() }
     }
 
     pub(crate) fn of(&self, serving_idx: usize) -> &[usize] {
         &self.per_cell[serving_idx]
     }
+
+    /// Every layout index, in layout order.
+    pub(crate) fn all(&self) -> &[u32] {
+        &self.all
+    }
+}
+
+/// The cells one [`UeState::measure`] call measures, which also fixes
+/// how the shadowing lane advances.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum MeasuredCells<'a> {
+    /// Every cell, in layout order: every shadowing slot advances by the
+    /// distance travelled since the previous step.
+    All,
+    /// A neighbour-pruned subset of layout indices, in draw order: each
+    /// listed slot advances by the distance it accrued since it was last
+    /// measured, while unlisted slots keep accruing.
+    Subset(&'a [u32]),
 }
 
 /// The outcome of one [`UeState::step`], consumed either into a full
@@ -198,7 +219,9 @@ pub(crate) struct StepOutcome {
 /// private RNG stream, and the event log. [`Simulation::run`] drives
 /// exactly one of these; the fleet engine drives thousands, which is what
 /// makes a 1-UE fleet bit-identical to a single-trajectory run by
-/// construction.
+/// construction. Every candidate mode measures through the one
+/// [`UeState::measure`] routine; only the [`MeasuredCells`] plan
+/// differs.
 #[derive(Debug)]
 pub(crate) struct UeState {
     serving_idx: usize,
@@ -212,15 +235,18 @@ pub(crate) struct UeState {
     passthrough_smoothing: bool,
     rng: StdRng,
     log: EventLog,
-    /// Scratch buffer of post-noise, post-smoothing measurements.
+    /// Scratch buffer of post-noise, post-smoothing measurements, one
+    /// per cell (−∞ dBm for a cell the step did not measure).
     measured: Vec<f64>,
     /// Per-BS travelled distance at which the shadowing slot last
     /// advanced — used only by the neighbour-pruned candidate mode, which
     /// advances a slot lazily by `cum_km − last_advanced_km[slot]` when
     /// the cell re-enters the candidate set (exact under the Gudmundson
     /// composition law `ρ(d₁+d₂) = ρ(d₁)·ρ(d₂)`). Empty until the first
-    /// pruned step.
+    /// pruned step, so a UE that only takes dense steps snapshots none.
     last_advanced_km: Vec<f64>,
+    /// Travelled distance of the previous step; a dense step advances
+    /// every slot by the difference.
     prev_cum: f64,
     steps: usize,
 }
@@ -345,11 +371,10 @@ impl UeState {
         &self.log
     }
 
-    /// Advance one measurement step. `means_dbm[k]` is the mean (pre-fade,
-    /// pre-noise) received power from the layout's `k`-th BS at
-    /// `point.pos` — computed by the caller, scalar for single runs and
-    /// batched per (BS, UE-chunk) for fleets. `normals` is the caller's
-    /// gaussian scratch (see [`UeState::begin_step`]).
+    /// Advance one measurement step over every cell. `means_dbm[k]` is
+    /// the mean (pre-fade, pre-noise) received power from the layout's
+    /// `k`-th BS at `point.pos`, computed by the caller. `normals` is the
+    /// caller's gaussian scratch (see [`UeState::measure`]).
     pub(crate) fn step(
         &mut self,
         cfg: &SimConfig,
@@ -359,154 +384,102 @@ impl UeState {
         policy: &mut dyn HandoverPolicy,
         normals: &mut Vec<f64>,
     ) -> StepOutcome {
-        let report = self.begin_step(cfg, candidates, means_dbm, point, normals);
+        let report = self.measure(cfg, candidates, means_dbm, point, MeasuredCells::All, normals);
         let decision = policy.decide(&report);
         self.finish_step(cfg, &report, decision, point, policy)
     }
 
     /// The measurement half of a step: advance the shadowing processes
-    /// and the RNG, measure every BS, pick the strongest neighbour and
+    /// and the RNG, measure `cells`, pick the strongest neighbour and
     /// build the report. The fleet engine calls this for a whole chunk
     /// before deciding, so the FLC stage can run batched between the
     /// halves; [`UeState::step`] composes the same halves for single
     /// runs, so both draw identical per-UE random streams.
     ///
-    /// The whole step's gaussian budget — one shadowing innovation per
-    /// cell (σ_shadow > 0), then one noise draw per cell (σ_noise > 0) —
-    /// is bulk-generated in a *single* [`standard_normal_fill`] pass into
-    /// the caller's `normals` scratch; the shadowing update, the
-    /// `(mean + shadow) + σ·noise` combine and the optional smoothing
-    /// then run as slice passes. Each gaussian consumes exactly two
-    /// `u64`s, so the bulk fill draws the same stream, in the same order,
-    /// as advancing the shadowing lane and then applying the noise one
-    /// stage at a time.
+    /// `means_dbm[k]` is the mean received power from the layout's `k`-th
+    /// BS, read only at the measured cells. The plan changes only how the
+    /// shadowing lane advances (see [`MeasuredCells`]); then one pass
+    /// combines `(mean + shadow) + σ·noise` per measured cell, the
+    /// optional smoother filters it, and unmeasured cells are parked at
+    /// −∞ dBm. Either plan covers the serving cell and its whole
+    /// candidate table, so the report never reads a parked value.
     ///
-    /// The scratch is resized to exactly the draw count, which depends
-    /// only on the `SimConfig` sigmas — never on step number, UE, or
-    /// chunk — so checkpoint/resume boundaries cannot change how many
-    /// draws any UE makes. Nothing in it survives the call, so it is
-    /// (correctly) absent from [`UeState::snapshot`].
-    pub(crate) fn begin_step(
+    /// The gaussians go into the caller's `normals` scratch. Each
+    /// gaussian consumes exactly two `u64`s and [`standard_normal_fill`]
+    /// matches the scalar sampler bit for bit, so the stream is the one
+    /// a per-BS `ShadowingProcess` then `MeasurementNoise::apply` loop
+    /// draws. The scratch length depends only on the `SimConfig` sigmas
+    /// and the measured set — never on step number or chunk — and
+    /// nothing in it survives the call, so it is (correctly) absent from
+    /// [`UeState::snapshot`].
+    pub(crate) fn measure(
         &mut self,
         cfg: &SimConfig,
         candidates: &CandidateTable,
         means_dbm: &[f64],
         point: TracePoint,
+        cells: MeasuredCells<'_>,
         normals: &mut Vec<f64>,
     ) -> MeasurementReport {
-        let cells = cfg.layout.cells();
-        let n = cells.len();
-        debug_assert_eq!(means_dbm.len(), n);
-        let delta = point.cum_km - self.prev_cum;
-        self.prev_cum = point.cum_km;
-        let shadow_draws = if cfg.shadowing.sigma_db > 0.0 { n } else { 0 };
-        let noise_draws = if cfg.noise.sigma_db > 0.0 { n } else { 0 };
-        normals.resize(shadow_draws + noise_draws, 0.0);
-        // One bulk gaussian pass covers both measurement stages.
-        standard_normal_fill(normals, &mut self.rng);
-        self.shadow.advance_all_with(delta, &normals[..shadow_draws]);
-        self.measured.clear();
-        if noise_draws == 0 {
-            self.measured
-                .extend(means_dbm.iter().zip(self.shadow.values()).map(|(&m, &s)| m + s));
-        } else {
-            let sigma = cfg.noise.sigma_db;
-            let noise = &normals[shadow_draws..];
-            self.measured.extend(
-                means_dbm
-                    .iter()
-                    .zip(self.shadow.values())
-                    .zip(noise)
-                    .map(|((&m, &s), &e)| (m + s) + sigma * e),
-            );
-        }
-        if !self.passthrough_smoothing {
-            for (value, smoother) in self.measured.iter_mut().zip(&mut self.smoothers) {
-                *value = smoother.push(*value);
-            }
-        }
-        self.report(cfg, candidates, point, None)
-            .expect("layouts have at least two cells")
-    }
-
-    /// The neighbour-pruned measurement half: like
-    /// [`UeState::begin_step`], but only the cells in `subset` (layout
-    /// indices, draw order) are measured — their shadowing slots advance
-    /// by their accumulated travelled distance, one noise draw each —
-    /// while every other cell's slot just accrues distance for later.
-    /// The caller guarantees `subset` covers the serving cell and its
-    /// whole candidate table, so the report never reads an unmeasured
-    /// value; unmeasured entries are parked at −∞ dBm.
-    ///
-    /// `means_dbm` entries are read only at `subset` positions.
-    pub(crate) fn begin_step_pruned(
-        &mut self,
-        cfg: &SimConfig,
-        candidates: &CandidateTable,
-        means_dbm: &[f64],
-        point: TracePoint,
-        subset: &[u32],
-    ) -> MeasurementReport {
         let n = cfg.layout.len();
-        // `prev_cum` is only consumed by the dense path, but keeping it
-        // current costs nothing and keeps the state coherent.
+        let sigma = cfg.noise.sigma_db;
+        let noise_draws = |cells: usize| if sigma > 0.0 { cells } else { 0 };
+        let (slots, noise) = match cells {
+            MeasuredCells::All => {
+                // One bulk gaussian pass covers both stages: one
+                // shadowing innovation per cell, then one noise draw.
+                let shadow_draws = if cfg.shadowing.sigma_db > 0.0 { n } else { 0 };
+                normals.resize(shadow_draws + noise_draws(n), 0.0);
+                standard_normal_fill(normals, &mut self.rng);
+                let delta = point.cum_km - self.prev_cum;
+                self.shadow.advance_all_with(delta, &normals[..shadow_draws]);
+                (candidates.all(), &normals[shadow_draws..])
+            }
+            MeasuredCells::Subset(subset) => {
+                if self.last_advanced_km.is_empty() {
+                    self.last_advanced_km.resize(n, 0.0);
+                }
+                let last_km = &mut self.last_advanced_km;
+                self.shadow.advance_subset(subset, point.cum_km, last_km, &mut self.rng);
+                normals.resize(noise_draws(subset.len()), 0.0);
+                standard_normal_fill(normals, &mut self.rng);
+                (subset, &normals[..])
+            }
+        };
         self.prev_cum = point.cum_km;
-        if self.last_advanced_km.is_empty() {
-            self.last_advanced_km.resize(n, 0.0);
-        }
         self.measured.clear();
         self.measured.resize(n, f64::NEG_INFINITY);
-        self.shadow.advance_subset(
-            subset,
-            point.cum_km,
-            &mut self.last_advanced_km,
-            &mut self.rng,
-        );
-        if cfg.noise.sigma_db == 0.0 {
+        let shadow = self.shadow.values();
+        if sigma == 0.0 {
             // `MeasurementNoise::apply` with σ = 0 passes the reading
-            // through and consumes no randomness.
-            for &slot in subset {
+            // through and draws nothing.
+            for &slot in slots {
                 let k = slot as usize;
-                let raw = means_dbm[k] + self.shadow.values()[k];
-                self.measured[k] = if self.passthrough_smoothing {
-                    raw
-                } else {
-                    self.smoothers[k].push(raw)
-                };
+                self.measured[k] = means_dbm[k] + shadow[k];
             }
         } else {
-            // Batched noise: draw the subset's gaussians in one bulk tile
-            // pass, then combine. Same draws in the same subset order as
-            // per-slot `apply` calls (the combine consumes no
-            // randomness), and `clean + σ·normal` is `apply`'s exact
-            // expression.
-            let sigma = cfg.noise.sigma_db;
-            let mut draws = [0.0f64; 64];
-            for slot_tile in subset.chunks(draws.len()) {
-                let tile = &mut draws[..slot_tile.len()];
-                standard_normal_fill(tile, &mut self.rng);
-                for (&slot, &normal) in slot_tile.iter().zip(tile.iter()) {
-                    let k = slot as usize;
-                    let raw = means_dbm[k] + self.shadow.values()[k] + sigma * normal;
-                    self.measured[k] = if self.passthrough_smoothing {
-                        raw
-                    } else {
-                        self.smoothers[k].push(raw)
-                    };
-                }
+            for (&slot, &e) in slots.iter().zip(noise) {
+                let k = slot as usize;
+                self.measured[k] = (means_dbm[k] + shadow[k]) + sigma * e;
             }
         }
-        self.report(cfg, candidates, point, None)
-            .expect("layouts have at least two cells")
+        if !self.passthrough_smoothing {
+            for &slot in slots {
+                let k = slot as usize;
+                self.measured[k] = self.smoothers[k].push(self.measured[k]);
+            }
+        }
+        // `validate_planes` requires two distinct cells, so every
+        // candidate list is non-empty.
+        self.report(cfg, candidates, point, None).expect("layouts have at least two cells")
     }
 
     /// Build the step's report from the `measured` buffer: the serving
     /// reading (no speed penalty: the paper applies the 2 dB/10 km/h rule
     /// to the neighbour reading), the strongest speed-penalised candidate
     /// of the serving cell, and both distances. Must be called after
-    /// [`UeState::begin_step`] / [`UeState::begin_step_pruned`] populated
-    /// `measured` for this step; both always measure the whole candidate
-    /// table.
+    /// [`UeState::measure`] populated `measured` for this step; it always
+    /// measures the whole candidate table.
     ///
     /// `down` is the fleet engine's BS-failure mask: a masked candidate
     /// is never picked, while the serving reading is reported as-is,
@@ -542,7 +515,7 @@ impl UeState {
     }
 
     /// The commit half of a step: record/execute the decision made on a
-    /// [`UeState::begin_step`] report, notify the policy of an executed
+    /// [`UeState::measure`] report, notify the policy of an executed
     /// handover, and account the step.
     pub(crate) fn finish_step(
         &mut self,
@@ -890,6 +863,100 @@ mod tests {
         // the default config must be None.
         let cfg = SimConfig::paper_default();
         assert_eq!(cfg.smoothing, radiolink::RssiSmoother::None);
+    }
+
+    /// A pruned measurement set for `step`: two rotating extra cells,
+    /// then the candidates in reverse, then the serving cell — so draw
+    /// order is not layout order, and cells drop out and re-enter.
+    fn rotating_subset(sim: &Simulation, serving: usize, step: usize) -> Vec<u32> {
+        let n = sim.config().layout.len();
+        let mut cells = Vec::new();
+        let extras = [(5 * step) % n, (7 * step + 3) % n];
+        let must = sim.candidates().of(serving).iter().rev().copied().chain([serving]);
+        for k in extras.into_iter().chain(must) {
+            if !cells.contains(&(k as u32)) {
+                cells.push(k as u32);
+            }
+        }
+        cells
+    }
+
+    /// Walk one UE through [`UeState::measure`] and, on an identically
+    /// seeded stream, through a one-draw-at-a-time scalar reference:
+    /// per-BS `ShadowingProcess::advance` over every cell (dense) or
+    /// `ShadowingLane::advance_one` by each slot's accrued distance over
+    /// a rotating subset (pruned), then `MeasurementNoise::apply` and
+    /// `RssiSmoother::push` per measured cell. Every measured value and
+    /// shadowing slot must match bit for bit, and so must the smoother
+    /// states and the stream position at the end.
+    fn check_against_scalar_reference(cfg: &SimConfig, pruned: bool) {
+        use radiolink::ShadowingProcess;
+        use rand::RngCore;
+        let label =
+            format!("{:?} {:?} {:?} pruned={pruned}", cfg.shadowing, cfg.noise, cfg.smoothing);
+        let walk = Trajectory::new(vec![Vec2::new(0.2, 0.1), Vec2::new(2.9, 1.3)]);
+        let sim = Simulation::new(cfg.clone());
+        let n = cfg.layout.len();
+        let mut ue = UeState::new(cfg, walk.start(), 11);
+        let serving = ue.serving_index();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut procs = vec![ShadowingProcess::new(cfg.shadowing); n];
+        let mut lane = ShadowingLane::new(cfg.shadowing, n);
+        let mut filters = vec![cfg.smoothing.clone(); n];
+        let (mut last_km, mut prev_cum) = (vec![0.0; n], 0.0);
+        let (mut means, mut normals, mut shadow) = (vec![0.0; n], Vec::new(), vec![0.0; n]);
+        for (step, point) in walk.resample_iter(cfg.sample_spacing_km).enumerate() {
+            sim.mean_rss_all(point.pos, &mut means);
+            let subset = rotating_subset(&sim, serving, step);
+            let (plan, cells) = if pruned {
+                (MeasuredCells::Subset(&subset), subset.as_slice())
+            } else {
+                (MeasuredCells::All, sim.candidates().all())
+            };
+            let report = ue.measure(cfg, sim.candidates(), &means, point, plan, &mut normals);
+            if pruned {
+                for &slot in cells {
+                    let k = slot as usize;
+                    shadow[k] = lane.advance_one(k, point.cum_km - last_km[k], &mut rng);
+                    last_km[k] = point.cum_km;
+                }
+            } else {
+                for (value, process) in shadow.iter_mut().zip(&mut procs) {
+                    *value = process.advance(point.cum_km - prev_cum, &mut rng);
+                }
+                prev_cum = point.cum_km;
+            }
+            for &slot in cells {
+                let k = slot as usize;
+                let expected = filters[k].push(cfg.noise.apply(means[k] + shadow[k], &mut rng));
+                let got = (ue.measured[k], ue.shadow.values()[k]);
+                assert_eq!(got.0.to_bits(), expected.to_bits(), "{label}: step {step} cell {k}");
+                assert_eq!(got.1.to_bits(), shadow[k].to_bits(), "{label}: step {step} cell {k}");
+            }
+            assert_eq!(report.serving_rss_dbm.to_bits(), ue.measured[serving].to_bits());
+        }
+        assert_eq!(ue.smoothers, filters, "{label}");
+        assert_eq!(ue.rng.next_u64(), rng.next_u64(), "{label}: same draw count");
+    }
+
+    /// [`check_against_scalar_reference`] for shadowing and noise each
+    /// on and off, every smoother kind, dense and pruned.
+    #[test]
+    fn measurement_matches_scalar_reference_bit_for_bit() {
+        let smoothers = [RssiSmoother::None, RssiSmoother::ewma(0.3), RssiSmoother::window(3)];
+        for (shadow_sigma, noise_sigma) in [(0.0, 0.0), (0.0, 1.0), (4.0, 0.0), (4.0, 1.0)] {
+            for smoothing in &smoothers {
+                let cfg = SimConfig {
+                    shadowing: ShadowingConfig { sigma_db: shadow_sigma, decorrelation_km: 0.3 },
+                    noise: MeasurementNoise::new(noise_sigma),
+                    smoothing: smoothing.clone(),
+                    sample_spacing_km: 0.1,
+                    ..SimConfig::paper_default()
+                };
+                check_against_scalar_reference(&cfg, false);
+                check_against_scalar_reference(&cfg, true);
+            }
+        }
     }
 
     #[test]

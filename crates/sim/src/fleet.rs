@@ -17,15 +17,15 @@
 //!   states are recycled through a per-worker arena (reset in place,
 //!   every allocation reused), so a million-UE run performs a bounded
 //!   number of state allocations.
-//! * **Compiled measurement plane** — per measurement step the mean path
-//!   loss is computed per (BS, UE-chunk) through the compiled link budget
+//! * **Compiled measurement plane** — per measurement step each UE's
+//!   mean path loss comes from the compiled link budget
 //!   ([`radiolink::CompiledBsRadio`], every position-independent term
-//!   folded once per run), and each UE's shadowing and noise draws come
-//!   from one bulk gaussian fill — the same measurement kernel
-//!   [`Simulation::run`] uses, so both paths are bit-identical. The
-//!   opt-in [`CandidateMode::Nearest`] prunes the dense `cells × chunk`
-//!   sweep to the cells near each UE, and [`CandidateMode::EdgeSet`]
-//!   further restricts the full sweep to *cell-edge* UEs (see its docs).
+//!   folded once per run), and its shadowing and noise draws from bulk
+//!   gaussian fills — the one measurement routine [`Simulation::run`]
+//!   uses too, so both paths are bit-identical. The opt-in
+//!   [`CandidateMode::Nearest`] prunes the dense every-cell sweep to the
+//!   cells near each UE, and [`CandidateMode::EdgeSet`] further restricts
+//!   the full sweep to *cell-edge* UEs (see its docs).
 //! * **Per-UE deterministic RNG streams** — UE `i`'s measurement
 //!   randomness is seeded with [`ue_seed`]`(base_seed, i)`. UE 0 uses
 //!   `base_seed` exactly, which is what makes a 1-UE fleet reproduce
@@ -59,7 +59,7 @@
 
 use crate::checkpoint::{CheckpointError, FleetCheckpoint, UeCheckpoint, CHECKPOINT_VERSION};
 use crate::dynamics::{ChurnConfig, DynamicsConfig};
-use crate::engine::{SimConfig, Simulation, UeState};
+use crate::engine::{MeasuredCells, SimConfig, Simulation, UeState};
 use crate::resilience::{validate_planes, ConfigError, FaultInjector};
 use crate::traffic::{replay_traffic_dynamic, TrafficConfig, UeTrace};
 use cellgeom::Axial;
@@ -197,9 +197,9 @@ enum StepPending {
 /// How the fleet engine selects which cells to measure per UE step.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum CandidateMode {
-    /// Measure every layout cell for every UE (the dense
-    /// `cells × chunk` sweep). This is the default and the only mode the
-    /// byte-pinned golden reports run under.
+    /// Measure every layout cell for every UE (the dense sweep: one
+    /// compiled link budget per cell and UE-step). This is the default
+    /// and the only mode the byte-pinned golden reports run under.
     #[default]
     All,
     /// Measure only the `k` cells nearest each UE (via the layout's
@@ -734,21 +734,15 @@ struct ChunkArena {
     /// their measurement points.
     active: Vec<usize>,
     points: Vec<TracePoint>,
-    /// Phase 2, dense mode: the stepping UEs' positions (the batch
-    /// kernel's input) and their mean-RSS matrix, `cells × active`.
-    positions: Vec<cellgeom::Vec2>,
-    rss_matrix: Vec<f64>,
-    /// Per-cell means of the UE currently being measured.
+    /// Phase 2: per-cell means of the UE currently being measured.
     means: Vec<f64>,
-    /// Gaussian scratch for the measurement kernel.
+    /// Phase 2: gaussian scratch of the UE currently being measured.
     ///
-    /// Sized once for the worst case (shadowing + noise both active:
-    /// `2 × n_cells` draws per UE-step) so the per-step resize inside
-    /// [`UeState::begin_step`] never reallocates. The *used*
-    /// length depends only on the [`SimConfig`] sigmas — never on the
-    /// step index, UE id, or chunk layout — so a run resumed from a
-    /// checkpoint consumes exactly the same RNG draws as an unbroken
-    /// run and stays bit-identical.
+    /// Sized once for the worst case (shadowing + noise both active on
+    /// a dense step: `2 × n_cells` draws) so the per-step resize inside
+    /// `UeState::measure` never reallocates. Nothing in it outlives one
+    /// UE's measurement, so neither chunk layout nor checkpoint
+    /// boundaries can change a draw.
     rng_scratch: Vec<f64>,
     /// The pruned measurement subset of the UE being measured.
     subset: Vec<u32>,
@@ -776,8 +770,6 @@ impl ChunkArena {
             spare: Vec::new(),
             active: Vec::new(),
             points: Vec::new(),
-            positions: Vec::new(),
-            rss_matrix: Vec::new(),
             means: vec![0.0; n_cells],
             rng_scratch: Vec::with_capacity(2 * n_cells),
             subset: Vec::with_capacity(n_cells),
@@ -834,7 +826,7 @@ impl FleetSimulation {
 
     /// Attach an armed [`FaultInjector`] (see
     /// [`crate::resilience::FaultPlan`]): the engine's step loop and
-    /// arena grow path consult it, firing each scripted fault exactly
+    /// dense measure phase consult it, firing each scripted fault exactly
     /// once. Chaos-testing hook — results under injection are only
     /// meaningful through [`FleetSimulation::run_supervised`], which
     /// recovers to the bit-identical clean answer.
@@ -863,8 +855,8 @@ impl FleetSimulation {
     }
 
     /// Set the lockstep batch size (clamped to ≥ 1). Results are
-    /// bit-identical for every value; larger chunks amortise the batched
-    /// RSS evaluation better, smaller chunks bound memory tighter.
+    /// bit-identical for every value; larger chunks give the batched FLC
+    /// evaluation longer batches, smaller chunks bound memory tighter.
     #[must_use]
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = chunk_size.max(1);
@@ -1113,7 +1105,7 @@ impl FleetSimulation {
     /// memory-bounded path for million-UE fleets: ids are generated
     /// lazily, peak memory is `O(workers × chunk_size)`, independent of
     /// `n_ues`, and no `UEs × cells` structure ever exists (each worker
-    /// holds one `cells × chunk` matrix).
+    /// holds one chunk of UEs and one UE's per-cell measurement scratch).
     ///
     /// The returned [`FleetStreamSummary`] is bit-identical to the
     /// `summary`/`cell_load` of [`FleetSimulation::try_run_ids`] over the
@@ -1362,21 +1354,27 @@ impl PassCtx<'_> {
         ChunkRun { ctx: self, ues, live, plan, step, arena, part }.run();
     }
 
-    /// The pruned measurement of one UE. The decision inputs — serving
-    /// cell and candidate table — are always measured exactly; a UE at a
-    /// cell edge (every UE under `Nearest`, which has no margin) also
-    /// measures its `k` index-nearest cells. Edge classification reads
-    /// deterministic means only (no RNG draws).
-    fn measure_pruned(
+    /// The measurement of one UE under the pass's plan. Dense measures
+    /// every cell, with the means from [`Simulation::mean_rss_all`].
+    /// Pruned always measures the decision inputs — serving cell and
+    /// candidate table — exactly; a UE at a cell edge (every UE under
+    /// `Nearest`, which has no margin) also measures its `k`
+    /// index-nearest cells. Edge classification reads deterministic means
+    /// only (no RNG draws).
+    fn measure(
         &self,
         ue: &mut UeState,
         point: TracePoint,
-        (k, edge_margin_db): (usize, Option<f64>),
         means: &mut [f64],
         subset: &mut Vec<u32>,
+        normals: &mut Vec<f64>,
     ) -> MeasurementReport {
-        let (pos, serving) = (point.pos, ue.serving_index());
-        let cands = self.sim.candidates().of(serving);
+        let (pos, serving, candidates) = (point.pos, ue.serving_index(), self.sim.candidates());
+        let PrunePlan::Pruned { k, edge_margin_db } = self.plan else {
+            self.sim.mean_rss_all(pos, means);
+            return ue.measure(self.cfg, candidates, means, point, MeasuredCells::All, normals);
+        };
+        let cands = candidates.of(serving);
         let mean_at = |slot: usize| {
             self.sim.compiled_radio().received_power_dbm(self.sim.bs_positions()[slot], pos)
         };
@@ -1397,7 +1395,7 @@ impl PassCtx<'_> {
                 }
             }
         }
-        ue.begin_step_pruned(self.cfg, self.sim.candidates(), means, point, subset)
+        ue.measure(self.cfg, candidates, means, point, MeasuredCells::Subset(subset), normals)
     }
 
     /// The scheduled-outage mask of `step` into `down`, one flag per
@@ -1527,46 +1525,21 @@ impl ChunkRun<'_, '_> {
     }
 
     /// Phase 2: measure every stepping UE (RNG, shadowing, noise) into
-    /// `arena.reports`, and this step's outage mask into `arena.down`.
-    /// Dense mode reads each UE's column of one batched `cells × active`
-    /// mean-RSS pass through the compiled link budget; pruned mode
-    /// measures each UE's subset ([`PassCtx::measure_pruned`]).
+    /// `arena.reports`, one [`PassCtx::measure`] call per UE, and this
+    /// step's outage mask into `arena.down`.
     fn measure(&mut self) {
         let (ctx, arena) = (self.ctx, &mut *self.arena);
-        let a = arena.active.len();
         arena.reports.clear();
         ctx.outage_mask(self.step, &mut arena.down);
-        if let PrunePlan::Pruned { k, edge_margin_db } = ctx.plan {
-            for (j, &i) in arena.active.iter().enumerate() {
-                let (ue, point) = (&mut self.ues[i].state, arena.points[j]);
-                let (means, subset) = (&mut arena.means, &mut arena.subset);
-                let report = ctx.measure_pruned(ue, point, (k, edge_margin_db), means, subset);
-                arena.reports.push(report);
-            }
-            return;
-        }
-        // Chaos harness: a scripted allocation failure in the arena grow
-        // path fires here, where the dense matrix is about to be
-        // (re)sized. It only changes length with the active count; every
-        // slot is overwritten below.
-        if let Some(injector) = ctx.fault {
-            injector.check_arena_grow(self.step);
-        }
-        arena.positions.clear();
-        arena.positions.extend(arena.points.iter().map(|p| p.pos));
-        arena.rss_matrix.resize(ctx.cfg.layout.len() * a, 0.0);
-        for (k, &bs_pos) in ctx.sim.bs_positions().iter().enumerate() {
-            let row = &mut arena.rss_matrix[k * a..(k + 1) * a];
-            ctx.sim.compiled_radio().received_power_dbm_batch(bs_pos, &arena.positions, row);
+        // Chaos harness: a scripted allocation failure fires here, at the
+        // start of a dense measure phase.
+        if let (PrunePlan::Dense, Some(injector)) = (ctx.plan, ctx.fault) {
+            injector.check_alloc_failure(self.step);
         }
         for (j, &i) in arena.active.iter().enumerate() {
-            for (k, slot) in arena.means.iter_mut().enumerate() {
-                *slot = arena.rss_matrix[k * a + j];
-            }
-            let normals = &mut arena.rng_scratch;
             let (ue, point) = (&mut self.ues[i].state, arena.points[j]);
-            let report = ue.begin_step(ctx.cfg, ctx.sim.candidates(), &arena.means, point, normals);
-            arena.reports.push(report);
+            let (means, subset) = (&mut arena.means, &mut arena.subset);
+            arena.reports.push(ctx.measure(ue, point, means, subset, &mut arena.rng_scratch));
         }
     }
 

@@ -12,7 +12,7 @@
 //! * [`monte_carlo`] — N-repetition averaging, sequentially or on a
 //!   crossbeam thread pool.
 //! * [`fleet`] — the multi-UE fleet engine: thousands of mobile stations
-//!   stepping through one layout with batched RSS evaluation, per-UE RNG
+//!   stepping through one layout with batched FLC evaluation, per-UE RNG
 //!   streams and sharded parallel execution.
 //! * [`matrix`] — the scenario-matrix runner sweeping
 //!   {UE count} × {mobility model} × {speed} × {policy} × {traffic}

@@ -11,8 +11,8 @@
 //!   [`validate_planes`] is the one check of a simulation plus its
 //!   traffic and dynamics planes that every run entry shares.
 //! * [`FaultPlan`] / [`FaultInjector`] script faults — a worker panic
-//!   at a lockstep step, a forced allocation failure in the arena grow
-//!   path, a stalled worker, a flipped checkpoint byte — that fire
+//!   at a lockstep step, a forced allocation failure in the dense
+//!   measure phase, a stalled worker, a flipped checkpoint byte — that fire
 //!   **deterministically**: each fault triggers exactly once, at a
 //!   step that does not depend on worker count, chunk size or thread
 //!   scheduling, so chaos runs are exactly reproducible.
@@ -38,6 +38,7 @@ use crate::dynamics::DynamicsConfig;
 use crate::engine::SimConfig;
 use crate::fleet::{FleetError, FleetResult, FleetSimulation, UeSpec};
 use crate::traffic::TrafficConfig;
+use radiolink::RssiSmoother;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -126,6 +127,14 @@ pub enum ConfigError {
     /// A traffic plane on [`FleetSimulation::run_streamed`], whose
     /// serving-cell traces would materialize per-UE state.
     StreamedTraffic,
+    /// A layout that lists the same cell twice.
+    DuplicateCell {
+        /// The repeated cell.
+        cell: cellgeom::Axial,
+    },
+    /// A smoothing template that already carries filter state (an EWMA
+    /// value or window samples); every BS's filter must start empty.
+    PrimedSmoother,
 }
 
 impl fmt::Display for ConfigError {
@@ -164,6 +173,10 @@ impl fmt::Display for ConfigError {
                 "the streaming path has no traffic plane (serving-cell traces would \
                  materialize per-UE state); use try_run_ids for traffic studies"
             ),
+            ConfigError::DuplicateCell { cell } => {
+                write!(f, "layout cell {cell:?} is listed twice")
+            }
+            ConfigError::PrimedSmoother => write!(f, "smoothing template must start empty"),
         }
     }
 }
@@ -171,10 +184,13 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Validate a simulation and the planes attached to it: the
-/// [`SimConfig`] (NaN/negative sigmas, non-positive spacing), the
-/// traffic plane (zero capacities, exhausted guard channels), the
-/// dynamics plane (inverted windows, out-of-range shares, invalid tides
-/// even when flat) and every outage cell's membership in the layout.
+/// [`SimConfig`] (NaN/negative sigmas, non-positive spacing), its layout
+/// (at least two distinct cells, a finite positive cell radius) and
+/// smoothing template (an EWMA alpha in (0, 1], a window of at least one
+/// sample, no filter state), the traffic plane (zero capacities,
+/// exhausted guard channels), the dynamics plane (inverted windows,
+/// out-of-range shares, invalid tides even when flat) and every outage
+/// cell's membership in the layout.
 /// [`FleetSimulation`]'s run entries, [`ScenarioMatrix::try_run`] and
 /// the twin service's session configs all run this one check before any
 /// work starts.
@@ -186,6 +202,8 @@ pub fn validate_planes(
     dynamics: Option<&DynamicsConfig>,
 ) -> Result<(), ConfigError> {
     sim.validated()?;
+    validate_layout(&sim.layout)?;
+    validate_smoothing(&sim.smoothing)?;
     if let Some(traffic) = traffic {
         traffic.validated()?;
     }
@@ -194,6 +212,47 @@ pub fn validate_planes(
         dynamics.outage_indices(sim.layout.cells())?;
     }
     Ok(())
+}
+
+/// A layout the engine can measure on: at least two cells, so every
+/// cell has a handover candidate, none listed twice, and a finite,
+/// positive cell radius. `CellLayout::from_cells` guarantees the cells,
+/// but a deserialized layout (a config file, a wire peer) bypasses it.
+fn validate_layout(layout: &cellgeom::CellLayout) -> Result<(), ConfigError> {
+    let cells = layout.cells();
+    require_at_least("layout cell count", 2, cells.len() as u64)?;
+    // Sorting, not hashing: a hash set seeds its keys from the OS on a
+    // fresh thread, and every session spawn runs this check.
+    let mut sorted = cells.to_vec();
+    sorted.sort_unstable_by_key(|cell| (cell.q, cell.r));
+    if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(ConfigError::DuplicateCell { cell: pair[0] });
+    }
+    require_positive("cell radius", layout.cell_radius_km())
+}
+
+/// A smoothing template every BS can start from: an EWMA `alpha` in
+/// (0, 1] (a huge one overflows the filter to infinity), a window of at
+/// least one sample (a zero window never drops one), and no filter
+/// state.
+fn validate_smoothing(smoothing: &RssiSmoother) -> Result<(), ConfigError> {
+    let primed = match smoothing {
+        RssiSmoother::None => false,
+        RssiSmoother::Ewma { alpha, state } => {
+            require_positive("EWMA alpha", *alpha)?;
+            require_in_range("EWMA alpha", *alpha, 0.0, 1.0)?;
+            state.is_some()
+        }
+        RssiSmoother::Window { capacity, buf } => {
+            require_at_least("smoothing window capacity", 1, *capacity as u64)?;
+            !buf.is_empty()
+        }
+    };
+    if primed {
+        Err(ConfigError::PrimedSmoother)
+    } else {
+        Ok(())
+    }
 }
 
 /// Shorthand validators shared by the `validated()` implementations.
@@ -220,6 +279,19 @@ pub(crate) fn require_non_negative(field: &'static str, value: f64) -> Result<()
         Ok(())
     } else {
         Err(ConfigError::Negative { field, value })
+    }
+}
+
+/// `got` must be at least `minimum`.
+pub(crate) fn require_at_least(
+    field: &'static str,
+    minimum: u64,
+    got: u64,
+) -> Result<(), ConfigError> {
+    if got >= minimum {
+        Ok(())
+    } else {
+        Err(ConfigError::TooSmall { field, minimum, got })
     }
 }
 
@@ -251,10 +323,10 @@ pub enum Fault {
         /// Lockstep step at which the panic fires.
         at_step: u64,
     },
-    /// Panic inside the dense measurement arena's grow path at
-    /// `at_step`, simulating an allocation failure while resizing the
-    /// `cells × chunk` RSS matrix. Inert under the pruned candidate
-    /// modes (they never grow that matrix).
+    /// Panic at the start of the dense measure phase of lockstep step
+    /// `at_step`, simulating an allocation failure in a worker's
+    /// measurement buffers. Inert under the pruned candidate modes
+    /// (their measure phase has no such hook).
     AllocFailure {
         /// Lockstep step at which the forced allocation failure fires.
         at_step: u64,
@@ -339,7 +411,7 @@ impl FaultPlan {
 pub struct FaultInjector {
     /// `(at_step, fired)` worker-panic triggers.
     panics: Vec<(u64, AtomicBool)>,
-    /// `(at_step, fired)` arena-grow allocation-failure triggers.
+    /// `(at_step, fired)` allocation-failure triggers.
     alloc_failures: Vec<(u64, AtomicBool)>,
     /// `(at_step, delay_steps, fired)` stall triggers.
     stalls: Vec<(u64, u64, AtomicBool)>,
@@ -392,9 +464,9 @@ impl FaultInjector {
         }
     }
 
-    /// Arena-grow hook, called from the dense measurement path just
-    /// before the `cells × chunk` RSS matrix is (re)sized.
-    pub(crate) fn check_arena_grow(&self, step: u64) {
+    /// Allocation-failure hook, called at the start of every dense
+    /// measure phase.
+    pub(crate) fn check_alloc_failure(&self, step: u64) {
         for (at, fired) in &self.alloc_failures {
             if *at == step
                 && fired.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed).is_ok()
@@ -481,35 +553,10 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Typed validation of the supervision parameters.
     pub fn validated(&self) -> Result<(), ConfigError> {
-        if self.checkpoint_cadence < 1 {
-            return Err(ConfigError::TooSmall {
-                field: "checkpoint cadence",
-                minimum: 1,
-                got: self.checkpoint_cadence,
-            });
-        }
-        if self.stall_deadline_steps < 1 {
-            return Err(ConfigError::TooSmall {
-                field: "stall deadline",
-                minimum: 1,
-                got: self.stall_deadline_steps,
-            });
-        }
-        if self.backoff_multiplier < 1 {
-            return Err(ConfigError::TooSmall {
-                field: "backoff multiplier",
-                minimum: 1,
-                got: self.backoff_multiplier,
-            });
-        }
-        if self.keep_snapshots < 1 {
-            return Err(ConfigError::TooSmall {
-                field: "kept snapshots",
-                minimum: 1,
-                got: self.keep_snapshots as u64,
-            });
-        }
-        Ok(())
+        require_at_least("checkpoint cadence", 1, self.checkpoint_cadence)?;
+        require_at_least("stall deadline", 1, self.stall_deadline_steps)?;
+        require_at_least("backoff multiplier", 1, self.backoff_multiplier)?;
+        require_at_least("kept snapshots", 1, self.keep_snapshots as u64)
     }
 }
 

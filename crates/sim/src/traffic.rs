@@ -111,14 +111,9 @@ impl TrafficConfig {
     /// Validate the plane: at least one channel per cell, guard channels
     /// strictly below capacity, and finite positive idle/holding means.
     pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
-        use crate::resilience::{require_positive, ConfigError};
-        if self.channels_per_cell < 1 {
-            return Err(ConfigError::TooSmall {
-                field: "channels per cell (a cell needs at least one channel)",
-                minimum: 1,
-                got: u64::from(self.channels_per_cell),
-            });
-        }
+        use crate::resilience::{require_at_least, require_positive, ConfigError};
+        let channels = u64::from(self.channels_per_cell);
+        require_at_least("channels per cell (a cell needs at least one channel)", 1, channels)?;
         if self.guard_channels >= self.channels_per_cell {
             return Err(ConfigError::GuardChannelsExhaustCapacity {
                 guard: self.guard_channels,

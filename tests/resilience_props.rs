@@ -11,7 +11,9 @@
 //!    restore ("wrong-but-green").
 //! 3. Arbitrary invalid configurations (non-finite sigmas, negative
 //!    spacings, zero capacities, inverted outage windows, unknown outage
-//!    cells, saturated loads, invalid flat tides) surface as
+//!    cells, saturated loads, invalid flat tides, layouts with fewer
+//!    than two cells, a repeated cell or a non-positive radius, runaway
+//!    or zero-width smoothers) surface as
 //!    [`FleetError::InvalidConfig`] from every run entry — never a
 //!    builder or worker panic or a NaN-poisoned result.
 //! 4. Chaining `advance → advance → … → try_resume` at an
@@ -33,10 +35,11 @@ use fuzzy_handover::sim::fleet::{
     FleetError, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
 use fuzzy_handover::sim::resilience::{
-    Fault, FaultPlan, RetryPolicy, Supervisor, SupervisorReport,
+    validate_planes, ConfigError, Fault, FaultPlan, RetryPolicy, Supervisor, SupervisorReport,
 };
-use fuzzy_handover::sim::SimConfig;
+use fuzzy_handover::sim::{DynamicsConfig, SimConfig, TrafficConfig};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn noisy_config() -> SimConfig {
     let mut cfg = SimConfig::paper_default();
@@ -58,6 +61,116 @@ fn fleet_spec(seed: u64, cell_radius_km: f64) -> HomogeneousFleet {
 /// retry, so the budget must exceed the fault count.
 fn chaos_policy(cadence: u64) -> RetryPolicy {
     RetryPolicy { checkpoint_cadence: cadence, max_retries: 32, ..RetryPolicy::default() }
+}
+
+/// Measurement-plane defects a config file or a wire peer can supply
+/// past the builders, each with the error `validate_planes` reports:
+/// layouts deserialized around `CellLayout::from_cells` (no cell, one
+/// cell, a cell listed twice, a zero or negative radius), an EWMA whose
+/// filter overflows to infinity, and a window that never drops a
+/// sample.
+fn invalid_sim_configs() -> Vec<(SimConfig, ConfigError)> {
+    use fuzzy_handover::geometry::{Axial, CellLayout};
+    use fuzzy_handover::radio::RssiSmoother;
+    use std::collections::VecDeque;
+
+    let layout = |radius: f64, cells: &[(i32, i32)]| -> CellLayout {
+        let cells: Vec<String> =
+            cells.iter().map(|(q, r)| format!(r#"{{"q":{q},"r":{r}}}"#)).collect();
+        let json =
+            format!(r#"{{"grid":{{"circumradius":{radius:?}}},"cells":[{}]}}"#, cells.join(","));
+        serde_json::from_str(&json).expect("layout JSON")
+    };
+    let three = [(0, 0), (1, 0), (0, 1)];
+    // The helper builds exactly the layout the checked builder would.
+    let valid = CellLayout::from_cells(2.0, three.map(|(q, r)| Axial::new(q, r)));
+    assert_eq!(layout(2.0, &three), valid);
+    let too_few = |got| ConfigError::TooSmall { field: "layout cell count", minimum: 2, got };
+    let radius = |value| ConfigError::NonPositive { field: "cell radius", value };
+    let layouts = [
+        (layout(2.0, &[]), too_few(0)),
+        (layout(2.0, &[(0, 0)]), too_few(1)),
+        (
+            layout(2.0, &[(0, 0), (1, 0), (0, 0)]),
+            ConfigError::DuplicateCell { cell: Axial::ORIGIN },
+        ),
+        (layout(0.0, &three), radius(0.0)),
+        (layout(-1.0, &three), radius(-1.0)),
+    ];
+    let alpha = 1e300;
+    let smoothers = [
+        (
+            RssiSmoother::Ewma { alpha, state: None },
+            ConfigError::OutOfRange { field: "EWMA alpha", value: alpha, lo: 0.0, hi: 1.0 },
+        ),
+        (
+            RssiSmoother::Window { capacity: 0, buf: VecDeque::new() },
+            ConfigError::TooSmall { field: "smoothing window capacity", minimum: 1, got: 0 },
+        ),
+    ];
+    let layouts =
+        layouts.into_iter().map(|(layout, err)| (SimConfig { layout, ..noisy_config() }, err));
+    let smoothers = smoothers
+        .into_iter()
+        .map(|(smoothing, err)| (SimConfig { smoothing, ..noisy_config() }, err));
+    layouts.chain(smoothers).collect()
+}
+
+/// `validate_planes` names each defect of [`invalid_sim_configs`].
+#[test]
+fn invalid_sim_configs_name_their_defect() {
+    for (cfg, expected) in invalid_sim_configs() {
+        assert_eq!(validate_planes(&cfg, None, None), Err(expected));
+    }
+}
+
+/// Every fleet run entry, a scenario-matrix cell and `Session::spawn`
+/// reject `cfg` with these planes as a typed config error before any
+/// worker starts.
+fn every_entry_rejects(
+    cfg: &SimConfig,
+    traffic: Option<TrafficConfig>,
+    dynamics: Option<DynamicsConfig>,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    use fuzzy_handover::server::{Session, SessionConfig, SessionError};
+    use fuzzy_handover::sim::matrix::ScenarioMatrix;
+
+    let spec = fleet_spec(seed, cfg.layout.cell_radius_km());
+    let ids: Vec<u64> = (0..4).collect();
+    let mut engine = FleetSimulation::new(cfg.clone());
+    if let Some(traffic) = traffic {
+        engine = engine.with_traffic(traffic);
+    }
+    if let Some(dynamics) = dynamics.clone() {
+        engine = engine.with_dynamics(dynamics);
+    }
+    let mut m = ScenarioMatrix::small_default();
+    m.base = cfg.clone();
+    m.ue_counts = vec![2];
+    m.mobilities.truncate(1);
+    m.speeds_kmh = vec![0.0];
+    m.policies.truncate(1);
+    m.traffics = vec![traffic];
+    m.dynamics = vec![dynamics.clone()];
+    for (entry, err) in [
+        ("try_run_ids", engine.try_run_ids(&spec, &ids, seed).err()),
+        ("advance", engine.advance(&spec, None, &ids, seed, 3).err()),
+        ("run_streamed", engine.run_streamed(&spec, 4, seed).err()),
+        ("run_supervised", engine.run_supervised(&spec, &ids, seed, &chaos_policy(2)).err()),
+        ("ScenarioMatrix::try_run", m.try_run().err()),
+    ] {
+        prop_assert!(matches!(err, Some(FleetError::InvalidConfig(_))), "{}: {:?}", entry, err);
+    }
+
+    let session = SessionConfig {
+        traffic,
+        dynamics,
+        ..SessionConfig::new(cfg.clone(), spec.mobility, spec.policy, 4, seed)
+    };
+    let err = Session::spawn(session, 1).err();
+    prop_assert!(matches!(err, Some(SessionError::InvalidConfig(_))), "spawn: {:?}", err);
+    Ok(())
 }
 
 proptest! {
@@ -165,6 +278,7 @@ proptest! {
     /// equivalent) before any worker starts: an inverted outage window,
     /// an outage cell outside the layout, a per-UE load of 1 Erlang, and
     /// an invalid tide that is flat, which normalization must not drop.
+    /// So are the measurement-plane defects of [`invalid_sim_configs`].
     #[test]
     fn invalid_plane_configs_surface_typed_errors(
         from in 0u64..20,
@@ -173,10 +287,7 @@ proptest! {
         with_traffic in prop_oneof![Just(false), Just(true)],
     ) {
         use fuzzy_handover::geometry::Axial;
-        use fuzzy_handover::server::{Session, SessionConfig, SessionError};
         use fuzzy_handover::sim::dynamics::{CellOutage, TidalWave};
-        use fuzzy_handover::sim::matrix::ScenarioMatrix;
-        use fuzzy_handover::sim::{DynamicsConfig, TrafficConfig};
 
         let outage = |cell, from_step, until_step| DynamicsConfig {
             failures: vec![CellOutage { cell, from_step, until_step }],
@@ -196,42 +307,10 @@ proptest! {
                 }),
             ),
         };
-
-        let cfg = noisy_config();
-        let spec = fleet_spec(from, cfg.layout.cell_radius_km());
-        let ids: Vec<u64> = (0..4).collect();
-        let mut engine = FleetSimulation::new(cfg.clone());
-        if let Some(traffic) = traffic {
-            engine = engine.with_traffic(traffic);
+        every_entry_rejects(&noisy_config(), traffic, dynamics, from)?;
+        for (cfg, _) in invalid_sim_configs() {
+            every_entry_rejects(&cfg, valid_traffic, None, from)?;
         }
-        if let Some(dynamics) = dynamics.clone() {
-            engine = engine.with_dynamics(dynamics);
-        }
-        let mut m = ScenarioMatrix::small_default();
-        m.base = cfg.clone();
-        m.ue_counts = vec![2];
-        m.mobilities.truncate(1);
-        m.speeds_kmh = vec![0.0];
-        m.policies.truncate(1);
-        m.traffics = vec![traffic];
-        m.dynamics = vec![dynamics.clone()];
-        for (entry, err) in [
-            ("try_run_ids", engine.try_run_ids(&spec, &ids, from).err()),
-            ("advance", engine.advance(&spec, None, &ids, from, 3).err()),
-            ("run_streamed", engine.run_streamed(&spec, 4, from).err()),
-            ("run_supervised", engine.run_supervised(&spec, &ids, from, &chaos_policy(2)).err()),
-            ("ScenarioMatrix::try_run", m.try_run().err()),
-        ] {
-            prop_assert!(matches!(err, Some(FleetError::InvalidConfig(_))), "{}: {:?}", entry, err);
-        }
-
-        let session = SessionConfig {
-            traffic,
-            dynamics,
-            ..SessionConfig::new(cfg, spec.mobility, spec.policy, 4, from)
-        };
-        let err = Session::spawn(session, 1).err();
-        prop_assert!(matches!(err, Some(SessionError::InvalidConfig(_))), "spawn: {:?}", err);
     }
 
     /// Property 4: the supervisor's segment primitive — chained
