@@ -34,6 +34,7 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+#![deny(clippy::too_many_lines)]
 
 pub mod cli;
 pub mod server;

@@ -52,7 +52,7 @@ use handover_core::HandoverPolicy;
 use handover_sim::checkpoint::{seal_with, unseal_payload, CheckpointError};
 use handover_sim::fleet::{
     CandidateMode, FleetError, FleetMobility, FleetResult, FleetSimulation, HomogeneousFleet,
-    PolicyKind, Trajectory, UeSpec,
+    PolicyKind, Trajectory, UeOutcome, UeSpec,
 };
 use handover_sim::resilience::{
     validate_planes, ConfigError, RetryPolicy, Supervisor, SupervisorReport,
@@ -186,18 +186,14 @@ impl SessionConfig {
     }
 
     /// Typed validation of the whole bundle — the simulation and its
-    /// planes ([`validate_planes`]), the supervision policy and the spec
-    /// parameters — so a malformed wire request is refused at spawn,
-    /// before any fleet work.
+    /// planes ([`validate_planes`]), the supervision policy, the
+    /// population ([`HomogeneousFleet::validated`]: mobility model,
+    /// policy, cell radius) and the chunk size — so a malformed wire
+    /// request is refused at spawn, before any fleet work.
     pub fn validated(&self) -> Result<(), ConfigError> {
         validate_planes(&self.sim, self.traffic.as_ref(), self.dynamics.as_ref())?;
         self.retry.validated()?;
-        if !(self.cell_radius_km.is_finite() && self.cell_radius_km > 0.0) {
-            return Err(ConfigError::NonPositive {
-                field: "cell radius",
-                value: self.cell_radius_km,
-            });
-        }
+        self.spec(self.policy).validated()?;
         if self.chunk_size < 1 {
             return Err(ConfigError::TooSmall {
                 field: "chunk size",
@@ -208,10 +204,8 @@ impl SessionConfig {
         Ok(())
     }
 
-    /// Build the fleet engine for this bundle. Invalid planes surface
-    /// as [`FleetError::InvalidConfig`] when it runs; `FleetSimulation::new`
-    /// still checks the [`SimConfig`] eagerly, so call
-    /// [`SessionConfig::validated`] first.
+    /// Build the fleet engine for this bundle. An invalid configuration
+    /// or plane surfaces as [`FleetError::InvalidConfig`] when it runs.
     fn engine(&self, workers: usize) -> FleetSimulation {
         let mut engine = FleetSimulation::new(self.sim.clone())
             .with_workers(workers)
@@ -422,11 +416,14 @@ impl Session {
     /// segment boundary by construction. The swap is recorded in the
     /// session log; replaying the log (or the equivalent manual
     /// `advance`/`try_resume` chain) is bit-identical. Rejected once
-    /// the session is complete.
+    /// the session is complete, and a policy that fails
+    /// [`PolicyKind::validated`] is refused as
+    /// [`SessionError::InvalidConfig`] without touching the session.
     pub fn swap_policy(&mut self, policy: PolicyKind) -> Result<PolicySwap, SessionError> {
         if self.result.is_some() {
             return Err(SessionError::Complete);
         }
+        policy.validated()?;
         let swap = PolicySwap { step: self.step(), policy };
         self.swaps.push(swap);
         self.policy_now = policy;
@@ -471,42 +468,28 @@ impl Session {
         if ue_id >= self.config.n_ues {
             return Err(SessionError::UnknownUe(ue_id));
         }
+        let finished = |outcome: &UeOutcome| UeTwinReport {
+            ue_id,
+            phase: UePhase::Finished,
+            steps: outcome.steps,
+            serving_cell: outcome.final_serving,
+            handovers: outcome.handovers,
+            ping_pongs: outcome.ping_pongs,
+            outage_steps: outcome.outage_steps,
+            hd_count: outcome.hd_count,
+            hd_sum: outcome.hd_sum,
+            travelled_km: outcome.travelled_km,
+        };
         if let Some(result) = &self.result {
-            let outcome = result
-                .outcomes
-                .binary_search_by_key(&ue_id, |o| o.ue_id)
-                .ok()
-                .map(|k| &result.outcomes[k])
-                .ok_or(SessionError::UnknownUe(ue_id))?;
-            return Ok(UeTwinReport {
-                ue_id,
-                phase: UePhase::Finished,
-                steps: outcome.steps,
-                serving_cell: outcome.final_serving,
-                handovers: outcome.handovers,
-                ping_pongs: outcome.ping_pongs,
-                outage_steps: outcome.outage_steps,
-                hd_count: outcome.hd_count,
-                hd_sum: outcome.hd_sum,
-                travelled_km: outcome.travelled_km,
-            });
+            let k = result.outcomes.binary_search_by_key(&ue_id, |o| o.ue_id);
+            let k = k.map_err(|_| SessionError::UnknownUe(ue_id))?;
+            return Ok(finished(&result.outcomes[k]));
         }
         let Some(cp) = self.checkpoint() else {
             return Err(SessionError::NotAdvanced);
         };
         if let Some(outcome) = cp.find_finished(ue_id) {
-            return Ok(UeTwinReport {
-                ue_id,
-                phase: UePhase::Finished,
-                steps: outcome.steps,
-                serving_cell: outcome.final_serving,
-                handovers: outcome.handovers,
-                ping_pongs: outcome.ping_pongs,
-                outage_steps: outcome.outage_steps,
-                hd_count: outcome.hd_count,
-                hd_sum: outcome.hd_sum,
-                travelled_km: outcome.travelled_km,
-            });
+            return Ok(finished(outcome));
         }
         let ue = cp.find_live(ue_id).ok_or(SessionError::UnknownUe(ue_id))?;
         let cells = self.config.sim.layout.cells();
@@ -572,9 +555,10 @@ impl Session {
     /// Rehydrate a sealed session. Total on arbitrary input: corrupt,
     /// truncated or foreign bytes surface as
     /// [`SessionError::Corrupt`], never a panic; the embedded config
-    /// is re-validated, and the fleet checkpoint is checked against the
-    /// config's layout and planes ([`FleetCheckpoint::check_engine`]),
-    /// before the session is accepted. Older containers and payload
+    /// and the policy in force are re-validated, and the fleet
+    /// checkpoint is checked against the config's layout and planes
+    /// ([`FleetCheckpoint::check_engine`]), before the session is
+    /// accepted. Older containers and payload
     /// versions are refused with [`CheckpointError::UnsupportedVersion`].
     /// The session's supervisor continues the sealed audit trail from
     /// the checkpoint.
@@ -602,6 +586,7 @@ impl Session {
             }));
         }
         header.config.validated()?;
+        header.policy_now.validated()?;
         let current = match fleet.split_first() {
             Some((0, [])) => None,
             Some((1, fleet)) => {

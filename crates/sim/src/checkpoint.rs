@@ -368,9 +368,10 @@ impl FleetCheckpoint {
     }
 
     /// Typed validation: the snapshot must carry the supported
-    /// [`CHECKPOINT_VERSION`] and both halves must be strictly ascending
-    /// by UE id. The per-UE lane shapes are checked against an engine's
-    /// layout by [`FleetCheckpoint::check_engine`].
+    /// [`CHECKPOINT_VERSION`], both halves must be strictly ascending
+    /// by UE id, and a snapshot at step `u64::MAX` holds no live UE. The
+    /// per-UE lane shapes are checked against an engine's layout by
+    /// [`FleetCheckpoint::check_engine`].
     pub fn try_validate(&self) -> Result<(), CheckpointError> {
         if self.version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion {
@@ -386,6 +387,13 @@ impl FleetCheckpoint {
         if !self.live.windows(2).all(|w| w[0].ue_id < w[1].ue_id) {
             return Err(CheckpointError::ShapeMismatch(
                 "live UEs are not strictly ascending by UE id".into(),
+            ));
+        }
+        // `u64::MAX` is the bound that runs every UE to completion, so no
+        // UE can still be live there.
+        if self.step == u64::MAX && !self.live.is_empty() {
+            return Err(CheckpointError::ShapeMismatch(
+                "live UEs at the final lockstep step u64::MAX".into(),
             ));
         }
         Ok(())

@@ -5,7 +5,6 @@
 //! shadowing + measurement noise), applies the paper's speed penalty to
 //! the neighbour reading, hands the report to the configured
 //! [`HandoverPolicy`], and executes handovers the policy orders.
-#![deny(clippy::too_many_lines)]
 
 use cellgeom::{Axial, CellLayout, NeighborIndex, Vec2};
 use handover_core::{
@@ -199,21 +198,6 @@ pub(crate) enum MeasuredCells<'a> {
     Subset(&'a [u32]),
 }
 
-/// The outcome of one [`UeState::step`], consumed either into a full
-/// [`StepRecord`] (single-UE runs) or into reduced fleet tallies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct StepOutcome {
-    pub serving_before: Axial,
-    pub serving_after_idx: usize,
-    pub serving_rss_dbm: f64,
-    pub neighbor: Axial,
-    pub neighbor_rss_dbm: f64,
-    pub distance_to_serving_km: f64,
-    pub hd: Option<f64>,
-    pub handover: bool,
-    pub outage: bool,
-}
-
 /// Per-UE dynamic simulation state: serving cell, one shadowing lane
 /// (one AR(1) process per BS) and one smoothing filter per BS, the UE's
 /// private RNG stream, and the event log. [`Simulation::run`] drives
@@ -371,30 +355,12 @@ impl UeState {
         &self.log
     }
 
-    /// Advance one measurement step over every cell. `means_dbm[k]` is
-    /// the mean (pre-fade, pre-noise) received power from the layout's
-    /// `k`-th BS at `point.pos`, computed by the caller. `normals` is the
-    /// caller's gaussian scratch (see [`UeState::measure`]).
-    pub(crate) fn step(
-        &mut self,
-        cfg: &SimConfig,
-        candidates: &CandidateTable,
-        means_dbm: &[f64],
-        point: TracePoint,
-        policy: &mut dyn HandoverPolicy,
-        normals: &mut Vec<f64>,
-    ) -> StepOutcome {
-        let report = self.measure(cfg, candidates, means_dbm, point, MeasuredCells::All, normals);
-        let decision = policy.decide(&report);
-        self.finish_step(cfg, &report, decision, point, policy)
-    }
-
     /// The measurement half of a step: advance the shadowing processes
     /// and the RNG, measure `cells`, pick the strongest neighbour and
     /// build the report. The fleet engine calls this for a whole chunk
     /// before deciding, so the FLC stage can run batched between the
-    /// halves; [`UeState::step`] composes the same halves for single
-    /// runs, so both draw identical per-UE random streams.
+    /// halves; [`Simulation::run`] composes the same halves one step at
+    /// a time, so both draw identical per-UE random streams.
     ///
     /// `means_dbm[k]` is the mean received power from the layout's `k`-th
     /// BS, read only at the measured cells. The plan changes only how the
@@ -516,7 +482,9 @@ impl UeState {
 
     /// The commit half of a step: record/execute the decision made on a
     /// [`UeState::measure`] report, notify the policy of an executed
-    /// handover, and account the step.
+    /// handover, and account the step. Returns the decision's HD, if the
+    /// policy evaluated one; the new serving cell is
+    /// [`UeState::serving_index`].
     pub(crate) fn finish_step(
         &mut self,
         cfg: &SimConfig,
@@ -524,16 +492,14 @@ impl UeState {
         decision: Decision,
         point: TracePoint,
         policy: &mut dyn HandoverPolicy,
-    ) -> StepOutcome {
+    ) -> Option<f64> {
         let cells = cfg.layout.cells();
-        let serving_rss = report.serving_rss_dbm;
         let hd = match decision {
             Decision::Handover { hd, .. } => Some(hd),
             Decision::Stay(StayReason::BelowThreshold { hd })
             | Decision::Stay(StayReason::SignalRecovering { hd }) => Some(hd),
             Decision::Stay(_) => None,
         };
-        let mut handover = false;
         if let Decision::Handover { target, hd } = decision {
             self.log.record_handover(HandoverEvent {
                 step: self.steps,
@@ -547,23 +513,10 @@ impl UeState {
                 .iter()
                 .position(|&c| c == target)
                 .expect("handover target is in the layout");
-            handover = true;
         }
-        let outage = serving_rss < cfg.outage_threshold_dbm;
-        self.log.record_step(outage);
+        self.log.record_step(report.serving_rss_dbm < cfg.outage_threshold_dbm);
         self.steps += 1;
-
-        StepOutcome {
-            serving_before: report.serving,
-            serving_after_idx: self.serving_idx,
-            serving_rss_dbm: serving_rss,
-            neighbor: report.neighbor,
-            neighbor_rss_dbm: report.neighbor_rss_dbm,
-            distance_to_serving_km: report.distance_to_serving_km,
-            hd,
-            handover,
-            outage,
-        }
+        hd
     }
 }
 
@@ -582,12 +535,25 @@ pub struct Simulation {
 
 impl Simulation {
     /// Build an engine for the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// On a configuration that fails [`SimConfig::validated`], with the
+    /// message the fallible fleet entries report as
+    /// [`FleetError::InvalidConfig`](crate::fleet::FleetError::InvalidConfig).
+    /// [`Simulation::run`] has no error channel, so a single-UE caller
+    /// learns of a bad config here.
     pub fn new(config: SimConfig) -> Self {
-        // Route through the typed validation so a bad config panics
-        // with the same message the fallible fleet paths report.
         if let Err(err) = config.validated() {
             panic!("{err}");
         }
+        Simulation::from_validated(config)
+    }
+
+    /// Compile the measurement plane of a configuration the caller has
+    /// already validated ([`crate::resilience::validate_planes`], as
+    /// every fleet run entry does); checks nothing itself.
+    pub(crate) fn from_validated(config: SimConfig) -> Self {
         let candidates = CandidateTable::new(&config.layout);
         let compiled_radio = config.radio.compiled();
         let bs_positions =
@@ -646,18 +612,21 @@ impl Simulation {
 
         for (idx, point) in trajectory.resample_iter(cfg.sample_spacing_km).enumerate() {
             self.mean_rss_all(point.pos, &mut means);
-            let out = ue.step(cfg, &self.candidates, &means, point, policy, &mut normals);
+            let all = MeasuredCells::All;
+            let report = ue.measure(cfg, &self.candidates, &means, point, all, &mut normals);
+            let decision = policy.decide(&report);
+            let hd = ue.finish_step(cfg, &report, decision, point, policy);
             steps.push(StepRecord {
                 step: idx,
                 cum_km: point.cum_km,
                 pos: point.pos,
-                serving: out.serving_before,
-                serving_rss_dbm: out.serving_rss_dbm,
-                neighbor: out.neighbor,
-                neighbor_rss_dbm: out.neighbor_rss_dbm,
-                distance_to_serving_km: out.distance_to_serving_km,
-                hd: out.hd,
-                handover: out.handover,
+                serving: report.serving,
+                serving_rss_dbm: report.serving_rss_dbm,
+                neighbor: report.neighbor,
+                neighbor_rss_dbm: report.neighbor_rss_dbm,
+                distance_to_serving_km: report.distance_to_serving_km,
+                hd,
+                handover: decision.is_handover(),
             });
         }
 

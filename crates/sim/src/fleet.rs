@@ -38,12 +38,18 @@
 //!   id before folding the `f64` aggregates, the result is bit-identical
 //!   for any worker count, chunk size, or UE submission order. Worker
 //!   panics are caught and surfaced as [`FleetError::WorkerPanic`].
-//! * **One fallible run surface** — [`FleetSimulation::try_run_ids`]
-//!   runs an id set to completion; [`FleetSimulation::advance`] freezes
-//!   a fresh run, or continues a [`FleetCheckpoint`] (per-UE engine +
-//!   policy + RNG stream state), up to a lockstep step bound;
-//!   [`FleetSimulation::try_resume`] finishes a checkpoint. Any chain of
-//!   `advance` bounds ending in `try_resume` is bit-identical to the
+//! * **One fallible run surface, one run path** —
+//!   [`FleetSimulation::advance`] freezes a fresh run, or continues a
+//!   [`FleetCheckpoint`] (per-UE engine + policy + RNG stream state),
+//!   up to a lockstep step bound. It is the one collected stepping
+//!   entry: it validates the engine and the snapshot, then compiles the
+//!   measurement plane once for its pass, so the builders never check
+//!   or panic. [`FleetSimulation::try_run_ids`] (an id set to
+//!   completion) and [`FleetSimulation::try_resume`] (finish a
+//!   checkpoint) are `advance` with no bound (`u64::MAX`), then the one
+//!   assembly every collected run shares: fold the outcomes, replay
+//!   the traces, rerun the load-feedback pass. Any chain of `advance`
+//!   bounds ending in `try_resume` is bit-identical to the
 //!   uninterrupted run, for any worker count and chunk size on every
 //!   segment. [`FleetSimulation::run_supervised`] builds recovery on
 //!   top of them.
@@ -55,14 +61,16 @@
 //!   aggregate bit-identical to [`FleetSimulation::try_run_ids`].
 //!
 //! [`CellLayout`]: cellgeom::CellLayout
-#![deny(clippy::too_many_lines)]
 
 use crate::checkpoint::{CheckpointError, FleetCheckpoint, UeCheckpoint, CHECKPOINT_VERSION};
 use crate::dynamics::{ChurnConfig, DynamicsConfig};
 use crate::engine::{MeasuredCells, SimConfig, Simulation, UeState};
-use crate::resilience::{validate_planes, ConfigError, FaultInjector};
+use crate::resilience::{
+    require_at_least, require_finite, require_in_range, require_non_negative, require_positive,
+    validate_planes, ConfigError, FaultInjector,
+};
 use crate::traffic::{replay_traffic_dynamic, TrafficConfig, UeTrace};
-use cellgeom::Axial;
+use cellgeom::{Axial, Vec2};
 use fuzzylogic::{CompiledFis, EvalScratch};
 use handover_core::baselines::{
     HysteresisPolicy, HysteresisThresholdPolicy, LoadAwareHysteresisPolicy, ThresholdPolicy,
@@ -75,8 +83,8 @@ use handover_core::{
 /// The walk type [`UeSpec::trajectory`] returns.
 pub use mobility::Trajectory;
 use mobility::{
-    GaussMarkov, ManhattanGrid, MobilityModel, RandomWalk, RandomWaypoint, ResampleIter,
-    TracePoint,
+    AngleDistribution, GaussMarkov, ManhattanGrid, MobilityModel, RandomWalk, RandomWaypoint,
+    ResampleIter, TracePoint,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -337,6 +345,49 @@ impl FleetMobility {
         }
     }
 
+    /// Typed validation of the model: every condition its `generate`
+    /// asserts — walk, step, block and leg counts of at least 1,
+    /// positive finite step means and block size, non-negative finite
+    /// standard deviations, `alpha` and the turn probability in [0, 1],
+    /// a non-empty finite waypoint box — plus finite headings and start
+    /// points, so no generated waypoint is NaN.
+    pub fn validated(&self) -> Result<(), ConfigError> {
+        match *self {
+            FleetMobility::RandomWalk(m) => {
+                require_at_least("random-walk walk count", 1, m.n_walks as u64)?;
+                require_positive("random-walk mean step", m.step_mean_km)?;
+                require_non_negative("random-walk step std", m.step_std_km)?;
+                if let AngleDistribution::Gaussian { mean_rad, std_rad } = m.angle {
+                    require_finite("random-walk mean heading", mean_rad)?;
+                    require_non_negative("random-walk heading std", std_rad)?;
+                }
+                require_finite_point("random-walk start", m.start)
+            }
+            FleetMobility::GaussMarkov(m) => {
+                require_at_least("Gauss-Markov step count", 1, m.n_steps as u64)?;
+                require_in_range("Gauss-Markov alpha", m.alpha, 0.0, 1.0)?;
+                require_finite("Gauss-Markov mean heading", m.mean_heading_rad)?;
+                require_non_negative("Gauss-Markov heading std", m.heading_std_rad)?;
+                require_positive("Gauss-Markov mean step", m.mean_step_km)?;
+                require_non_negative("Gauss-Markov step std", m.step_std_km)?;
+                require_finite_point("Gauss-Markov start", m.start)
+            }
+            FleetMobility::Manhattan(m) => {
+                require_at_least("Manhattan block count", 1, m.n_blocks as u64)?;
+                require_positive("Manhattan block size", m.block_km)?;
+                require_in_range("Manhattan turn probability", m.turn_prob, 0.0, 1.0)?;
+                require_finite_point("Manhattan start", m.start)
+            }
+            FleetMobility::Waypoint(m) => {
+                require_at_least("waypoint leg count", 1, m.n_legs as u64)?;
+                // A positive finite extent also makes both corners finite.
+                require_positive("waypoint box width", m.max.x - m.min.x)?;
+                require_positive("waypoint box height", m.max.y - m.min.y)?;
+                require_finite_point("waypoint start", m.start)
+            }
+        }
+    }
+
     /// Generate one trajectory from the model.
     pub fn generate(&self, rng: &mut StdRng) -> Trajectory {
         match self {
@@ -407,6 +458,29 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
+    /// Typed validation of the policy parameters: every condition the
+    /// policy constructors assert — non-negative finite margins and load
+    /// bias — plus finite thresholds.
+    pub fn validated(&self) -> Result<(), ConfigError> {
+        match *self {
+            PolicyKind::Fuzzy | PolicyKind::FuzzyLut => Ok(()),
+            PolicyKind::Hysteresis { margin_db } => {
+                require_non_negative("hysteresis margin", margin_db)
+            }
+            PolicyKind::Threshold { threshold_dbm } => {
+                require_finite("handover threshold", threshold_dbm)
+            }
+            PolicyKind::HysteresisThreshold { threshold_dbm, margin_db } => {
+                require_finite("handover threshold", threshold_dbm)?;
+                require_non_negative("hysteresis margin", margin_db)
+            }
+            PolicyKind::LoadHysteresis { margin_db, load_bias_db } => {
+                require_non_negative("hysteresis margin", margin_db)?;
+                require_non_negative("load bias", load_bias_db)
+            }
+        }
+    }
+
     /// Short label used in matrix tables.
     pub fn label(&self) -> &'static str {
         match self {
@@ -469,6 +543,26 @@ pub struct HomogeneousFleet {
     pub trajectory_seed: u64,
     /// Cell radius for the fuzzy controller's DMB normalisation.
     pub cell_radius_km: f64,
+}
+
+impl HomogeneousFleet {
+    /// Typed validation of the population: its mobility model, its
+    /// policy and a positive finite cell radius. The run entries cannot
+    /// check a [`UeSpec`] (it is opaque to them), so the callers that
+    /// build one from outside input — the scenario matrix and the twin
+    /// service — run this first; a defect would otherwise panic inside a
+    /// worker.
+    pub fn validated(&self) -> Result<(), ConfigError> {
+        self.mobility.validated()?;
+        self.policy.validated()?;
+        require_positive("cell radius", self.cell_radius_km)
+    }
+}
+
+/// Both coordinates of `point` are finite.
+fn require_finite_point(field: &'static str, point: Vec2) -> Result<(), ConfigError> {
+    require_finite(field, point.x)?;
+    require_finite(field, point.y)
 }
 
 impl UeSpec for HomogeneousFleet {
@@ -654,7 +748,8 @@ struct PassParams<'a> {
     /// pass).
     load_field: Option<&'a Arc<LoadField>>,
     /// Lockstep step at which still-live UEs are frozen (checkpointing).
-    max_steps: Option<u64>,
+    /// `u64::MAX` never fires: the lockstep counter cannot reach it.
+    max_steps: u64,
 }
 
 impl PassParams<'_> {
@@ -664,7 +759,7 @@ impl PassParams<'_> {
             base_seed,
             sink: PassSink::Collect { traces },
             load_field: None,
-            max_steps: None,
+            max_steps: u64::MAX,
         }
     }
 }
@@ -789,7 +884,7 @@ impl ChunkArena {
 /// determinism contract.
 #[derive(Debug, Clone)]
 pub struct FleetSimulation {
-    sim: Simulation,
+    config: SimConfig,
     workers: usize,
     chunk_size: usize,
     candidate_mode: CandidateMode,
@@ -806,10 +901,14 @@ impl FleetSimulation {
     pub const DEFAULT_CHUNK_SIZE: usize = 128;
 
     /// Build a fleet engine (1 worker, default chunk size, dense
-    /// [`CandidateMode::All`] measurement).
+    /// [`CandidateMode::All`] measurement). Neither this nor any `with_*`
+    /// builder checks anything: every run entry validates the
+    /// configuration and its planes ([`validate_planes`]) before it
+    /// compiles the measurement plane, and reports a defect as
+    /// [`FleetError::InvalidConfig`].
     pub fn new(config: SimConfig) -> Self {
         FleetSimulation {
-            sim: Simulation::new(config),
+            config,
             workers: 1,
             chunk_size: Self::DEFAULT_CHUNK_SIZE,
             candidate_mode: CandidateMode::All,
@@ -935,15 +1034,17 @@ impl FleetSimulation {
 
     /// The configuration.
     pub fn config(&self) -> &SimConfig {
-        self.sim.config()
+        &self.config
     }
 
-    /// [`validate_planes`] on this engine's configuration and planes.
-    /// The run entries call this before touching any worker, surfacing
-    /// [`FleetError::InvalidConfig`] instead of a mid-run panic or a
-    /// silent NaN propagation.
-    pub(crate) fn validate_planes(&self) -> Result<(), ConfigError> {
-        validate_planes(self.config(), self.traffic.as_ref(), self.dynamics.as_ref())
+    /// The check and compile of a run entry: [`validate_planes`] on this
+    /// engine's configuration and planes, then the measurement plane
+    /// (link budget, BS positions, candidate table). Runs before any
+    /// worker starts, so a defect is a [`ConfigError`] instead of a
+    /// mid-run panic or a silent NaN propagation.
+    pub(crate) fn compile(&self) -> Result<Simulation, ConfigError> {
+        validate_planes(&self.config, self.traffic.as_ref(), self.dynamics.as_ref())?;
+        Ok(Simulation::from_validated(self.config.clone()))
     }
 
     /// Whether runs on this engine record serving-cell traces: a traffic
@@ -967,18 +1068,17 @@ impl FleetSimulation {
     /// the first pass's occupancy timeline injected into every policy
     /// (delayed load reports), and the returned fleet metrics and
     /// [`TrafficReport`] are those of the fed-back pass.
+    ///
+    /// This is [`FleetSimulation::advance`] with no step bound, then the
+    /// assembly every collected run shares (`finish`).
     pub fn try_run_ids(
         &self,
         spec: &dyn UeSpec,
         ids: &[u64],
         base_seed: u64,
     ) -> Result<FleetResult, FleetError> {
-        self.validate_planes()?;
-        let params = PassParams::collect(base_seed, self.tracing());
-        let pass = self.pass(spec, PassSource::Ids(ids), params)?;
-        debug_assert!(pass.live.is_empty(), "unbounded passes run every UE to completion");
-        let result = assemble(pass.outcomes, pass.cell_load);
-        self.apply_traffic(spec, ids, base_seed, result, pass.traces)
+        let cp = self.advance(spec, None, ids, base_seed, u64::MAX)?;
+        self.finish(spec, cp)
     }
 
     /// Run a fleet up to the lockstep step `target_step` and freeze it:
@@ -989,7 +1089,12 @@ impl FleetSimulation {
     /// suspended with its complete engine + policy + RNG-stream state,
     /// and the whole run comes back as a serializable
     /// [`FleetCheckpoint`]. A bound at or before the snapshot's step
-    /// returns the snapshot unchanged.
+    /// returns the snapshot unchanged; a bound of `u64::MAX` runs every
+    /// UE to completion.
+    ///
+    /// Each call validates the engine ([`FleetError::InvalidConfig`])
+    /// and the snapshot ([`FleetError::CorruptCheckpoint`]), then
+    /// compiles the measurement plane once for its pass.
     ///
     /// Any chain of `advance` bounds finished by
     /// [`FleetSimulation::try_resume`] is bit-identical to the
@@ -1002,8 +1107,8 @@ impl FleetSimulation {
     ///
     /// With a traffic plane the run records serving-cell traces into
     /// the snapshot; the traffic replay itself (and the load-feedback
-    /// second pass, if configured) runs in `try_resume`, once the traces
-    /// are complete.
+    /// second pass, if configured) runs when the run is finished
+    /// ([`FleetSimulation::try_resume`]), once the traces are complete.
     pub fn advance(
         &self,
         spec: &dyn UeSpec,
@@ -1030,31 +1135,40 @@ impl FleetSimulation {
         target_step: u64,
         watchdog: impl FnOnce() -> Result<(), FleetError>,
     ) -> Result<FleetCheckpoint, Box<(FleetError, Option<FleetCheckpoint>)>> {
-        let checked = self.validate_planes().map_err(FleetError::from).and_then(|()| {
-            from.as_ref().map_or(Ok(()), |cp| self.check_checkpoint(cp).map_err(FleetError::from))
+        let opened = self.compile().map_err(FleetError::from).and_then(|sim| {
+            from.as_ref().map_or(Ok(()), |cp| self.check_checkpoint(cp))?;
+            Ok(sim)
         });
-        let from = match (checked, from) {
+        let (sim, from) = match (opened, from) {
             (Err(err), from) => return Err(Box::new((err, from))),
-            (Ok(()), Some(cp)) if target_step <= cp.step => return Ok(cp),
-            (Ok(()), from) => from,
+            (Ok(_), Some(cp)) if target_step <= cp.step => return Ok(cp),
+            (Ok(sim), from) => (sim, from),
         };
         let (source, base_seed, tracing) = match &from {
             None => (PassSource::Ids(ids), base_seed, self.tracing()),
             Some(cp) => (PassSource::Restored(&cp.live, cp.step), cp.base_seed, cp.tracing),
         };
         let params = PassParams {
-            max_steps: Some(target_step),
+            max_steps: target_step,
             ..PassParams::collect(base_seed, tracing)
         };
-        let pass = self.pass(spec, source, params);
-        let mut out = match watchdog().and(pass) {
+        let pass = self.pass(&sim, spec, source, params);
+        let out = match watchdog().and(pass) {
             Ok(out) => out,
             Err(err) => return Err(Box::new((err, from))),
         };
-        let live = std::mem::take(&mut out.live);
         let (finished, finished_traces, cell_load) = match from {
             None => (out.outcomes, out.traces, out.cell_load),
-            Some(cp) => after_checkpoint((cp.finished, cp.finished_traces, cp.cell_load), out),
+            Some(cp) => {
+                let (mut outcomes, mut traces, mut cell_load) =
+                    (cp.finished, cp.finished_traces, cp.cell_load);
+                outcomes.extend(out.outcomes);
+                outcomes.sort_by_key(|o| o.ue_id);
+                traces.extend(out.traces);
+                traces.sort_by_key(|t| t.ue_id);
+                cell_load.merge(&out.cell_load);
+                (outcomes, traces, cell_load)
+            }
         };
         Ok(FleetCheckpoint {
             version: CHECKPOINT_VERSION,
@@ -1062,7 +1176,7 @@ impl FleetSimulation {
             base_seed,
             finished,
             finished_traces,
-            live,
+            live: out.live,
             cell_load,
             tracing,
         })
@@ -1074,24 +1188,17 @@ impl FleetSimulation {
     /// size are free), and the spec must be the same deterministic
     /// population. An incompatible or invalid snapshot surfaces as
     /// [`FleetError::CorruptCheckpoint`].
+    ///
+    /// This is [`FleetSimulation::advance`] of a copy of `cp` with no
+    /// step bound, then the assembly every collected run shares
+    /// (`finish`).
     pub fn try_resume(
         &self,
         spec: &dyn UeSpec,
         cp: &FleetCheckpoint,
     ) -> Result<FleetResult, FleetError> {
-        self.validate_planes()?;
-        self.check_checkpoint(cp)?;
-        let params = PassParams::collect(cp.base_seed, cp.tracing);
-        let out = self.pass(spec, PassSource::Restored(&cp.live, cp.step), params)?;
-        debug_assert!(
-            out.live.is_empty(),
-            "unbounded passes run every UE to completion"
-        );
-        let finished = (cp.finished.clone(), cp.finished_traces.clone(), cp.cell_load.clone());
-        let (outcomes, traces, cell_load) = after_checkpoint(finished, out);
-        let ids: Vec<u64> = outcomes.iter().map(|o| o.ue_id).collect();
-        let result = assemble(outcomes, cell_load);
-        self.apply_traffic(spec, &ids, cp.base_seed, result, traces)
+        let cp = self.advance(spec, Some(cp.clone()), &[], cp.base_seed, u64::MAX)?;
+        self.finish(spec, cp)
     }
 
     /// Snapshot-vs-engine compatibility ([`FleetCheckpoint::check_engine`]
@@ -1131,37 +1238,45 @@ impl FleetSimulation {
         if self.traffic.is_some() {
             return Err(FleetError::InvalidConfig(ConfigError::StreamedTraffic));
         }
-        self.validate_planes()?;
+        let sim = self.compile()?;
         let params = PassParams {
             sink: PassSink::Fold,
             ..PassParams::collect(base_seed, false)
         };
-        let out = self.pass(spec, PassSource::Range(n_ues), params)?;
+        let out = self.pass(&sim, spec, PassSource::Range(n_ues), params)?;
         Ok(FleetStreamSummary {
             summary: out.tally,
             cell_load: out.cell_load,
         })
     }
 
-    /// The replay half of a run: derive the dynamic-workload report from
-    /// the traces, replay them against the channel capacities, and, with
-    /// load feedback on, rerun the fleet with the occupancy field
-    /// injected. No-op without a traffic or dynamics plane.
-    fn apply_traffic(
+    /// Assemble the result of a snapshot whose every UE has finished —
+    /// the one assembly of every collected run: fold the id-sorted
+    /// outcomes, derive the dynamic-workload report from the traces,
+    /// replay them against the channel capacities and, with load
+    /// feedback on, rerun the finished UE ids (a pass is
+    /// submission-order invariant) with the occupancy field injected,
+    /// compiling the plane for that pass. No replay without a traffic or
+    /// dynamics plane.
+    pub(crate) fn finish(
         &self,
         spec: &dyn UeSpec,
-        ids: &[u64],
-        base_seed: u64,
-        mut result: FleetResult,
-        traces: Vec<UeTrace>,
+        cp: FleetCheckpoint,
     ) -> Result<FleetResult, FleetError> {
+        if !cp.live.is_empty() {
+            // Only a forged snapshot a few steps short of `u64::MAX` is
+            // still live at the final bound; never drop its UEs silently.
+            let live = "live UEs at the final lockstep step u64::MAX".to_string();
+            return Err(FleetError::CorruptCheckpoint(CheckpointError::ShapeMismatch(live)));
+        }
+        let (mut result, traces) = (assemble(cp.finished, cp.cell_load), cp.finished_traces);
         let Some(traffic) = &self.traffic else {
             if self.dynamics.is_some() {
                 result.dynamics = Some(dynamic_report(&traces, &result.cell_load, None));
             }
             return Ok(result);
         };
-        let cells = self.config().layout.cells();
+        let (cells, base_seed) = (self.config.layout.cells(), cp.base_seed);
         let none = DynamicsConfig::none();
         let dynamics = self.dynamics.as_ref().unwrap_or(&none);
         let replay = |traces: &[UeTrace]| {
@@ -1170,12 +1285,13 @@ impl FleetSimulation {
         };
         let (report, field, stats) = replay(&traces)?;
         let (mut result, traces, report, stats) = if traffic.load_feedback {
+            let ids: Vec<u64> = result.outcomes.iter().map(|o| o.ue_id).collect();
             let field = Arc::new(field);
             let params = PassParams {
                 load_field: Some(&field),
                 ..PassParams::collect(base_seed, true)
             };
-            let fed = self.pass(spec, PassSource::Ids(ids), params)?;
+            let fed = self.pass(&self.compile()?, spec, PassSource::Ids(&ids), params)?;
             let (fed_report, _, fed_stats) = replay(&fed.traces)?;
             (
                 assemble(fed.outcomes, fed.cell_load),
@@ -1205,15 +1321,16 @@ impl FleetSimulation {
     /// [`PassSink::Fold`] pass has its HD sum folded in UE-id order.
     fn pass(
         &self,
+        sim: &Simulation,
         spec: &dyn UeSpec,
         source: PassSource<'_>,
         params: PassParams<'_>,
     ) -> Result<PassPart, FleetError> {
-        let cfg = self.config();
+        let cfg = sim.config();
         let cells = cfg.layout.cells();
         let ctx = PassCtx {
             cfg,
-            sim: &self.sim,
+            sim,
             plan: self.candidate_mode.plan(cells.len()),
             outages: match &self.dynamics {
                 Some(dynamics) => dynamics.outage_indices(cells)?,
@@ -1468,7 +1585,7 @@ impl ChunkRun<'_, '_> {
             if let Some(injector) = self.ctx.fault {
                 injector.check_step(self.step);
             }
-            if self.ctx.params.max_steps.is_some_and(|bound| self.step >= bound) {
+            if self.step >= self.ctx.params.max_steps {
                 for &i in &self.live {
                     self.part.live.push(self.ues[i].freeze());
                 }
@@ -1619,21 +1736,22 @@ impl ChunkRun<'_, '_> {
                 }
             };
             let policy = ue.policy.as_mut();
-            let outcome = ue.state.finish_step(ctx.cfg, report, decision, point, policy);
-            self.part.cell_load.record_index(outcome.serving_after_idx);
+            let hd = ue.state.finish_step(ctx.cfg, report, decision, point, policy);
+            let serving = ue.state.serving_index();
+            self.part.cell_load.record_index(serving);
             if ctx.tracing {
                 // Change points are recorded at the *global* lockstep
                 // step: without churn it equals the per-UE step counter
                 // (every UE starts at step 0), with churn it puts
                 // arrivals and handovers of different UEs on one shared
                 // timeline for the replay.
-                let cell = cell_index_u32(outcome.serving_after_idx);
+                let cell = cell_index_u32(serving);
                 if ue.trace.last().map_or(true, |&(_, c)| c != cell) {
                     ue.trace.push((step, cell));
                 }
                 ue.trace_steps = step + 1;
             }
-            if let Some(hd) = outcome.hd {
+            if let Some(hd) = hd {
                 ue.hd_sum += hd;
                 ue.hd_count += 1;
             }
@@ -1826,20 +1944,6 @@ fn for_each_chunk<T>(items: impl Iterator<Item = T>, chunk_size: usize, mut f: i
     }
 }
 
-/// A pass's finished UEs merged into those of the checkpoint it
-/// continued: outcomes, traces and serving load, id-sorted.
-fn after_checkpoint(
-    (mut outcomes, mut traces, mut cell_load): (Vec<UeOutcome>, Vec<UeTrace>, CellLoadHistogram),
-    out: PassPart,
-) -> (Vec<UeOutcome>, Vec<UeTrace>, CellLoadHistogram) {
-    outcomes.extend(out.outcomes);
-    outcomes.sort_by_key(|o| o.ue_id);
-    traces.extend(out.traces);
-    traces.sort_by_key(|t| t.ue_id);
-    cell_load.merge(&out.cell_load);
-    (outcomes, traces, cell_load)
-}
-
 /// Narrow a layout cell index to the `u32` the pruned-subset buffers
 /// and trace change points store. Upstream invariant: cell indices come
 /// from `CellLayout`, whose construction is quadratic in the ring
@@ -1854,7 +1958,7 @@ fn cell_index_u32(idx: usize) -> u32 {
 
 /// Assemble a [`FleetResult`] from id-sorted outcomes: the summary is
 /// folded in UE-id order (the `f64` determinism contract), traffic is
-/// left for [`FleetSimulation::apply_traffic`].
+/// left for [`FleetSimulation::finish`].
 fn assemble(outcomes: Vec<UeOutcome>, cell_load: CellLoadHistogram) -> FleetResult {
     let mut summary = FleetSummary::default();
     for o in &outcomes {
@@ -2657,5 +2761,66 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, FleetError::InvalidConfig(ConfigError::StreamedTraffic));
         assert!(err.to_string().contains("no traffic plane"), "{err}");
+    }
+
+    #[test]
+    fn population_validation_refuses_what_the_workers_would_panic_on() {
+        let walk = RandomWalk::paper_default(4);
+        let gm = GaussMarkov::vehicular(4);
+        let grid = ManhattanGrid::downtown(4);
+        let waypoint = RandomWaypoint::centered(2.0, 4);
+        let nan = Vec2::new(f64::NAN, 0.0);
+        let bad_mobility = [
+            FleetMobility::RandomWalk(RandomWalk { n_walks: 0, ..walk }),
+            FleetMobility::RandomWalk(RandomWalk { step_mean_km: 0.0, ..walk }),
+            FleetMobility::RandomWalk(RandomWalk { step_std_km: -1.0, ..walk }),
+            FleetMobility::RandomWalk(walk.with_start(nan)),
+            FleetMobility::GaussMarkov(GaussMarkov { n_steps: 0, ..gm }),
+            FleetMobility::GaussMarkov(GaussMarkov { alpha: 1.5, ..gm }),
+            FleetMobility::GaussMarkov(GaussMarkov { mean_step_km: -0.6, ..gm }),
+            FleetMobility::Manhattan(ManhattanGrid { n_blocks: 0, ..grid }),
+            FleetMobility::Manhattan(ManhattanGrid { block_km: 0.0, ..grid }),
+            FleetMobility::Manhattan(ManhattanGrid { turn_prob: f64::NAN, ..grid }),
+            FleetMobility::Waypoint(RandomWaypoint { n_legs: 0, ..waypoint }),
+            FleetMobility::Waypoint(RandomWaypoint { max: waypoint.min, ..waypoint }),
+            FleetMobility::Waypoint(RandomWaypoint { start: nan, ..waypoint }),
+        ];
+        let bad_policy = [
+            PolicyKind::Hysteresis { margin_db: -1.0 },
+            PolicyKind::HysteresisThreshold { threshold_dbm: -90.0, margin_db: -0.5 },
+            PolicyKind::LoadHysteresis { margin_db: -1.0, load_bias_db: 1.0 },
+            PolicyKind::LoadHysteresis { margin_db: 1.0, load_bias_db: -1.0 },
+        ];
+        let fuzzy = fuzzy_walk_spec(3);
+        let cases = (bad_mobility.iter().map(|&mobility| HomogeneousFleet { mobility, ..fuzzy }))
+            .chain(bad_policy.iter().map(|&policy| HomogeneousFleet { policy, ..fuzzy }))
+            .chain([HomogeneousFleet { cell_radius_km: 0.0, ..fuzzy }]);
+        for spec in cases {
+            assert!(spec.validated().is_err(), "{spec:?} passed validation");
+            let unchecked = std::panic::catch_unwind(|| {
+                spec.trajectory(0);
+                spec.policy(0);
+            });
+            assert!(unchecked.is_err(), "{spec:?} does not panic unchecked");
+        }
+
+        for n in [1, 6] {
+            for mobility in FleetMobility::standard_four(n) {
+                assert_eq!(mobility.validated(), Ok(()), "{mobility:?}");
+            }
+        }
+        for policy in [
+            PolicyKind::Fuzzy,
+            PolicyKind::FuzzyLut,
+            PolicyKind::Hysteresis { margin_db: 0.0 },
+            PolicyKind::Threshold { threshold_dbm: -100.0 },
+            PolicyKind::HysteresisThreshold { threshold_dbm: -100.0, margin_db: 3.0 },
+            PolicyKind::LoadHysteresis { margin_db: 0.0, load_bias_db: 0.0 },
+        ] {
+            assert_eq!(HomogeneousFleet { policy, ..fuzzy }.validated(), Ok(()), "{policy:?}");
+        }
+        let policy = PolicyKind::Threshold { threshold_dbm: f64::NAN };
+        let err = HomogeneousFleet { policy, ..fuzzy }.validated().unwrap_err();
+        assert!(matches!(err, ConfigError::NotFinite { field: "handover threshold", .. }), "{err}");
     }
 }

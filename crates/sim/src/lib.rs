@@ -43,6 +43,7 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+#![deny(clippy::too_many_lines)]
 
 pub mod checkpoint;
 pub mod dynamics;

@@ -11,7 +11,6 @@ use crate::engine::SimConfig;
 use crate::fleet::{
     CandidateMode, FleetError, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
-use crate::resilience::validate_planes;
 use crate::series::Series;
 use crate::table::{fmt_f, TextTable};
 use crate::traffic::TrafficConfig;
@@ -151,9 +150,6 @@ impl ScenarioMatrix {
     fn try_run_cell(&self, spec: &CellSpec) -> Result<MatrixCellResult, FleetError> {
         let mut cfg = self.base.clone();
         cfg.speed_kmh = spec.speed_kmh;
-        // Typed rejection up front: `FleetSimulation::new` still checks
-        // the SimConfig eagerly.
-        validate_planes(&cfg, spec.traffic.as_ref(), spec.dynamics.as_ref())?;
         let cell_radius_km = cfg.layout.cell_radius_km();
         let mut fleet = FleetSimulation::new(cfg)
             .with_workers(self.workers.max(1))
@@ -175,6 +171,7 @@ impl ScenarioMatrix {
             trajectory_seed: spec.seed,
             cell_radius_km,
         };
+        ue_spec.validated()?;
         let ids: Vec<u64> = (0..spec.ue_count).collect();
         let result = fleet.try_run_ids(&ue_spec, &ids, spec.seed)?;
         Ok(MatrixCellResult {
@@ -1067,8 +1064,8 @@ mod tests {
             assert_eq!(format!("{again:?}"), format!("{err:?}"));
         }
 
-        // An out-of-layout outage cell is rejected before any fleet is
-        // built.
+        // An out-of-layout outage cell is rejected before any worker
+        // starts.
         let mut m = tiny_matrix();
         m.dynamics = vec![Some(DynamicsConfig {
             failures: vec![crate::dynamics::CellOutage {

@@ -409,86 +409,81 @@ impl FaultPlan {
 /// scheduled fault per step — zero cost when no injector is attached).
 #[derive(Debug, Default)]
 pub struct FaultInjector {
-    /// `(at_step, fired)` worker-panic triggers.
-    panics: Vec<(u64, AtomicBool)>,
-    /// `(at_step, fired)` allocation-failure triggers.
-    alloc_failures: Vec<(u64, AtomicBool)>,
-    /// `(at_step, delay_steps, fired)` stall triggers.
-    stalls: Vec<(u64, u64, AtomicBool)>,
-    /// `(at_snapshot, byte_offset, fired)` snapshot-corruption triggers.
-    corruptions: Vec<(u64, u64, AtomicBool)>,
+    /// The scripted faults in script order, each with its fired flag.
+    faults: Vec<(Fault, AtomicBool)>,
     /// Virtual delay accumulated since the last watchdog read.
     stall_steps: AtomicU64,
 }
 
 impl FaultInjector {
     fn new(plan: &FaultPlan) -> Self {
-        let mut inj = FaultInjector::default();
-        for fault in &plan.faults {
-            match *fault {
-                Fault::WorkerPanic { at_step } => {
-                    inj.panics.push((at_step, AtomicBool::new(false)));
-                }
-                Fault::AllocFailure { at_step } => {
-                    inj.alloc_failures.push((at_step, AtomicBool::new(false)));
-                }
-                Fault::StallWorker { at_step, delay_steps } => {
-                    inj.stalls.push((at_step, delay_steps, AtomicBool::new(false)));
-                }
-                Fault::CorruptCheckpoint { at_snapshot, byte_offset } => {
-                    inj.corruptions.push((at_snapshot, byte_offset, AtomicBool::new(false)));
-                }
-            }
-        }
-        inj
+        let faults = plan.faults.iter().map(|&fault| (fault, AtomicBool::new(false))).collect();
+        FaultInjector { faults, stall_steps: AtomicU64::new(0) }
+    }
+
+    /// The not-yet-fired faults `pick` selects, in script order, each
+    /// marked fired as the iterator reaches it: the compare-exchange
+    /// makes every fault one-shot even when several workers reach its
+    /// trigger concurrently, and a fault the iterator is not advanced to
+    /// stays pending.
+    fn fire<'a, T>(
+        &'a self,
+        pick: impl Fn(Fault) -> Option<T> + 'a,
+    ) -> impl Iterator<Item = T> + 'a {
+        self.faults.iter().filter_map(move |(fault, fired)| {
+            let hit = pick(*fault)?;
+            let claimed = fired.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed);
+            claimed.is_ok().then_some(hit)
+        })
     }
 
     /// Step hook, called once per (worker, chunk, lockstep step). Fires
-    /// pending stalls (accumulating virtual delay) and worker panics
-    /// scheduled at `step`; the compare-exchange makes each fault
-    /// one-shot even when several workers reach the step concurrently.
+    /// every pending stall scheduled at `step` (accumulating virtual
+    /// delay), then the first pending worker panic scheduled there.
     pub(crate) fn check_step(&self, step: u64) {
-        for (at, delay, fired) in &self.stalls {
-            if *at == step
-                && fired.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed).is_ok()
-            {
-                self.stall_steps.fetch_add(*delay, Ordering::Relaxed);
-            }
+        let stalls = self.fire(|fault| match fault {
+            Fault::StallWorker { at_step, delay_steps } if at_step == step => Some(delay_steps),
+            _ => None,
+        });
+        for delay in stalls {
+            self.stall_steps.fetch_add(delay, Ordering::Relaxed);
         }
-        for (at, fired) in &self.panics {
-            if *at == step
-                && fired.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed).is_ok()
-            {
-                panic!("injected fault: worker panic at step {step}");
-            }
+        let mut panics =
+            self.fire(|fault| (fault == Fault::WorkerPanic { at_step: step }).then_some(()));
+        if panics.next().is_some() {
+            panic!("injected fault: worker panic at step {step}");
         }
     }
 
     /// Allocation-failure hook, called at the start of every dense
-    /// measure phase.
+    /// measure phase: fires the first pending failure scheduled at
+    /// `step`.
     pub(crate) fn check_alloc_failure(&self, step: u64) {
-        for (at, fired) in &self.alloc_failures {
-            if *at == step
-                && fired.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed).is_ok()
-            {
-                panic!("injected fault: arena allocation failure at step {step}");
-            }
+        let mut failures =
+            self.fire(|fault| (fault == Fault::AllocFailure { at_step: step }).then_some(()));
+        if failures.next().is_some() {
+            panic!("injected fault: arena allocation failure at step {step}");
         }
     }
 
-    /// Apply any scheduled corruption to the `snapshot_index`-th sealed
+    /// Apply every scheduled corruption to the `snapshot_index`-th sealed
     /// snapshot bytes. Returns `true` if a byte was flipped.
     pub fn corrupt_snapshot(&self, snapshot_index: u64, bytes: &mut [u8]) -> bool {
-        let mut hit = false;
-        for (at, offset, fired) in &self.corruptions {
-            if *at == snapshot_index
-                && !bytes.is_empty()
-                && fired.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed).is_ok()
+        if bytes.is_empty() {
+            return false;
+        }
+        let offsets = self.fire(|fault| match fault {
+            Fault::CorruptCheckpoint { at_snapshot, byte_offset }
+                if at_snapshot == snapshot_index =>
             {
-                let idx = (*offset % bytes.len() as u64) as usize;
-                bytes[idx] ^= 0xFF;
-                hit = true;
+                Some(byte_offset)
             }
+            _ => None,
+        });
+        let (len, mut hit) = (bytes.len() as u64, false);
+        for offset in offsets {
+            bytes[(offset % len) as usize] ^= 0xFF;
+            hit = true;
         }
         hit
     }
@@ -501,10 +496,7 @@ impl FaultInjector {
 
     /// Whether every scripted fault has fired.
     pub fn exhausted(&self) -> bool {
-        self.panics.iter().all(|(_, f)| f.load(Ordering::Relaxed))
-            && self.alloc_failures.iter().all(|(_, f)| f.load(Ordering::Relaxed))
-            && self.stalls.iter().all(|(_, _, f)| f.load(Ordering::Relaxed))
-            && self.corruptions.iter().all(|(_, _, f)| f.load(Ordering::Relaxed))
+        self.faults.iter().all(|(_, fired)| fired.load(Ordering::Relaxed))
     }
 }
 
@@ -649,16 +641,18 @@ impl Supervisor {
 
     /// Continue a run from the snapshot `from` (`None`: not started) and
     /// the audit trail `report`, validating the policy, the planes and
-    /// the snapshot ([`FleetError::CorruptCheckpoint`]). A failure before
-    /// any newer snapshot exists restores `from`, never step 0.
+    /// the snapshot ([`FleetError::CorruptCheckpoint`]). Compiles
+    /// nothing: each segment compiles its own measurement plane. A
+    /// failure before any newer snapshot exists restores `from`, never
+    /// step 0.
     pub fn resume(
         engine: FleetSimulation,
         policy: RetryPolicy,
         from: Option<FleetCheckpoint>,
         report: SupervisorReport,
     ) -> Result<Self, FleetError> {
-        policy.validated().map_err(FleetError::InvalidConfig)?;
-        engine.validate_planes().map_err(FleetError::InvalidConfig)?;
+        policy.validated()?;
+        validate_planes(engine.config(), engine.traffic(), engine.dynamics())?;
         if let Some(cp) = &from {
             engine.check_checkpoint(cp).map_err(FleetError::CorruptCheckpoint)?;
         }
@@ -850,11 +844,12 @@ impl Supervisor {
         Ok(self.checkpoint().expect("advance_to leaves a checkpoint"))
     }
 
-    /// Drive the remaining steps (supervised, cadence-segmented) and
-    /// assemble the final [`FleetResult`] through the resume path —
-    /// bit-identical to the uninterrupted batch run. The final assembly
-    /// (traffic replay + merge) retries under the same policy as any
-    /// other segment.
+    /// Drive the remaining steps (supervised, cadence-segmented) until
+    /// every UE has finished, then assemble the final [`FleetResult`]
+    /// from the all-finished snapshot with the assembly every collected
+    /// run shares — bit-identical to the uninterrupted batch run. The
+    /// assembly (traffic replay, and the load-feedback rerun if
+    /// configured) retries under the same policy as any other segment.
     pub fn finish(
         &mut self,
         spec: &dyn UeSpec,
@@ -863,8 +858,8 @@ impl Supervisor {
     ) -> Result<FleetResult, FleetError> {
         self.call(|sup| loop {
             sup.segments(spec, ids, base_seed, u64::MAX)?;
-            let cp = sup.checkpoint().expect("segments leave a checkpoint");
-            let attempt = sup.engine.try_resume(spec, cp).map(Box::new);
+            let cp = sup.checkpoint().expect("segments leave a checkpoint").clone();
+            let attempt = sup.engine.finish(spec, cp).map(Box::new);
             match sup.watchdog().and(attempt) {
                 Ok(result) => {
                     sup.report.segments += 1;
@@ -958,6 +953,28 @@ mod tests {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inj.check_step(5)));
         assert!(err.is_err(), "scheduled step panics");
         inj.check_step(5); // second arrival: already fired, no panic
+        assert!(inj.exhausted());
+    }
+
+    #[test]
+    fn due_stalls_fire_before_one_panic_per_call_in_script_order() {
+        let plan = FaultPlan::scripted(vec![
+            Fault::WorkerPanic { at_step: 2 },
+            Fault::StallWorker { at_step: 2, delay_steps: 3 },
+            Fault::AllocFailure { at_step: 2 },
+            Fault::WorkerPanic { at_step: 2 },
+            Fault::StallWorker { at_step: 2, delay_steps: 4 },
+        ]);
+        let inj = plan.injector();
+        let fire =
+            |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+        assert!(fire(&|| inj.check_step(2)), "the first pending panic fires");
+        assert_eq!(inj.take_stall_steps(), 7, "every due stall fired before it");
+        assert!(!inj.exhausted(), "the second panic is still pending");
+        assert!(fire(&|| inj.check_step(2)), "the second panic fires on the next call");
+        assert!(!fire(&|| inj.check_step(2)), "no panic is left at step 2");
+        assert!(!fire(&|| inj.check_alloc_failure(1)), "failures fire only at their step");
+        assert!(fire(&|| inj.check_alloc_failure(2)));
         assert!(inj.exhausted());
     }
 

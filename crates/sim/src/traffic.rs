@@ -549,96 +549,172 @@ pub fn replay_traffic_dynamic(
     dynamics.validated()?;
     // Scheduled outages, resolved to layout indices once.
     let outages = dynamics.outage_indices(cells)?;
-    let down =
-        |cell: u32, s: u64| outages.iter().any(|&(k, f, u)| k == cell as usize && f <= s && s < u);
     debug_assert!(
         traces.windows(2).all(|w| w[0].ue_id < w[1].ue_id),
         "traces must be sorted by UE id"
     );
-    let mut tracker = CellLoadTracker::new(cells, cfg.channels_per_cell, cfg.guard_channels);
-
-    // Per-UE service class, an index into `params` and `per_class`.
-    // Without a mix every UE is one undifferentiated class with the base
-    // config's means. The class counters are the replay's only call
-    // tallies: the report's fleet-wide counts are their sums.
-    let base = ServiceParams {
-        mean_idle_steps: cfg.mean_idle_steps,
-        mean_holding_steps: cfg.mean_holding_steps,
-        extra_guard_channels: 0,
+    let offered = OfferedCalls::draw(cfg, cells, traces, base_seed, dynamics);
+    let mut walk = ReplayWalk {
+        traces,
+        offered: &offered,
+        outages,
+        tracker: CellLoadTracker::new(cells, cfg.channels_per_cell, cfg.guard_channels),
+        per_class: [ClassTraffic::new(ServiceClass::Voice), ClassTraffic::new(ServiceClass::Data)],
+        // Per-UE lazy serving-cell cursors into the RLE traces (the
+        // timeline walk queries each UE monotonically).
+        cursors: vec![(0, 0); traces.len()],
+        active: Vec::new(),
+        failure_evicted: 0,
+        failure_dropped: 0,
+        blocked_time: 0.0,
+        dropped_time: 0.0,
+        failure_time: 0.0,
     };
-    let params = dynamics.services.map_or([base; 2], |mix| [mix.voice, mix.data]);
-    let classes: Vec<u8> = traces
-        .iter()
-        .map(|t| match &dynamics.services {
-            Some(mix) => u8::from(mix.class_of(base_seed, t.ue_id) == ServiceClass::Data),
-            None => 0,
-        })
-        .collect();
-    let mut per_class =
-        [ClassTraffic::new(ServiceClass::Voice), ClassTraffic::new(ServiceClass::Data)];
-    let mut class_time = [0.0f64; 2];
+    let timeline = traces.iter().map(|t| t.steps).max().unwrap_or(0);
+    let mut arrivals = offered.arrivals.iter().peekable();
+    for s in 0..timeline {
+        walk.release(s);
+        walk.relocate(s);
+        // 3 — new-call arrivals dialled in (s−1, s], in UE-id order.
+        while let Some(arrival) = arrivals.next_if(|arrival| arrival.step <= s) {
+            walk.admit(s, arrival);
+        }
+        // 4 — close the step: histogram + utilization row.
+        walk.tracker.record_step();
+    }
+    Ok(walk.report(cfg, dynamics.services.is_some()))
+}
 
-    // Offered sessions per UE, windowed to the UE's presence `[arrival,
-    // steps)` read off its trace — churned-in UEs dial their first call
-    // after they arrive, and a departed UE's tail sessions never reach
-    // admission (`call_window` clips against `trace.steps`). Sessions
-    // that never reach admission contribute neither an offered call nor
-    // offered call-time, so `offered_erlangs` and `blocking_probability`
-    // describe the same call population.
-    let mut arrivals: Vec<PendingCall> = Vec::new();
-    let mut offered_call_time = 0.0f64;
-    for (ue, trace) in traces.iter().enumerate() {
-        let steps = trace.steps;
-        let Some(&(arrival, _)) = trace.changes.first() else {
-            continue;
+/// The replay's offered traffic: every UE's service class and the
+/// admission-visible calls of its sessions, in admission order.
+struct OfferedCalls {
+    /// Per-UE (trace index) service class, an index into `params`.
+    classes: Vec<u8>,
+    /// Session means and admission priority of each class. Without a mix
+    /// every UE is one undifferentiated class with the base config's
+    /// means.
+    params: [ServiceParams; 2],
+    /// The calls that reach admission, by admission step, same-step
+    /// calls in UE-id order.
+    arrivals: Vec<PendingCall>,
+    /// Offered call-time, fleet-wide and per class.
+    offered_call_time: f64,
+    class_time: [f64; 2],
+}
+
+impl OfferedCalls {
+    /// Draw every UE's offered sessions, windowed to the UE's presence
+    /// `[arrival, steps)` read off its trace — churned-in UEs dial their
+    /// first call after they arrive, and a departed UE's tail sessions
+    /// never reach admission (`call_window` clips against
+    /// `trace.steps`). Sessions that never reach admission contribute
+    /// neither an offered call nor offered call-time, so
+    /// `offered_erlangs` and `blocking_probability` describe the same
+    /// call population.
+    fn draw(
+        cfg: &TrafficConfig,
+        cells: &[Axial],
+        traces: &[UeTrace],
+        base_seed: u64,
+        dynamics: &DynamicsConfig,
+    ) -> Self {
+        let base = ServiceParams {
+            mean_idle_steps: cfg.mean_idle_steps,
+            mean_holding_steps: cfg.mean_holding_steps,
+            extra_guard_channels: 0,
         };
-        let class = usize::from(classes[ue]);
-        let class_cfg = TrafficConfig {
-            mean_idle_steps: params[class].mean_idle_steps,
-            mean_holding_steps: params[class].mean_holding_steps,
-            ..*cfg
+        let params = dynamics.services.map_or([base; 2], |mix| [mix.voice, mix.data]);
+        let classes: Vec<u8> = traces
+            .iter()
+            .map(|t| match &dynamics.services {
+                Some(mix) => u8::from(mix.class_of(base_seed, t.ue_id) == ServiceClass::Data),
+                None => 0,
+            })
+            .collect();
+        let mut offered = OfferedCalls {
+            classes,
+            params,
+            arrivals: Vec::new(),
+            offered_call_time: 0.0,
+            class_time: [0.0; 2],
         };
-        let seed = ue_seed(base_seed ^ TRAFFIC_STREAM, trace.ue_id);
-        // Stationary sessions are drawn from the UE's arrival on and
-        // shifted onto the timeline; tidal ones are drawn in place.
-        let (sessions, shift) = match &dynamics.tide {
-            Some(wave) => {
-                (generate_sessions_tidal(wave, &class_cfg, seed, arrival, trace, cells), 0.0)
-            }
-            None => {
-                (generate_sessions(&class_cfg, seed, (steps - arrival) as usize), arrival as f64)
-            }
-        };
-        for session in &sessions {
-            let session = &OfferedSession { start: session.start + shift, ..*session };
-            let Some((start_step, last_step, natural_end)) = call_window(session, steps) else {
+        for (ue, trace) in traces.iter().enumerate() {
+            let steps = trace.steps;
+            let Some(&(arrival, _)) = trace.changes.first() else {
                 continue;
             };
-            let time = (session.start + session.duration).min(steps as f64) - session.start;
-            offered_call_time += time;
-            class_time[class] += time;
-            arrivals.push(PendingCall { ue: ue as u32, step: start_step, last_step, natural_end });
+            let class = usize::from(offered.classes[ue]);
+            let class_cfg = TrafficConfig {
+                mean_idle_steps: params[class].mean_idle_steps,
+                mean_holding_steps: params[class].mean_holding_steps,
+                ..*cfg
+            };
+            let seed = ue_seed(base_seed ^ TRAFFIC_STREAM, trace.ue_id);
+            // Stationary sessions are drawn from the UE's arrival on and
+            // shifted onto the timeline; tidal ones are drawn in place.
+            let (sessions, shift) = match &dynamics.tide {
+                Some(wave) => {
+                    (generate_sessions_tidal(wave, &class_cfg, seed, arrival, trace, cells), 0.0)
+                }
+                None => (
+                    generate_sessions(&class_cfg, seed, (steps - arrival) as usize),
+                    arrival as f64,
+                ),
+            };
+            for session in &sessions {
+                let session = &OfferedSession { start: session.start + shift, ..*session };
+                let Some((start_step, last_step, natural_end)) = call_window(session, steps) else {
+                    continue;
+                };
+                let time = (session.start + session.duration).min(steps as f64) - session.start;
+                offered.offered_call_time += time;
+                offered.class_time[class] += time;
+                let ue = ue as u32;
+                offered.arrivals.push(PendingCall { ue, step: start_step, last_step, natural_end });
+            }
         }
+        // Stable: same-step arrivals stay in UE-id order.
+        offered.arrivals.sort_by_key(|a| a.step);
+        offered
     }
-    // Stable: same-step arrivals stay in UE-id order.
-    arrivals.sort_by_key(|a| a.step);
+}
 
-    // Per-UE lazy serving-cell cursors into the RLE traces (the
-    // timeline walk queries each UE monotonically).
-    let mut cursors: Vec<(usize, u32)> = vec![(0, 0); traces.len()];
-    let timeline = traces.iter().map(|t| t.steps).max().unwrap_or(0);
-    let mut active: Vec<ActiveCall> = Vec::new();
-    let mut next_arrival = 0usize;
-    let mut failure_evicted = 0u64;
-    let mut failure_dropped = 0u64;
-    let mut blocked_time = 0.0f64;
-    let mut dropped_time = 0.0f64;
-    let mut failure_time = 0.0f64;
+/// The state of the replay's one walk over the global timeline: channel
+/// occupancy, the calls holding a channel, each UE's trace cursor, the
+/// per-class counters and the failure-cause tallies. Each timeline step
+/// runs [`ReplayWalk::release`], [`ReplayWalk::relocate`], then
+/// [`ReplayWalk::admit`] per arriving call, and closes the tracker's
+/// step.
+struct ReplayWalk<'a> {
+    traces: &'a [UeTrace],
+    offered: &'a OfferedCalls,
+    /// Scheduled outages as `(cell index, from, until)`.
+    outages: Vec<(usize, u64, u64)>,
+    tracker: CellLoadTracker,
+    /// The replay's only call tallies: the report's fleet-wide counts
+    /// are their sums.
+    per_class: [ClassTraffic; 2],
+    cursors: Vec<(usize, u32)>,
+    active: Vec<ActiveCall>,
+    failure_evicted: u64,
+    failure_dropped: u64,
+    blocked_time: f64,
+    dropped_time: f64,
+    failure_time: f64,
+}
 
-    for s in 0..timeline {
-        // 1 — releases: calls whose last sampled instant was s−1 free
-        // their channel before anything else contends for it.
-        active.retain(|call| {
+impl ReplayWalk<'_> {
+    /// Whether `cell` is down at step `s`.
+    fn down(&self, cell: u32, s: u64) -> bool {
+        self.outages.iter().any(|&(k, f, u)| k == cell as usize && f <= s && s < u)
+    }
+
+    /// 1 — releases: calls whose last sampled instant was `s − 1` free
+    /// their channel before anything else contends for it.
+    fn release(&mut self, s: u64) {
+        let (tracker, per_class, classes) =
+            (&mut self.tracker, &mut self.per_class, &self.offered.classes);
+        self.active.retain(|call| {
             if call.last_step < s {
                 tracker.release(call.cell as usize);
                 if call.natural_end {
@@ -649,124 +725,134 @@ pub fn replay_traffic_dynamic(
                 true
             }
         });
+    }
 
-        // 2 — relocations and failure evictions, in call-admission order.
-        // An active call whose UE now sits in a different cell must find
-        // a free channel there or die. A call whose UE stayed put on a
-        // cell that is down this step is stranded (the engine found it
-        // no live target) and lost to the failure; a call whose UE moved
-        // off a down cell was force-evicted by the engine and relocates
-        // outside the ordinary handover accounting.
-        active.retain_mut(|call| {
-            let ue = call.ue as usize;
-            let now = current_cell(&traces[ue], &mut cursors[ue], s);
-            if now == call.cell {
-                if down(call.cell, s) {
-                    tracker.release(call.cell as usize);
-                    failure_dropped += 1;
-                    failure_time += (call.last_step - s + 1) as f64;
-                    return false;
-                }
-                return true;
-            }
-            let forced = down(call.cell, s);
-            let class = &mut per_class[usize::from(classes[ue])];
+    /// 2 — relocations and failure evictions, in call-admission order
+    /// ([`ReplayWalk::keeps_channel`] per active call).
+    fn relocate(&mut self, s: u64) {
+        let mut active = std::mem::take(&mut self.active);
+        active.retain_mut(|call| self.keeps_channel(s, call));
+        self.active = active;
+    }
+
+    /// Whether an active call still holds a channel at step `s`. A call
+    /// whose UE now sits in a different cell must find a free channel
+    /// there or die. A call whose UE stayed put on a cell that is down
+    /// this step is stranded (the engine found it no live target) and
+    /// lost to the failure; a call whose UE moved off a down cell was
+    /// force-evicted by the engine and relocates outside the ordinary
+    /// handover accounting.
+    fn keeps_channel(&mut self, s: u64, call: &mut ActiveCall) -> bool {
+        let ue = call.ue as usize;
+        let now = current_cell(&self.traces[ue], &mut self.cursors[ue], s);
+        let forced = self.down(call.cell, s);
+        if now == call.cell {
             if forced {
-                failure_evicted += 1;
-            } else {
-                class.handover_attempts += 1;
+                self.tracker.release(call.cell as usize);
+                self.failure_dropped += 1;
+                self.failure_time += (call.last_step - s + 1) as f64;
+                return false;
             }
-            if tracker.offer_handover(call.cell as usize, now as usize) {
-                call.cell = now;
-                true
-            } else {
-                let lost = (call.last_step - s + 1) as f64;
-                if forced {
-                    failure_dropped += 1;
-                    failure_time += lost;
-                } else {
-                    class.dropped_calls += 1;
-                    dropped_time += lost;
-                }
-                false
-            }
-        });
-
-        // 3 — new-call arrivals dialled in (s−1, s], in UE-id order. A
-        // down cell offers no channels: the call is blocked and its
-        // holding time charged to the failure cause.
-        while let Some(arrival) = arrivals.get(next_arrival) {
-            if arrival.step > s {
-                break;
-            }
-            next_arrival += 1;
-            let ue = arrival.ue as usize;
-            let cell = current_cell(&traces[ue], &mut cursors[ue], s);
-            let k = usize::from(classes[ue]);
-            let class = &mut per_class[k];
-            class.offered_calls += 1;
-            let window = (arrival.last_step - s + 1) as f64;
-            if down(cell, s) {
-                tracker.refuse_new_call(cell as usize);
-                class.blocked_calls += 1;
-                failure_time += window;
-            } else if tracker.offer_new_call(cell as usize, params[k].extra_guard_channels) {
-                class.carried_calls += 1;
-                active.push(ActiveCall {
-                    ue: arrival.ue,
-                    cell,
-                    last_step: arrival.last_step,
-                    natural_end: arrival.natural_end,
-                });
-            } else {
-                class.blocked_calls += 1;
-                blocked_time += window;
-            }
+            return true;
         }
-
-        // 4 — close the step: histogram + utilization row.
-        tracker.record_step();
+        let class = &mut self.per_class[usize::from(self.offered.classes[ue])];
+        if forced {
+            self.failure_evicted += 1;
+        } else {
+            class.handover_attempts += 1;
+        }
+        if self.tracker.offer_handover(call.cell as usize, now as usize) {
+            call.cell = now;
+            return true;
+        }
+        let lost = (call.last_step - s + 1) as f64;
+        if forced {
+            self.failure_dropped += 1;
+            self.failure_time += lost;
+        } else {
+            class.dropped_calls += 1;
+            self.dropped_time += lost;
+        }
+        false
     }
 
-    // Drain the calls still holding a channel when the timeline ends:
-    // the ones whose own holding time ran out exactly on the final
-    // sampled instant completed naturally, the rest were cut off by
-    // their UE's run ending.
-    for call in &active {
-        if call.natural_end {
-            per_class[usize::from(classes[call.ue as usize])].completed_calls += 1;
+    /// 3 — admit one new call dialled in `(s − 1, s]`. A down cell
+    /// offers no channels: the call is blocked and its holding time
+    /// charged to the failure cause.
+    fn admit(&mut self, s: u64, arrival: &PendingCall) {
+        let ue = arrival.ue as usize;
+        let cell = current_cell(&self.traces[ue], &mut self.cursors[ue], s);
+        let k = usize::from(self.offered.classes[ue]);
+        let extra_guard = self.offered.params[k].extra_guard_channels;
+        let down = self.down(cell, s);
+        let class = &mut self.per_class[k];
+        class.offered_calls += 1;
+        let window = (arrival.last_step - s + 1) as f64;
+        if down {
+            self.tracker.refuse_new_call(cell as usize);
+            class.blocked_calls += 1;
+            self.failure_time += window;
+        } else if self.tracker.offer_new_call(cell as usize, extra_guard) {
+            class.carried_calls += 1;
+            self.active.push(ActiveCall {
+                ue: arrival.ue,
+                cell,
+                last_step: arrival.last_step,
+                natural_end: arrival.natural_end,
+            });
+        } else {
+            class.blocked_calls += 1;
+            self.blocked_time += window;
         }
     }
 
-    let (per_cell, steps, busy_channel_steps, field) = tracker.finish();
-    let over = |t: f64| if steps == 0 { 0.0 } else { t / steps as f64 };
-    let total = |count: fn(&ClassTraffic) -> u64| per_class.iter().map(count).sum::<u64>();
-    let report = TrafficReport {
-        channels_per_cell: cfg.channels_per_cell,
-        guard_channels: cfg.guard_channels,
-        steps,
-        offered_calls: total(|c| c.offered_calls),
-        blocked_calls: total(|c| c.blocked_calls),
-        carried_calls: total(|c| c.carried_calls),
-        handover_attempts: total(|c| c.handover_attempts),
-        dropped_calls: total(|c| c.dropped_calls),
-        completed_calls: total(|c| c.completed_calls),
-        offered_erlangs: over(offered_call_time),
-        carried_erlangs: over(busy_channel_steps as f64),
-        per_cell,
-    };
-    for (class, time) in per_class.iter_mut().zip(class_time) {
-        class.offered_erlangs = over(time);
+    /// The replay's products once the timeline ends: the calls still
+    /// holding a channel complete naturally when their own holding time
+    /// ran out exactly on the final sampled instant (the rest were cut
+    /// off by their UE's run ending), then the tallies become the
+    /// report, the [`LoadField`] and the failure-cause stats.
+    fn report(
+        mut self,
+        cfg: &TrafficConfig,
+        services: bool,
+    ) -> (TrafficReport, LoadField, DynamicTrafficStats) {
+        for call in &self.active {
+            if call.natural_end {
+                let class = usize::from(self.offered.classes[call.ue as usize]);
+                self.per_class[class].completed_calls += 1;
+            }
+        }
+        let (per_cell, steps, busy_channel_steps, field) = self.tracker.finish();
+        let over = |t: f64| if steps == 0 { 0.0 } else { t / steps as f64 };
+        let per_class = &mut self.per_class;
+        let total = |count: fn(&ClassTraffic) -> u64| per_class.iter().map(count).sum::<u64>();
+        let report = TrafficReport {
+            channels_per_cell: cfg.channels_per_cell,
+            guard_channels: cfg.guard_channels,
+            steps,
+            offered_calls: total(|c| c.offered_calls),
+            blocked_calls: total(|c| c.blocked_calls),
+            carried_calls: total(|c| c.carried_calls),
+            handover_attempts: total(|c| c.handover_attempts),
+            dropped_calls: total(|c| c.dropped_calls),
+            completed_calls: total(|c| c.completed_calls),
+            offered_erlangs: over(self.offered.offered_call_time),
+            carried_erlangs: over(busy_channel_steps as f64),
+            per_cell,
+        };
+        for (class, time) in per_class.iter_mut().zip(self.offered.class_time) {
+            class.offered_erlangs = over(time);
+        }
+        let stats = DynamicTrafficStats {
+            failure_evicted_calls: self.failure_evicted,
+            failure_dropped_calls: self.failure_dropped,
+            blocked_erlangs: over(self.blocked_time),
+            dropped_erlangs: over(self.dropped_time),
+            failure_erlangs: over(self.failure_time),
+            per_class: if services { per_class.to_vec() } else { Vec::new() },
+        };
+        (report, field, stats)
     }
-    let stats = DynamicTrafficStats {
-        failure_evicted_calls: failure_evicted,
-        failure_dropped_calls: failure_dropped,
-        blocked_erlangs: over(blocked_time),
-        dropped_erlangs: over(dropped_time),
-        failure_erlangs: over(failure_time),
-        per_class: if dynamics.services.is_some() { per_class.to_vec() } else { Vec::new() },
-    };
-    Ok((report, field, stats))
 }
 
 #[cfg(test)]

@@ -415,6 +415,48 @@ fn foreign_layout_checkpoints_are_typed_errors() {
     }
 }
 
+/// A snapshot at lockstep step `u64::MAX` that still holds live UEs is
+/// a typed corrupt-snapshot error on every resume entry: `u64::MAX` is
+/// the bound that runs a fleet to completion, so resuming one would
+/// silently drop its live UEs or overflow the lockstep counter. So is
+/// finishing one that reaches that step with UEs still live.
+#[test]
+fn final_step_snapshots_with_live_ues_are_typed_errors() {
+    let cfg = noisy_config();
+    let mobility = FleetMobility::standard_four(6)[0];
+    let spec = fuzzy_handover::sim::fleet::HomogeneousFleet {
+        mobility,
+        policy: PolicyKind::Fuzzy,
+        trajectory_seed: 3,
+        cell_radius_km: cfg.layout.cell_radius_km(),
+    };
+    let ids: Vec<u64> = (0..6).collect();
+    let engine = FleetSimulation::new(cfg.clone());
+    let mut cp = engine.advance(&spec, None, &ids, 3, 2).expect("valid partial run");
+    assert!(!cp.live.is_empty());
+    cp.step = u64::MAX;
+    let corrupt = |result: Result<(), FleetError>, case: &str| match result {
+        Err(FleetError::CorruptCheckpoint(CheckpointError::ShapeMismatch(_))) => {}
+        other => panic!("{case}: expected a shape mismatch, got {other:?}"),
+    };
+    corrupt(engine.try_resume(&spec, &cp).map(drop), "try_resume");
+    // One step short of the final bound, the UEs are still live when
+    // they reach it.
+    let short = FleetCheckpoint { step: u64::MAX - 1, ..cp.clone() };
+    corrupt(engine.try_resume(&spec, &short).map(drop), "try_resume one step short");
+    for bound in [4, u64::MAX] {
+        corrupt(engine.advance(&spec, Some(cp.clone()), &ids, 3, bound).map(drop), "advance");
+    }
+    let (policy, report) = (RetryPolicy::default(), SupervisorReport::default());
+    let sup = Supervisor::resume(engine.clone(), policy, Some(cp.clone()), report);
+    corrupt(sup.map(drop), "Supervisor::resume");
+    let config = SessionConfig::new(cfg, mobility, PolicyKind::Fuzzy, 6, 3);
+    match Session::hydrate(&forged_session(config, &cp), 1) {
+        Err(SessionError::Corrupt(CheckpointError::ShapeMismatch(_))) => {}
+        other => panic!("Session::hydrate: expected a shape mismatch, got {:?}", other.err()),
+    }
+}
+
 /// A frame header declaring `MAX_FRAME_LEN`, then `sent` payload bytes
 /// and end of stream.
 fn short_frame(sent: usize) -> Vec<u8> {

@@ -15,7 +15,9 @@
 //!    than two cells, a repeated cell or a non-positive radius, runaway
 //!    or zero-width smoothers) surface as
 //!    [`FleetError::InvalidConfig`] from every run entry — never a
-//!    builder or worker panic or a NaN-poisoned result.
+//!    builder or worker panic or a NaN-poisoned result. So do population
+//!    defects (negative margins, zero walks, empty waypoint boxes) in a
+//!    scenario-matrix cell.
 //! 4. Chaining `advance → advance → … → try_resume` at an
 //!    arbitrary cadence reproduces the uninterrupted run bit for bit
 //!    (the supervisor's segment primitive).
@@ -121,6 +123,69 @@ fn invalid_sim_configs() -> Vec<(SimConfig, ConfigError)> {
 fn invalid_sim_configs_name_their_defect() {
     for (cfg, expected) in invalid_sim_configs() {
         assert_eq!(validate_planes(&cfg, None, None), Err(expected));
+    }
+}
+
+/// Population defects a config file or a wire peer can supply, each with
+/// the error [`HomogeneousFleet::validated`] reports. Unchecked, each
+/// one panics inside a fleet worker.
+fn invalid_populations() -> Vec<(FleetMobility, PolicyKind, ConfigError)> {
+    use fuzzy_handover::mobility::{GaussMarkov, RandomWalk, RandomWaypoint};
+
+    let walk = FleetMobility::standard_four(6)[0];
+    let hysteresis = PolicyKind::Hysteresis { margin_db: -1.0 };
+    let load = PolicyKind::LoadHysteresis { margin_db: 1.0, load_bias_db: -1.0 };
+    let mut empty_box = RandomWaypoint::centered(2.0, 6);
+    empty_box.max.x = empty_box.min.x;
+    let gauss_markov = GaussMarkov { alpha: f64::NAN, ..GaussMarkov::vehicular(6) };
+    let negative = |field, value| ConfigError::Negative { field, value };
+    vec![
+        (walk, hysteresis, negative("hysteresis margin", -1.0)),
+        (walk, load, negative("load bias", -1.0)),
+        (
+            FleetMobility::RandomWalk(RandomWalk::paper_default(0)),
+            PolicyKind::Fuzzy,
+            ConfigError::TooSmall { field: "random-walk walk count", minimum: 1, got: 0 },
+        ),
+        (
+            FleetMobility::Waypoint(empty_box),
+            PolicyKind::Fuzzy,
+            ConfigError::NonPositive { field: "waypoint box width", value: 0.0 },
+        ),
+        (
+            FleetMobility::GaussMarkov(gauss_markov),
+            PolicyKind::Fuzzy,
+            ConfigError::OutOfRange {
+                field: "Gauss-Markov alpha",
+                value: f64::NAN,
+                lo: 0.0,
+                hi: 1.0,
+            },
+        ),
+    ]
+}
+
+/// A scenario-matrix cell refuses each population defect as a typed
+/// config error, where the unchecked population panicked in a worker.
+#[test]
+fn matrix_cells_refuse_invalid_populations() {
+    use fuzzy_handover::sim::matrix::ScenarioMatrix;
+
+    for (mobility, policy, expected) in invalid_populations() {
+        let spec = HomogeneousFleet { mobility, policy, ..fleet_spec(1, 2.0) };
+        // Debug-compare: a NaN payload is not equal to itself.
+        assert_eq!(format!("{:?}", spec.validated()), format!("{:?}", Err::<(), _>(&expected)));
+        let mut m = ScenarioMatrix::small_default();
+        m.ue_counts = vec![2];
+        m.mobilities = vec![mobility];
+        m.speeds_kmh = vec![0.0];
+        m.policies = vec![policy];
+        match m.try_run() {
+            Err(FleetError::InvalidConfig(err)) => {
+                assert_eq!(format!("{err:?}"), format!("{expected:?}"));
+            }
+            other => panic!("{mobility:?} / {policy:?}: expected a config error, got {other:?}"),
+        }
     }
 }
 
@@ -244,7 +309,10 @@ proptest! {
     }
 
     /// Property 3a: non-finite / non-positive physical quantities are
-    /// rejected as typed [`FleetError::InvalidConfig`] values.
+    /// rejected as typed [`FleetError::InvalidConfig`] values — by a
+    /// sweep, and by every run entry of an engine built directly with
+    /// `FleetSimulation::new`, which takes any `SimConfig` without a
+    /// panic.
     #[test]
     fn invalid_engine_configs_surface_typed_errors(
         bad in prop_oneof![
@@ -270,6 +338,7 @@ proptest! {
         // or engine constructor can panic.
         let err = m.try_run().expect_err("invalid sweep must not run");
         prop_assert!(matches!(err, FleetError::InvalidConfig(_)), "{:?}", err);
+        every_entry_rejects(&m.base, None, None, field as u64)?;
     }
 
     /// Property 3b: invalid traffic and dynamics planes attached

@@ -25,6 +25,10 @@
 //!    (its failure streak, its engine) never reaches the sealed bytes:
 //!    a session driven continuously seals exactly like one sealed and
 //!    hydrated after every advance.
+//! 8. Population defects are refused at the door: a spawn with an
+//!    invalid mobility model or policy, or a swap to an invalid policy,
+//!    is a typed config error, and a refused swap leaves the session
+//!    running to the never-swapped batch result.
 
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::server::{
@@ -450,4 +454,44 @@ fn wrongly_typed_megabyte_frame_gets_a_short_error() {
     assert!(message.len() <= 1024, "{} byte error message", message.len());
     assert!(message.contains("at byte 19"), "{message}");
     assert_still_serving(&responses[1..]);
+}
+
+/// Property 8: each population defect is a typed config error at spawn
+/// (not a run of worker panics the supervisor retries until it gives
+/// up), and a refused swap changes nothing.
+#[test]
+fn population_defects_are_refused_at_the_door() {
+    use fuzzy_handover::mobility::RandomWalk;
+    use fuzzy_handover::sim::resilience::ConfigError;
+
+    let hysteresis = PolicyKind::Hysteresis { margin_db: -1.0 };
+    let load = PolicyKind::LoadHysteresis { margin_db: 1.0, load_bias_db: -1.0 };
+    let no_walks = FleetMobility::RandomWalk(RandomWalk::paper_default(0));
+    let base = session_config(12, 5, 4);
+    for config in [
+        SessionConfig { policy: hysteresis, ..base.clone() },
+        SessionConfig { policy: load, ..base.clone() },
+        SessionConfig { mobility: no_walks, ..base.clone() },
+        SessionConfig { cell_radius_km: f64::NAN, ..base.clone() },
+    ] {
+        match Session::spawn(config.clone(), 1) {
+            Err(SessionError::InvalidConfig(_)) => {}
+            other => panic!("{:?}: expected a config error, got {:?}", config.policy, other.err()),
+        }
+    }
+
+    let mut session = Session::spawn(base.clone(), 1).expect("valid config");
+    session.advance_to(3).expect("advance");
+    let refused = session.swap_policy(PolicyKind::Hysteresis { margin_db: -3.0 });
+    assert_eq!(
+        refused,
+        Err(SessionError::InvalidConfig(ConfigError::Negative {
+            field: "hysteresis margin",
+            value: -3.0
+        }))
+    );
+    assert!(session.policy_log().is_empty());
+    assert_eq!(session.policy(), PolicyKind::Fuzzy);
+    let result = session.run_to_completion().expect("the session still runs").clone();
+    assert_eq!(result, batch_run(&base, 1));
 }
