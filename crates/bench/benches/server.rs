@@ -11,6 +11,7 @@ use handover_server::{
 use handover_sim::fleet::{
     FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
+use handover_sim::checkpoint::{fnv1a64, xxh64};
 use handover_sim::SimConfig;
 use mobility::RandomWalk;
 use radiolink::{MeasurementNoise, ShadowingConfig};
@@ -117,6 +118,23 @@ fn bench_wire_codec(c: &mut Criterion) {
     g.finish();
 }
 
+/// The sealed container's payload checksum on a buffer the size of a
+/// 500-UE mid-run snapshot payload (0.55 MB): v3's byte-serial FNV-1a
+/// against v4's XXH64, which reads four 64-bit lanes per stripe. A seal
+/// and its write-verify each hash the payload once.
+fn bench_checksums(c: &mut Criterion) {
+    let payload: Vec<u8> =
+        (0..550_000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    let mut g = c.benchmark_group("server");
+    g.bench_function("checksum_v3_fnv1a_550kb", |b| {
+        b.iter(|| black_box(fnv1a64(black_box(&payload))))
+    });
+    g.bench_function("checksum_v4_xxh64_550kb", |b| {
+        b.iter(|| black_box(xxh64(black_box(&payload))))
+    });
+    g.finish();
+}
+
 /// Multi-tenant dispatch: two interleaved tenants through the
 /// [`TwinServer`] request path.
 fn bench_two_tenants(c: &mut Criterion) {
@@ -151,6 +169,7 @@ criterion_group!(
     bench_session_vs_batch,
     bench_seal_hydrate,
     bench_wire_codec,
+    bench_checksums,
     bench_two_tenants
 );
 criterion_main!(benches);

@@ -27,15 +27,17 @@
 //! `advance(old spec, swap_step)` → `try_resume(new spec)` chain — is
 //! bit-identical.
 //!
-//! ## Sealed layout (v3)
+//! ## Sealed layout (session payload v3)
 //!
 //! [`Session::sealed`] writes the same checksummed container as
-//! [`FleetCheckpoint::seal`] around this payload:
+//! [`FleetCheckpoint::seal`] (container v4, XXH64 checksum; a v3
+//! container with an FNV-1a checksum still hydrates) around this
+//! payload:
 //! - a `u64` little-endian header length, then that many bytes of JSON:
 //!   `{"version","config","policy_now","swaps","result","report"}`;
 //! - one byte, 1 when a fleet checkpoint follows (0 before the first
 //!   advance);
-//! - the checkpoint's fixed-layout little-endian v3 payload
+//! - the checkpoint's fixed-layout little-endian binary payload
 //!   ([`FleetCheckpoint::write_payload`]), up to the end.
 //!
 //! ## Trajectory memo
@@ -519,7 +521,7 @@ impl Session {
     }
 
     /// Persist: the v3 session payload (see the module docs) in the
-    /// checksummed sealed container (same envelope as
+    /// v4 checksummed sealed container (same envelope as
     /// [`FleetCheckpoint::seal`], so restore verifies magic, length and
     /// checksum before touching the payload). Encodes straight from the
     /// session; nothing is cloned.
@@ -558,8 +560,9 @@ impl Session {
     /// and the policy in force are re-validated, and the fleet
     /// checkpoint is checked against the config's layout and planes
     /// ([`FleetCheckpoint::check_engine`]), before the session is
-    /// accepted. Older containers and payload
-    /// versions are refused with [`CheckpointError::UnsupportedVersion`].
+    /// accepted. v4 and v3 containers are read; older containers and
+    /// payload versions are refused with
+    /// [`CheckpointError::UnsupportedVersion`].
     /// The session's supervisor continues the sealed audit trail from
     /// the checkpoint.
     pub fn hydrate(bytes: &[u8], workers: usize) -> Result<Session, SessionError> {

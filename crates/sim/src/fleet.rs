@@ -320,6 +320,18 @@ pub fn ue_seed(base_seed: u64, ue_id: u64) -> u64 {
 /// consumers (which would silently correlate mobility with fading).
 pub const TRAJECTORY_STREAM: u64 = 0x7472_616A_6563_7421; // "traject!"
 
+/// The farthest from the origin, in km, that a fleet mobility model may
+/// ever place a UE. [`FleetMobility::validated`] refuses a model whose
+/// worst-case extent exceeds it. A million km is far past any cellular
+/// layout and far below the `f64` range, so no sum of waypoints can
+/// overflow to a non-finite position.
+pub const MAX_MOBILITY_EXTENT_KM: f64 = 1e6;
+
+/// The largest magnitude, in standard deviations, of a Box–Muller draw
+/// from `mobility::gauss`: its radius draw `u1` is at least 2⁻⁵³, so
+/// `|z| ≤ √(−2 ln 2⁻⁵³) ≈ 8.6`.
+const GAUSSIAN_MAX_SIGMAS: f64 = 9.0;
+
 /// The mobility models a fleet can be populated with (the scenario
 /// matrix sweeps all four).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -350,7 +362,9 @@ impl FleetMobility {
     /// positive finite step means and block size, non-negative finite
     /// standard deviations, `alpha` and the turn probability in [0, 1],
     /// a non-empty finite waypoint box — plus finite headings and start
-    /// points, so no generated waypoint is NaN.
+    /// points, so no generated waypoint is NaN, and a worst-case extent
+    /// (see `extent_bound_km`) within [`MAX_MOBILITY_EXTENT_KM`], so no
+    /// generated waypoint overflows to infinity.
     pub fn validated(&self) -> Result<(), ConfigError> {
         match *self {
             FleetMobility::RandomWalk(m) => {
@@ -384,6 +398,38 @@ impl FleetMobility {
                 require_positive("waypoint box width", m.max.x - m.min.x)?;
                 require_positive("waypoint box height", m.max.y - m.min.y)?;
                 require_finite_point("waypoint start", m.start)
+            }
+        }?;
+        let extent = self.extent_bound_km();
+        require_in_range("mobility worst-case extent (km)", extent, 0.0, MAX_MOBILITY_EXTENT_KM)
+    }
+
+    /// An upper bound on the distance from the origin of any waypoint
+    /// the model can generate, derived from its draws (every Gaussian
+    /// within [`GAUSSIAN_MAX_SIGMAS`]):
+    /// - random walk: `|start| + n·(mean + 9·std)`;
+    /// - Gauss–Markov: the same form, with the step std scaled by the
+    ///   memory's worst-case gain `√(1−α²)·min(n, 1/(1−α))` (a step is
+    ///   `α·prev + (1−α)·mean + √(1−α²)·N(0, std)`, folded);
+    /// - Manhattan: `|start| + n·block`;
+    /// - waypoint: the farthest corner of the box (the start is clamped
+    ///   into it).
+    fn extent_bound_km(&self) -> f64 {
+        match *self {
+            FleetMobility::RandomWalk(m) => {
+                let step = m.step_mean_km + GAUSSIAN_MAX_SIGMAS * m.step_std_km;
+                m.start.norm() + m.n_walks as f64 * step
+            }
+            FleetMobility::GaussMarkov(m) => {
+                let n = m.n_steps as f64;
+                let gain = (1.0 - m.alpha * m.alpha).sqrt() * n.min(1.0 / (1.0 - m.alpha));
+                let step = m.mean_step_km + GAUSSIAN_MAX_SIGMAS * m.step_std_km * gain;
+                m.start.norm() + n * step
+            }
+            FleetMobility::Manhattan(m) => m.start.norm() + m.n_blocks as f64 * m.block_km,
+            FleetMobility::Waypoint(m) => {
+                let far = |lo: f64, hi: f64| lo.abs().max(hi.abs());
+                Vec2::new(far(m.min.x, m.max.x), far(m.min.y, m.max.y)).norm()
             }
         }
     }
@@ -1312,7 +1358,9 @@ impl FleetSimulation {
     /// One fleet pass: the sharded parallel stepping of `source` under
     /// `params`. Each worker steps a static round-robin shard (entries
     /// `w, w + workers, …`, independent of scheduling) cut lazily into
-    /// chunks, and catches its own panics so they surface as
+    /// chunks. Worker 0 is the calling thread; workers `1..workers` are
+    /// spawned, so a one-worker pass starts no thread. Every worker
+    /// catches its own panics so they surface as
     /// [`FleetError::WorkerPanic`] with the original message instead of
     /// crossbeam's opaque scope error. When several workers panic, the
     /// one that died at the lowest lockstep step is reported (ties: the
@@ -1346,47 +1394,46 @@ impl FleetSimulation {
         let collected: Mutex<Vec<Result<PassPart, WorkerDeath>>> =
             Mutex::new(Vec::with_capacity(workers));
 
+        let run_shard = |w: usize| {
+            let mut arena = ChunkArena::new(cells.len());
+            let part = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut part = PassPart::new(cells);
+                let mut step_chunk = |chunk: ChunkUes<'_>| {
+                    ctx.simulate_chunk(spec, chunk, &mut arena, &mut part);
+                    if params.sink == PassSink::Fold {
+                        part.fold_outcomes();
+                    }
+                };
+                let size = self.chunk_size;
+                match source {
+                    PassSource::Ids(ids) => {
+                        let shard = ids.iter().copied().skip(w).step_by(workers);
+                        for_each_chunk(shard, size, |c| step_chunk(ChunkUes::Fresh(c)));
+                    }
+                    PassSource::Range(n) => {
+                        let shard = (w as u64..n).step_by(workers);
+                        for_each_chunk(shard, size, |c| step_chunk(ChunkUes::Fresh(c)));
+                    }
+                    PassSource::Restored(live, start) => {
+                        let shard = live.iter().skip(w).step_by(workers);
+                        for_each_chunk(shard, size, |c| step_chunk(ChunkUes::Restored(c, start)));
+                    }
+                }
+                part
+            }));
+            let died =
+                |p: Box<dyn std::any::Any + Send>| (arena.step, w, panic_message(p.as_ref()));
+            collected.lock().push(part.map_err(died));
+        };
+        let run_shard = &run_shard;
         crossbeam::scope(|scope| {
-            for w in 0..workers {
-                let collected = &collected;
-                scope.spawn(move |_| {
-                    let mut arena = ChunkArena::new(cells.len());
-                    let part = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut part = PassPart::new(cells);
-                        let mut step_chunk = |chunk: ChunkUes<'_>| {
-                            ctx.simulate_chunk(spec, chunk, &mut arena, &mut part);
-                            if params.sink == PassSink::Fold {
-                                part.fold_outcomes();
-                            }
-                        };
-                        let size = self.chunk_size;
-                        match source {
-                            PassSource::Ids(ids) => {
-                                let shard = ids.iter().copied().skip(w).step_by(workers);
-                                for_each_chunk(shard, size, |c| step_chunk(ChunkUes::Fresh(c)));
-                            }
-                            PassSource::Range(n) => {
-                                let shard = (w as u64..n).step_by(workers);
-                                for_each_chunk(shard, size, |c| step_chunk(ChunkUes::Fresh(c)));
-                            }
-                            PassSource::Restored(live, start) => {
-                                let shard = live.iter().skip(w).step_by(workers);
-                                for_each_chunk(shard, size, |c| {
-                                    step_chunk(ChunkUes::Restored(c, start))
-                                });
-                            }
-                        }
-                        part
-                    }));
-                    let died = |p: Box<dyn std::any::Any + Send>| {
-                        (arena.step, w, panic_message(p.as_ref()))
-                    };
-                    collected.lock().push(part.map_err(died));
-                });
+            for w in 1..workers {
+                scope.spawn(move |_| run_shard(w));
             }
+            run_shard(0);
         })
-        // invariant: worker closures wrap their bodies in catch_unwind,
-        // so the scope's join cannot observe a panicked thread.
+        // invariant: every shard wraps its body in catch_unwind, so the
+        // scope's join cannot observe a panicked thread.
         .expect("fleet worker panics are caught inside the workers");
 
         let parts = collected.into_inner();
@@ -2784,6 +2831,10 @@ mod tests {
             FleetMobility::Waypoint(RandomWaypoint { n_legs: 0, ..waypoint }),
             FleetMobility::Waypoint(RandomWaypoint { max: waypoint.min, ..waypoint }),
             FleetMobility::Waypoint(RandomWaypoint { start: nan, ..waypoint }),
+            // Finite but huge: the summed waypoints overflow to infinity.
+            FleetMobility::RandomWalk(RandomWalk { step_mean_km: 1e308, step_std_km: 0.0, ..walk }),
+            FleetMobility::GaussMarkov(GaussMarkov { mean_step_km: 1e308, ..gm }),
+            FleetMobility::Manhattan(ManhattanGrid { block_km: 1e308, turn_prob: 0.0, ..grid }),
         ];
         let bad_policy = [
             PolicyKind::Hysteresis { margin_db: -1.0 },
@@ -2804,7 +2855,7 @@ mod tests {
             assert!(unchecked.is_err(), "{spec:?} does not panic unchecked");
         }
 
-        for n in [1, 6] {
+        for n in [1, 6, 10_000] {
             for mobility in FleetMobility::standard_four(n) {
                 assert_eq!(mobility.validated(), Ok(()), "{mobility:?}");
             }
@@ -2822,5 +2873,50 @@ mod tests {
         let policy = PolicyKind::Threshold { threshold_dbm: f64::NAN };
         let err = HomogeneousFleet { policy, ..fuzzy }.validated().unwrap_err();
         assert!(matches!(err, ConfigError::NotFinite { field: "handover threshold", .. }), "{err}");
+    }
+
+    #[test]
+    fn extent_bounds_cover_the_generated_walks_and_refuse_past_the_ceiling() {
+        let models = [
+            FleetMobility::RandomWalk(RandomWalk {
+                step_std_km: 0.5,
+                ..RandomWalk::paper_default(40)
+            }),
+            FleetMobility::GaussMarkov(GaussMarkov { alpha: 0.99, ..GaussMarkov::vehicular(40) }),
+            FleetMobility::GaussMarkov(GaussMarkov { alpha: 1.0, ..GaussMarkov::vehicular(40) }),
+            FleetMobility::Manhattan(ManhattanGrid::downtown(40)),
+            FleetMobility::Waypoint(RandomWaypoint::centered(3.0, 40)),
+        ];
+        for mobility in models {
+            let bound = mobility.extent_bound_km();
+            assert!(bound.is_finite() && bound > 0.0, "{mobility:?}: {bound}");
+            for ue in 0..64 {
+                let walk = mobility.generate(&mut StdRng::seed_from_u64(ue));
+                let far = walk.waypoints().iter().map(|w| w.norm()).fold(0.0, f64::max);
+                // A straight walk reaches the bound itself, up to rounding.
+                let slack = bound * (1.0 + 1e-12);
+                assert!(far <= slack, "{mobility:?}: waypoint {far} km past the bound {bound}");
+            }
+        }
+        // The ceiling itself: a walk that could reach just past it is
+        // refused with the exact bound, one just inside it passes.
+        let walk = |step_mean_km| {
+            FleetMobility::RandomWalk(RandomWalk {
+                step_mean_km,
+                step_std_km: 0.0,
+                ..RandomWalk::paper_default(10)
+            })
+        };
+        assert_eq!(walk(MAX_MOBILITY_EXTENT_KM / 10.0).validated(), Ok(()));
+        let err = walk(MAX_MOBILITY_EXTENT_KM / 5.0).validated().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::OutOfRange {
+                field: "mobility worst-case extent (km)",
+                value: 2.0 * MAX_MOBILITY_EXTENT_KM,
+                lo: 0.0,
+                hi: MAX_MOBILITY_EXTENT_KM,
+            }
+        );
     }
 }

@@ -15,7 +15,7 @@
 //! Corruption must additionally be *detected*: a flipped byte yields a
 //! typed [`CheckpointError`], never a silently wrong restore.
 //!
-//! Behind a *valid* checksum the v3 payload decoder is the only guard,
+//! Behind a *valid* checksum the binary payload decoder is the only guard,
 //! so it gets its own adversaries: random payload bytes, every
 //! truncation of a real payload, element counts near `u64::MAX`, and a
 //! 100 000-deep `PolicyCheckpoint::Streak` chain. Each must be a typed
@@ -32,7 +32,9 @@ use fuzzy_handover::server::{
     read_frame, write_frame, Request, Session, SessionConfig, SessionError, WireError,
     MAX_FRAME_LEN,
 };
-use fuzzy_handover::sim::checkpoint::{FleetCheckpoint, SEALED_HEADER_LEN};
+use fuzzy_handover::sim::checkpoint::{
+    fnv1a64, FleetCheckpoint, FNV_FORMAT_VERSION, SEALED_HEADER_LEN,
+};
 use fuzzy_handover::sim::fleet::{FleetError, FleetMobility, FleetSimulation, PolicyKind};
 use fuzzy_handover::sim::resilience::{RetryPolicy, Supervisor, SupervisorReport};
 use fuzzy_handover::sim::{seal_payload, unseal_payload, CheckpointError, SimConfig};
@@ -102,9 +104,19 @@ fn assert_refused_within_budget(sealed: &[u8], case: &str) {
     assert!(largest <= budget, "{case}: session decode allocated {largest} bytes");
 }
 
-/// The v3 payload inside a sealed container.
+/// The binary payload inside a sealed container.
 fn payload_of(sealed: &[u8]) -> Vec<u8> {
     unseal_payload(sealed).expect("a valid sealed container").to_vec()
+}
+
+/// `sealed` re-headed as a v3 container: version 3 and the FNV-1a
+/// checksum of the same payload, as a previous build wrote it.
+fn as_v3(sealed: &[u8]) -> Vec<u8> {
+    let mut v3 = sealed.to_vec();
+    let checksum = fnv1a64(&sealed[SEALED_HEADER_LEN..]);
+    v3[8..12].copy_from_slice(&FNV_FORMAT_VERSION.to_le_bytes());
+    v3[20..SEALED_HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+    v3
 }
 
 /// Deterministic byte noise from a drawn seed (the vendored proptest
@@ -215,27 +227,30 @@ proptest! {
         prop_assert!(err.is_err(), "a {cut}-byte prefix of {} hydrated", sealed.len());
     }
 
-    /// Adversary 3 — any single flipped byte of a valid container is
-    /// *detected* (typed error, never a silently wrong restore) and
-    /// never panics.
+    /// Adversary 3 — any single flipped byte of a valid container, v4
+    /// or the still-readable v3, is *detected* (typed error, never a
+    /// silently wrong restore) and never panics.
     #[test]
     fn single_byte_corruption_is_detected(
         seed in 0u64..100,
         offset_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let mut sealed = sealed_session(seed);
-        let offset = ((sealed.len() as f64) * offset_frac) as usize % sealed.len();
-        sealed[offset] ^= flip;
-        let outcome = Session::hydrate(&sealed, 1);
-        prop_assert!(
-            outcome.is_err(),
-            "flipping byte {offset} by {flip:#04x} went undetected"
-        );
+        let v4 = sealed_session(seed);
+        for (format, mut sealed) in [("v3", as_v3(&v4)), ("v4", v4)] {
+            prop_assert!(Session::hydrate(&sealed, 1).is_ok(), "the clean {format} container");
+            let offset = ((sealed.len() as f64) * offset_frac) as usize % sealed.len();
+            sealed[offset] ^= flip;
+            let outcome = Session::hydrate(&sealed, 1);
+            prop_assert!(
+                outcome.is_err(),
+                "{format}: flipping byte {offset} by {flip:#04x} went undetected"
+            );
+        }
     }
 
     /// Adversary 4 — random payload bytes behind a *valid* checksum: the
-    /// container verifies, so the v3 decoder alone must refuse them.
+    /// container verifies, so the binary payload decoder alone must refuse them.
     /// Half the cases start with the real inner version word, so the
     /// decoder reads on into noisy counts and tags.
     #[test]
@@ -271,7 +286,7 @@ proptest! {
     }
 }
 
-/// Adversary 6 — every truncation of a real v3 payload, re-sealed so the
+/// Adversary 6 — every truncation of a real binary payload, re-sealed so the
 /// checksum is valid, is a typed error for both the fleet checkpoint and
 /// the session payload.
 #[test]
@@ -314,7 +329,7 @@ fn nested_streak(depth: usize) -> String {
 
 /// `PolicyCheckpoint::Streak` is the one recursive type in a checkpoint.
 /// A 100 000-deep chain is refused at the nesting limit — read as JSON
-/// on its own, or as a live UE's policy inside a sealed v3 payload —
+/// on its own, or as a live UE's policy inside a sealed binary payload —
 /// instead of overflowing the stack; a shallow chain still reads.
 #[test]
 fn deeply_nested_policy_state_is_a_typed_error() {
@@ -357,7 +372,7 @@ fn v2_containers_are_refused_with_a_typed_error() {
         let mut v2 = sealed.clone();
         v2[8..12].copy_from_slice(&2u32.to_le_bytes());
         let err = FleetCheckpoint::try_unseal(&v2).unwrap_err();
-        assert_eq!(err, CheckpointError::UnsupportedVersion { found: 2, supported: 3 });
+        assert_eq!(err, CheckpointError::UnsupportedVersion { found: 2, supported: 4 });
         assert!(Session::hydrate(&v2, 1).is_err());
     }
 }

@@ -6,8 +6,10 @@
 //! bytes of a small mid-run snapshot — RNG block positions, shadowing
 //! lanes, smoother filters, policy state, traces and tallies — and
 //! additionally proves the *pinned* bytes still resume bit-identically
-//! to the uninterrupted run. The sealed v3 container (binary payload)
-//! is pinned the same way, and the v1 (bare JSON) and v2 (sealed JSON)
+//! to the uninterrupted run. The sealed v4 container (binary payload,
+//! XXH64 checksum) is pinned the same way. The v3 container (the same
+//! payload under an FNV-1a checksum) stays as a fixture that must still
+//! unseal and resume, and the v1 (bare JSON) and v2 (sealed JSON)
 //! artifacts stay as fixtures that must be refused with a typed version
 //! error. Refresh after an *intentional* format change (and a
 //! `CHECKPOINT_VERSION` or `SEALED_FORMAT_VERSION` bump) with:
@@ -37,6 +39,15 @@ fn sealed_golden_path() -> PathBuf {
         .join("tests")
         .join("golden_fleet")
         .join("checkpoint.sealed.bin")
+}
+
+/// The same snapshot as sealed by the v3 format (the same binary
+/// payload, FNV-1a checksum), kept because v3 bytes must still restore.
+fn sealed_v3_fixture_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden_fleet")
+        .join("checkpoint.sealed.v3.bin")
 }
 
 /// The same snapshot as sealed by the v2 format (JSON payload), kept as
@@ -132,8 +143,8 @@ fn checkpoint_format_matches_golden_and_resumes() {
     );
 }
 
-/// The checksummed sealed container (format v3) is itself a pinned
-/// on-disk artifact: magic + version + length + FNV-1a checksum +
+/// The checksummed sealed container (format v4) is itself a pinned
+/// on-disk artifact: magic + version + length + XXH64 checksum +
 /// payload, byte for byte — and the pinned bytes still unseal and
 /// resume into the exact uninterrupted result.
 #[test]
@@ -198,6 +209,32 @@ fn sealed_checkpoint_matches_golden_and_restores() {
         full, resumed,
         "sealed golden no longer resumes bit-identically"
     );
+}
+
+/// Backward compatibility: the v3 container a previous build sealed
+/// (FNV-1a checksum) unseals to the JSON golden's snapshot and resumes
+/// bit-identically; sealing it again writes the v4 golden, which holds
+/// the same payload under a new version and checksum.
+#[test]
+fn sealed_v3_fixture_still_restores() {
+    let engine = engine();
+    let spec = spec();
+    let ids: Vec<u64> = (0..N_UES).collect();
+    let fixture = std::fs::read(sealed_v3_fixture_path()).expect("v3 sealed fixture present");
+    assert_eq!(u32::from_le_bytes(fixture[8..12].try_into().expect("4 version bytes")), 3);
+    let parsed = FleetCheckpoint::try_unseal(&fixture).expect("v3 bytes unseal");
+    let json = std::fs::read_to_string(golden_path()).expect("JSON golden");
+    let from_json: FleetCheckpoint = serde_json::from_str(&json).expect("parse JSON golden");
+    assert!(parsed == from_json, "the v3 fixture and the JSON golden hold different snapshots");
+    let resealed = parsed.seal();
+    assert_eq!(resealed[SEALED_HEADER_LEN..], fixture[SEALED_HEADER_LEN..], "same payload");
+    if std::env::var("UPDATE_GOLDEN").is_err() {
+        let golden = std::fs::read(sealed_golden_path()).expect("v4 sealed golden");
+        assert!(resealed == golden, "resealing the v3 fixture must give the v4 golden");
+    }
+    let resumed = engine.try_resume(&spec, &parsed).expect("resume v3 fixture");
+    let full = engine.try_run_ids(&spec, &ids, BASE_SEED).expect("fleet run");
+    assert_eq!(full, resumed, "the v3 fixture no longer resumes bit-identically");
 }
 
 /// Forward-compatibility gate: the v1 bare-JSON golden — exactly what a

@@ -4,13 +4,14 @@
 //! The corpus is produced by driving a [`TwinServer`] through a fixed
 //! request script (spawn, advance, query, swap, checkpoint, hydrate,
 //! drop, status, list, finish, an error and a shutdown), so it holds
-//! real payloads — including a mid-run `Checkpointed` whose sealed
-//! bytes hold a v3 session payload (a JSON header, then the binary fleet
-//! checkpoint). The suite pins three things:
+//! real payloads — including a mid-run `Checkpointed` whose sealed v4
+//! container (XXH64 checksum) holds a v3 session payload (a JSON header,
+//! then the binary fleet checkpoint). The suite pins three things:
 //! the serialized corpus equals the file, re-serializing the parsed
 //! file reproduces it exactly, and every frame survives the
-//! length-prefixed codec. Refresh after an *intentional* protocol
-//! change with:
+//! length-prefixed codec. The same session sealed in the v3 container
+//! (FNV-1a checksum), `session.sealed.v3.bin`, must still hydrate.
+//! Refresh after an *intentional* protocol change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_wire
@@ -34,6 +35,13 @@ struct WireExchange {
 
 fn golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden_wire").join("frames.json")
+}
+
+/// The corpus's mid-run checkpoint as a previous build sealed it: a v3
+/// container (FNV-1a checksum) around the same session payload.
+fn sealed_v3_fixture_path() -> PathBuf {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden_wire");
+    dir.join("session.sealed.v3.bin")
 }
 
 fn session_config() -> SessionConfig {
@@ -132,18 +140,36 @@ fn every_corpus_frame_survives_the_codec() {
     }
 }
 
-/// The sealed bytes of the mid-run `Checkpointed` frame hold a v3
-/// session payload: hydrating them and sealing again reproduces them.
-#[test]
-fn checkpointed_frame_reseals_to_the_same_bytes() {
-    let bytes = exchanges()
+/// The sealed bytes of the corpus's mid-run `Checkpointed` frame.
+fn checkpointed_bytes() -> Vec<u8> {
+    exchanges()
         .into_iter()
         .find_map(|e| match e.response {
             Response::Checkpointed { bytes, .. } => Some(bytes),
             _ => None,
         })
-        .expect("the script checkpoints once");
+        .expect("the script checkpoints once")
+}
+
+/// The sealed bytes of the mid-run `Checkpointed` frame hold a v3
+/// session payload: hydrating them and sealing again reproduces them.
+#[test]
+fn checkpointed_frame_reseals_to_the_same_bytes() {
+    let bytes = checkpointed_bytes();
     let session = Session::hydrate(&bytes, 1).expect("hydrate corpus checkpoint");
     assert!(!session.is_complete(), "the pinned checkpoint is mid-run");
     assert!(session.sealed() == bytes, "hydrate → seal changed the sealed bytes");
+}
+
+/// The v3 container a previous build sealed still hydrates, and sealing
+/// the hydrated session writes the corpus's v4 bytes: the same payload
+/// under a new version and checksum.
+#[test]
+fn v3_session_fixture_hydrates_and_reseals_as_v4() {
+    let fixture = std::fs::read(sealed_v3_fixture_path()).expect("v3 session fixture present");
+    assert_eq!(u32::from_le_bytes(fixture[8..12].try_into().expect("4 version bytes")), 3);
+    let session = Session::hydrate(&fixture, 1).expect("hydrate the v3 fixture");
+    assert!(!session.is_complete(), "the fixture is mid-run");
+    let bytes = checkpointed_bytes();
+    assert!(session.sealed() == bytes, "resealing the v3 fixture must give the v4 corpus bytes");
 }

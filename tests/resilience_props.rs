@@ -16,8 +16,9 @@
 //!    or zero-width smoothers) surface as
 //!    [`FleetError::InvalidConfig`] from every run entry — never a
 //!    builder or worker panic or a NaN-poisoned result. So do population
-//!    defects (negative margins, zero walks, empty waypoint boxes) in a
-//!    scenario-matrix cell.
+//!    defects (negative margins, zero walks, empty waypoint boxes, walks
+//!    that could reach past `MAX_MOBILITY_EXTENT_KM`) in a scenario-matrix
+//!    cell and at `Session::spawn`.
 //! 4. Chaining `advance → advance → … → try_resume` at an
 //!    arbitrary cadence reproduces the uninterrupted run bit for bit
 //!    (the supervisor's segment primitive).
@@ -33,8 +34,10 @@ use std::sync::Arc;
 
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::sim::checkpoint::{CheckpointError, FleetCheckpoint};
+use fuzzy_handover::core::HandoverPolicy;
+use fuzzy_handover::mobility::Trajectory;
 use fuzzy_handover::sim::fleet::{
-    FleetError, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
+    FleetError, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind, UeSpec,
 };
 use fuzzy_handover::sim::resilience::{
     validate_planes, ConfigError, Fault, FaultPlan, RetryPolicy, Supervisor, SupervisorReport,
@@ -130,7 +133,9 @@ fn invalid_sim_configs_name_their_defect() {
 /// the error [`HomogeneousFleet::validated`] reports. Unchecked, each
 /// one panics inside a fleet worker.
 fn invalid_populations() -> Vec<(FleetMobility, PolicyKind, ConfigError)> {
-    use fuzzy_handover::mobility::{GaussMarkov, RandomWalk, RandomWaypoint};
+    use fuzzy_handover::geometry::Vec2;
+    use fuzzy_handover::mobility::{GaussMarkov, ManhattanGrid, RandomWalk, RandomWaypoint};
+    use fuzzy_handover::sim::fleet::MAX_MOBILITY_EXTENT_KM;
 
     let walk = FleetMobility::standard_four(6)[0];
     let hysteresis = PolicyKind::Hysteresis { margin_db: -1.0 };
@@ -139,6 +144,22 @@ fn invalid_populations() -> Vec<(FleetMobility, PolicyKind, ConfigError)> {
     empty_box.max.x = empty_box.min.x;
     let gauss_markov = GaussMarkov { alpha: f64::NAN, ..GaussMarkov::vehicular(6) };
     let negative = |field, value| ConfigError::Negative { field, value };
+    // Finite but huge parameters: each model's worst-case extent passes
+    // MAX_MOBILITY_EXTENT_KM (the first three overflow to non-finite
+    // waypoints unchecked).
+    let too_far = |value| ConfigError::OutOfRange {
+        field: "mobility worst-case extent (km)",
+        value,
+        lo: 0.0,
+        hi: MAX_MOBILITY_EXTENT_KM,
+    };
+    let huge_walk =
+        RandomWalk { step_mean_km: 1e308, step_std_km: 0.0, ..RandomWalk::paper_default(10) };
+    let huge_gm =
+        GaussMarkov { mean_step_km: 1e300, step_std_km: 0.0, ..GaussMarkov::vehicular(6) };
+    let huge_grid = ManhattanGrid { block_km: 1e300, ..ManhattanGrid::downtown(6) };
+    let mut huge_box = RandomWaypoint::centered(2.0, 6);
+    huge_box.max.x = 3e6;
     vec![
         (walk, hysteresis, negative("hysteresis margin", -1.0)),
         (walk, load, negative("load bias", -1.0)),
@@ -162,13 +183,19 @@ fn invalid_populations() -> Vec<(FleetMobility, PolicyKind, ConfigError)> {
                 hi: 1.0,
             },
         ),
+        (FleetMobility::RandomWalk(huge_walk), PolicyKind::Fuzzy, too_far(f64::INFINITY)),
+        (FleetMobility::GaussMarkov(huge_gm), PolicyKind::Fuzzy, too_far(6.0 * 1e300)),
+        (FleetMobility::Manhattan(huge_grid), PolicyKind::Fuzzy, too_far(6.0 * 1e300)),
+        (FleetMobility::Waypoint(huge_box), PolicyKind::Fuzzy, too_far(Vec2::new(3e6, 2.0).norm())),
     ]
 }
 
-/// A scenario-matrix cell refuses each population defect as a typed
-/// config error, where the unchecked population panicked in a worker.
+/// A scenario-matrix cell and `Session::spawn` refuse each population
+/// defect as a typed config error, where the unchecked population
+/// panicked in a worker.
 #[test]
 fn matrix_cells_refuse_invalid_populations() {
+    use fuzzy_handover::server::{Session, SessionConfig, SessionError};
     use fuzzy_handover::sim::matrix::ScenarioMatrix;
 
     for (mobility, policy, expected) in invalid_populations() {
@@ -185,6 +212,12 @@ fn matrix_cells_refuse_invalid_populations() {
                 assert_eq!(format!("{err:?}"), format!("{expected:?}"));
             }
             other => panic!("{mobility:?} / {policy:?}: expected a config error, got {other:?}"),
+        }
+        match Session::spawn(SessionConfig::new(noisy_config(), mobility, policy, 2, 1), 1) {
+            Err(SessionError::InvalidConfig(err)) => {
+                assert_eq!(format!("{err:?}"), format!("{expected:?}"));
+            }
+            other => panic!("{mobility:?} / {policy:?}: spawn gave {:?}", other.err()),
         }
     }
 }
@@ -686,4 +719,71 @@ fn each_supervisor_call_has_its_own_retry_budget() {
     let result = supervisor.finish(&spec, &ids, 23).expect("one panic per call recovers");
     assert_eq!(supervisor.report().worker_panics, 4);
     assert_eq!(result, reference);
+}
+
+/// A population that records the thread each trajectory is built on,
+/// which is the thread stepping that UE's shard.
+struct ThreadRecorder {
+    inner: HomogeneousFleet,
+    threads: std::sync::Mutex<Vec<(u64, std::thread::ThreadId)>>,
+}
+
+impl ThreadRecorder {
+    fn new(inner: HomogeneousFleet) -> Self {
+        ThreadRecorder { inner, threads: std::sync::Mutex::new(Vec::new()) }
+    }
+
+    /// The recorded `(ue_id, thread)` pairs, emptied.
+    fn take(&self) -> Vec<(u64, std::thread::ThreadId)> {
+        std::mem::take(&mut *self.threads.lock().expect("recorder lock"))
+    }
+}
+
+impl UeSpec for ThreadRecorder {
+    fn trajectory(&self, ue_id: u64) -> Trajectory {
+        let id = std::thread::current().id();
+        self.threads.lock().expect("recorder lock").push((ue_id, id));
+        self.inner.trajectory(ue_id)
+    }
+
+    fn policy(&self, ue_id: u64) -> Box<dyn HandoverPolicy + Send> {
+        self.inner.policy(ue_id)
+    }
+}
+
+/// Worker 0 of a fleet pass is the calling thread: a one-worker pass
+/// steps every UE there, a two-worker pass steps shard 0 (even ids)
+/// there and shard 1 elsewhere. A scripted panic on the calling thread
+/// still surfaces as a typed `WorkerPanic`, and the supervisor recovers
+/// from it to the clean result.
+#[test]
+fn worker_zero_runs_on_the_calling_thread() {
+    let cfg = noisy_config();
+    let spec = ThreadRecorder::new(fleet_spec(29, cfg.layout.cell_radius_km()));
+    let ids: Vec<u64> = (0..8).collect();
+    let caller = std::thread::current().id();
+    let one = FleetSimulation::new(cfg.clone()).with_chunk_size(3);
+    let reference = one.try_run_ids(&spec, &ids, 29).expect("fleet run");
+    let calls = spec.take();
+    assert_eq!(calls.len(), ids.len());
+    assert!(calls.iter().all(|&(_, t)| t == caller), "{calls:?}");
+
+    let two = one.clone().with_workers(2);
+    assert_eq!(two.try_run_ids(&spec, &ids, 29).expect("fleet run"), reference);
+    let calls = spec.take();
+    assert_eq!(calls.len(), ids.len());
+    for (ue, thread) in calls {
+        assert_eq!(thread == caller, ue % 2 == 0, "UE {ue} stepped on {thread:?}");
+    }
+
+    let plan = FaultPlan::scripted(vec![Fault::WorkerPanic { at_step: 3 }]);
+    let faulty = || one.clone().with_fault_injection(Arc::new(plan.injector()));
+    assert_eq!(
+        faulty().try_run_ids(&spec, &ids, 29),
+        Err(FleetError::WorkerPanic("injected fault: worker panic at step 3".into()))
+    );
+    let policy = RetryPolicy { checkpoint_cadence: 2, ..RetryPolicy::default() };
+    let run = faulty().run_supervised(&spec, &ids, 29, &policy).expect("one panic recovers");
+    assert_eq!(run.report.worker_panics, 1, "the scripted panic fired");
+    assert_eq!(run.result, reference);
 }

@@ -467,11 +467,17 @@ fn population_defects_are_refused_at_the_door() {
     let hysteresis = PolicyKind::Hysteresis { margin_db: -1.0 };
     let load = PolicyKind::LoadHysteresis { margin_db: 1.0, load_bias_db: -1.0 };
     let no_walks = FleetMobility::RandomWalk(RandomWalk::paper_default(0));
+    let huge_steps = FleetMobility::RandomWalk(RandomWalk {
+        step_mean_km: 1e308,
+        step_std_km: 0.0,
+        ..RandomWalk::paper_default(10)
+    });
     let base = session_config(12, 5, 4);
     for config in [
         SessionConfig { policy: hysteresis, ..base.clone() },
         SessionConfig { policy: load, ..base.clone() },
         SessionConfig { mobility: no_walks, ..base.clone() },
+        SessionConfig { mobility: huge_steps, ..base.clone() },
         SessionConfig { cell_radius_km: f64::NAN, ..base.clone() },
     ] {
         match Session::spawn(config.clone(), 1) {
