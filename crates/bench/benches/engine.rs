@@ -1,10 +1,10 @@
 //! Simulation-engine throughput: scenario runs and Monte-Carlo scaling
-//! (sequential vs crossbeam-parallel).
+//! (one thread, the caller, vs 2/4/8 workers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use handover_bench::paper_controller;
 use handover_core::HandoverPolicy;
-use handover_sim::monte_carlo::{run_repetitions, try_run_repetitions_parallel};
+use handover_sim::monte_carlo::try_run_repetitions_parallel;
 use handover_sim::{Scenario, SimConfig, Simulation};
 use radiolink::{MeasurementNoise, ShadowingConfig};
 use std::hint::black_box;
@@ -53,22 +53,15 @@ fn bench_monte_carlo_scaling(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("engine/monte_carlo_16_reps");
     g.sample_size(20);
-    g.bench_function("sequential", |b| {
-        b.iter(|| black_box(run_repetitions(&sim, &walk, factory, 9, REPS)))
-    });
+    let run = |threads| {
+        try_run_repetitions_parallel(&sim, &walk, factory, 9, REPS, threads)
+            .expect("repetitions run")
+    };
+    g.bench_function("sequential", |b| b.iter(|| black_box(run(1))));
     for threads in [2usize, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("parallel", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(
-                        try_run_repetitions_parallel(&sim, &walk, factory, 9, REPS, threads)
-                            .expect("repetitions run"),
-                    )
-                })
-            },
-        );
+        g.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &threads| {
+            b.iter(|| black_box(run(threads)))
+        });
     }
     g.finish();
 }

@@ -179,64 +179,48 @@ impl TwinServer {
     /// closing the loop is the transport's job (see
     /// [`crate::wire::serve`]).
     pub fn handle(&mut self, request: Request) -> Response {
-        match request {
-            Request::Spawn { config } => match self.spawn(*config) {
-                Ok(session) => Response::Spawned { session },
-                Err(err) => Response::Error { error: err },
-            },
-            Request::AdvanceTo { session, step } => match self.advance_to(session, step) {
-                Ok(status) => Response::Advanced { session, status },
-                Err(err) => Response::Error { error: err },
-            },
-            Request::QueryCells { session } => match self
-                .session(session)
-                .and_then(|s| s.query_cells().map_err(|e| Self::session_error(session, e)))
-            {
-                Ok(cells) => Response::Cells { session, cells },
-                Err(err) => Response::Error { error: err },
-            },
-            Request::QueryUe { session, ue_id } => match self
-                .session(session)
-                .and_then(|s| s.query_ue(ue_id).map_err(|e| Self::session_error(session, e)))
-            {
-                Ok(report) => Response::Ue { session, report: Box::new(report) },
-                Err(err) => Response::Error { error: err },
-            },
-            Request::SwapPolicy { session, policy } => {
-                match self.swap_policy(session, policy) {
-                    Ok(swap) => Response::Swapped { session, swap },
-                    Err(err) => Response::Error { error: err },
-                }
+        self.dispatch(request).unwrap_or_else(|error| Response::Error { error })
+    }
+
+    /// [`TwinServer::handle`] with every failure on one error path.
+    fn dispatch(&mut self, request: Request) -> Result<Response, ServerError> {
+        Ok(match request {
+            Request::Spawn { config } => Response::Spawned { session: self.spawn(*config)? },
+            Request::AdvanceTo { session, step } => {
+                Response::Advanced { session, status: self.advance_to(session, step)? }
             }
-            Request::QueryResult { session } => match self.session(session) {
-                Ok(s) => match s.result() {
-                    Some(result) => {
-                        Response::Result { session, result: Box::new(result.clone()) }
-                    }
-                    None => Response::Error {
-                        error: Self::session_error(session, SessionError::NotAdvanced),
-                    },
-                },
-                Err(err) => Response::Error { error: err },
-            },
-            Request::Checkpoint { session } => match self.checkpoint(session) {
-                Ok(bytes) => Response::Checkpointed { session, bytes },
-                Err(err) => Response::Error { error: err },
-            },
-            Request::Hydrate { bytes } => match self.hydrate(&bytes) {
-                Ok(session) => Response::Hydrated { session },
-                Err(err) => Response::Error { error: err },
-            },
-            Request::Drop { session } => match self.drop_session(session) {
-                Ok(()) => Response::Dropped { session },
-                Err(err) => Response::Error { error: err },
-            },
-            Request::Status { session } => match self.session(session) {
-                Ok(s) => Response::Status { session, status: s.status() },
-                Err(err) => Response::Error { error: err },
-            },
+            Request::QueryCells { session } => {
+                let cells = self.session(session)?.query_cells();
+                let cells = cells.map_err(|e| Self::session_error(session, e))?;
+                Response::Cells { session, cells }
+            }
+            Request::QueryUe { session, ue_id } => {
+                let report = self.session(session)?.query_ue(ue_id);
+                let report = report.map_err(|e| Self::session_error(session, e))?;
+                Response::Ue { session, report: Box::new(report) }
+            }
+            Request::SwapPolicy { session, policy } => {
+                Response::Swapped { session, swap: self.swap_policy(session, policy)? }
+            }
+            Request::QueryResult { session } => {
+                let result = self.session(session)?.result().cloned();
+                let result = result
+                    .ok_or_else(|| Self::session_error(session, SessionError::NotAdvanced))?;
+                Response::Result { session, result: Box::new(result) }
+            }
+            Request::Checkpoint { session } => {
+                Response::Checkpointed { session, bytes: self.checkpoint(session)? }
+            }
+            Request::Hydrate { bytes } => Response::Hydrated { session: self.hydrate(&bytes)? },
+            Request::Drop { session } => {
+                self.drop_session(session)?;
+                Response::Dropped { session }
+            }
+            Request::Status { session } => {
+                Response::Status { session, status: self.session(session)?.status() }
+            }
             Request::List => Response::Sessions { sessions: self.sessions() },
             Request::Shutdown => Response::ShuttingDown,
-        }
+        })
     }
 }

@@ -4,7 +4,7 @@
 //! Every policy runs the same three workloads under shadow fading:
 //! the two pinned scenarios plus a batch of random boundary-stressing
 //! walks. Reported per policy: mean handovers, mean ping-pongs and mean
-//! outage over the Monte-Carlo repetitions (crossbeam-parallel).
+//! outage over the Monte-Carlo repetitions (run in parallel).
 
 use crate::engine::{SimConfig, Simulation};
 use crate::monte_carlo::{summarize, try_run_repetitions_parallel, McSummary};

@@ -27,7 +27,7 @@ pub struct FadingRow {
 }
 
 /// Run the sweep: scenario A under increasing fading, 10 repetitions per
-/// point, crossbeam-parallel.
+/// point, run in parallel.
 pub fn data() -> Vec<FadingRow> {
     let walk = Scenario::a().trajectory();
     SIGMAS_DB

@@ -33,7 +33,9 @@
 //!   seeds (`StdRng::seed_from_u64` mixes them into independent ChaCha
 //!   streams).
 //! * **Sharded parallel stepping** — UE ids are split round-robin over
-//!   crossbeam workers, exactly like `monte_carlo`'s repetition sharding.
+//!   the workers of `run_shards`, the one scoped runner the scenario
+//!   matrix and the Monte-Carlo repetitions share (worker 0 is the
+//!   calling thread).
 //!   Because every UE owns its stream and the merge sorts outcomes by UE
 //!   id before folding the `f64` aggregates, the result is bit-identical
 //!   for any worker count, chunk size, or UE submission order. Worker
@@ -86,7 +88,6 @@ use mobility::{
     AngleDistribution, GaussMarkov, ManhattanGrid, MobilityModel, RandomWalk, RandomWaypoint,
     ResampleIter, TracePoint,
 };
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -189,9 +190,37 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// How a fleet worker died: the lockstep step it was at, its index and
-/// its panic message.
-type WorkerDeath = (u64, usize, String);
+/// The one scoped runner behind every parallel loop of the engine: runs
+/// `shard(0)` on the calling thread and `shard(1..workers)` on scoped
+/// threads, and returns the results in worker order (at least one, so a
+/// one-worker run starts no thread). A shard that panics on a spawned
+/// thread re-raises its own payload on the caller once every worker
+/// has joined (the lowest such worker's, if several do).
+pub(crate) fn run_shards<T: Send>(workers: usize, shard: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let shard = &shard;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|w| scope.spawn(move || shard(w))).collect();
+        let first = shard(0);
+        let joined: Vec<_> = spawned.into_iter().map(|handle| handle.join()).collect();
+        std::iter::once(first)
+            .chain(joined.into_iter().map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p))))
+            .collect()
+    })
+}
+
+/// `f(0..len)` in index order, computed on `workers` (clamped to
+/// `[1, len]`) [`run_shards`] workers: worker `w` takes the static
+/// round-robin shard `w, w + workers, …`, independent of scheduling.
+pub(crate) fn map_round_robin<R: Send>(
+    len: usize,
+    workers: usize,
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.clamp(1, len.max(1));
+    let shards = run_shards(workers, |w| (w..len).step_by(workers).map(&f).collect::<Vec<_>>());
+    let mut shards: Vec<_> = shards.into_iter().map(Vec::into_iter).collect();
+    (0..len).filter_map(|k| shards[k % workers].next()).collect()
+}
 
 /// Per-UE state of one fleet step between the measurement phase and the
 /// commit phase: either already decided, or waiting for entry `k` of the
@@ -964,7 +993,7 @@ impl FleetSimulation {
         }
     }
 
-    /// The crossbeam worker count.
+    /// The worker count (worker 0 is the calling thread).
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -986,8 +1015,8 @@ impl FleetSimulation {
         self.fault.as_ref()
     }
 
-    /// Set the crossbeam worker count (clamped to ≥ 1). Results are
-    /// bit-identical for every value.
+    /// Set the worker count (clamped to ≥ 1; worker 0 is the calling
+    /// thread). Results are bit-identical for every value.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.set_workers(workers);
@@ -1358,15 +1387,14 @@ impl FleetSimulation {
     /// One fleet pass: the sharded parallel stepping of `source` under
     /// `params`. Each worker steps a static round-robin shard (entries
     /// `w, w + workers, …`, independent of scheduling) cut lazily into
-    /// chunks. Worker 0 is the calling thread; workers `1..workers` are
-    /// spawned, so a one-worker pass starts no thread. Every worker
-    /// catches its own panics so they surface as
-    /// [`FleetError::WorkerPanic`] with the original message instead of
-    /// crossbeam's opaque scope error. When several workers panic, the
-    /// one that died at the lowest lockstep step is reported (ties: the
-    /// lowest worker index), whatever order they finished in. Every
-    /// output vector comes back sorted by UE id, and a
-    /// [`PassSink::Fold`] pass has its HD sum folded in UE-id order.
+    /// chunks on [`run_shards`], so a one-worker pass starts no thread.
+    /// Every worker catches its own panics so they surface as
+    /// [`FleetError::WorkerPanic`] with the original message. When
+    /// several workers panic, the one that died at the lowest lockstep
+    /// step is reported (ties: the lowest worker index), whatever order
+    /// they finished in. Every output vector comes back sorted by UE id,
+    /// and a [`PassSink::Fold`] pass has its HD sum folded in UE-id
+    /// order.
     fn pass(
         &self,
         sim: &Simulation,
@@ -1391,10 +1419,7 @@ impl FleetSimulation {
         };
         let ctx = &ctx;
         let workers = (self.workers as u64).clamp(1, source.len().max(1)) as usize;
-        let collected: Mutex<Vec<Result<PassPart, WorkerDeath>>> =
-            Mutex::new(Vec::with_capacity(workers));
-
-        let run_shard = |w: usize| {
+        let parts = run_shards(workers, |w| {
             let mut arena = ChunkArena::new(cells.len());
             let part = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut part = PassPart::new(cells);
@@ -1421,24 +1446,11 @@ impl FleetSimulation {
                 }
                 part
             }));
-            let died =
-                |p: Box<dyn std::any::Any + Send>| (arena.step, w, panic_message(p.as_ref()));
-            collected.lock().push(part.map_err(died));
-        };
-        let run_shard = &run_shard;
-        crossbeam::scope(|scope| {
-            for w in 1..workers {
-                scope.spawn(move |_| run_shard(w));
-            }
-            run_shard(0);
-        })
-        // invariant: every shard wraps its body in catch_unwind, so the
-        // scope's join cannot observe a panicked thread.
-        .expect("fleet worker panics are caught inside the workers");
-
-        let parts = collected.into_inner();
+            part.map_err(|p| (arena.step, panic_message(p.as_ref())))
+        });
+        // `min_by_key` keeps the first of equal steps: the lowest worker.
         let panics = parts.iter().filter_map(|part| part.as_ref().err());
-        if let Some((_, _, message)) = panics.min_by_key(|&&(step, w, _)| (step, w)) {
+        if let Some((_, message)) = panics.min_by_key(|&&(step, _)| step) {
             return Err(FleetError::WorkerPanic(message.clone()));
         }
         let mut out = PassPart::new(cells);
@@ -2111,6 +2123,41 @@ mod tests {
     /// The UE ids `0..n`.
     fn ue_ids(n: u64) -> Vec<u64> {
         (0..n).collect()
+    }
+
+    #[test]
+    fn map_round_robin_returns_every_index_in_order() {
+        for len in [0, 1, 2, 5, 17] {
+            for workers in [0, 1, 2, 3, 64] {
+                let want: Vec<usize> = (0..len).map(|k| 3 * k + 1).collect();
+                let got = map_round_robin(len, workers, |k| 3 * k + 1);
+                assert_eq!(got, want, "len={len} workers={workers}");
+            }
+        }
+    }
+
+    /// Shard 0 runs on the caller, the others on distinct spawned
+    /// threads, and a spawned shard's panic reaches the caller with its
+    /// own message.
+    #[test]
+    fn run_shards_keeps_shard_zero_on_the_caller_and_reraises_panics() {
+        let caller = std::thread::current().id();
+        let shards = run_shards(4, |w| (w, std::thread::current().id()));
+        let order: Vec<usize> = shards.iter().map(|&(w, _)| w).collect();
+        assert_eq!(order, [0, 1, 2, 3]);
+        assert_eq!(shards[0].1, caller);
+        let others: std::collections::HashSet<_> = shards[1..].iter().map(|&(_, t)| t).collect();
+        assert_eq!(others.len(), 3);
+        assert!(!others.contains(&caller));
+
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let died = std::panic::catch_unwind(|| {
+            run_shards(3, |w| if w == 2 { panic!("shard {w} failed on purpose") } else { w })
+        });
+        std::panic::set_hook(prev_hook);
+        let payload = died.expect_err("the shard's panic reaches the caller");
+        assert_eq!(panic_message(payload.as_ref()), "shard 2 failed on purpose");
     }
 
     fn demo_traffic() -> TrafficConfig {

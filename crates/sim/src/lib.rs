@@ -9,8 +9,8 @@
 //! * [`scenario`] — the two pinned paper scenarios (A ≈ `iseed = 100`,
 //!   boundary walk; B ≈ `iseed = 200`, cell-crossing walk) plus the seed
 //!   search that found them.
-//! * [`monte_carlo`] — N-repetition averaging, sequentially or on a
-//!   crossbeam thread pool.
+//! * [`monte_carlo`] — N-repetition averaging on the fleet engine's
+//!   scoped runner (one thread runs them in order on the caller).
 //! * [`fleet`] — the multi-UE fleet engine: thousands of mobile stations
 //!   stepping through one layout with batched FLC evaluation, per-UE RNG
 //!   streams and sharded parallel execution.

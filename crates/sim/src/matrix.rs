@@ -9,13 +9,13 @@
 use crate::dynamics::DynamicsConfig;
 use crate::engine::SimConfig;
 use crate::fleet::{
-    CandidateMode, FleetError, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
+    map_round_robin, CandidateMode, FleetError, FleetMobility, FleetSimulation, HomogeneousFleet,
+    PolicyKind,
 };
 use crate::series::Series;
 use crate::table::{fmt_f, TextTable};
 use crate::traffic::TrafficConfig;
 use handover_core::{CellLoadHistogram, DynamicReport, FleetSummary, TrafficReport};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// SplitMix64 finalizer deriving each matrix cell's seed from the master
@@ -60,7 +60,7 @@ pub struct ScenarioMatrix {
     pub dynamics: Vec<Option<DynamicsConfig>>,
     /// Master seed; every matrix cell derives its own streams from it.
     pub base_seed: u64,
-    /// Crossbeam workers per fleet run (intra-cell parallelism).
+    /// Fleet workers per fleet run (intra-cell parallelism).
     pub workers: usize,
     /// Matrix cells run concurrently (cell-level parallelism). Every
     /// cell's result is a pure function of its own spec and seed, so the
@@ -189,43 +189,19 @@ impl ScenarioMatrix {
     }
 
     /// Run every matrix cell, round-robin sharded over `matrix_workers`
-    /// crossbeam workers (like the fleet engine's UE sharding); the
-    /// report is merged back into sweep order, so the result is
-    /// identical for every worker count. An invalid configuration or a
-    /// panicking fleet worker surfaces as the [`FleetError`] of the
-    /// *first failing cell in sweep order* — the same error for every
-    /// `matrix_workers` value, because each cell's outcome is a pure
-    /// function of its own spec and seed.
+    /// workers of the fleet engine's scoped runner; the report comes
+    /// back in sweep order, so the result is identical for every worker
+    /// count. An invalid configuration or a panicking fleet worker
+    /// surfaces as the [`FleetError`] of the *first failing cell in
+    /// sweep order* — the same error for every `matrix_workers` value,
+    /// because each cell's outcome is a pure function of its own spec
+    /// and seed.
     pub fn try_run(&self) -> Result<MatrixResult, FleetError> {
         let specs = self.cell_specs();
-        let matrix_workers = self.matrix_workers.clamp(1, specs.len().max(1));
-        let collected: Mutex<Vec<(usize, Result<MatrixCellResult, FleetError>)>> =
-            Mutex::new(Vec::with_capacity(specs.len()));
-        crossbeam::scope(|scope| {
-            for w in 0..matrix_workers {
-                let collected = &collected;
-                let specs = &specs;
-                scope.spawn(move |_| {
-                    for (index, spec) in
-                        specs.iter().enumerate().skip(w).step_by(matrix_workers)
-                    {
-                        let cell = self.try_run_cell(spec);
-                        collected.lock().push((index, cell));
-                    }
-                });
-            }
-        })
-        // invariant: cell panics are converted to FleetError values by
-        // try_run_cell before they can unwind a matrix worker.
-        .expect("matrix workers do not panic");
-
-        let mut indexed = collected.into_inner();
-        indexed.sort_by_key(|(index, _)| *index);
-        let mut cells = Vec::with_capacity(indexed.len());
-        for (_, cell) in indexed {
-            cells.push(cell?);
-        }
-        Ok(MatrixResult { cells })
+        let cells = map_round_robin(specs.len(), self.matrix_workers, |k| {
+            self.try_run_cell(&specs[k])
+        });
+        Ok(MatrixResult { cells: cells.into_iter().collect::<Result<_, _>>()? })
     }
 }
 

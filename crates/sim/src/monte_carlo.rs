@@ -1,7 +1,9 @@
 //! Monte-Carlo repetition: the paper "carried out 10 times simulations and
 //! calculated the average values". Repetitions differ only in the RNG
-//! stream (shadowing + measurement noise); they can run sequentially or on
-//! a crossbeam thread pool.
+//! stream (shadowing + measurement noise).
+//! [`try_run_repetitions_parallel`] is the one entry: it runs them on the
+//! fleet engine's scoped runner, in order on the calling thread for
+//! `threads = 1`.
 //!
 //! `make_policy` builds one fresh policy per repetition; fuzzy policies
 //! built through [`FuzzyHandoverController::new`] all borrow the
@@ -12,11 +14,10 @@
 //! [`FuzzyHandoverController::new`]: handover_core::FuzzyHandoverController::new
 
 use crate::engine::{SimResult, Simulation};
-use crate::fleet::{panic_message, FleetError};
+use crate::fleet::{map_round_robin, panic_message, FleetError};
 use crate::resilience::ConfigError;
 use handover_core::HandoverPolicy;
 use mobility::Trajectory;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -41,32 +42,15 @@ pub struct McSummary {
     pub mean_hd: Option<f64>,
 }
 
-/// Run `reps` repetitions sequentially. `make_policy` builds a fresh
-/// policy per run; run `k` uses seed `base_seed + k`.
-pub fn run_repetitions(
-    sim: &Simulation,
-    trajectory: &Trajectory,
-    make_policy: impl Fn() -> Box<dyn HandoverPolicy + Send>,
-    base_seed: u64,
-    reps: usize,
-) -> Vec<SimResult> {
-    assert!(reps >= 1, "need at least one repetition");
-    (0..reps)
-        .map(|k| {
-            let mut policy = make_policy();
-            sim.run(trajectory, policy.as_mut(), base_seed + k as u64)
-        })
-        .collect()
-}
-
-/// Run `reps` repetitions on `threads` crossbeam-scoped workers. Results
-/// are returned in repetition order and are bit-identical to the
-/// sequential [`run_repetitions`] (each repetition owns its seed). A
-/// panicking policy or engine surfaces as the
-/// [`FleetError::WorkerPanic`] of the *first failing repetition*
-/// (lowest repetition index — the same error for every thread count),
-/// and `reps == 0` comes back as [`FleetError::InvalidConfig`] instead
-/// of an assert.
+/// Run `reps` repetitions on `threads` workers (worker 0 is the calling
+/// thread, so `threads = 1` runs them in order on the caller). Run `k`
+/// builds a fresh policy with `make_policy` and uses seed
+/// `base_seed + k`, so the results, returned in repetition order, are
+/// bit-identical for every thread count. A panicking policy or engine
+/// surfaces as the [`FleetError::WorkerPanic`] of the *first failing
+/// repetition* (lowest repetition index — the same error for every
+/// thread count), and `reps == 0` comes back as
+/// [`FleetError::InvalidConfig`].
 pub fn try_run_repetitions_parallel(
     sim: &Simulation,
     trajectory: &Trajectory,
@@ -78,39 +62,14 @@ pub fn try_run_repetitions_parallel(
     if reps < 1 {
         return Err(ConfigError::TooSmall { field: "repetitions", minimum: 1, got: 0 }.into());
     }
-    let threads = threads.clamp(1, reps);
-    let results: Mutex<Vec<(usize, Result<SimResult, FleetError>)>> =
-        Mutex::new(Vec::with_capacity(reps));
-    crossbeam::scope(|scope| {
-        for t in 0..threads {
-            let results = &results;
-            let make_policy = &make_policy;
-            scope.spawn(move |_| {
-                // Static round-robin split keeps the partition independent
-                // of thread scheduling.
-                let mut k = t;
-                while k < reps {
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        let mut policy = make_policy();
-                        sim.run(trajectory, policy.as_mut(), base_seed + k as u64)
-                    }))
-                    .map_err(|payload| FleetError::WorkerPanic(panic_message(payload.as_ref())));
-                    results.lock().push((k, r));
-                    k += threads;
-                }
-            });
-        }
-    })
-    // invariant: repetition panics are caught by the catch_unwind above,
-    // so a worker thread itself can never unwind.
-    .expect("monte-carlo workers do not panic");
-    let mut out = results.into_inner();
-    out.sort_by_key(|(k, _)| *k);
-    let mut runs = Vec::with_capacity(out.len());
-    for (_, r) in out {
-        runs.push(r?);
-    }
-    Ok(runs)
+    let runs = map_round_robin(reps, threads, |k| {
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut policy = make_policy();
+            sim.run(trajectory, policy.as_mut(), base_seed + k as u64)
+        }))
+        .map_err(|payload| FleetError::WorkerPanic(panic_message(payload.as_ref())))
+    });
+    runs.into_iter().collect()
 }
 
 /// Aggregate a batch of runs.
@@ -148,9 +107,11 @@ pub fn summarize(results: &[SimResult], pingpong_window: usize) -> McSummary {
 mod tests {
     use super::*;
     use crate::engine::SimConfig;
-    use cellgeom::Vec2;
-    use handover_core::{ControllerConfig, FuzzyHandoverController};
+    use cellgeom::{Axial, Vec2};
+    use handover_core::{ControllerConfig, Decision, FuzzyHandoverController, MeasurementReport};
     use radiolink::{MeasurementNoise, ShadowingConfig};
+    use std::sync::mpsc::{channel, Sender};
+    use std::thread::{self, ThreadId};
 
     fn noisy_sim() -> Simulation {
         let mut cfg = SimConfig::paper_default();
@@ -167,13 +128,36 @@ mod tests {
         Box::new(FuzzyHandoverController::new(ControllerConfig::paper_default(2.0)))
     }
 
+    /// The sequential reference: repetition `k` on the calling thread
+    /// with seed `base_seed + k`.
+    fn sequential(
+        sim: &Simulation,
+        t: &Trajectory,
+        make: impl Fn() -> Box<dyn HandoverPolicy + Send>,
+        base_seed: u64,
+        reps: u64,
+    ) -> Vec<SimResult> {
+        (0..reps).map(|k| sim.run(t, make().as_mut(), base_seed + k)).collect()
+    }
+
+    fn on_caller(
+        make: impl Fn() -> Box<dyn HandoverPolicy + Send> + Sync,
+        base_seed: u64,
+        reps: usize,
+    ) -> Vec<SimResult> {
+        try_run_repetitions_parallel(&noisy_sim(), &crossing_walk(), make, base_seed, reps, 1)
+            .expect("runs")
+    }
+
     #[test]
     fn sequential_and_parallel_agree() {
         let sim = noisy_sim();
         let t = crossing_walk();
-        let seq = run_repetitions(&sim, &t, fuzzy, 77, 6);
-        let par = try_run_repetitions_parallel(&sim, &t, fuzzy, 77, 6, 3).expect("runs");
-        assert_eq!(seq, par, "bit-identical results regardless of threading");
+        let seq = sequential(&sim, &t, fuzzy, 77, 6);
+        for threads in [1, 3] {
+            let par = try_run_repetitions_parallel(&sim, &t, fuzzy, 77, 6, threads).expect("runs");
+            assert_eq!(seq, par, "bit-identical results regardless of threading");
+        }
     }
 
     #[test]
@@ -184,11 +168,76 @@ mod tests {
         assert_eq!(par.len(), 2);
     }
 
+    /// A fuzzy controller that reports, on its first decision, the
+    /// thread its factory ran on and the serving RSS it saw. Every seed
+    /// draws different noise, so that RSS names the repetition.
+    struct FirstDecision {
+        inner: Box<dyn HandoverPolicy + Send>,
+        built_on: ThreadId,
+        report: Option<Sender<(ThreadId, u64)>>,
+    }
+
+    impl HandoverPolicy for FirstDecision {
+        fn decide(&mut self, report: &MeasurementReport) -> Decision {
+            if let Some(tx) = self.report.take() {
+                tx.send((self.built_on, report.serving_rss_dbm.to_bits())).expect("receiver");
+            }
+            self.inner.decide(report)
+        }
+
+        fn notify_handover(&mut self, new_serving: Axial) {
+            self.inner.notify_handover(new_serving);
+        }
+
+        fn name(&self) -> &'static str {
+            "first-decision"
+        }
+    }
+
+    /// Run `reps` repetitions on `threads` workers and return, per
+    /// repetition, the thread its policy factory ran on.
+    fn factory_threads(reps: usize, threads: usize) -> Vec<ThreadId> {
+        let (tx, rx) = channel();
+        let make = || -> Box<dyn HandoverPolicy + Send> {
+            let built_on = thread::current().id();
+            Box::new(FirstDecision { inner: fuzzy(), built_on, report: Some(tx.clone()) })
+        };
+        let sim = noisy_sim();
+        let results = try_run_repetitions_parallel(&sim, &crossing_walk(), make, 41, reps, threads)
+            .expect("runs");
+        drop(tx);
+        let seen: Vec<(ThreadId, u64)> = rx.iter().collect();
+        assert_eq!(seen.len(), reps, "one factory call per repetition");
+        results
+            .iter()
+            .map(|r| {
+                let rss = r.steps[0].serving_rss_dbm.to_bits();
+                let mut hits = seen.iter().filter(|&&(_, bits)| bits == rss);
+                let (thread, _) = hits.next().expect("repetition recorded");
+                assert!(hits.next().is_none(), "first RSS names one repetition");
+                *thread
+            })
+            .collect()
+    }
+
+    /// Worker 0 is the calling thread: one thread runs every repetition
+    /// there, three threads run repetitions 0 and 3 there and the rest
+    /// on two other threads.
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread() {
+        let caller = thread::current().id();
+        assert!(factory_threads(4, 1).iter().all(|&t| t == caller));
+        let threads = factory_threads(6, 3);
+        for (k, &t) in threads.iter().enumerate() {
+            assert_eq!(t == caller, k % 3 == 0, "repetition {k} ran on {t:?}");
+        }
+        assert_eq!((threads[1], threads[2]), (threads[4], threads[5]));
+        assert_ne!(threads[1], threads[2]);
+    }
+
     #[test]
     fn repetitions_differ_by_seed() {
-        let sim = noisy_sim();
-        let t = crossing_walk();
-        let runs = run_repetitions(&sim, &t, fuzzy, 1, 3);
+        let runs = on_caller(fuzzy, 1, 3);
         // With fading and noise on, different seeds yield different RSS
         // traces.
         assert_ne!(runs[0].steps[5].serving_rss_dbm, runs[1].steps[5].serving_rss_dbm);
@@ -196,10 +245,7 @@ mod tests {
 
     #[test]
     fn summary_statistics() {
-        let sim = noisy_sim();
-        let t = crossing_walk();
-        let runs = run_repetitions(&sim, &t, fuzzy, 9, 10);
-        let s = summarize(&runs, 12);
+        let s = summarize(&on_caller(fuzzy, 9, 10), 12);
         assert_eq!(s.runs, 10);
         assert!(s.mean_handovers >= 1.0, "crossing walk hands over: {s:?}");
         assert!(s.std_handovers >= 0.0);
@@ -212,13 +258,10 @@ mod tests {
     #[test]
     fn mean_hd_is_none_without_flc_data_and_round_trips() {
         // A threshold that never fires: no handovers, no HD stream.
-        let sim = noisy_sim();
-        let t = crossing_walk();
         let make = || -> Box<dyn HandoverPolicy + Send> {
             Box::new(handover_core::baselines::ThresholdPolicy::new(-500.0))
         };
-        let runs = run_repetitions(&sim, &t, make, 3, 4);
-        let s = summarize(&runs, 12);
+        let s = summarize(&on_caller(make, 3, 4), 12);
         assert_eq!(s.mean_hd, None, "no FLC data is None, never NaN");
         // The summary serializes without NaN and deserializes back —
         // exactly what the old NaN representation broke.
@@ -230,9 +273,7 @@ mod tests {
 
     #[test]
     fn summary_with_flc_data_round_trips() {
-        let sim = noisy_sim();
-        let t = crossing_walk();
-        let s = summarize(&run_repetitions(&sim, &t, fuzzy, 9, 3), 12);
+        let s = summarize(&on_caller(fuzzy, 9, 3), 12);
         let back: McSummary = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(s, back);
     }
@@ -241,11 +282,10 @@ mod tests {
     fn fallible_parallel_agrees_and_surfaces_typed_errors() {
         let sim = noisy_sim();
         let t = crossing_walk();
-        // Clean runs: identical to the panicking form.
+        // Clean runs: identical to the sequential reference.
         let ok = try_run_repetitions_parallel(&sim, &t, fuzzy, 77, 6, 3)
             .expect("clean repetitions succeed");
-        assert_eq!(ok, run_repetitions(&sim, &t, fuzzy, 77, 6));
-
+        assert_eq!(ok, sequential(&sim, &t, fuzzy, 77, 6));
         // Zero repetitions: a typed config error, not an assert.
         let err = try_run_repetitions_parallel(&sim, &t, fuzzy, 77, 0, 3)
             .expect_err("zero reps rejected");
@@ -270,14 +310,6 @@ mod tests {
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
         assert_eq!(err_a, err_b, "first-repetition error is thread-count invariant");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one repetition")]
-    fn zero_reps_rejected() {
-        let sim = noisy_sim();
-        let t = crossing_walk();
-        let _ = run_repetitions(&sim, &t, fuzzy, 0, 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::sim::fleet::{
     FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
-use fuzzy_handover::sim::monte_carlo::{run_repetitions, try_run_repetitions_parallel};
+use fuzzy_handover::sim::monte_carlo::try_run_repetitions_parallel;
 use fuzzy_handover::sim::{Scenario, SimConfig, Simulation, SCENARIO_A_SEED, SCENARIO_B_SEED};
 
 /// The UE ids `0..n`.
@@ -64,7 +64,8 @@ fn parallel_monte_carlo_matches_sequential() {
     let make = || -> Box<dyn fuzzy_handover::core::HandoverPolicy + Send> {
         Box::new(paper_policy())
     };
-    let sequential = run_repetitions(&sim, &walk, make, SCENARIO_B_SEED, 8);
+    let sequential: Vec<_> =
+        (0..8).map(|k| sim.run(&walk, make().as_mut(), SCENARIO_B_SEED + k)).collect();
     for threads in [1, 2, 4, 8, 16] {
         let parallel = try_run_repetitions_parallel(&sim, &walk, make, SCENARIO_B_SEED, 8, threads)
             .expect("the paper controller runs every repetition");
