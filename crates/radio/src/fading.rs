@@ -16,20 +16,31 @@ use crate::db::power_ratio_to_db_floored;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Draw one standard-normal variate via Box–Muller (`u1 ∈ (0, 1]` avoids
-/// `ln 0`). `rand_distr` is not among the offline crates, so this is the
-/// single gaussian sampler the whole measurement plane shares: the
+/// The Box–Muller transform of one uniform pair: `u1 ∈ (0, 1]` (so
+/// `ln u1` is finite) and `u2 ∈ [0, 1)` map to one standard-normal
+/// variate. `rand_distr` is not among the offline crates, so this is the
+/// single gaussian expression the whole measurement plane shares: the
+/// scalar sampler [`standard_normal`], the batched
+/// [`standard_normal_fill`] and the engine's measurement step all
+/// evaluate it, which is what makes the scalar and batched paths
+/// bit-identical.
+#[inline]
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// Draw one standard-normal variate: [`box_muller`] on the next two
+/// uniforms (`1 − u` for the first keeps it in `(0, 1]`). The
 /// shadowing processes and lanes, the Rayleigh/Rician envelopes and the
-/// measurement noise all draw through this exact expression, which is
-/// what makes the scalar and batched paths bit-identical.
+/// measurement noise all draw through this sampler or its batched form.
 #[inline]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    box_muller(u1, u2)
 }
 
-/// Tile width of the batched gaussian kernels: draws are pulled from the
+/// Tile width of the batched gaussian kernel: draws are pulled from the
 /// RNG in stack tiles of this many output values (2× as many uniforms),
 /// sized so one tile's uniforms cover two full eight-block groups of the
 /// AVX2 ChaCha12 kernel through [`rand::RngCore::fill_u64_slice`] while
@@ -42,31 +53,16 @@ const NORMAL_TILE: usize = 64;
 /// [`standard_normal`], bit-identical to calling it once per slot in
 /// order. The uniforms come from the RNG's bulk block generator
 /// ([`rand::RngCore::fill_standard_uniform`], whole ChaCha12 blocks at a
-/// time) and each output evaluates the exact Box–Muller expression of the
-/// scalar sampler on its `(u1, u2)` pair, so draw order and
-/// floating-point math are unchanged. Allocation-free (stack tiles).
+/// time) and each output is [`box_muller`] of its `(1 − u1, u2)` pair,
+/// so draw order and floating-point math are unchanged. Allocation-free
+/// (stack tiles).
 pub fn standard_normal_fill<R: Rng + ?Sized>(dest: &mut [f64], rng: &mut R) {
     let mut uniforms = [0.0f64; 2 * NORMAL_TILE];
-    let mut cosines = [0.0f64; NORMAL_TILE];
     for chunk in dest.chunks_mut(NORMAL_TILE) {
         let pairs = &mut uniforms[..2 * chunk.len()];
         rng.fill_standard_uniform(pairs);
-        // Pass 1 — the libm calls (can't vectorize): squared radius
-        // −2·ln(1 − u1) into the output slots, cos(τ·u2) into a tile.
-        let angles = &mut cosines[..chunk.len()];
-        for ((slot, angle), uv) in chunk.iter_mut().zip(angles.iter_mut()).zip(pairs.chunks_exact(2))
-        {
-            let u1 = 1.0 - uv[0];
-            let u2 = uv[1];
-            *slot = -2.0 * u1.ln();
-            *angle = (std::f64::consts::TAU * u2).cos();
-        }
-        // Pass 2 — branch-free √r²·cos over contiguous tiles, which the
-        // compiler turns into packed sqrt/mul. The expression tree per
-        // sample is exactly the scalar sampler's, so the split changes
-        // nothing bit-wise.
-        for (slot, &angle) in chunk.iter_mut().zip(angles.iter()) {
-            *slot = slot.sqrt() * angle;
+        for (slot, uv) in chunk.iter_mut().zip(pairs.chunks_exact(2)) {
+            *slot = box_muller(1.0 - uv[0], uv[1]);
         }
     }
 }

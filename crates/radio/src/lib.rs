@@ -37,7 +37,7 @@
 //! **Bit-identity contract:** each compiled form evaluates the *same*
 //! floating-point expressions as its scalar counterpart (constants are
 //! folded, never re-associated) and draws from the RNG in the same order
-//! with the same [`fading::standard_normal`] sampler, so results are
+//! with the same [`fading::box_muller`] expression, so results are
 //! bit-for-bit identical to the scalar loops. The contract is pinned by
 //! proptests (`tests/radio_plane_props.rs`), a counting-allocator test
 //! proving the per-step paths allocation-free
@@ -56,8 +56,8 @@ pub mod pathloss;
 
 pub use antenna::DipoleAntenna;
 pub use fading::{
-    speed_penalty_db, standard_normal, standard_normal_fill, RayleighFading, RicianFading,
-    ShadowingConfig, ShadowingLane, ShadowingLaneState, ShadowingProcess,
+    box_muller, speed_penalty_db, standard_normal, standard_normal_fill, RayleighFading,
+    RicianFading, ShadowingConfig, ShadowingLane, ShadowingLaneState, ShadowingProcess,
 };
 pub use link::{BsRadio, CompiledBsRadio};
 pub use measurement::{MeasurementNoise, RssiSmoother};

@@ -5,6 +5,41 @@
 //! shadowing + measurement noise), applies the paper's speed penalty to
 //! the neighbour reading, hands the report to the configured
 //! [`HandoverPolicy`], and executes handovers the policy orders.
+//!
+//! # What a step computes
+//!
+//! `UeState::measure` draws every uniform a step's shadowing and noise
+//! consume and advances every shadowing slot it measures, but under
+//! pass-through smoothing ([`RssiSmoother::None`]) it computes a link
+//! budget and a Box–Muller transform only for the cells
+//! `UeState::report` reads: the serving cell and
+//! `CandidateTable::of(serving)`, at most 7 of the paper's 19. Every
+//! other cell of `measured` is parked at −∞ dBm. The result bits are
+//! those of measuring every cell:
+//!
+//! * **(a) The stream does not move.** The skipped work draws nothing:
+//!   the uniforms are drawn in one bulk fill before any transform, two
+//!   per gaussian whether or not the gaussian is computed, and the
+//!   budget is a pure function of position. Shadowing still advances
+//!   every slot, because each slot carries state into later steps.
+//! * **(b) `report` is the only reader of `measured`.** Its own reads are
+//!   the serving cell and the candidates of the serving cell, and the
+//!   serving cell does not change between `measure` and `report`. The
+//!   fleet's outage override calls `report(.., Some(down))` over the
+//!   same candidate table, so its mask only removes cells from the same
+//!   set. Everything after the report reads the [`MeasurementReport`] or
+//!   the serving index, never `measured`: the policy decides on the
+//!   report, and `finish_step`, the serving-cell traces, the traffic
+//!   replay and the load feedback read only the serving index. A
+//!   snapshot does not hold `measured` either.
+//! * **(c) Stateful smoothers are not pass-through.** An EWMA or window
+//!   filter folds every sample into state a later step reads, so under
+//!   them every measured cell is computed, as before.
+//!
+//! The same rule covers both `MeasuredCells` plans. A pruned step
+//! measures a subset of the cells that always holds the read set, so
+//! only the extra cells an edge UE measures (its nearest cells outside
+//! the candidate table) lose their budget and transform.
 
 use cellgeom::{Axial, CellLayout, NeighborIndex, Vec2};
 use handover_core::{
@@ -12,11 +47,11 @@ use handover_core::{
 };
 use mobility::{TracePoint, Trajectory};
 use radiolink::{
-    speed_penalty_db, standard_normal_fill, BsRadio, CompiledBsRadio, MeasurementNoise,
-    RssiSmoother, ShadowingConfig, ShadowingLane,
+    box_muller, speed_penalty_db, BsRadio, CompiledBsRadio, MeasurementNoise, RssiSmoother,
+    ShadowingConfig, ShadowingLane,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -150,6 +185,7 @@ impl SimResult {
 /// layout index in layout order, the cell list of a dense step.
 #[derive(Debug, Clone)]
 pub(crate) struct CandidateTable {
+    /// Per serving cell: the serving cell itself, then its candidates.
     per_cell: Vec<Vec<usize>>,
     all: Vec<u32>,
 }
@@ -159,23 +195,32 @@ impl CandidateTable {
         let cells = layout.cells();
         let per_cell = cells
             .iter()
-            .map(|&serving| {
+            .enumerate()
+            .map(|(own, &serving)| {
                 let neighbors: Vec<usize> = serving
                     .neighbors()
                     .iter()
                     .filter_map(|&n| cells.iter().position(|&c| c == n))
                     .collect();
-                if neighbors.is_empty() {
+                let candidates = if neighbors.is_empty() {
                     (0..cells.len()).filter(|&k| cells[k] != serving).collect()
                 } else {
                     neighbors
-                }
+                };
+                std::iter::once(own).chain(candidates).collect()
             })
             .collect();
         CandidateTable { per_cell, all: (0..cells.len() as u32).collect() }
     }
 
+    /// The handover candidates of the serving cell `serving_idx`.
     pub(crate) fn of(&self, serving_idx: usize) -> &[usize] {
+        &self.per_cell[serving_idx][1..]
+    }
+
+    /// The cells [`UeState::report`] reads when `serving_idx` serves:
+    /// the serving cell, then its candidates.
+    pub(crate) fn reads(&self, serving_idx: usize) -> &[usize] {
         &self.per_cell[serving_idx]
     }
 
@@ -363,43 +408,56 @@ impl UeState {
     /// a time, so both draw identical per-UE random streams.
     ///
     /// `means_dbm[k]` is the mean received power from the layout's `k`-th
-    /// BS, read only at the measured cells. The plan changes only how the
-    /// shadowing lane advances (see [`MeasuredCells`]); then one pass
-    /// combines `(mean + shadow) + σ·noise` per measured cell, the
-    /// optional smoother filters it, and unmeasured cells are parked at
-    /// −∞ dBm. Either plan covers the serving cell and its whole
-    /// candidate table, so the report never reads a parked value.
+    /// BS. On entry it must hold the cells the report reads
+    /// ([`Simulation::mean_rss_read`]); a stateful smoother's other
+    /// measured cells are filled here. The plan fixes the draws and how
+    /// the shadowing lane advances (see [`MeasuredCells`]); then one pass
+    /// combines `(mean + shadow) + σ·noise` per computed cell and the
+    /// optional smoother filters it. Every other cell is parked at −∞
+    /// dBm. A stateful smoother computes every measured cell, since each
+    /// filter must see each sample; under pass-through smoothing only the
+    /// serving cell and its candidates are computed, because nothing
+    /// else reads them (the module docs carry the proof). Either way the
+    /// report never reads a parked value.
     ///
-    /// The gaussians go into the caller's `normals` scratch. Each
-    /// gaussian consumes exactly two `u64`s and [`standard_normal_fill`]
-    /// matches the scalar sampler bit for bit, so the stream is the one
-    /// a per-BS `ShadowingProcess` then `MeasurementNoise::apply` loop
-    /// draws. The scratch length depends only on the `SimConfig` sigmas
-    /// and the measured set — never on step number or chunk — and
+    /// The uniforms go into the caller's `uniforms` scratch: a dense step
+    /// draws every pair (shadowing innovations, then noise) in one bulk
+    /// fill, a pruned step its noise pairs after the lane's own draws.
+    /// Each gaussian consumes exactly two `u64`s and is [`box_muller`]
+    /// of its pair, so the stream is the one a per-BS `ShadowingProcess`
+    /// then `MeasurementNoise::apply` loop draws, whichever cells are
+    /// computed. The scratch length depends only on the `SimConfig`
+    /// sigmas and the measured set — never on step number or chunk — and
     /// nothing in it survives the call, so it is (correctly) absent from
     /// [`UeState::snapshot`].
     pub(crate) fn measure(
         &mut self,
-        cfg: &SimConfig,
-        candidates: &CandidateTable,
-        means_dbm: &[f64],
+        sim: &Simulation,
         point: TracePoint,
         cells: MeasuredCells<'_>,
-        normals: &mut Vec<f64>,
+        means_dbm: &mut [f64],
+        uniforms: &mut Vec<f64>,
     ) -> MeasurementReport {
+        let cfg = sim.config();
         let n = cfg.layout.len();
         let sigma = cfg.noise.sigma_db;
-        let noise_draws = |cells: usize| if sigma > 0.0 { cells } else { 0 };
+        let noise_pairs = |cells: usize| if sigma > 0.0 { 2 * cells } else { 0 };
         let (slots, noise) = match cells {
             MeasuredCells::All => {
-                // One bulk gaussian pass covers both stages: one
-                // shadowing innovation per cell, then one noise draw.
-                let shadow_draws = if cfg.shadowing.sigma_db > 0.0 { n } else { 0 };
-                normals.resize(shadow_draws + noise_draws(n), 0.0);
-                standard_normal_fill(normals, &mut self.rng);
+                // One bulk fill covers both stages: a uniform pair per
+                // shadowing innovation, then a pair per noise draw.
+                let shadow_pairs = if cfg.shadowing.sigma_db > 0.0 { 2 * n } else { 0 };
+                uniforms.resize(shadow_pairs + noise_pairs(n), 0.0);
+                self.rng.fill_standard_uniform(uniforms);
+                let (innovations, noise) = uniforms.split_at_mut(shadow_pairs);
+                // In place: innovation `j` lands on slot `j <= 2j`, whose
+                // pair was already read.
+                for j in 0..shadow_pairs / 2 {
+                    innovations[j] = box_muller(1.0 - innovations[2 * j], innovations[2 * j + 1]);
+                }
                 let delta = point.cum_km - self.prev_cum;
-                self.shadow.advance_all_with(delta, &normals[..shadow_draws]);
-                (candidates.all(), &normals[shadow_draws..])
+                self.shadow.advance_all_with(delta, &innovations[..shadow_pairs / 2]);
+                (sim.candidates().all(), &*noise)
             }
             MeasuredCells::Subset(subset) => {
                 if self.last_advanced_km.is_empty() {
@@ -407,37 +465,50 @@ impl UeState {
                 }
                 let last_km = &mut self.last_advanced_km;
                 self.shadow.advance_subset(subset, point.cum_km, last_km, &mut self.rng);
-                normals.resize(noise_draws(subset.len()), 0.0);
-                standard_normal_fill(normals, &mut self.rng);
-                (subset, &normals[..])
+                uniforms.resize(noise_pairs(subset.len()), 0.0);
+                self.rng.fill_standard_uniform(uniforms);
+                (subset, &uniforms[..])
             }
         };
         self.prev_cum = point.cum_km;
         self.measured.clear();
         self.measured.resize(n, f64::NEG_INFINITY);
+        let passthrough = self.passthrough_smoothing;
+        let reads = sim.candidates().reads(self.serving_idx);
+        let (measured, smoothers) = (&mut self.measured, &mut self.smoothers);
         let shadow = self.shadow.values();
-        if sigma == 0.0 {
-            // `MeasurementNoise::apply` with σ = 0 passes the reading
-            // through and draws nothing.
-            for &slot in slots {
-                let k = slot as usize;
-                self.measured[k] = means_dbm[k] + shadow[k];
-            }
+        // Cell `k`'s reading from its noise pair `j` (its draw index).
+        // `MeasurementNoise::apply` with σ = 0 passes the reading through
+        // and draws nothing.
+        let mut compute = |j: usize, k: usize, mean: f64| {
+            let clean = mean + shadow[k];
+            let sample = if sigma == 0.0 {
+                clean
+            } else {
+                clean + sigma * box_muller(1.0 - noise[2 * j], noise[2 * j + 1])
+            };
+            measured[k] = if passthrough { sample } else { smoothers[k].push(sample) };
+        };
+        // The computed set, decided here only: every measured cell for a
+        // stateful smoother, else the measured cells `report` reads.
+        if passthrough && matches!(cells, MeasuredCells::All) {
+            // A dense step's draw index is the cell's layout index.
+            reads.iter().for_each(|&k| compute(k, k, means_dbm[k]));
         } else {
-            for (&slot, &e) in slots.iter().zip(noise) {
+            for (j, &slot) in slots.iter().enumerate() {
                 let k = slot as usize;
-                self.measured[k] = (means_dbm[k] + shadow[k]) + sigma * e;
-            }
-        }
-        if !self.passthrough_smoothing {
-            for &slot in slots {
-                let k = slot as usize;
-                self.measured[k] = self.smoothers[k].push(self.measured[k]);
+                if !reads.contains(&k) {
+                    if passthrough {
+                        continue;
+                    }
+                    means_dbm[k] = sim.mean_rss(k, point.pos);
+                }
+                compute(j, k, means_dbm[k]);
             }
         }
         // `validate_planes` requires two distinct cells, so every
         // candidate list is non-empty.
-        self.report(cfg, candidates, point, None).expect("layouts have at least two cells")
+        self.report(cfg, sim.candidates(), point, None).expect("layouts have at least two cells")
     }
 
     /// Build the step's report from the `measured` buffer: the serving
@@ -571,28 +642,24 @@ impl Simulation {
         &self.candidates
     }
 
-    /// The compiled link budget (shared by every BS of the layout).
-    pub(crate) fn compiled_radio(&self) -> &CompiledBsRadio {
-        &self.compiled_radio
-    }
-
-    /// Per-cell BS positions, in layout order.
-    pub(crate) fn bs_positions(&self) -> &[Vec2] {
-        &self.bs_positions
-    }
-
     /// The position → nearest-cells index of the layout.
     pub(crate) fn neighbor_index(&self) -> &NeighborIndex {
         self.neighbor_index.get_or_init(|| NeighborIndex::new(&self.config.layout))
     }
 
-    /// Fill `means_dbm` with the mean (pre-fade, pre-noise) received
-    /// power from every BS at `pos`, in layout order — through the
-    /// compiled link budget (bit-identical to the scalar
-    /// [`BsRadio::received_power_dbm`]).
-    pub(crate) fn mean_rss_all(&self, pos: Vec2, means_dbm: &mut [f64]) {
-        for (slot, &bs_pos) in means_dbm.iter_mut().zip(&self.bs_positions) {
-            *slot = self.compiled_radio.received_power_dbm(bs_pos, pos);
+    /// The mean (pre-fade, pre-noise) received power from the layout's
+    /// `k`-th BS at `pos`, through the compiled link budget
+    /// (bit-identical to the scalar [`BsRadio::received_power_dbm`]).
+    pub(crate) fn mean_rss(&self, k: usize, pos: Vec2) -> f64 {
+        self.compiled_radio.received_power_dbm(self.bs_positions[k], pos)
+    }
+
+    /// Fill `means_dbm` at the cells a report reads while `serving`
+    /// serves — the serving cell and its candidates — which is what
+    /// [`UeState::measure`] expects on entry.
+    pub(crate) fn mean_rss_read(&self, pos: Vec2, serving: usize, means_dbm: &mut [f64]) {
+        for &k in self.candidates.reads(serving) {
+            means_dbm[k] = self.mean_rss(k, pos);
         }
     }
 
@@ -607,13 +674,15 @@ impl Simulation {
         let cfg = &self.config;
         let mut ue = UeState::new(cfg, trajectory.start(), seed);
         let mut means = vec![0.0; cfg.layout.len()];
-        let mut normals = Vec::with_capacity(2 * cfg.layout.len());
+        // Two uniforms per gaussian; a dense step draws at most two
+        // gaussians per cell (shadowing and noise).
+        let mut uniforms = Vec::with_capacity(4 * cfg.layout.len());
         let mut steps = Vec::new();
 
         for (idx, point) in trajectory.resample_iter(cfg.sample_spacing_km).enumerate() {
-            self.mean_rss_all(point.pos, &mut means);
+            self.mean_rss_read(point.pos, ue.serving_index(), &mut means);
             let all = MeasuredCells::All;
-            let report = ue.measure(cfg, &self.candidates, &means, point, all, &mut normals);
+            let report = ue.measure(self, point, all, &mut means, &mut uniforms);
             let decision = policy.decide(&report);
             let hd = ue.finish_step(cfg, &report, decision, point, policy);
             steps.push(StepRecord {
@@ -850,39 +919,51 @@ mod tests {
         cells
     }
 
-    /// Walk one UE through [`UeState::measure`] and, on an identically
-    /// seeded stream, through a one-draw-at-a-time scalar reference:
-    /// per-BS `ShadowingProcess::advance` over every cell (dense) or
-    /// `ShadowingLane::advance_one` by each slot's accrued distance over
-    /// a rotating subset (pruned), then `MeasurementNoise::apply` and
-    /// `RssiSmoother::push` per measured cell. Every measured value and
-    /// shadowing slot must match bit for bit, and so must the smoother
-    /// states and the stream position at the end.
-    fn check_against_scalar_reference(cfg: &SimConfig, pruned: bool) {
+    /// Walk one UE from `start` through [`UeState::measure`] and, on an
+    /// identically seeded stream, through a one-draw-at-a-time scalar
+    /// reference: per-BS `ShadowingProcess::advance` over every cell
+    /// (dense) or `ShadowingLane::advance_one` by each slot's accrued
+    /// distance over a rotating subset (pruned), then
+    /// `MeasurementNoise::apply` and `RssiSmoother::push` per measured
+    /// cell. Every shadowing slot must match bit for bit, and so must the
+    /// smoother states and the stream position at the end. The measured
+    /// values must match on the computed cells — every measured cell
+    /// under a stateful smoother, the cells `report` reads under
+    /// pass-through smoothing — and every other cell must be parked at
+    /// −∞.
+    fn check_against_scalar_reference(cfg: &SimConfig, start: Vec2, pruned: bool) {
         use radiolink::ShadowingProcess;
-        use rand::RngCore;
-        let label =
-            format!("{:?} {:?} {:?} pruned={pruned}", cfg.shadowing, cfg.noise, cfg.smoothing);
-        let walk = Trajectory::new(vec![Vec2::new(0.2, 0.1), Vec2::new(2.9, 1.3)]);
+        let label = format!(
+            "{:?} {:?} {:?} {} cells from {start:?} pruned={pruned}",
+            cfg.shadowing,
+            cfg.noise,
+            cfg.smoothing,
+            cfg.layout.len()
+        );
+        let walk = Trajectory::new(vec![start, start + Vec2::new(2.7, 1.2)]);
         let sim = Simulation::new(cfg.clone());
         let n = cfg.layout.len();
         let mut ue = UeState::new(cfg, walk.start(), 11);
         let serving = ue.serving_index();
+        let reads = sim.candidates().reads(serving);
+        let passthrough = cfg.smoothing == RssiSmoother::None;
         let mut rng = StdRng::seed_from_u64(11);
         let mut procs = vec![ShadowingProcess::new(cfg.shadowing); n];
         let mut lane = ShadowingLane::new(cfg.shadowing, n);
         let mut filters = vec![cfg.smoothing.clone(); n];
         let (mut last_km, mut prev_cum) = (vec![0.0; n], 0.0);
-        let (mut means, mut normals, mut shadow) = (vec![0.0; n], Vec::new(), vec![0.0; n]);
+        let (mut means, mut uniforms, mut shadow) = (vec![0.0; n], Vec::new(), vec![0.0; n]);
         for (step, point) in walk.resample_iter(cfg.sample_spacing_km).enumerate() {
-            sim.mean_rss_all(point.pos, &mut means);
+            let expected_means: Vec<f64> = (0..n).map(|k| sim.mean_rss(k, point.pos)).collect();
+            means.fill(f64::NAN);
+            sim.mean_rss_read(point.pos, serving, &mut means);
             let subset = rotating_subset(&sim, serving, step);
             let (plan, cells) = if pruned {
                 (MeasuredCells::Subset(&subset), subset.as_slice())
             } else {
                 (MeasuredCells::All, sim.candidates().all())
             };
-            let report = ue.measure(cfg, sim.candidates(), &means, point, plan, &mut normals);
+            let report = ue.measure(&sim, point, plan, &mut means, &mut uniforms);
             if pruned {
                 for &slot in cells {
                     let k = slot as usize;
@@ -895,12 +976,19 @@ mod tests {
                 }
                 prev_cum = point.cum_km;
             }
+            let mut expected = vec![f64::NEG_INFINITY; n];
             for &slot in cells {
                 let k = slot as usize;
-                let expected = filters[k].push(cfg.noise.apply(means[k] + shadow[k], &mut rng));
-                let got = (ue.measured[k], ue.shadow.values()[k]);
-                assert_eq!(got.0.to_bits(), expected.to_bits(), "{label}: step {step} cell {k}");
-                assert_eq!(got.1.to_bits(), shadow[k].to_bits(), "{label}: step {step} cell {k}");
+                let sample = cfg.noise.apply(expected_means[k] + shadow[k], &mut rng);
+                let reading = filters[k].push(sample);
+                if !passthrough || reads.contains(&k) {
+                    expected[k] = reading;
+                }
+            }
+            for k in 0..n {
+                let at = format!("{label}: step {step} cell {k}");
+                assert_eq!(ue.measured[k].to_bits(), expected[k].to_bits(), "{at}");
+                assert_eq!(ue.shadow.values()[k].to_bits(), shadow[k].to_bits(), "{at}");
             }
             assert_eq!(report.serving_rss_dbm.to_bits(), ue.measured[serving].to_bits());
         }
@@ -909,21 +997,35 @@ mod tests {
     }
 
     /// [`check_against_scalar_reference`] for shadowing and noise each
-    /// on and off, every smoother kind, dense and pruned.
+    /// on and off, every smoother kind, dense and pruned, from an
+    /// interior serving cell and a rim one (a short candidate table) on
+    /// the paper's 19-cell layout and the 7-cell one-ring layout.
     #[test]
     fn measurement_matches_scalar_reference_bit_for_bit() {
         let smoothers = [RssiSmoother::None, RssiSmoother::ewma(0.3), RssiSmoother::window(3)];
-        for (shadow_sigma, noise_sigma) in [(0.0, 0.0), (0.0, 1.0), (4.0, 0.0), (4.0, 1.0)] {
-            for smoothing in &smoothers {
-                let cfg = SimConfig {
-                    shadowing: ShadowingConfig { sigma_db: shadow_sigma, decorrelation_km: 0.3 },
-                    noise: MeasurementNoise::new(noise_sigma),
-                    smoothing: smoothing.clone(),
-                    sample_spacing_km: 0.1,
-                    ..SimConfig::paper_default()
-                };
-                check_against_scalar_reference(&cfg, false);
-                check_against_scalar_reference(&cfg, true);
+        for layout in [CellLayout::hexagonal(2.0, 2), CellLayout::hexagonal(2.0, 1)] {
+            let rim = *layout.cells().last().expect("a non-empty layout");
+            let starts = [Vec2::new(0.2, 0.1), layout.bs_position(rim) + Vec2::new(0.2, 0.1)];
+            let table = CandidateTable::new(&layout);
+            assert!(table.of(layout.len() - 1).len() < table.of(0).len(), "a short rim table");
+            for (shadow_sigma, noise_sigma) in [(0.0, 0.0), (0.0, 1.0), (4.0, 0.0), (4.0, 1.0)] {
+                for smoothing in &smoothers {
+                    let cfg = SimConfig {
+                        layout: layout.clone(),
+                        shadowing: ShadowingConfig {
+                            sigma_db: shadow_sigma,
+                            decorrelation_km: 0.3,
+                        },
+                        noise: MeasurementNoise::new(noise_sigma),
+                        smoothing: smoothing.clone(),
+                        sample_spacing_km: 0.1,
+                        ..SimConfig::paper_default()
+                    };
+                    for start in starts {
+                        check_against_scalar_reference(&cfg, start, false);
+                        check_against_scalar_reference(&cfg, start, true);
+                    }
+                }
             }
         }
     }

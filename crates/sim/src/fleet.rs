@@ -906,13 +906,13 @@ struct ChunkArena {
     points: Vec<TracePoint>,
     /// Phase 2: per-cell means of the UE currently being measured.
     means: Vec<f64>,
-    /// Phase 2: gaussian scratch of the UE currently being measured.
+    /// Phase 2: uniform scratch of the UE currently being measured.
     ///
     /// Sized once for the worst case (shadowing + noise both active on
-    /// a dense step: `2 × n_cells` draws) so the per-step resize inside
-    /// `UeState::measure` never reallocates. Nothing in it outlives one
-    /// UE's measurement, so neither chunk layout nor checkpoint
-    /// boundaries can change a draw.
+    /// a dense step: `2 × n_cells` gaussians, two uniforms each) so the
+    /// per-step resize inside `UeState::measure` never reallocates.
+    /// Nothing in it outlives one UE's measurement, so neither chunk
+    /// layout nor checkpoint boundaries can change a draw.
     rng_scratch: Vec<f64>,
     /// The pruned measurement subset of the UE being measured.
     subset: Vec<u32>,
@@ -941,7 +941,7 @@ impl ChunkArena {
             active: Vec::new(),
             points: Vec::new(),
             means: vec![0.0; n_cells],
-            rng_scratch: Vec::with_capacity(2 * n_cells),
+            rng_scratch: Vec::with_capacity(4 * n_cells),
             subset: Vec::with_capacity(n_cells),
             down: Vec::new(),
             reports: Vec::new(),
@@ -1530,48 +1530,34 @@ impl PassCtx<'_> {
         ChunkRun { ctx: self, ues, live, plan, step, arena, part }.run();
     }
 
-    /// The measurement of one UE under the pass's plan. Dense measures
-    /// every cell, with the means from [`Simulation::mean_rss_all`].
-    /// Pruned always measures the decision inputs — serving cell and
-    /// candidate table — exactly; a UE at a cell edge (every UE under
-    /// `Nearest`, which has no margin) also measures its `k`
-    /// index-nearest cells. Edge classification reads deterministic means
-    /// only (no RNG draws).
+    /// The measurement of one UE under the pass's plan. Either plan
+    /// takes the means of the cells the report reads from
+    /// [`Simulation::mean_rss_read`]; [`UeState::measure`] decides which
+    /// measured cells it computes. Dense measures every cell. Pruned
+    /// always measures the decision inputs — serving cell and candidate
+    /// table — exactly; a UE at a cell edge (every UE under `Nearest`,
+    /// which has no margin) also measures its `k` index-nearest cells.
+    /// Edge classification reads deterministic means only (no RNG
+    /// draws).
     fn measure(
         &self,
         ue: &mut UeState,
         point: TracePoint,
         means: &mut [f64],
         subset: &mut Vec<u32>,
-        normals: &mut Vec<f64>,
+        uniforms: &mut Vec<f64>,
     ) -> MeasurementReport {
-        let (pos, serving, candidates) = (point.pos, ue.serving_index(), self.sim.candidates());
+        let (pos, serving) = (point.pos, ue.serving_index());
+        self.sim.mean_rss_read(pos, serving, means);
         let PrunePlan::Pruned { k, edge_margin_db } = self.plan else {
-            self.sim.mean_rss_all(pos, means);
-            return ue.measure(self.cfg, candidates, means, point, MeasuredCells::All, normals);
+            return ue.measure(self.sim, point, MeasuredCells::All, means, uniforms);
         };
-        let cands = candidates.of(serving);
-        let mean_at = |slot: usize| {
-            self.sim.compiled_radio().received_power_dbm(self.sim.bs_positions()[slot], pos)
-        };
-        means[serving] = mean_at(serving);
-        let mut best = f64::NEG_INFINITY;
-        for &cand in cands {
-            means[cand] = mean_at(cand);
-            best = best.max(means[cand]);
-        }
+        let cands = self.sim.candidates().of(serving);
+        let best = cands.iter().fold(f64::NEG_INFINITY, |best, &cand| best.max(means[cand]));
         let edge = edge_margin_db.map_or(true, |margin| means[serving] - best <= margin);
         let nearest = if edge { self.sim.neighbor_index().nearest(pos, k) } else { &[] };
         fill_subset(subset, nearest, serving, cands);
-        if edge {
-            for &slot in subset.iter() {
-                let slot = slot as usize;
-                if slot != serving && !cands.contains(&slot) {
-                    means[slot] = mean_at(slot);
-                }
-            }
-        }
-        ue.measure(self.cfg, candidates, means, point, MeasuredCells::Subset(subset), normals)
+        ue.measure(self.sim, point, MeasuredCells::Subset(subset), means, uniforms)
     }
 
     /// The scheduled-outage mask of `step` into `down`, one flag per

@@ -33,7 +33,7 @@
 //! (typed [`CheckpointError`](crate::checkpoint::CheckpointError)),
 //! never silently resumed.
 
-use crate::checkpoint::FleetCheckpoint;
+use crate::checkpoint::{unseal_payload, FleetCheckpoint};
 use crate::dynamics::DynamicsConfig;
 use crate::engine::SimConfig;
 use crate::fleet::{FleetError, FleetResult, FleetSimulation, UeSpec};
@@ -599,6 +599,13 @@ pub struct SupervisedRun {
 /// watchdog, bounded retries, virtual backoff and worker degradation
 /// on every segment.
 ///
+/// Write-verify checks a fresh seal's container header and XXH64
+/// payload checksum ([`unseal_payload`]) without decoding it. The full
+/// decode and validation ([`FleetCheckpoint::try_unseal`]) run whenever
+/// a seal is read back: a restore from this call's seals after a
+/// failure, and every [`Supervisor::resume`] and session hydrate, which
+/// take a decoded snapshot.
+///
 /// It owns a run's snapshot, audit trail and worker count, and moves
 /// the snapshot into each [`FleetSimulation::advance`]; a failed
 /// attempt hands it back as its retry's restore point, unless that
@@ -706,6 +713,16 @@ impl Supervisor {
     /// bit-rot, then write-verify — a corrupted seal is detected here
     /// and quarantined (the older good snapshot stays the restore
     /// point).
+    ///
+    /// Write-verify checks the container header and the XXH64 payload
+    /// checksum ([`unseal_payload`]) and decodes nothing. The bytes were
+    /// just sealed from a valid snapshot, so only bit-rot can fail them,
+    /// and bit-rot fails the checksum: [`FleetCheckpoint::try_unseal`]
+    /// runs the same check before its decode, so the full decode would
+    /// catch nothing more (short of a 2⁻⁶⁴ hash collision). The full
+    /// decode and validation run where a seal is read back: a restore
+    /// from `history` ([`Supervisor::handle_failure`]), and every
+    /// resume and hydrate, which start from a decoded snapshot.
     fn accept_snapshot(&mut self, cp: FleetCheckpoint) {
         self.report.segments += 1;
         self.consecutive_failures = 0;
@@ -715,7 +732,7 @@ impl Supervisor {
         if let Some(injector) = self.engine.fault_injector() {
             injector.corrupt_snapshot(snapshot_index, &mut sealed);
         }
-        self.current_unverified = FleetCheckpoint::try_unseal(&sealed).is_err();
+        self.current_unverified = unseal_payload(&sealed).is_err();
         if self.current_unverified {
             self.report.corrupt_snapshots_detected += 1;
         } else {

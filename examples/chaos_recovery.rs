@@ -9,6 +9,15 @@
 //! ```text
 //! cargo run --release --example chaos_recovery
 //! ```
+//!
+//! Everything printed is deterministic, so the whole stdout is pinned
+//! in `examples/chaos_recovery.stdout`; check a run against it with
+//!
+//! ```text
+//! cargo run --release --example chaos_recovery | diff -u examples/chaos_recovery.stdout -
+//! ```
+//!
+//! The injected worker panics print their messages on stderr.
 
 use std::sync::Arc;
 

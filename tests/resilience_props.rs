@@ -29,6 +29,9 @@
 //!    that still verifies, and finishing it reproduces the clean run.
 //! 7. Each supervisor call has its own retry budget: failures spread
 //!    over more calls than one budget allows still recover.
+//! 8. Write-verify (header and checksum only) catches every header
+//!    byte flip and payload flips at both ends and in the middle, and a
+//!    restore from a seal goes through the full decode.
 
 use std::sync::Arc;
 
@@ -693,6 +696,64 @@ fn exhausted_supervisor_holds_the_newest_verified_snapshot() {
         let held = supervisor.checkpoint().expect("a verified snapshot is held");
         assert_eq!(held.seal(), newest.seal(), "{faults:?}");
         assert_eq!(clean.try_resume(&spec, held).expect("finish"), reference, "{faults:?}");
+    }
+}
+
+/// The offsets a detection sweep flips in a sealed container of
+/// `sealed_len` bytes: every header byte (magic, version, length,
+/// checksum), then the first, middle and last payload byte.
+fn sweep_offsets(sealed_len: usize) -> Vec<u64> {
+    const HEADER: u64 = 28;
+    let len = sealed_len as u64;
+    assert!(len > HEADER + 2, "a snapshot has a payload");
+    (0..HEADER).chain([HEADER, HEADER + (len - HEADER) / 2, len - 1]).collect()
+}
+
+/// Write-verify reads only the header and the checksum, yet it detects
+/// every header byte flip and payload flips at both ends and in the
+/// middle. Segments end at steps 4, 8 and 12 and a panic fires at step
+/// 9. With snapshot 0 (step 4) corrupted, the run quarantines it,
+/// recovers from the step-8 snapshot and finishes on the clean result.
+/// With snapshot 1 (step 8) corrupted at the same offset and no retry
+/// budget, the failure restores the step-4 seal through the full decode
+/// (`FleetCheckpoint::try_unseal`), so the supervisor is left holding
+/// exactly that snapshot, and finishing it gives the clean result.
+#[test]
+fn write_verify_detects_header_and_payload_flips_and_restores_by_full_decode() {
+    let cfg = noisy_config();
+    let spec = fleet_spec(23, cfg.layout.cell_radius_km());
+    let ids: Vec<u64> = (0..10).collect();
+    let clean = FleetSimulation::new(cfg);
+    let reference = clean.try_run_ids(&spec, &ids, 23).expect("fleet run");
+    let at_4 = clean.advance(&spec, None, &ids, 23, 4).expect("segment to 4");
+    let at_8 = clean.advance(&spec, Some(at_4.clone()), &ids, 23, 8).expect("segment to 8");
+    assert!(!at_8.live.is_empty(), "the walks outlast the panic");
+    let supervise = |faults: Vec<Fault>, max_retries: u32| {
+        let plan = FaultPlan::scripted(faults);
+        let faulty = clean.clone().with_fault_injection(Arc::new(plan.injector()));
+        let policy = RetryPolicy { checkpoint_cadence: 4, max_retries, ..RetryPolicy::default() };
+        Supervisor::new(faulty, policy).expect("valid policy")
+    };
+    let panic_9 = Fault::WorkerPanic { at_step: 9 };
+    for byte_offset in sweep_offsets(at_4.seal().len()) {
+        let corrupt = Fault::CorruptCheckpoint { at_snapshot: 0, byte_offset };
+        let mut supervisor = supervise(vec![corrupt, panic_9], 1);
+        let result = supervisor.finish(&spec, &ids, 23).expect("one panic recovers");
+        let report = supervisor.report();
+        assert_eq!(report.corrupt_snapshots_detected, 1, "snapshot 0, byte {byte_offset}");
+        assert_eq!((report.worker_panics, report.restores), (1, 1), "byte {byte_offset}");
+        assert_eq!(result, reference, "snapshot 0, byte {byte_offset}");
+    }
+    for byte_offset in sweep_offsets(at_8.seal().len()) {
+        let corrupt = Fault::CorruptCheckpoint { at_snapshot: 1, byte_offset };
+        let mut supervisor = supervise(vec![corrupt, panic_9], 0);
+        let err = supervisor.finish(&spec, &ids, 23).expect_err("no retry budget");
+        assert!(matches!(err, FleetError::RetriesExhausted { attempts: 1, .. }), "{err:?}");
+        assert_eq!(supervisor.report().corrupt_snapshots_detected, 1, "byte {byte_offset}");
+        let held = supervisor.checkpoint().expect("the step-4 seal is restored");
+        assert_eq!(held.seal(), at_4.seal(), "snapshot 1, byte {byte_offset}");
+        let resumed = clean.try_resume(&spec, held).expect("finish");
+        assert_eq!(resumed, reference, "snapshot 1, byte {byte_offset}");
     }
 }
 
